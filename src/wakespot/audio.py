@@ -199,7 +199,14 @@ def num_feature_frames(num_samples: int) -> int:
 
 
 def _power_to_logmel(power: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(power @ _filters().T, ENERGY_FLOOR))
+    """Log-Mel energies of one power spectrum or of a stack of them.
+
+    Each row is its own vector-matrix product: a matrix-matrix product
+    over all frames rounds differently in the last bits, and streaming
+    (one frame at a time) must equal batch extraction exactly.
+    """
+    energies = np.matmul(power[..., None, :], _filters().T)[..., 0, :]
+    return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 
 def frame_fbank(window: np.ndarray, prev_sample: float) -> np.ndarray:
@@ -207,8 +214,9 @@ def frame_fbank(window: np.ndarray, prev_sample: float) -> np.ndarray:
 
     ``prev_sample`` is the waveform sample immediately before the window
     (0.0 at the very start), used by the pre-emphasis filter. This is the
-    per-frame primitive behind both :func:`extract_fbank` and the streaming
-    featurizer, which guarantees the two paths agree.
+    streaming featurizer's primitive; each of its outputs is bit-equal to
+    the corresponding row of :func:`extract_fbank`, which applies the same
+    per-frame arithmetic to all frames at once.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.shape != (WINDOW_SAMPLES,):

@@ -12,19 +12,18 @@ import sys
 
 from . import evaluation, synth
 from .audio import extract_fbank, read_wav, save_features, stack_frames
-from .ctc import forward_logprob
 from .dtw import DtwConfig, dtw_detect
 from .errors import WakespotError
 from .label_model import load_weights, run, save_posteriorgram, save_weights
 from .vad import VadConfig, trim_to_speech
 from .wakeword import (
     AGGREGATIONS,
+    aggregate,
     detect_stream,
+    hypothesis_logprobs,
     learn,
     load_model,
     save_model,
-    score,
-    score_logsumexp_prior,
 )
 
 EXIT_OK = 0
@@ -173,14 +172,11 @@ def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
     post = _load_post(weights, args.wav)
-    for hyp in model.hypotheses:
+    logprobs = hypothesis_logprobs(model, post)
+    for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
         symbols = " ".join(model.alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
-        print(f"  {symbols}  logp={forward_logprob(post, hyp.labels):.4f}  w={hyp.weight:.6f}")
-    if args.aggregation == "weighted_sum":
-        value = score(model, post)
-    else:
-        value = score_logsumexp_prior(model, post)
-    print(f"score {value}")
+        print(f"  {symbols}  logp={lp:.4f}  w={hyp.weight:.6f}")
+    print(f"score {aggregate(model, logprobs, args.aggregation)}")
     return EXIT_OK
 
 

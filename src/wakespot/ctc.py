@@ -4,12 +4,17 @@ All probability arithmetic is carried out in natural-log space; ``-inf``
 represents probability zero. A label sequence is a tuple of alphabet
 indices with the blank (index 0) excluded.
 
-The forward scorer sums over every frame-level alignment that collapses
-(merge adjacent repeats, then delete blanks) to the target sequence. It
-keeps only the 2U+1 augmented-position probabilities of the current
-timestep, so memory is independent of the audio length, and batch scoring
-is a loop over the single-step update, making streaming and batch results
-identical by construction.
+The forward algorithm sums over every frame-level alignment that collapses
+(merge adjacent repeats, then delete blanks) to the target sequence. One
+implementation serves every caller: :class:`ForwardLattice` scores H
+sequences at once, keeping only the 2U+1 augmented-position probabilities
+of each at the current timestep, so memory is independent of the audio
+length. Each posterior row is logged once and advances all H sequences in
+one set of array operations. Batch scoring is a loop of the same
+single-row update that streaming uses, so streaming and batch results are
+identical by construction, and each sequence's result is bit-identical to
+scoring it alone (:func:`forward_logprob` and :class:`CtcForwardScorer`
+are the one-sequence case).
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -56,36 +61,38 @@ def _log_rows(rows: np.ndarray) -> np.ndarray:
         return np.log(rows)
 
 
-class CtcForwardScorer:
-    """Incremental forward scorer for one label sequence.
+class ForwardLattice:
+    """Incremental forward scores of H label sequences over one row stream.
 
-    Holds the log forward probabilities of the 2U+1 blank-interleaved
-    positions at the current timestep. ``step`` ingests one posterior row;
-    ``finalize`` may be called at any time and does not disturb the state.
+    Sequence h occupies cells 0..2U_h of row h of an (H, 2*U_max+1) array of
+    log forward probabilities over the blank-interleaved positions. Every
+    transition moves mass rightwards (stay, advance one, skip two), so the
+    padding cells to the right of a short sequence never feed its valid
+    cells, and each row evolves exactly as it would alone. ``step`` ingests
+    one posterior row; ``finalize`` may be called at any time and does not
+    disturb the state. The work counters cover valid cells only.
     """
 
-    def __init__(self, labels: Iterable[int], num_symbols: int):
-        self.labels = validate_labels(labels, num_symbols)
+    def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
+        self.sequences = tuple(validate_labels(seq, num_symbols) for seq in sequences)
         self.num_symbols = num_symbols
-        u = len(self.labels)
-        # Augmented symbol sequence: blank, y1, blank, y2, ..., blank.
-        self._symbols = np.zeros(2 * u + 1, dtype=np.intp)
-        self._symbols[1::2] = self.labels
-        # A skip transition into position s is allowed only for label
-        # positions whose label differs from the one two slots back.
-        self._can_skip = np.zeros(2 * u + 1, dtype=bool)
-        for s in range(3, 2 * u + 1, 2):
-            self._can_skip[s] = self._symbols[s] != self._symbols[s - 2]
-        self._log_alpha = np.full(2 * u + 1, NEG_INF)
+        self._lengths = np.array([len(seq) for seq in self.sequences], dtype=np.intp)
+        width = 2 * int(self._lengths.max(initial=0)) + 1
+        # Augmented symbol rows: blank, y1, blank, y2, ..., blank, then padding.
+        self._symbols = np.zeros((len(self.sequences), width), dtype=np.intp)
+        for h, seq in enumerate(self.sequences):
+            self._symbols[h, 1 : 2 * len(seq) : 2] = seq
+        # A skip transition into label position s = 3, 5, ... is allowed
+        # only when its label differs from the one two slots back.
+        self._can_skip = self._symbols[:, 3::2] != self._symbols[:, 1:-2:2]
+        self._log_alpha = np.full(self._symbols.shape, NEG_INF)
+        self.num_state_cells = int((2 * self._lengths + 1).sum())
         self.steps = 0
         self.cell_updates = 0
 
-    @property
-    def num_state_cells(self) -> int:
-        return self._log_alpha.size
-
-    def state(self) -> np.ndarray:
-        return self._log_alpha.copy()
+    def state(self, h: int) -> np.ndarray:
+        """Log forward probabilities of sequence ``h``'s 2U+1 positions."""
+        return self._log_alpha[h, : 2 * self._lengths[h] + 1].copy()
 
     def step(self, row: np.ndarray) -> None:
         row = np.asarray(row, dtype=np.float64)
@@ -95,27 +102,74 @@ class CtcForwardScorer:
             )
         emit = _log_rows(row)[self._symbols]
         if self.steps == 0:
-            alpha = np.full(self._log_alpha.size, NEG_INF)
-            alpha[0] = emit[0]
-            if alpha.size > 1:
-                alpha[1] = emit[1]
+            alpha = np.full(self._symbols.shape, NEG_INF)
+            alpha[:, :2] = emit[:, :2]
         else:
+            # logaddexp(x, -inf) == x exactly, so leaving out the
+            # transitions that cannot occur (an advance into position 0, a
+            # skip into a blank or a repeated label) changes no bit.
             prev = self._log_alpha
-            stay_or_advance = np.logaddexp(prev, np.concatenate(([NEG_INF], prev[:-1])))
-            skip = np.where(
-                self._can_skip, np.concatenate(([NEG_INF, NEG_INF], prev[:-2])), NEG_INF
-            )
-            alpha = np.logaddexp(stay_or_advance, skip) + emit
+            alpha = prev.copy()
+            np.logaddexp(prev[:, 1:], prev[:, :-1], out=alpha[:, 1:])
+            skip = np.where(self._can_skip, prev[:, 1:-2:2], NEG_INF)
+            np.logaddexp(alpha[:, 3::2], skip, out=alpha[:, 3::2])
+            alpha += emit
         self._log_alpha = alpha
         self.steps += 1
-        self.cell_updates += alpha.size
+        self.cell_updates += self.num_state_cells
+
+    def finalize(self) -> np.ndarray:
+        """Log probability of each sequence given the rows seen so far."""
+        if self.steps == 0:
+            return np.where(self._lengths == 0, 0.0, NEG_INF)
+        rows = np.arange(len(self.sequences))
+        last = 2 * self._lengths
+        ends = np.logaddexp(self._log_alpha[rows, last], self._log_alpha[rows, last - 1])
+        return np.where(self._lengths == 0, self._log_alpha[:, 0], ends)
+
+
+class CtcForwardScorer:
+    """Incremental forward scorer for one label sequence: a one-sequence
+    :class:`ForwardLattice`.
+
+    Holds the log forward probabilities of the 2U+1 blank-interleaved
+    positions at the current timestep. ``step`` ingests one posterior row;
+    ``finalize`` may be called at any time and does not disturb the state.
+    """
+
+    def __init__(self, labels: Iterable[int], num_symbols: int):
+        self._lattice = ForwardLattice([labels], num_symbols)
+        self.labels = self._lattice.sequences[0]
+        self.num_symbols = num_symbols
+
+    @property
+    def steps(self) -> int:
+        return self._lattice.steps
+
+    @property
+    def cell_updates(self) -> int:
+        return self._lattice.cell_updates
+
+    @property
+    def num_state_cells(self) -> int:
+        return self._lattice.num_state_cells
+
+    def state(self) -> np.ndarray:
+        return self._lattice.state(0)
+
+    def step(self, row: np.ndarray) -> None:
+        self._lattice.step(row)
 
     def finalize(self) -> float:
-        if self.steps == 0:
-            return 0.0 if not self.labels else NEG_INF
-        if not self.labels:
-            return float(self._log_alpha[0])
-        return float(np.logaddexp(self._log_alpha[-1], self._log_alpha[-2]))
+        return float(self._lattice.finalize()[0])
+
+
+def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
+    """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
+    lattice = ForwardLattice(sequences, post.num_symbols)
+    for row in post.rows:
+        lattice.step(row)
+    return lattice
 
 
 def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
@@ -125,10 +179,7 @@ def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
     alignment exists, e.g. when the sequence (with the blanks required
     between repeated labels) is longer than the audio.
     """
-    scorer = CtcForwardScorer(labels, post.num_symbols)
-    for row in post.rows:
-        scorer.step(row)
-    return scorer.finalize()
+    return float(forward_lattice(post, [labels]).finalize()[0])
 
 
 def nbest_sort_key(entry: ScoredSequence):
@@ -149,8 +200,9 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """N-best label sequences by CTC prefix beam search.
 
     Returns at most ``beam_width`` entries sorted by descending log
-    probability; each entry's log probability is computed with
-    :func:`forward_logprob` on the same posteriorgram.
+    probability; each entry's log probability is its exact forward score
+    on the same posteriorgram, from one lattice over all surviving prefixes
+    (bit-identical to :func:`forward_logprob`).
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
@@ -195,10 +247,11 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         )
         beams = {prefix: (masses[0], masses[1]) for prefix, masses in ranked[:beam_width]}
 
+    prefixes = list(beams)
+    logprobs = forward_lattice(post, prefixes).finalize().tolist()
     results = [
-        ScoredSequence(prefix, forward_logprob(post, prefix)) for prefix in beams
+        ScoredSequence(prefix, lp) for prefix, lp in zip(prefixes, logprobs) if lp > NEG_INF
     ]
-    results = [r for r in results if r.logprob > NEG_INF]
     results.sort(key=nbest_sort_key)
     return results
 

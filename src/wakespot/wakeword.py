@@ -8,10 +8,12 @@ cannot produce an unbounded weight). Entries from different recordings are
 all kept, including repeats of the same sequence.
 
 Detection computes the forward log probability of every hypothesis on the
-test posteriorgram and aggregates. The default aggregation is the
-confidence-weighted sum; ``logsumexp`` aggregation treating the enrollment
-log probabilities as log priors is available for comparison but tends to
-behave like a max over hypotheses.
+test posteriorgram, all hypotheses in one forward lattice, and combines
+them with :func:`aggregate`, which batch scoring and the streaming detector
+share. The default aggregation is the confidence-weighted sum;
+``logsumexp`` aggregation treating the enrollment log probabilities as log
+priors is available for comparison but tends to behave like a max over
+hypotheses.
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -36,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, frame_fbank
-from .ctc import NEG_INF, CtcForwardScorer, beam_search, forward_logprob, validate_labels
+from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
 from .errors import FileFormatError
 from .label_model import GruWeights, LabelAlphabet, Posteriorgram, gru_step, init_state
 from .vad import Vad, VadConfig
@@ -157,26 +159,49 @@ def _check_scoring_inputs(model: WakewordModel, post: Posteriorgram) -> None:
         raise ValueError("posteriorgram alphabet does not match the wakeword model")
 
 
+def aggregate(model: WakewordModel, logprobs: np.ndarray, aggregation: str) -> float:
+    """Combine per-hypothesis forward log probabilities into one score.
+
+    ``weighted_sum`` is a left-to-right float sum from 0.0 of weight times
+    log probability (not ``sum()``, which compensates rounding on newer
+    interpreters); ``logsumexp_prior`` is the logsumexp of enrollment plus
+    test log probability.
+    """
+    if aggregation == "weighted_sum":
+        total = 0.0
+        for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
+            total += hyp.weight * lp
+        return total
+    if aggregation == "logsumexp_prior":
+        terms = np.array(
+            [hyp.enroll_logprob + lp for hyp, lp in zip(model.hypotheses, logprobs.tolist())]
+        )
+        return float(np.logaddexp.reduce(terms))
+    raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+
+
+def _scored_lattice(model: WakewordModel, post: Posteriorgram) -> ForwardLattice:
+    _check_scoring_inputs(model, post)
+    return forward_lattice(post, [hyp.labels for hyp in model.hypotheses])
+
+
+def hypothesis_logprobs(model: WakewordModel, post: Posteriorgram) -> np.ndarray:
+    """Forward log probability of each hypothesis on ``post``, in model order."""
+    return _scored_lattice(model, post).finalize()
+
+
 def score(model: WakewordModel, post: Posteriorgram) -> float:
     """Confidence-weighted sum of per-hypothesis forward log probabilities.
 
     A hypothesis with no valid alignment contributes -inf, which makes the
     whole score -inf; such audio simply fails any finite threshold.
     """
-    _check_scoring_inputs(model, post)
-    total = 0.0
-    for hyp in model.hypotheses:
-        total += hyp.weight * forward_logprob(post, hyp.labels)
-    return total
+    return aggregate(model, hypothesis_logprobs(model, post), "weighted_sum")
 
 
 def score_logsumexp_prior(model: WakewordModel, post: Posteriorgram) -> float:
     """logsumexp of (enrollment log prob + test log prob) over hypotheses."""
-    _check_scoring_inputs(model, post)
-    terms = np.array(
-        [hyp.enroll_logprob + forward_logprob(post, hyp.labels) for hyp in model.hypotheses]
-    )
-    return float(np.logaddexp.reduce(terms))
+    return aggregate(model, hypothesis_logprobs(model, post), "logsumexp_prior")
 
 
 @dataclass(frozen=True)
@@ -188,18 +213,13 @@ class ScoreStats:
 
 def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, ScoreStats]:
     """As :func:`score`, also reporting work and memory counters."""
-    _check_scoring_inputs(model, post)
-    scorers = [CtcForwardScorer(h.labels, post.num_symbols) for h in model.hypotheses]
-    for row in post.rows:
-        for scorer in scorers:
-            scorer.step(row)
-    total = sum(h.weight * s.finalize() for h, s in zip(model.hypotheses, scorers))
+    lattice = _scored_lattice(model, post)
     stats = ScoreStats(
-        hypotheses=len(scorers),
-        cell_updates=sum(s.cell_updates for s in scorers),
-        state_cells=sum(s.num_state_cells for s in scorers),
+        hypotheses=len(model.hypotheses),
+        cell_updates=lattice.cell_updates,
+        state_cells=lattice.num_state_cells,
     )
-    return total, stats
+    return aggregate(model, lattice.finalize(), "weighted_sum"), stats
 
 
 def save_model(path, model: WakewordModel) -> None:
@@ -287,13 +307,19 @@ class StreamingDetector:
     """Online detector over a raw sample stream.
 
     Audio arrives in arbitrary-size chunks. Windows on the 10 ms hop grid
-    are VAD-classified; within a speech segment, filterbank frames are
-    computed incrementally (pre-emphasis restarts at the segment boundary,
-    matching batch extraction on the segment's samples), stacked in pairs,
-    pushed through the streaming GRU, and folded into one forward scorer
-    per hypothesis. When the segment closes, the aggregate score is
-    compared against the threshold. Segment scores therefore equal the
-    batch score of the same audio span.
+    are VAD-classified; within a speech segment, each window's filterbank
+    frame is computed as it arrives (pre-emphasis restarts at the segment
+    boundary, matching batch extraction on the segment's samples), stacked
+    in pairs, pushed through the streaming GRU, and folded into one forward
+    lattice over all hypotheses. When the segment closes, :func:`aggregate`
+    turns the lattice's log probabilities into the score compared against
+    the threshold. Segment scores are therefore bit-equal to the batch
+    score of the same audio span.
+
+    State is bounded whatever the segment length: the rolling sample buffer
+    holds at most the unclassified samples plus the one sample before the
+    next window that pre-emphasis needs, and a segment keeps only its GRU
+    state, a pending unpaired frame and the lattice.
     """
 
     def __init__(
@@ -318,11 +344,9 @@ class StreamingDetector:
         self._buffer_start = 0  # absolute index of buffer[0]
         self._next_frame = 0  # next hop-grid frame to classify
         self._segment_start: int | None = None
-        self._segment_samples: np.ndarray | None = None
-        self._emitted = 0  # feature frames emitted for the open segment
         self._pending_feature: np.ndarray | None = None
         self._gru_state = None
-        self._scorers: list[CtcForwardScorer] = []
+        self._lattice: ForwardLattice | None = None
 
     def process(self, chunk) -> list[DetectionEvent]:
         """Feed a chunk of samples; returns any events it completed."""
@@ -343,12 +367,14 @@ class StreamingDetector:
             if start + WINDOW_SAMPLES > self._buffer.size:
                 break
             window = self._buffer[start : start + WINDOW_SAMPLES]
-            event = self._handle_frame(self._next_frame, window)
+            prev_sample = self._buffer[start - 1] if start > 0 else 0.0
+            event = self._handle_frame(self._next_frame, window, prev_sample)
             if event is not None:
                 events.append(event)
             self._next_frame += 1
-        # Drop samples no window can reach anymore.
-        keep_from = self._next_frame * HOP_SAMPLES - self._buffer_start
+        # Drop samples no window can reach anymore, keeping the one before
+        # the next window for pre-emphasis.
+        keep_from = self._next_frame * HOP_SAMPLES - 1 - self._buffer_start
         if keep_from > 0:
             self._buffer = self._buffer[keep_from:]
             self._buffer_start += keep_from
@@ -359,53 +385,31 @@ class StreamingDetector:
         event = self._close_segment(self._next_frame)
         return [event] if event is not None else []
 
-    def _handle_frame(self, frame_index: int, window: np.ndarray) -> DetectionEvent | None:
+    def _handle_frame(
+        self, frame_index: int, window: np.ndarray, prev_sample: float
+    ) -> DetectionEvent | None:
         self.stats.frames_processed += 1
         if not self.vad.classify_frame(window):
             return self._close_segment(frame_index)
         self.stats.speech_frames += 1
         if self._segment_start is None:
             self._segment_start = frame_index
-            self._segment_samples = window.copy()
-            self._emitted = 0
+            prev_sample = 0.0  # pre-emphasis restarts at the segment boundary
             self._pending_feature = None
             self._gru_state = init_state(self.weights)
-            self._scorers = [
-                CtcForwardScorer(h.labels, self.weights.num_symbols)
-                for h in self.model.hypotheses
-            ]
-        else:
-            self._segment_samples = np.concatenate(
-                [self._segment_samples, window[-HOP_SAMPLES:]]
+            self._lattice = ForwardLattice(
+                [hyp.labels for hyp in self.model.hypotheses], self.weights.num_symbols
             )
-        self._consume_features()
+        feature = frame_fbank(window, prev_sample)
+        if self._pending_feature is None:
+            self._pending_feature = feature
+            return None
+        stacked = np.concatenate([self._pending_feature, feature])
+        self._pending_feature = None
+        row, self._gru_state = gru_step(self.weights, self._gru_state, stacked)
+        self.stats.label_model_frames += 1
+        self._lattice.step(row)
         return None
-
-    def _consume_features(self) -> None:
-        samples = self._segment_samples
-        while samples.size >= self._emitted * HOP_SAMPLES + WINDOW_SAMPLES:
-            start = self._emitted * HOP_SAMPLES
-            prev = samples[start - 1] if start > 0 else 0.0
-            feature = frame_fbank(samples[start : start + WINDOW_SAMPLES], prev)
-            self._emitted += 1
-            if self._pending_feature is None:
-                self._pending_feature = feature
-                continue
-            stacked = np.concatenate([self._pending_feature, feature])
-            self._pending_feature = None
-            row, self._gru_state = gru_step(self.weights, self._gru_state, stacked)
-            self.stats.label_model_frames += 1
-            for scorer in self._scorers:
-                scorer.step(row)
-
-    def _segment_score(self) -> float:
-        finals = [s.finalize() for s in self._scorers]
-        if self.aggregation == "weighted_sum":
-            return sum(h.weight * lp for h, lp in zip(self.model.hypotheses, finals))
-        terms = np.array(
-            [h.enroll_logprob + lp for h, lp in zip(self.model.hypotheses, finals)]
-        )
-        return float(np.logaddexp.reduce(terms))
 
     def _close_segment(self, end_frame: int) -> DetectionEvent | None:
         if self._segment_start is None:
@@ -413,11 +417,10 @@ class StreamingDetector:
         start = self._segment_start
         length = end_frame - start
         self._segment_start = None
-        self._segment_samples = None
         event = None
         if length >= self.vad.config.min_speech_frames:
             self.stats.segments_scored += 1
-            value = self._segment_score()
+            value = aggregate(self.model, self._lattice.finalize(), self.aggregation)
             if value >= self.threshold:
                 end_sample = (end_frame - 1) * HOP_SAMPLES + WINDOW_SAMPLES
                 event = DetectionEvent(
@@ -428,10 +431,9 @@ class StreamingDetector:
                 )
         else:
             self.stats.segments_discarded += 1
-        self._scorers = []
+        self._lattice = None
         self._gru_state = None
         self._pending_feature = None
-        self._emitted = 0
         return event
 
 

@@ -85,14 +85,22 @@ class TestExtractFbank:
         assert np.allclose(diff, math.log(4.0), atol=1e-6)
 
     def test_matches_per_frame_primitive(self):
-        audio = tone(seconds=0.1)
+        # Tones plus noise over 1000+ frames: streaming features (one window
+        # at a time) must be bit-equal to the batch rows.
+        rng = np.random.default_rng(9)
+        parts = [tone(freq, seconds=1.1).samples for freq in (180.0, 440.0, 1250.0, 3100.0, 6500.0)]
+        parts += [tone(700.0, seconds=1.1, amp=120.0).samples, np.zeros(8000, dtype=np.int16)]
+        signal = np.concatenate(parts * 2).astype(np.float64)
+        noise = rng.normal(0.0, 300.0, signal.size)
+        audio = AudioBuffer(np.clip(signal + noise, -32768, 32767).astype(np.int16))
         feats = extract_fbank(audio).frames
+        assert feats.shape[0] >= 1000
         x = audio.samples.astype(np.float64)
         for t in range(feats.shape[0]):
             start = 160 * t
             prev = x[start - 1] if start else 0.0
             single = frame_fbank(x[start : start + 400], prev)
-            assert np.allclose(single, feats[t], atol=1e-9)
+            assert np.array_equal(single, feats[t]), f"frame {t}"
 
 
 class TestStackFrames:

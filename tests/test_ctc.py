@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from wakespot.ctc import (
     NEG_INF,
     CtcForwardScorer,
+    ForwardLattice,
     beam_search,
     collapse_alignment,
     forward_logprob,
@@ -164,6 +165,10 @@ class TestStreamingForward:
             labels = tuple(range(1, length + 1))
             scorer = CtcForwardScorer(labels, 6)
             assert scorer.num_state_cells == 2 * length + 1
+            for _ in range(3):
+                scorer.step(np.full(6, 1.0 / 6))
+                assert scorer.state().size == scorer.num_state_cells == 2 * length + 1
+            assert scorer.cell_updates == 3 * (2 * length + 1)
 
     def test_row_size_mismatch_rejected(self):
         scorer = CtcForwardScorer((1,), 3)
@@ -328,3 +333,52 @@ def test_beam_top_entry_is_best_sequence_property(post):
     )
     top = beam_search(post, 64)[0]
     assert math.isclose(top.logprob, math.log(best[0]), abs_tol=1e-9)
+
+
+@st.composite
+def ragged_lattice_cases(draw):
+    """A tiny posteriorgram (possibly with no frames and with zero entries)
+    and a ragged hypothesis set that always holds the empty sequence and a
+    repeated label, with some sequences longer than the audio."""
+    num_symbols = draw(st.integers(2, 4))
+    frames = draw(st.integers(0, 6))
+    rows = []
+    for _ in range(frames):
+        weights = draw(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                min_size=num_symbols,
+                max_size=num_symbols,
+            )
+        )
+        total = sum(weights)
+        rows.append([w / total for w in weights] if total else [1.0] + [0.0] * (num_symbols - 1))
+    post = Posteriorgram(np.array(rows).reshape(frames, num_symbols), make_alphabet(num_symbols - 1))
+    label = st.integers(1, num_symbols - 1)
+    drawn = draw(st.lists(st.lists(label, max_size=frames + 2).map(tuple), max_size=5))
+    sequences = draw(st.permutations([(), (1, 1), *drawn]))
+    return post, sequences
+
+
+@settings(max_examples=150, deadline=None)
+@given(ragged_lattice_cases())
+def test_lattice_entries_equal_single_sequence_scoring_property(case):
+    post, sequences = case
+    lattice = ForwardLattice(sequences, post.num_symbols)
+    for row in post.rows:
+        lattice.step(row)
+    got = lattice.finalize().tolist()
+    assert len(got) == len(sequences)
+    probs = brute_force_sequence_probs(post)
+    for labels, lp in zip(sequences, got):
+        assert lp == forward_logprob(post, labels)  # bitwise
+        expected = probs.get(labels, 0.0)
+        if expected == 0.0:
+            assert lp == NEG_INF
+        else:
+            assert math.isclose(lp, math.log(expected), abs_tol=1e-9)
+    # counters cover the unpadded cells only
+    assert lattice.num_state_cells == sum(2 * len(labels) + 1 for labels in sequences)
+    assert lattice.cell_updates == post.num_frames * lattice.num_state_cells
+    for h, labels in enumerate(sequences):
+        assert lattice.state(h).size == 2 * len(labels) + 1

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from wakespot import synth
-from wakespot.audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, extract_fbank, stack_frames
+from wakespot.audio import (
+    HOP_SAMPLES,
+    WINDOW_SAMPLES,
+    AudioBuffer,
+    extract_fbank,
+    num_feature_frames,
+    stack_frames,
+)
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.errors import FileFormatError
 from wakespot.label_model import Posteriorgram, run
@@ -13,7 +20,9 @@ from wakespot.wakeword import (
     Hypothesis,
     StreamingDetector,
     WakewordModel,
+    aggregate,
     detect_stream,
+    hypothesis_logprobs,
     learn,
     load_model,
     model_from_labels,
@@ -242,6 +251,20 @@ class TestScoreStats:
         assert stats.state_cells == (2 * 2 + 1) + (2 * 1 + 1)
         assert stats.cell_updates == 10 * stats.state_cells
 
+    def test_counters_skip_lattice_padding(self):
+        rng = np.random.default_rng(4)
+        alphabet = make_alphabet(3)
+        post = random_posteriorgram(rng, 12, alphabet.size)
+        hyps = [
+            Hypothesis(labels=(2,), enroll_logprob=-2.0, weight=0.5),
+            Hypothesis(labels=(1, 2, 3, 1, 2, 3, 1, 2), enroll_logprob=-3.0, weight=0.25),
+        ]
+        model = model_with(hyps, alphabet)
+        value, stats = score_with_stats(model, post)
+        assert stats.state_cells == 3 + 17  # not 2 * 17
+        assert stats.cell_updates == 12 * (3 + 17)
+        assert value == score(model, post)
+
 
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
@@ -373,3 +396,58 @@ class TestStreamingDetector:
         report = detect_stream(model, weights, [stream], threshold=-200.0)
         assert len(report.events) == 2
         assert report.events[0].time < report.events[1].time
+
+
+def noisy(signal, rng, dbfs=-30.0):
+    """``signal`` under continuous Gaussian noise at ``dbfs``, above the
+    default VAD threshold, so the VAD stays open throughout."""
+    sigma = 32768.0 * 10.0 ** (dbfs / 20.0)
+    out = np.asarray(signal, dtype=np.float64) + rng.normal(0.0, sigma, len(signal))
+    return np.clip(out, -32768, 32767).round().astype(np.int16)
+
+
+def batch_event_score(model, weights, stream, event, aggregation):
+    lo, hi = span_samples((event.start_frame, event.end_frame))
+    post = run(weights, stack_frames(extract_fbank(AudioBuffer(stream[lo:hi]))))
+    return aggregate(model, hypothesis_logprobs(model, post), aggregation)
+
+
+class TestStreamingEqualsBatch:
+    @pytest.mark.parametrize("aggregation", ["weighted_sum", "logsumexp_prior"])
+    def test_events_are_bit_equal_to_batch_score_of_their_span(self, aggregation):
+        weights, model, target, speaker, cfg, rng = enrolled_fixture(7)
+        other = synth.Speaker(pitch=1.03, rate=0.9, gain_db=-2.0)
+        gap = lambda seconds: np.zeros(int(seconds * 16000), dtype=np.int16)
+        utterance = lambda labels, who: synth.render_utterance(labels, who, rng, cfg).samples
+        stretch = noisy(
+            np.concatenate(
+                [gap(0.3), utterance(target, speaker), gap(0.3), utterance((1, 4, 8), other), gap(0.3)]
+            ),
+            rng,
+        )
+        stream = np.concatenate(
+            [gap(0.5), utterance(target, speaker), gap(0.5), utterance((3, 7, 11), other),
+             gap(0.5), stretch, gap(0.5), utterance(target, speaker), gap(0.5)]
+        )
+        chunks = [stream[i : i + HOP_SAMPLES] for i in range(0, len(stream), HOP_SAMPLES)]
+        report = detect_stream(model, weights, chunks, -math.inf, aggregation=aggregation)
+        assert len(report.events) == report.stats.segments_scored == 4
+        lengths = [e.end_frame - e.start_frame for e in report.events]
+        assert max(lengths) * HOP_SAMPLES > len(stretch)  # the stretch is one segment
+        for event in report.events:
+            assert event.score == batch_event_score(model, weights, stream, event, aggregation)
+
+    def test_state_stays_bounded_under_unbroken_speech(self):
+        weights, model, *_ = enrolled_fixture(8)
+        rng = np.random.default_rng(8)
+        stream = noisy(np.zeros(60 * 16000), rng)
+        detector = StreamingDetector(model, weights, threshold=-math.inf)
+        largest = 0
+        for i in range(0, len(stream), HOP_SAMPLES):
+            assert detector.process(stream[i : i + HOP_SAMPLES]) == []
+            held = [v.size for v in vars(detector).values() if isinstance(v, np.ndarray)]
+            largest = max(largest, *held)
+        assert largest <= WINDOW_SAMPLES + HOP_SAMPLES + 1
+        (event,) = detector.finish()
+        assert (event.start_frame, event.end_frame) == (0, num_feature_frames(len(stream)))
+        assert event.score == batch_event_score(model, weights, stream, event, "weighted_sum")
