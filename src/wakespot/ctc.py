@@ -18,12 +18,17 @@ are the one-sequence case).
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
-top ``beam_width`` prefixes survive each timestep. Surviving prefixes are
-rescored with the exact forward algorithm before they are returned, so the
-reported log probability of every entry is the true sequence probability
-even when pruning discarded some of its alignment mass mid-search. No
-language model or lexicon is involved. Ties are ordered shorter sequence
-first, then lexicographically by label indices.
+top ``beam_width`` prefixes survive each timestep. Its state is arrays
+over the surviving prefixes (blank mass, non-blank mass, last label and
+the survivor index of the prefix one label shorter), so each posterior row
+advances every (beam x symbol) candidate in one set of array operations;
+only the survivors are built as tuples. Surviving prefixes are rescored
+with the exact forward algorithm before they are returned, so the reported
+log probability of every entry is the true sequence probability even when
+pruning discarded some of its alignment mass mid-search. No language model
+or lexicon is involved. Ties, both at the pruning cutoff and in the
+returned list, are ordered shorter sequence first, then lexicographically
+by label indices.
 """
 
 from __future__ import annotations
@@ -186,18 +191,32 @@ def nbest_sort_key(entry: ScoredSequence):
     return (-entry.logprob, len(entry.labels), entry.labels)
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == NEG_INF:
-        return b
-    if b == NEG_INF:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
+def _candidate_prefix(prefixes: list[LabelSequence], k: int, num_labels: int) -> LabelSequence:
+    """Candidate ``k`` of a beam-search row: beam k for k < B, otherwise the
+    extension of beam (k - B) // (K-1) by label (k - B) % (K-1) + 1."""
+    if k < len(prefixes):
+        return prefixes[k]
+    beam, column = divmod(k - len(prefixes), num_labels)
+    return prefixes[beam] + (column + 1,)
 
 
 def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """N-best label sequences by CTC prefix beam search.
+
+    The search state is the list of B surviving prefixes plus four arrays
+    over them: the log mass of the paths ending in blank and of those
+    ending in a label, each prefix's last label (the blank index for the
+    empty prefix) and the index of ``prefix[:-1]`` among the survivors (-1
+    when it was pruned). Each posterior row makes one blank/stay update of
+    the B beams and one (B, K-1) matrix of extensions. An extension that
+    already is a surviving beam is folded into that beam's non-blank mass
+    and masked out of the matrix. Every merged mass has at most two terms,
+    so the result does not depend on the order of merging.
+
+    The ``beam_width`` candidates with the largest total mass survive each
+    row, chosen with ``np.partition``. Only candidates that tie exactly at
+    the cutoff are ordered by the tie rule, shorter prefix first, then
+    lexicographically by label indices; only survivors get a tuple.
 
     Returns at most ``beam_width`` entries sorted by descending log
     probability; each entry's log probability is its exact forward score
@@ -206,48 +225,77 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    num_symbols = post.num_symbols
-    # prefix -> (log mass of paths ending in blank, ending in non-blank)
-    beams: dict[LabelSequence, tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for row in post.rows:
-        logrow = [math.log(p) if p > 0.0 else NEG_INF for p in row]
-        blank_lp = logrow[BLANK_INDEX]
-        merged: dict[LabelSequence, list[float]] = {}
+    num_labels = post.num_symbols - 1
+    prefixes: list[LabelSequence] = [()]
+    p_blank = np.zeros(1)
+    p_nonblank = np.full(1, NEG_INF)
+    last = np.full(1, BLANK_INDEX, dtype=np.intp)
+    parent = np.full(1, -1, dtype=np.intp)
+    for row in post.rows.tolist():
+        num_beams = len(prefixes)
+        # math.log per entry: np.log on an array may round some entries differently.
+        logrow = np.array([math.log(p) if p > 0.0 else NEG_INF for p in row])
+        total = np.logaddexp(p_blank, p_nonblank)
+        runs = np.flatnonzero(last != BLANK_INDEX)
+        run_label = last[runs]
+        # Emit a blank: the prefix is unchanged and now ends in blank.
+        new_blank = total + logrow[BLANK_INDEX]
+        # Extend the current run of the final label: unchanged prefix.
+        new_nonblank = np.full(num_beams, NEG_INF)
+        new_nonblank[runs] = p_nonblank[runs] + logrow[run_label]
+        # Append label c (column c - 1). A repeated label needs a separating
+        # blank, so only blank-ending mass can start a new run of it.
+        extend = total[:, None] + logrow[1:]
+        extend[runs, run_label - 1] = p_blank[runs] + logrow[run_label]
+        # An extension that already is a surviving beam merges into it.
+        children = np.flatnonzero(parent >= 0)
+        folded = (parent[children], last[children] - 1)
+        new_nonblank[children] = np.logaddexp(new_nonblank[children], extend[folded])
+        extend[folded] = NEG_INF
 
-        def add(prefix, mass, ends_blank):
-            if mass == NEG_INF:
-                return
-            entry = merged.get(prefix)
-            if entry is None:
-                entry = [NEG_INF, NEG_INF]
-                merged[prefix] = entry
-            idx = 0 if ends_blank else 1
-            entry[idx] = _logaddexp(entry[idx], mass)
+        # Candidates: the B beams, then the extension cells row by row.
+        blank_mass = np.concatenate([new_blank, np.full(extend.size, NEG_INF)])
+        label_mass = np.concatenate([new_nonblank, extend.ravel()])
+        candidates = np.logaddexp(blank_mass, label_mass)
+        survivors = np.flatnonzero(candidates > NEG_INF)
+        if survivors.size > beam_width:
+            kth = candidates.size - beam_width
+            cutoff = np.partition(candidates, kth)[kth]
+            above = np.flatnonzero(candidates > cutoff)
+            tied = np.flatnonzero(candidates == cutoff).tolist()
+            need = beam_width - above.size
+            if need < len(tied):
+                seqs = {k: _candidate_prefix(prefixes, k, num_labels) for k in tied}
+                tied = sorted(tied, key=lambda k: (len(seqs[k]), seqs[k]))[:need]
+            survivors = np.concatenate([above, np.array(tied, dtype=np.intp)])
 
-        for prefix, (p_blank, p_nonblank) in beams.items():
-            total = _logaddexp(p_blank, p_nonblank)
-            # Emit a blank: the prefix is unchanged and now ends in blank.
-            add(prefix, total + blank_lp, ends_blank=True)
-            last = prefix[-1] if prefix else None
-            if last is not None:
-                # Extend the current run of the final label: unchanged prefix.
-                add(prefix, p_nonblank + logrow[last], ends_blank=False)
-            for c in range(1, num_symbols):
-                extended = prefix + (c,)
-                if c == last:
-                    # A repeated label needs a separating blank, so only
-                    # blank-ending mass can start a new run of it.
-                    add(extended, p_blank + logrow[c], ends_blank=False)
-                else:
-                    add(extended, total + logrow[c], ends_blank=False)
+        # Survivors in candidate order: kept beams first, then extensions.
+        survivors.sort()
+        num_kept = int(np.searchsorted(survivors, num_beams))
+        kept = survivors[:num_kept]
+        owner, column = np.divmod(survivors[num_kept:] - num_beams, num_labels)
+        extensions = [
+            prefixes[b] + (c + 1,) for b, c in zip(owner.tolist(), column.tolist())
+        ]
+        # New index of each old beam; the extra last entry maps "no parent"
+        # (-1) to -1.
+        position = np.full(num_beams + 1, -1, dtype=np.intp)
+        position[kept] = np.arange(num_kept)
+        kept_parent = parent[kept]
+        parent = np.concatenate([position[kept_parent], position[owner]])
+        # A kept beam whose parent was pruned in an earlier row may find it
+        # again among this row's extensions (a parent pruned in this row
+        # cannot come back: its extension cell was masked).
+        orphans = np.flatnonzero((kept_parent < 0) & (last[kept] != BLANK_INDEX))
+        prefixes = [prefixes[b] for b in kept.tolist()] + extensions
+        if orphans.size and extensions:
+            found = {seq: num_kept + n for n, seq in enumerate(extensions)}
+            for n in orphans.tolist():
+                parent[n] = found.get(prefixes[n][:-1], -1)
+        p_blank = blank_mass[survivors]
+        p_nonblank = label_mass[survivors]
+        last = np.concatenate([last[kept], column + 1])
 
-        ranked = sorted(
-            merged.items(),
-            key=lambda kv: (-_logaddexp(kv[1][0], kv[1][1]), len(kv[0]), kv[0]),
-        )
-        beams = {prefix: (masses[0], masses[1]) for prefix, masses in ranked[:beam_width]}
-
-    prefixes = list(beams)
     logprobs = forward_lattice(post, prefixes).finalize().tolist()
     results = [
         ScoredSequence(prefix, lp) for prefix, lp in zip(prefixes, logprobs) if lp > NEG_INF

@@ -59,13 +59,11 @@ def frame_distance_post(p: np.ndarray, q: np.ndarray, smoothing: float = 1e-5) -
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distributions must share one shape, got {p.shape} and {q.shape}")
-    k = p.size
-    smoothed_p = smoothing / k + (1.0 - smoothing) * p
-    smoothed_q = smoothing / k + (1.0 - smoothing) * q
-    return float(-np.log(smoothed_p @ smoothed_q))
+    return float(_post_distance_matrix(p[None, :], q[None, :], smoothing)[0, 0])
 
 
 def _post_distance_matrix(a: np.ndarray, b: np.ndarray, smoothing: float) -> np.ndarray:
+    """Distances between every row of ``a`` and every row of ``b``."""
     k = a.shape[1]
     sa = smoothing / k + (1.0 - smoothing) * a
     sb = smoothing / k + (1.0 - smoothing) * b

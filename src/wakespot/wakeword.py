@@ -17,12 +17,17 @@ hypotheses.
 
 Model file format (human-readable text, one hypothesis per line):
 
-    wakespot-model 1
+    wakespot-model 2
     alphabet-sha256 <hex digest of the alphabet>
     beam-width <B>
     kept-per-example <N>
     threshold <float or "unset">
-    <space-separated label symbols> TAB <weight> TAB <enrollment log prob>
+    <space-separated label symbols> TAB <weight> TAB <enrollment log prob> TAB <example>
+
+``<example>`` is the index of the training recording that produced the
+hypothesis (-1 if unknown). Version 1 files, whose hypothesis lines lack
+that field, are still read (with example -1). Floats are written with
+``repr``, so a saved model loads back equal to the one saved.
 
 A model may also be built directly from a provided label sequence
 ("query by string") with weight 1.
@@ -39,14 +44,22 @@ import numpy as np
 
 from .audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, frame_fbank
 from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
-from .errors import FileFormatError
-from .label_model import GruWeights, LabelAlphabet, Posteriorgram, gru_step, init_state
+from .errors import FileFormatError, NonFiniteError
+from .label_model import (
+    BLANK_INDEX,
+    GruWeights,
+    LabelAlphabet,
+    Posteriorgram,
+    gru_step,
+    init_state,
+)
 from .vad import Vad, VadConfig
 
 ENROLL_LOGPROB_CEILING = -1e-6
 
 _MODEL_HEADER = "wakespot-model"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
+_HYPOTHESIS_FIELDS = {"1": 3, "2": 4}  # readable version -> tab-separated fields per hypothesis
 
 AGGREGATIONS = ("weighted_sum", "logsumexp_prior")
 
@@ -232,20 +245,30 @@ def save_model(path, model: WakewordModel) -> None:
     ]
     for hyp in model.hypotheses:
         symbols = " ".join(model.alphabet.symbol_of(i) for i in hyp.labels)
-        lines.append(f"{symbols}\t{hyp.weight!r}\t{hyp.enroll_logprob!r}")
+        lines.append(f"{symbols}\t{hyp.weight!r}\t{hyp.enroll_logprob!r}\t{hyp.example}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    """Read a model file (version 1 or 2) written for ``alphabet``.
+
+    Raises :class:`FileFormatError` for any malformed field, and its
+    subclass :class:`NonFiniteError` for a NaN threshold or a non-finite
+    weight or enrollment log probability.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     lines = [line for line in lines if line]
     if len(lines) < 6:
         raise FileFormatError(f"{path}: model file too short")
     header = lines[0].split()
-    if header[:1] != [_MODEL_HEADER] or len(header) != 2 or header[1] != str(_MODEL_VERSION):
+    if len(header) != 2 or header[0] != _MODEL_HEADER or header[1] not in _HYPOTHESIS_FIELDS:
         raise FileFormatError(f"{path}: bad header line {lines[0]!r}")
+    num_fields = _HYPOTHESIS_FIELDS[header[1]]
 
     def header_value(line, key):
         parts = line.split(None, 1)
@@ -253,22 +276,53 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
             raise FileFormatError(f"{path}: expected '{key} ...', got {line!r}")
         return parts[1]
 
+    def number(text, parse, what):
+        try:
+            return parse(text)
+        except ValueError:
+            raise FileFormatError(f"{path}: bad {what} {text!r}") from None
+
+    def finite(text, what):
+        value = number(text, float, what)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{path}: {what} is {value!r}")
+        return value
+
+    def label_index(symbol):
+        try:
+            index = alphabet.index_of(symbol)
+        except KeyError:
+            raise FileFormatError(f"{path}: unknown label {symbol!r}") from None
+        if index == BLANK_INDEX:
+            raise FileFormatError(f"{path}: hypotheses may not contain the blank")
+        return index
+
     digest = header_value(lines[1], "alphabet-sha256")
     if digest != alphabet.content_hash():
         raise FileFormatError(f"{path}: model was built for a different alphabet")
-    beam_width = int(header_value(lines[2], "beam-width"))
-    kept = int(header_value(lines[3], "kept-per-example"))
+    beam_width = number(header_value(lines[2], "beam-width"), int, "beam width")
+    kept = number(header_value(lines[3], "kept-per-example"), int, "kept-per-example count")
+    if beam_width < 1 or kept < 1:
+        raise FileFormatError(f"{path}: beam width and kept-per-example must be >= 1")
     raw_threshold = header_value(lines[4], "threshold")
-    threshold = None if raw_threshold == "unset" else float(raw_threshold)
+    threshold = None if raw_threshold == "unset" else number(raw_threshold, float, "threshold")
+    if threshold is not None and math.isnan(threshold):
+        raise NonFiniteError(f"{path}: threshold is nan")
     hypotheses = []
     for line in lines[5:]:
         fields = line.split("\t")
-        if len(fields) != 3:
+        if len(fields) != num_fields:
             raise FileFormatError(f"{path}: bad hypothesis line {line!r}")
-        symbols = fields[0].split()
-        labels = tuple(alphabet.index_of(s) for s in symbols)
+        labels = tuple(label_index(s) for s in fields[0].split())
+        weight = finite(fields[1], "weight")
+        if not weight > 0.0:
+            raise FileFormatError(f"{path}: hypothesis weight must be positive, got {weight!r}")
+        enroll_logprob = finite(fields[2], "enrollment log-prob")
+        example = number(fields[3], int, "example index") if num_fields == 4 else -1
+        if example < -1:
+            raise FileFormatError(f"{path}: bad example index {example}")
         hypotheses.append(
-            Hypothesis(labels=labels, enroll_logprob=float(fields[2]), weight=float(fields[1]))
+            Hypothesis(labels=labels, enroll_logprob=enroll_logprob, weight=weight, example=example)
         )
     return WakewordModel(
         hypotheses=tuple(hypotheses),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wakespot.ctc import NEG_INF, ScoredSequence, forward_lattice, nbest_sort_key
 from wakespot.label_model import LabelAlphabet, Posteriorgram
 
 
@@ -46,6 +47,63 @@ def brute_force_sequence_probs(post: Posteriorgram) -> dict[tuple[int, ...], flo
 def brute_force_logprob(post: Posteriorgram, labels) -> float:
     p = brute_force_sequence_probs(post).get(tuple(labels), 0.0)
     return math.log(p) if p > 0.0 else float("-inf")
+
+
+def _scalar_logaddexp(a: float, b: float) -> float:
+    if a == NEG_INF:
+        return b
+    if b == NEG_INF:
+        return a
+    if a < b:
+        a, b = b, a
+    return a + math.log1p(math.exp(b - a))
+
+
+def reference_beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
+    """Test oracle for ``ctc.beam_search``: the plain prefix beam search over
+    a dict of prefix -> (blank mass, non-blank mass), merging one candidate
+    at a time and ranking every candidate with the full sort key. Survivors
+    are rescored exactly as in the library."""
+    assert beam_width >= 1
+    num_symbols = post.num_symbols
+    beams = {(): (0.0, NEG_INF)}
+    for row in post.rows:
+        logrow = [math.log(p) if p > 0.0 else NEG_INF for p in row]
+        blank_lp = logrow[0]
+        merged: dict[tuple[int, ...], list[float]] = {}
+
+        def add(prefix, mass, ends_blank):
+            if mass == NEG_INF:
+                return
+            entry = merged.setdefault(prefix, [NEG_INF, NEG_INF])
+            idx = 0 if ends_blank else 1
+            entry[idx] = _scalar_logaddexp(entry[idx], mass)
+
+        for prefix, (p_blank, p_nonblank) in beams.items():
+            total = _scalar_logaddexp(p_blank, p_nonblank)
+            add(prefix, total + blank_lp, ends_blank=True)
+            last = prefix[-1] if prefix else None
+            if last is not None:
+                add(prefix, p_nonblank + logrow[last], ends_blank=False)
+            for c in range(1, num_symbols):
+                if c == last:
+                    add(prefix + (c,), p_blank + logrow[c], ends_blank=False)
+                else:
+                    add(prefix + (c,), total + logrow[c], ends_blank=False)
+
+        ranked = sorted(
+            merged.items(),
+            key=lambda kv: (-_scalar_logaddexp(kv[1][0], kv[1][1]), len(kv[0]), kv[0]),
+        )
+        beams = {prefix: (masses[0], masses[1]) for prefix, masses in ranked[:beam_width]}
+
+    prefixes = list(beams)
+    logprobs = forward_lattice(post, prefixes).finalize().tolist()
+    results = [
+        ScoredSequence(prefix, lp) for prefix, lp in zip(prefixes, logprobs) if lp > NEG_INF
+    ]
+    results.sort(key=nbest_sort_key)
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,13 @@ from wakespot.ctc import (
 )
 from wakespot.label_model import Posteriorgram
 
-from conftest import brute_force_logprob, brute_force_sequence_probs, make_alphabet, random_posteriorgram
+from conftest import (
+    brute_force_logprob,
+    brute_force_sequence_probs,
+    make_alphabet,
+    random_posteriorgram,
+    reference_beam_search,
+)
 
 
 def post_from_rows(rows):
@@ -281,6 +287,60 @@ class TestBeamSearch:
         assert len({e.labels for e in entries}) == len(entries)
         assert all(e.logprob <= 0.0 for e in entries)
 
+    def test_ties_at_cutoff_keep_shorter_then_lexicographic(self):
+        # On a uniform row the empty prefix and every one-label prefix have
+        # the same mass, log(1/4); a beam narrower than that group keeps the
+        # shorter prefix first, then the lexicographically smaller labels.
+        post = post_from_rows([[0.25] * 4])
+        assert [e.labels for e in beam_search(post, 1)] == [()]
+        assert [e.labels for e in beam_search(post, 2)] == [(), (1,)]
+        assert [e.labels for e in beam_search(post, 3)] == [(), (1,), (2,)]
+        for frames, num_symbols in [(2, 3), (3, 4), (4, 3), (3, 5)]:
+            post = post_from_rows([[1.0 / num_symbols] * num_symbols] * frames)
+            for width in range(1, 12):
+                assert exact(beam_search(post, width)) == exact(
+                    reference_beam_search(post, width)
+                )
+
+    def test_row_logs_are_scalar_logs(self):
+        # np.log on an array rounds some entries differently from math.log
+        # (it does on AVX-512 hosts). Pair such an entry with a neighbouring
+        # float whose math.log is equal: the prefixes (1,) and (2,) then tie
+        # exactly, and only a search that takes scalar logs sees the tie.
+        values = np.random.default_rng(11).uniform(0.2, 0.45, 100_000)
+        differ = values[np.log(values) != [math.log(v) for v in values.tolist()]]
+        for q in differ.tolist()[:40]:
+            for p in (math.nextafter(q, 1.0), math.nextafter(q, 0.0)):
+                if math.log(p) != math.log(q):
+                    continue
+                for row in ([1.0 - p - q, p, q], [1.0 - p - q, q, p]):
+                    post = post_from_rows([row])
+                    for width in (1, 2):
+                        assert exact(beam_search(post, width)) == exact(
+                            reference_beam_search(post, width)
+                        )
+
+
+def exact(entries):
+    """Labels and the bit pattern of each log probability."""
+    return [(e.labels, e.logprob.hex()) for e in entries]
+
+
+@pytest.mark.parametrize("weights_name", ["oracle", "random_3x96"])
+def test_beam_search_equals_reference_on_real_supports(weights_name):
+    from wakespot import synth
+    from wakespot.audio import extract_fbank, stack_frames
+    from wakespot.label_model import random_weights, run
+
+    if weights_name == "oracle":
+        weights = synth.oracle_weights()
+    else:
+        weights = random_weights(synth.synth_alphabet(), num_layers=3, hidden_size=96, seed=0)
+    for episode in synth.generate_synthetic_episodes(7, 5):
+        for audio in episode.support:
+            post = run(weights, stack_frames(extract_fbank(audio)))
+            assert exact(beam_search(post, 100)) == exact(reference_beam_search(post, 100))
+
 
 class TestCollapse:
     def test_merges_then_strips(self):
@@ -382,3 +442,33 @@ def test_lattice_entries_equal_single_sequence_scoring_property(case):
     assert lattice.cell_updates == post.num_frames * lattice.num_state_cells
     for h, labels in enumerate(sequences):
         assert lattice.state(h).size == 2 * len(labels) + 1
+
+
+@st.composite
+def beam_search_cases(draw):
+    """Posteriorgrams with T = 0..11 and K = 2..6, drawn as Dirichlet-like
+    rows, rows with zero entries or small-integer (quantized) rows whose
+    equal entries give exact mass ties; a beam width of 1..20."""
+    num_symbols = draw(st.integers(2, 6))
+    frames = draw(st.integers(0, 11))
+    kind = draw(st.sampled_from(["real", "zeros", "quantized"]))
+    if kind == "real":
+        entry = st.floats(0.01, 1.0)
+    elif kind == "zeros":
+        entry = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    else:
+        entry = st.integers(0, 3).map(float)
+    rows = []
+    for _ in range(frames):
+        weights = draw(st.lists(entry, min_size=num_symbols, max_size=num_symbols))
+        total = sum(weights)
+        rows.append([w / total for w in weights] if total else [1.0] + [0.0] * (num_symbols - 1))
+    post = Posteriorgram(np.array(rows).reshape(frames, num_symbols), make_alphabet(num_symbols - 1))
+    return post, draw(st.integers(1, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(beam_search_cases())
+def test_beam_search_equals_reference_property(case):
+    post, width = case
+    assert exact(beam_search(post, width)) == exact(reference_beam_search(post, width))

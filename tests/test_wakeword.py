@@ -1,7 +1,12 @@
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakespot import synth
 from wakespot.audio import (
@@ -13,7 +18,7 @@ from wakespot.audio import (
     stack_frames,
 )
 from wakespot.ctc import NEG_INF, forward_logprob
-from wakespot.errors import FileFormatError
+from wakespot.errors import FileFormatError, NonFiniteError
 from wakespot.label_model import Posteriorgram, run
 from wakespot.vad import VadConfig, segment, span_samples
 from wakespot.wakeword import (
@@ -309,6 +314,109 @@ class TestModelFiles:
         path.write_text("not a model\n")
         with pytest.raises(FileFormatError):
             load_model(path, make_alphabet(2))
+
+    def test_example_index_round_trips(self, tmp_path):
+        alphabet = make_alphabet(3)
+        model = model_with(
+            [
+                Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5, example=2),
+                Hypothesis(labels=(3,), enroll_logprob=-0.1, weight=10.0, example=0),
+            ],
+            alphabet,
+        )
+        path = tmp_path / "m.model"
+        save_model(path, model)
+        assert path.read_text().startswith("wakespot-model 2\n")
+        assert load_model(path, alphabet) == model
+
+    def test_version_1_files_still_load(self, tmp_path):
+        alphabet = make_alphabet(3)
+        path = tmp_path / "m.model"
+        path.write_text(
+            "wakespot-model 1\n"
+            f"alphabet-sha256 {alphabet.content_hash()}\n"
+            "beam-width 20\nkept-per-example 3\nthreshold -12.5\n"
+            "L0 L1\t0.5\t-2.0\n"
+            "\t0.25\t-4.0\n"
+        )
+        assert load_model(path, alphabet) == WakewordModel(
+            hypotheses=(
+                Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5),
+                Hypothesis(labels=(), enroll_logprob=-4.0, weight=0.25),
+            ),
+            alphabet=alphabet,
+            beam_width=20,
+            kept_per_example=3,
+            threshold=-12.5,
+        )
+
+    @pytest.mark.parametrize(
+        "old, new, error",
+        [
+            ("beam-width 100", "beam-width abc", FileFormatError),
+            ("beam-width 100", "beam-width 0", FileFormatError),
+            ("kept-per-example 10", "kept-per-example 1.5", FileFormatError),
+            ("threshold -7.5", "threshold high", FileFormatError),
+            ("threshold -7.5", "threshold nan", NonFiniteError),
+            ("wakespot-model 2", "wakespot-model 3", FileFormatError),
+            ("L0 L1\t", "L0 Lx\t", FileFormatError),  # unknown symbol
+            ("L0 L1\t", "L0 <b>\t", FileFormatError),  # the blank is not a label
+            ("\t0.5\t", "\t0.0\t", FileFormatError),  # non-positive weight
+            ("\t0.5\t", "\t-0.5\t", FileFormatError),
+            ("\t0.5\t", "\theavy\t", FileFormatError),
+            ("\t0.5\t", "\tinf\t", NonFiniteError),
+            ("\t-2.0\t", "\tnan\t", NonFiniteError),  # enrollment log-prob
+            ("\t-2.0\t", "\t-inf\t", NonFiniteError),
+            ("\t-2.0\t", "\tlow\t", FileFormatError),
+            ("\t-2.0\t1\n", "\t-2.0\tone\n", FileFormatError),  # example index
+            ("\t-2.0\t1\n", "\t-2.0\t-2\n", FileFormatError),
+            ("\t-2.0\t1\n", "\t-2.0\n", FileFormatError),  # version 2 needs 4 fields
+        ],
+    )
+    def test_malformed_field_raises_file_format_error(self, tmp_path, old, new, error):
+        alphabet = make_alphabet(3)
+        model = model_with(
+            [Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5, example=1)], alphabet
+        ).with_threshold(-7.5)
+        path = tmp_path / "m.model"
+        save_model(path, model)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(error):
+            load_model(path, alphabet)
+
+    def test_non_utf8_file_raises_file_format_error(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_bytes(b"wakespot-model 2\n\xff\xfe\n")
+        with pytest.raises(FileFormatError):
+            load_model(path, make_alphabet(2))
+
+
+@st.composite
+def learned_models(draw):
+    """A model learned from 1-3 random posteriorgrams, with or without a threshold."""
+    alphabet = make_alphabet(draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    posts = [
+        random_posteriorgram(rng, draw(st.integers(1, 8)), alphabet.size)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    beam_width = draw(st.integers(1, 8))
+    kept = draw(st.integers(1, beam_width))
+    threshold = draw(st.one_of(st.none(), st.floats(-1e6, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return learn(posts, beam_width, kept, threshold=threshold)
+
+
+@settings(max_examples=60, deadline=None)
+@given(learned_models())
+def test_saved_model_loads_back_equal_property(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        save_model(path, model)
+        assert load_model(path, model.alphabet) == model
 
 
 def enrolled_fixture(seed=0):
