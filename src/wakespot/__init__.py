@@ -53,7 +53,6 @@ from .label_model import (
     load_weights,
     random_weights,
     run,
-    run_streaming,
     save_posteriorgram,
     save_weights,
     zero_weights,

@@ -13,17 +13,22 @@ posteriorgrams are reproducible bit-for-bit across machines:
 
 Frame stacking concatenates consecutive frame pairs so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
+
+Feature file (a :mod:`wakespot.container`, magic ``WSFB``, version 1):
+
+    fields: u32 T, u32 d, u32 frame rate
+    parts : the T x d frames
 """
 
 from __future__ import annotations
 
-import struct
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioError, DimensionError, NonFiniteError, UnknownVersionError
+from . import container
+from .errors import AudioError, DimensionError, NonFiniteError
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400  # 25 ms
@@ -119,8 +124,10 @@ def read_wav(path) -> AudioBuffer:
             if wav.getframerate() != SAMPLE_RATE:
                 raise AudioError(f"{path}: expected {SAMPLE_RATE} Hz, got {wav.getframerate()}")
             raw = wav.readframes(wav.getnframes())
-    except wave.Error as exc:
+    except (wave.Error, EOFError, RuntimeError) as exc:  # how the wave module meets corrupt chunks
         raise AudioError(f"{path}: not a readable WAV file ({exc})") from exc
+    if len(raw) % 2:
+        raise AudioError(f"{path}: WAV data ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(samples)
 
@@ -255,35 +262,21 @@ def stack_frames(features: FeatureSequence) -> FeatureSequence:
 
 
 def save_features(path, features: FeatureSequence) -> None:
-    """Write the binary feature container (magic WSFB, version 1)."""
-    header = struct.pack(
-        "<4sIIII",
+    """Write a feature file (see the module docstring)."""
+    container.write(
+        path,
         _FEATURE_MAGIC,
         _FEATURE_VERSION,
-        features.num_frames,
-        features.dim,
-        features.frame_rate,
+        (features.num_frames, features.dim, features.frame_rate),
+        [features.frames],
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(features.frames, dtype="<f4").tobytes())
 
 
 def load_features(path) -> FeatureSequence:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIII"))
-        if len(header) < struct.calcsize("<4sIIII"):
-            raise UnknownVersionError(f"{path}: truncated feature header")
-        magic, version, count, dim, rate = struct.unpack("<4sIIII", header)
-        if magic != _FEATURE_MAGIC:
-            raise UnknownVersionError(f"{path}: not a feature file (magic {magic!r})")
-        if version != _FEATURE_VERSION:
-            raise UnknownVersionError(f"{path}: unsupported feature version {version}")
-        payload = fh.read()
-    expected = count * dim * 4
-    if len(payload) != expected:
-        raise DimensionError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    frames = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(count, dim)
+    reader = container.Reader(path, _FEATURE_MAGIC, _FEATURE_VERSION, 3, "feature")
+    count, dim, rate = reader.fields
+    frames = reader.matrix((count, dim))
+    reader.end()
     if not np.all(np.isfinite(frames)):
         raise NonFiniteError(f"{path}: non-finite feature values")
     try:

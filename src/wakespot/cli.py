@@ -141,7 +141,7 @@ def cmd_featurize(args) -> int:
 
 def cmd_posteriors(args) -> int:
     weights = load_weights(args.weights)
-    post = run(weights, stack_frames(extract_fbank(read_wav(args.wav))))
+    post = _load_post(weights, args.wav)
     save_posteriorgram(args.out, post)
     print(f"wrote {post.num_frames} x {post.num_symbols} posteriors to {args.out}")
     return EXIT_OK

@@ -150,7 +150,6 @@ class HarnessParams:
     num_hypotheses: int = 10
     vad: VadConfig = VadConfig()
     dtw: DtwConfig = DtwConfig()
-    trim_audio: bool = True  # VAD-trim supports and tests alike
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,6 @@ class HarnessReport:
 
 
 def _trim(audio: AudioBuffer, params: HarnessParams) -> AudioBuffer:
-    if not params.trim_audio:
-        return audio
     trimmed, found = trim_to_speech(params.vad, audio)
     if not found:
         logger.warning("no speech found by VAD; using the whole recording")
@@ -309,6 +306,7 @@ def write_episodes(directory, episodes: Sequence[Episode], alphabet: LabelAlphab
 
 
 def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
+    """Read a manifest and its WAVs; a malformed line raises FileFormatError naming it."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
@@ -316,54 +314,42 @@ def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
         raise FileFormatError(f"{manifest_path}: not an episode manifest")
     alphabet: LabelAlphabet | None = None
     episodes: list[Episode] = []
-    current_id = None
-    current_target: tuple[int, ...] = ()
+    current = None  # (line, episode id, target labels) of the episode being read
     supports: list[AudioBuffer] = []
     tests: list[TestRecording] = []
 
     def flush():
-        if current_id is None:
-            return
-        episodes.append(
-            Episode(
-                episode_id=current_id,
-                target_labels=current_target,
-                support=tuple(supports),
-                tests=tuple(tests),
-            )
-        )
+        if current is not None:
+            where, episode_id, target = current
+            try:
+                episodes.append(Episode(episode_id, target, tuple(supports), tuple(tests)))
+            except ValueError as exc:
+                raise FileFormatError(f"{where}: {exc}") from exc
 
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "alphabet":
-            alphabet = LabelAlphabet(tuple(parts[1:]))
-        elif kind == "episode":
-            if alphabet is None:
-                raise FileFormatError(f"{manifest_path}: alphabet line must precede episodes")
-            if len(parts) < 3 or parts[2] != "target":
-                raise FileFormatError(f"{manifest_path}: bad episode line {line!r}")
-            flush()
-            current_id = parts[1]
-            current_target = tuple(alphabet.index_of(s) for s in parts[3:])
-            supports, tests = [], []
-        elif kind == "support":
-            supports.append(read_wav(base / parts[1]))
-        elif kind == "test":
-            if len(parts) != 5:
-                raise FileFormatError(f"{manifest_path}: bad test line {line!r}")
-            tests.append(
-                TestRecording(
-                    audio=read_wav(base / parts[1]),
-                    polarity=parts[2],
-                    tag=parts[3],
-                    speaker_match=parts[4],
-                )
-            )
-        else:
-            raise FileFormatError(f"{manifest_path}: unknown manifest line {line!r}")
+        where = f"{manifest_path} line {number}"
+        kind, *args = line.split()
+        try:
+            if kind == "alphabet":
+                alphabet = LabelAlphabet(tuple(args))
+            elif kind == "episode":
+                if alphabet is None:
+                    raise FileFormatError(f"{where}: alphabet line must precede episodes")
+                if len(args) < 2 or args[1] != "target":
+                    raise FileFormatError(f"{where}: bad episode line {line!r}")
+                flush()
+                current = (where, args[0], tuple(alphabet.index_of(s) for s in args[2:]))
+                supports, tests = [], []
+            elif kind == "support" and len(args) == 1:
+                supports.append(read_wav(base / args[0]))
+            elif kind == "test" and len(args) == 4:
+                tests.append(TestRecording(read_wav(base / args[0]), *args[1:]))
+            else:
+                raise FileFormatError(f"{where}: bad manifest line {line!r}")
+        except (KeyError, ValueError) as exc:  # read_wav raises AudioError or OSError
+            raise FileFormatError(f"{where}: {exc} in {line!r}") from exc
     flush()
     if alphabet is None:
         raise FileFormatError(f"{manifest_path}: missing alphabet line")

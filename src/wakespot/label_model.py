@@ -12,16 +12,16 @@ per-frame softmax. The model is strictly causal: output row t depends only
 on input frames up to t, and batch inference is literally a loop over the
 single-step function, so streaming and batch outputs are identical.
 
-Weight container (magic ``WSGW``, version 1, little-endian):
+Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
 
-    header  : magic, u32 version, u32 num_layers, u32 hidden, u32 input_dim, u32 K
-    layers  : for each layer, float32 row-major Wz Wr Wh Uz Ur Uh bz br bh
-    output  : float32 row-major W_out (K x hidden), b_out (K)
-    alphabet: u32 count (= K - 1), then per label u32 byte length + UTF-8
+    fields: u32 num_layers, u32 hidden, u32 input_dim, u32 K
+    parts : per layer Wz Wr Wh Uz Ur Uh bz br bh, then W_out (K x hidden),
+            b_out (K), then the alphabet (K - 1 labels)
 
-Posteriorgram container (magic ``WSPG``, version 1) stores the header
-(u32 version, u32 T, u32 K), the alphabet in the same encoding, and the
-T x K probabilities as row-major float32.
+Posteriorgram file (magic ``WSPG``, version 1):
+
+    fields: u32 T, u32 K
+    parts : the alphabet (K - 1 labels), then the T x K probabilities
 
 No trained weights ship with the repo; tests and demos use zero weights,
 seeded random weights, or the constructed model from :mod:`wakespot.synth`.
@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import container
 from .audio import FeatureSequence
-from .errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
+from .errors import DimensionError, FileFormatError, NonFiniteError
 
 logger = logging.getLogger(__name__)
 
@@ -59,8 +59,9 @@ class LabelAlphabet:
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
-        if not all(isinstance(s, str) and s for s in self.labels):
-            raise ValueError("labels must be non-empty strings")
+        if not all(isinstance(s, str) and s.split() == [s] for s in self.labels):
+            # model files and manifests store labels whitespace-separated
+            raise ValueError("labels must be non-empty strings without whitespace")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         if BLANK_SYMBOL in self.labels:
@@ -142,6 +143,8 @@ class GruWeights:
         if not self.layers:
             raise DimensionError("weights must have at least one layer")
         hidden = self.hidden_size
+        if hidden < 1:
+            raise DimensionError("hidden size must be positive")
         in_dim = self.input_dim
         for i, layer in enumerate(self.layers):
             expect_in = in_dim if i == 0 else hidden
@@ -302,15 +305,6 @@ def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[n
     return row, tuple(new_state)
 
 
-def run_streaming(
-    weights: GruWeights, state: GruState | None, frame: np.ndarray
-) -> tuple[np.ndarray, GruState]:
-    """Streaming variant: feed one frame, carry the returned state forward."""
-    if state is None:
-        state = init_state(weights)
-    return gru_step(weights, state, frame)
-
-
 def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
     """Batch inference; concatenation of single steps, so it matches streaming."""
     if features.dim != weights.input_dim:
@@ -324,41 +318,11 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
     return Posteriorgram(rows, weights.alphabet)
 
 
-def _write_alphabet(fh, alphabet: LabelAlphabet) -> None:
-    fh.write(struct.pack("<I", len(alphabet.labels)))
-    for label in alphabet.labels:
-        raw = label.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-
-
-def _read_alphabet(fh, path) -> LabelAlphabet:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4, path))
-    labels = []
-    for _ in range(count):
-        (length,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        labels.append(_read_exact(fh, length, path).decode("utf-8"))
+def _read_alphabet(reader: container.Reader) -> LabelAlphabet:
     try:
-        return LabelAlphabet(tuple(labels))
+        return LabelAlphabet(reader.labels())
     except ValueError as exc:
-        raise FileFormatError(f"{path}: bad alphabet ({exc})") from exc
-
-
-def _read_exact(fh, n: int, path) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise DimensionError(f"{path}: truncated file")
-    return raw
-
-
-def _write_matrix(fh, array: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(array, dtype="<f4").tobytes())
-
-
-def _read_matrix(fh, shape: tuple[int, ...], path) -> np.ndarray:
-    n = int(np.prod(shape))
-    raw = _read_exact(fh, 4 * n, path)
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        raise FileFormatError(f"{reader.path}: bad alphabet ({exc})") from exc
 
 
 _LAYER_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
@@ -366,59 +330,31 @@ _LAYER_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
 
 def save_weights(path, weights: GruWeights) -> None:
     weights.validate()
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<4sIIIII",
-                _WEIGHTS_MAGIC,
-                _FORMAT_VERSION,
-                weights.num_layers,
-                weights.hidden_size,
-                weights.input_dim,
-                weights.num_symbols,
-            )
-        )
-        for layer in weights.layers:
-            for name in _LAYER_FIELDS:
-                _write_matrix(fh, getattr(layer, name))
-        _write_matrix(fh, weights.w_out)
-        _write_matrix(fh, weights.b_out)
-        _write_alphabet(fh, weights.alphabet)
+    container.write(
+        path,
+        _WEIGHTS_MAGIC,
+        _FORMAT_VERSION,
+        (weights.num_layers, weights.hidden_size, weights.input_dim, weights.num_symbols),
+        [getattr(layer, name) for layer in weights.layers for name in _LAYER_FIELDS]
+        + [weights.w_out, weights.b_out, weights.alphabet.labels],
+    )
 
 
 def load_weights(path) -> GruWeights:
     """Load and validate a weight file; logs the parameter count."""
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIIIII"))
-        if len(header) < struct.calcsize("<4sIIIII"):
-            raise UnknownVersionError(f"{path}: truncated weight header")
-        magic, version, num_layers, hidden, input_dim, num_symbols = struct.unpack(
-            "<4sIIIII", header
-        )
-        if magic != _WEIGHTS_MAGIC:
-            raise UnknownVersionError(f"{path}: not a weight file (magic {magic!r})")
-        if version != _FORMAT_VERSION:
-            raise UnknownVersionError(f"{path}: unsupported weight version {version}")
-        layers = []
-        for i in range(num_layers):
-            in_dim = input_dim if i == 0 else hidden
-            fields = {}
-            for name in _LAYER_FIELDS:
-                shape = (
-                    (hidden, in_dim)
-                    if name in ("w_z", "w_r", "w_h")
-                    else (hidden, hidden)
-                    if name in ("u_z", "u_r", "u_h")
-                    else (hidden,)
-                )
-                fields[name] = _read_matrix(fh, shape, path)
-            layers.append(GruLayer(**fields))
-        w_out = _read_matrix(fh, (num_symbols, hidden), path)
-        b_out = _read_matrix(fh, (num_symbols,), path)
-        alphabet = _read_alphabet(fh, path)
-        trailing = fh.read(1)
-    if trailing:
-        raise DimensionError(f"{path}: trailing bytes after alphabet")
+    reader = container.Reader(path, _WEIGHTS_MAGIC, _FORMAT_VERSION, 4, "weight")
+    num_layers, hidden, input_dim, num_symbols = reader.fields
+    if hidden < 1:  # each layer then takes at least 24 bytes, so num_layers is bounded
+        raise DimensionError(f"{path}: hidden size must be positive")
+    layers = []
+    for i in range(num_layers):
+        in_dim = input_dim if i == 0 else hidden
+        shapes = 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
+        layers.append(GruLayer(*(reader.matrix(shape) for shape in shapes)))
+    w_out = reader.matrix((num_symbols, hidden))
+    b_out = reader.matrix((num_symbols,))
+    alphabet = _read_alphabet(reader)
+    reader.end()
     weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
     weights.validate()
     logger.info(
@@ -435,35 +371,25 @@ def load_weights(path) -> GruWeights:
 
 def save_posteriorgram(path, post: Posteriorgram) -> None:
     post.validate()
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack(
-                "<4sIII", _POST_MAGIC, _FORMAT_VERSION, post.num_frames, post.num_symbols
-            )
-        )
-        _write_alphabet(fh, post.alphabet)
-        _write_matrix(fh, post.rows)
+    container.write(
+        path,
+        _POST_MAGIC,
+        _FORMAT_VERSION,
+        (post.num_frames, post.num_symbols),
+        [post.alphabet.labels, post.rows],
+    )
 
 
 def load_posteriorgram(path) -> Posteriorgram:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIII"))
-        if len(header) < struct.calcsize("<4sIII"):
-            raise UnknownVersionError(f"{path}: truncated posteriorgram header")
-        magic, version, count, num_symbols = struct.unpack("<4sIII", header)
-        if magic != _POST_MAGIC:
-            raise UnknownVersionError(f"{path}: not a posteriorgram file (magic {magic!r})")
-        if version != _FORMAT_VERSION:
-            raise UnknownVersionError(f"{path}: unsupported posteriorgram version {version}")
-        alphabet = _read_alphabet(fh, path)
-        if alphabet.size != num_symbols:
-            raise DimensionError(
-                f"{path}: header K={num_symbols} does not match alphabet size {alphabet.size}"
-            )
-        rows = _read_matrix(fh, (count, num_symbols), path)
-        trailing = fh.read(1)
-    if trailing:
-        raise DimensionError(f"{path}: trailing bytes after probabilities")
+    reader = container.Reader(path, _POST_MAGIC, _FORMAT_VERSION, 2, "posteriorgram")
+    count, num_symbols = reader.fields
+    alphabet = _read_alphabet(reader)
+    if alphabet.size != num_symbols:
+        raise DimensionError(
+            f"{path}: header K={num_symbols} does not match alphabet size {alphabet.size}"
+        )
+    rows = reader.matrix((count, num_symbols))
+    reader.end()
     post = Posteriorgram(rows, alphabet)
     try:
         post.validate(atol=ROW_SUM_ATOL)

@@ -19,7 +19,7 @@ from wakespot.cli import EXIT_OK, main
 from wakespot.ctc import NEG_INF, CtcForwardScorer, beam_search, forward_logprob
 from wakespot.dtw import DtwConfig, dtw_score, frame_distance_post
 from wakespot.evaluation import HarnessParams, compute_roc, run_harness
-from wakespot.label_model import run, random_weights, run_streaming, save_weights
+from wakespot.label_model import gru_step, init_state, run, random_weights, save_weights
 from wakespot.vad import VadConfig, segment, span_samples
 from wakespot.wakeword import (
     Hypothesis,
@@ -103,9 +103,9 @@ def test_criterion_03_streaming_equals_batch():
     from wakespot.audio import FeatureSequence
 
     batch = run(weights, FeatureSequence(frames, 50)).rows
-    state = None
+    state = init_state(weights)
     for t in range(frames.shape[0]):
-        row, state = run_streaming(weights, state, frames[t])
+        row, state = gru_step(weights, state, frames[t])
         assert np.allclose(row, batch[t], atol=1e-9)
     _verdict(3, "forward stepping is bitwise batch-equal; GRU streaming within 1e-9")
 

@@ -199,6 +199,25 @@ class TestWavRoundTrip:
             read_wav(path)
 
 
+    def test_truncations_and_header_bit_flips_load_or_raise_audio_error(self, tmp_path):
+        # the wave module meets these with EOFError, RuntimeError, or odd-length data
+        path = tmp_path / "t.wav"
+        write_wav(path, AudioBuffer(np.arange(-50, 50, dtype=np.int16)))
+        data = path.read_bytes()
+        variants = [data[:n] for n in range(len(data))]
+        for i in range(44):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[i] ^= 1 << bit
+                variants.append(bytes(flipped))
+        for variant in variants:
+            path.write_bytes(variant)
+            try:
+                read_wav(path)
+            except AudioError:
+                pass
+
+
 class TestFeatureFiles:
     def test_round_trip_float32_precision(self, tmp_path):
         feats = extract_fbank(tone(seconds=0.1))

@@ -1,0 +1,229 @@
+"""Container files: byte-stable writers, bounds-checked loaders, fuzzing.
+
+The digests pin the bytes of feature, weight and posteriorgram files to
+those of the format as first published. Their inputs are built from
+integer arithmetic and one division, so they round the same everywhere.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from wakespot import container
+from wakespot.audio import FeatureSequence, load_features, save_features, stack_frames
+from wakespot.errors import DimensionError, FileFormatError, UnknownVersionError, WakespotError
+from wakespot.label_model import (
+    GruLayer,
+    GruWeights,
+    LabelAlphabet,
+    Posteriorgram,
+    load_posteriorgram,
+    load_weights,
+    save_posteriorgram,
+    save_weights,
+)
+from wakespot.wakeword import Hypothesis, WakewordModel, load_model, save_model
+
+
+def ramp(shape, salt=0):
+    """Deterministic values in about [-1, 1]: integers mod 2001, divided once."""
+    n = int(np.prod(shape))
+    return (((np.arange(n) * 7919 + salt) % 2001 - 1000) / 997.0).reshape(shape)
+
+
+def ramp_weights(num_layers, hidden, input_dim, labels):
+    alphabet = LabelAlphabet(labels)
+    layers = []
+    for i in range(num_layers):
+        in_dim = input_dim if i == 0 else hidden
+        shapes = 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
+        layers.append(GruLayer(*(ramp(s, 9 * i + j) for j, s in enumerate(shapes))))
+    return GruWeights(tuple(layers), ramp((alphabet.size, hidden), 1), ramp((alphabet.size,), 2), alphabet)
+
+
+def dyadic_posteriorgram(num_frames, labels):
+    """Rows that are cyclic shifts of (4, 2, 1, 1) / 8: exact, summing to 1."""
+    rows = np.array([np.roll([0.5, 0.25, 0.125, 0.125], t) for t in range(num_frames)])
+    return Posteriorgram(rows.reshape(num_frames, 4), LabelAlphabet(labels))
+
+
+PAPER_LABELS = tuple(f"L{i}" for i in range(39))
+
+# sha256 of each file as written by the original per-format writers
+DIGESTS = {
+    "features_100hz": "5fe11fbd3601dcbff0de92d25f9985beed713b4f57427548266f59af56dec1dd",
+    "features_50hz": "8db89bd5a85dfe23e2a814b85649635dc0247cdda35bbe5da3f677b7f645022d",
+    "posteriorgram": "c90b0d00ff815cc2207976ebf8e6e705c4e7ace10b0c048a852dca9e67cd3cdc",
+    "weights_1x4": "8f801f07b95b5766f4b91d9f9b76fe9fd53c32a04129c6f66159741103b72feb",
+    "weights_3x96": "eff48fcf575cc5396aef008a745e8d46485cc2c184a43dc403be04a98e63cb63",
+}
+
+
+def write_case(name, path):
+    """Write case ``name``; returns (loader, the value written)."""
+    if name == "weights_3x96":
+        value = ramp_weights(3, 96, 82, PAPER_LABELS)
+        save_weights(path, value)
+        return load_weights, value
+    if name == "weights_1x4":
+        value = ramp_weights(1, 4, 82, ("ah", "éa", "x"))
+        save_weights(path, value)
+        return load_weights, value
+    if name == "features_100hz":
+        value = FeatureSequence(ramp((7, 41)), 100)
+        save_features(path, value)
+        return load_features, value
+    if name == "features_50hz":
+        value = stack_frames(FeatureSequence(ramp((7, 41), 5), 100))
+        save_features(path, value)
+        return load_features, value
+    value = dyadic_posteriorgram(5, ("a", "bc", "d"))
+    save_posteriorgram(path, value)
+    return load_posteriorgram, value
+
+
+def as_float32(array):
+    return np.asarray(array, dtype=np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_written_bytes_are_unchanged_and_load_back(tmp_path, name):
+    path = tmp_path / name
+    loader, value = write_case(name, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+    back = loader(path)
+    if isinstance(value, GruWeights):
+        assert back.alphabet == value.alphabet
+        for got, want in zip(back.layers, value.layers):
+            for field in GruLayer.__dataclass_fields__:
+                assert np.array_equal(getattr(got, field), as_float32(getattr(want, field)))
+        assert np.array_equal(back.w_out, as_float32(value.w_out))
+        assert np.array_equal(back.b_out, as_float32(value.b_out))
+    elif isinstance(value, FeatureSequence):
+        assert back.frame_rate == value.frame_rate
+        assert np.array_equal(back.frames, as_float32(value.frames))
+    else:
+        assert back.alphabet == value.alphabet
+        assert np.array_equal(back.rows, value.rows)
+
+
+class TestReader:
+    def test_parts_round_trip(self, tmp_path):
+        path = tmp_path / "c.bin"
+        labels = ("ah", "ü")
+        container.write(path, b"TEST", 7, (2, 3), [ramp((2, 3)), labels, ramp((3,), 4)])
+        reader = container.Reader(path, b"TEST", 7, 2, "test")
+        assert reader.fields == (2, 3)
+        assert np.array_equal(reader.matrix((2, 3)), as_float32(ramp((2, 3))))
+        assert reader.labels() == labels
+        assert np.array_equal(reader.matrix((3,)), as_float32(ramp((3,), 4)))
+        reader.end()
+
+    def test_header_errors_are_unknown_version(self, tmp_path):
+        path = tmp_path / "c.bin"
+        container.write(path, b"TEST", 7, (2,), [])
+        for magic, version, fields in ((b"TEST", 8, 1), (b"TESS", 7, 1), (b"TEST", 7, 2)):
+            with pytest.raises(UnknownVersionError):
+                container.Reader(path, magic, version, fields, "test")
+
+    def test_trailing_and_missing_bytes_are_dimension_errors(self, tmp_path):
+        path = tmp_path / "c.bin"
+        container.write(path, b"TEST", 7, (), [ramp((2,))])
+        reader = container.Reader(path, b"TEST", 7, 0, "test")
+        reader.matrix((1,))
+        with pytest.raises(DimensionError):
+            reader.end()
+        with pytest.raises(DimensionError):
+            reader.matrix((2,))
+
+
+class TestHostileHeaders:
+    def test_oversized_weight_dims_are_dimension_error(self, tmp_path):
+        # 24 bytes claiming 1 layer with hidden = input = 2**31: the claimed
+        # size must be checked against the file, not handed to a read
+        path = tmp_path / "w.bin"
+        path.write_bytes(struct.pack("<4sIIIII", b"WSGW", 1, 1, 2**31, 2**31, 3))
+        with pytest.raises(DimensionError):
+            load_weights(path)
+
+    def test_many_layers_of_zero_width_are_refused(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(struct.pack("<4sIIIII", b"WSGW", 1, 2**32 - 1, 0, 0, 1))
+        with pytest.raises(DimensionError):
+            load_weights(path)
+
+    def test_oversized_posteriorgram_is_dimension_error(self, tmp_path):
+        path = tmp_path / "p.post"
+        container.write(path, b"WSPG", 1, (2**32 - 1, 2), [("a",)])
+        with pytest.raises(DimensionError):
+            load_posteriorgram(path)
+
+    def test_non_utf8_label_is_file_format_error(self, tmp_path):
+        path = tmp_path / "p.post"
+        rows = np.array([[0.5, 0.5]])
+        container.write(path, b"WSPG", 1, (1, 2), [("a",), rows])
+        data = path.read_bytes().replace(b"\x01\x00\x00\x00a", b"\x01\x00\x00\x00\xff")
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError):
+            load_posteriorgram(path)
+
+
+def alphabet_size(labels):
+    return 4 + sum(4 + len(label.encode("utf-8")) for label in labels)
+
+
+FUZZ_LABELS = ("a", "bc")
+
+
+def small_file(name, path):
+    """Write a small valid file; returns its loader and the (start, stop)
+    byte spans of its header and alphabet (all of it for the text model)."""
+    if name == "features":
+        save_features(path, FeatureSequence(ramp((3, 41)), 100))
+        return load_features, [(0, 20)]
+    if name == "weights":
+        save_weights(path, ramp_weights(2, 2, 3, FUZZ_LABELS))
+        size = path.stat().st_size
+        return load_weights, [(0, 24), (size - alphabet_size(FUZZ_LABELS), size)]
+    alphabet = LabelAlphabet(FUZZ_LABELS)
+    if name == "posteriorgram":
+        save_posteriorgram(path, dyadic_posteriorgram(3, ("a", "bc", "d")))
+        return load_posteriorgram, [(0, 16 + alphabet_size(("a", "bc", "d")))]
+    model = WakewordModel(
+        hypotheses=(
+            Hypothesis(labels=(1, 2), enroll_logprob=-1.5, weight=0.5, example=0),
+            Hypothesis(labels=(2,), enroll_logprob=-2.25, weight=0.25, example=2),
+        ),
+        alphabet=alphabet,
+        beam_width=4,
+        kept_per_example=1,
+        threshold=0.125,
+    )
+    save_model(path, model)
+    return (lambda p: load_model(p, alphabet)), [(0, path.stat().st_size)]
+
+
+@pytest.mark.parametrize("name", ["features", "weights", "posteriorgram", "model"])
+def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
+    path = tmp_path / name
+    loader, spans = small_file(name, path)
+    loader(path)
+    data = path.read_bytes()
+    rng = np.random.default_rng(2024)
+    flips = [(i, bit) for start, stop in spans for i in range(start, stop) for bit in range(8)]
+    flips += list(zip(rng.integers(0, len(data), 64).tolist(), rng.integers(0, 8, 64).tolist()))
+    variants = [data[:n] for n in range(len(data))] + [data + b"\x00"]
+    for i, bit in flips:
+        flipped = bytearray(data)
+        flipped[i] ^= 1 << bit
+        variants.append(bytes(flipped))
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            loader(path)
+        except WakespotError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} escaped for {variant!r}: {exc}")

@@ -248,6 +248,41 @@ class TestManifests:
         with pytest.raises(FileFormatError):
             read_episodes(bad)
 
+    @pytest.fixture(scope="class")
+    def suite(self, tmp_path_factory):
+        episodes = synth.generate_synthetic_episodes(seed=3, count=1)
+        return write_episodes(tmp_path_factory.mktemp("suite"), episodes, synth.synth_alphabet())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: [("support" if l.startswith("support") else l) for l in lines],
+            lambda lines: [(l.split(" target")[0] + " target zz" if l.startswith("episode") else l) for l in lines],
+            lambda lines: [l for l in lines if not l.endswith("support_0.wav")],
+            lambda lines: [l for l in lines if not l.startswith("test")],
+            lambda lines: [l.replace(" positive ", " positiv ") for l in lines],
+            lambda lines: [(l + " " + l.split()[1] if l.startswith("alphabet") else l) for l in lines],
+        ],
+        ids=["support_without_path", "unknown_target_symbol", "two_supports", "no_tests",
+             "bad_polarity", "duplicate_label"],
+    )
+    def test_malformed_line_is_file_format_error(self, suite, edit):
+        lines = suite.read_text(encoding="utf-8").splitlines()
+        bad = suite.with_name("bad_manifest.txt")
+        bad.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError, match="line [0-9]+"):
+            read_episodes(bad)
+
+    def test_truncated_manifest_loads_or_raises_file_format_error(self, suite):
+        data = suite.read_bytes()
+        cut = suite.with_name("cut_manifest.txt")
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            try:
+                read_episodes(cut)
+            except (FileFormatError, OSError):  # a cut WAV path names a directory or nothing
+                pass
+
     def test_roc_points_file(self, tmp_path):
         metrics = compute_roc([(0.9, True), (0.1, False)])
         out = tmp_path / "roc.csv"

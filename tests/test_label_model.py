@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
+from wakespot import container
 from wakespot.audio import FeatureSequence
 from wakespot.errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
 from wakespot.label_model import (
     GruWeights,
     LabelAlphabet,
     Posteriorgram,
+    gru_step,
     init_state,
     load_posteriorgram,
     load_weights,
     random_weights,
     run,
-    run_streaming,
     save_posteriorgram,
     save_weights,
     zero_weights,
@@ -44,6 +45,13 @@ class TestLabelAlphabet:
             LabelAlphabet(("A", "<b>"))
         with pytest.raises(ValueError):
             LabelAlphabet(("A", ""))
+
+    @pytest.mark.parametrize("labels", [("ah", "b c"), ("ah", "b\tc"), ("ah", "\x1f")])
+    def test_rejects_symbols_that_are_not_single_tokens(self, labels):
+        # model files and manifests split labels on whitespace, which
+        # includes the \x1f separator of content_hash
+        with pytest.raises(ValueError):
+            LabelAlphabet(labels)
 
     def test_hash_changes_with_content(self):
         assert LabelAlphabet(("A", "B")).content_hash() != LabelAlphabet(("A", "C")).content_hash()
@@ -122,25 +130,26 @@ class TestStreaming:
         weights = random_weights(make_alphabet(4), seed=11)
         features = stacked_features(rng, 49)
         batch = run(weights, features).rows
-        state = None
+        state = init_state(weights)
         for t in range(features.num_frames):
-            row, state = run_streaming(weights, state, features.frames[t])
+            row, state = gru_step(weights, state, features.frames[t])
             assert np.allclose(row, batch[t], atol=1e-9)
 
     def test_fresh_state_matches_first_row(self):
         rng = np.random.default_rng(5)
         weights = random_weights(make_alphabet(4), seed=12)
         features = stacked_features(rng, 3)
-        row, _ = run_streaming(weights, None, features.frames[0])
+        row, _ = gru_step(weights, init_state(weights), features.frames[0])
         assert np.array_equal(row, run(weights, features).rows[0])
 
     def test_state_reset_gives_independent_outputs(self):
         rng = np.random.default_rng(6)
         weights = random_weights(make_alphabet(4), seed=13)
         frame = rng.normal(size=82)
-        row_a, state = run_streaming(weights, None, rng.normal(size=82))
-        row_after_reset, _ = run_streaming(weights, init_state(weights), frame)
-        row_fresh, _ = run_streaming(weights, None, frame)
+        fresh = init_state(weights)
+        row_a, state = gru_step(weights, fresh, rng.normal(size=82))
+        row_after_reset, _ = gru_step(weights, fresh, frame)  # stepping left `fresh` as it was
+        row_fresh, _ = gru_step(weights, init_state(weights), frame)
         assert np.array_equal(row_after_reset, row_fresh)
 
 
@@ -208,6 +217,11 @@ class TestWeightFiles:
         with pytest.raises(NonFiniteError):
             load_weights(path)
 
+    def test_zero_hidden_units_refused(self):
+        # the loader refuses them too: zero-width layers would take no bytes
+        with pytest.raises(DimensionError):
+            zero_weights(make_alphabet(3), 1, 0, 82)
+
     def test_output_dim_alphabet_mismatch(self):
         alphabet = make_alphabet(3)
         good = zero_weights(alphabet, 1, 4, 82)
@@ -238,13 +252,7 @@ class TestPosteriorgramFiles:
         with pytest.raises(ValueError):
             save_posteriorgram(path, post)
         # write it raw, bypassing save-side validation
-        from wakespot import label_model as lm
-        import struct
-
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIII", b"WSPG", 1, 1, 2))
-            lm._write_alphabet(fh, post.alphabet)
-            fh.write(np.ascontiguousarray(rows, dtype="<f4").tobytes())
+        container.write(path, b"WSPG", 1, (1, 2), [post.alphabet.labels, rows])
         with pytest.raises(FileFormatError):
             load_posteriorgram(path)
 
