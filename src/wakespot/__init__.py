@@ -25,7 +25,7 @@ from .ctc import (
     forward_logprob,
     greedy_decode,
 )
-from .dtw import DtwConfig, dtw_detect, dtw_score, frame_distance_post
+from .dtw import DtwConfig, dtw_detect, dtw_detect_all, dtw_score, frame_distance_post
 from .errors import (
     AudioError,
     DimensionError,

@@ -123,11 +123,12 @@ def read_wav(path) -> AudioBuffer:
                 raise AudioError(f"{path}: expected mono, got {wav.getnchannels()} channels")
             if wav.getframerate() != SAMPLE_RATE:
                 raise AudioError(f"{path}: expected {SAMPLE_RATE} Hz, got {wav.getframerate()}")
+            expected = 2 * wav.getnframes()
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError, RuntimeError) as exc:  # how the wave module meets corrupt chunks
         raise AudioError(f"{path}: not a readable WAV file ({exc})") from exc
-    if len(raw) % 2:
-        raise AudioError(f"{path}: WAV data ends inside a sample")
+    if len(raw) != expected:  # readframes returns what is there, even a cut on a sample boundary
+        raise AudioError(f"{path}: WAV data holds {len(raw)} bytes, its header says {expected}")
     samples = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(samples)
 

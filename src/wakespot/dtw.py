@@ -16,6 +16,18 @@ global threshold remains meaningful across utterances of different
 lengths. Ties between predecessors prefer diagonal, then query-advance,
 then test-advance, which makes the reported path length deterministic.
 
+The DP runs as one wavefront over a batch of distance matrices: cell
+(i, j) depends only on cells of anti-diagonals i + j - 1 and i + j - 2, so
+each step computes a whole anti-diagonal of every matrix in a few numpy
+operations. The tie rule is kept exactly: the diagonal predecessor is
+taken first and replaced only by a strictly smaller up, then a strictly
+smaller left value, chosen with ``np.where`` (not ``np.minimum``) so the
+kept operand, sign of zero included, is the one a cell-by-cell loop keeps.
+Each cell's cost is then the same IEEE sum as in that loop. Matching
+scores all tests of an episode against one support in one wavefront
+(``dtw_detect_all``); ``dtw_score`` and ``dtw_detect`` are its one-pair
+and one-test cases.
+
 Removed variants that did not help (dropping the softmax, l2 on
 posteriors, a framewise cross-entropy label model) are intentionally not
 implemented.
@@ -71,9 +83,15 @@ def _post_distance_matrix(a: np.ndarray, b: np.ndarray, smoothing: float) -> np.
 
 
 def _fbank_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # explicit differences keep d(x, x) exactly zero
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    # explicit differences keep d(x, x) exactly zero; one query row at a time
+    # keeps the temporary at (m, dims) instead of (n, m, dims)
+    out = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty_like(b)
+    for i, row in enumerate(a):
+        np.subtract(row, b, out=diff)
+        np.multiply(diff, diff, out=diff)
+        diff.sum(axis=1, out=out[i])
+    return np.sqrt(out, out=out)
 
 
 def _frames_and_space(seq, config: DtwConfig) -> np.ndarray:
@@ -88,62 +106,114 @@ def _frames_and_space(seq, config: DtwConfig) -> np.ndarray:
     raise TypeError(f"unsupported sequence type {type(seq).__name__}")
 
 
-def _dtw_cost(distances: np.ndarray) -> tuple[float, int]:
-    """Minimal alignment cost and the length of that path."""
-    n, m = distances.shape
-    d = distances.tolist()  # plain floats: the DP loop is much faster off numpy scalars
-    inf = float("inf")
-    prev_cost = [inf] * m
-    prev_len = [0] * m
-    cost_row = [inf] * m
-    len_row = [0] * m
-    for i in range(n):
-        di = d[i]
-        for j in range(m):
-            if i == 0 and j == 0:
-                cost_row[0] = di[0]
-                len_row[0] = 1
-                continue
-            diag = prev_cost[j - 1] if (i > 0 and j > 0) else inf
-            up = prev_cost[j] if i > 0 else inf
-            left = cost_row[j - 1] if j > 0 else inf
-            best, steps = diag, (prev_len[j - 1] if j > 0 else 0)
-            if up < best:
-                best, steps = up, prev_len[j]
-            if left < best:
-                best, steps = left, len_row[j - 1]
-            cost_row[j] = best + di[j]
-            len_row[j] = steps + 1
-        prev_cost, cost_row = cost_row, prev_cost
-        prev_len, len_row = len_row, prev_len
-    return prev_cost[m - 1], prev_len[m - 1]
+def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], config: DtwConfig) -> list[np.ndarray]:
+    """Frame distances between the query ``a`` and each test in ``tests``."""
+    for b in tests:
+        if a.shape[0] == 0 or b.shape[0] == 0:
+            raise ValueError("DTW requires non-empty sequences")
+        if a.shape[1] != b.shape[1]:
+            raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
+    if config.feature_space == "posteriorgram":
+        return [_post_distance_matrix(a, b, config.smoothing) for b in tests]
+    # entries do not depend on their neighbours, so one matrix against every
+    # test frame, split per test, holds the same values
+    splits = np.cumsum([b.shape[0] for b in tests[:-1]], dtype=np.int64)
+    return np.split(_fbank_distance_matrix(a, np.concatenate(tests)), splits, axis=1)
+
+
+def _dtw_costs(distance_matrices) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal alignment cost and that path's length for every matrix.
+
+    Anti-diagonal k of all P matrices is one flat array of P blocks of
+    ``rows + 1`` cells: cell (i, k - i) of matrix p sits at
+    ``p * (rows + 1) + i + 1``. The first cell of each block and every cell
+    outside a matrix hold +inf, so they never win a strict ``<``.
+    """
+    num_pairs = len(distance_matrices)
+    costs = np.empty(num_pairs)
+    lengths = np.empty(num_pairs, dtype=np.int64)
+    if not num_pairs:
+        return costs, lengths
+    shapes = np.array([d.shape for d in distance_matrices], dtype=np.int64)
+    width = int(shapes[:, 0].max()) + 1
+    ends = shapes.sum(axis=1) - 2  # the diagonal of each matrix's last cell
+    last_cells = np.arange(num_pairs) * width + shapes[:, 0]  # row n - 1 of each block
+    skew = np.full((int(ends.max()) + 1, num_pairs * width), np.inf)
+    for p, d in enumerate(distance_matrices):
+        i, j = np.indices(d.shape)
+        skew[i + j, p * width + i + 1] = d
+    finished: dict[int, list[int]] = {}
+    for p, k in enumerate(ends.tolist()):
+        finished.setdefault(k, []).append(p)
+
+    def collect(k, cost, length):
+        done = finished.get(k)
+        if done:
+            costs[done] = cost[last_cells[done]]
+            lengths[done] = length[last_cells[done]]
+
+    before = np.full(num_pairs * width, np.inf)  # diagonal k - 2
+    before_len = np.zeros(num_pairs * width, dtype=np.int64)
+    last = before.copy()  # diagonal k - 1; diagonal 0 is the start cell alone
+    last[1::width] = skew[0, 1::width]
+    last_len = np.ones_like(before_len)
+    collect(0, last, last_len)
+    for k in range(1, len(skew)):
+        # predecessors of cell c: diagonal (c - 1 on k - 2), up (c - 1 on
+        # k - 1), left (c on k - 1); strict < in that order, choosing with
+        # np.where so the winning operand (sign of zero included) is kept.
+        # A block's first cell reads the previous block's last, but adding
+        # its +inf distance keeps it +inf.
+        best, steps = before[:-1], before_len[:-1]
+        take = last[:-1] < best
+        best = np.where(take, last[:-1], best)
+        steps = np.where(take, last_len[:-1], steps)
+        take = last[1:] < best
+        best = np.where(take, last[1:], best)
+        steps = np.where(take, last_len[1:], steps)
+        before, before_len = last, last_len
+        last = np.empty_like(before)
+        last[0] = np.inf
+        np.add(best, skew[k, 1:], out=last[1:])
+        last_len = np.empty_like(before_len)
+        last_len[0] = 0
+        np.add(steps, 1, out=last_len[1:])
+        collect(k, last, last_len)
+    return costs, lengths
+
+
+def _support_scores(support, tests: list[np.ndarray], config: DtwConfig) -> list[float]:
+    """Scores of one support against every test's frames, in one wavefront."""
+    if not tests:
+        return []
+    costs, lengths = _dtw_costs(_distance_matrices(_frames_and_space(support, config), tests, config))
+    if config.normalization == "path_length":
+        return (-costs / lengths).tolist()
+    return (-costs).tolist()
 
 
 def dtw_score(query, test, config: DtwConfig | None = None) -> float:
     """Similarity score between two sequences; higher means more similar."""
     config = config or DtwConfig()
-    a = _frames_and_space(query, config)
-    b = _frames_and_space(test, config)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("DTW requires non-empty sequences")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if config.feature_space == "posteriorgram":
-        distances = _post_distance_matrix(a, b, config.smoothing)
-    else:
-        distances = _fbank_distance_matrix(a, b)
-    cost, path_length = _dtw_cost(distances)
-    if config.normalization == "path_length":
-        return -cost / path_length
-    return -cost
+    return _support_scores(query, [_frames_and_space(test, config)], config)[0]
+
+
+def dtw_detect_all(supports, tests, config: DtwConfig | None = None) -> list[float]:
+    """Detection score of every test against the enrollment recordings.
+
+    Each support is aligned with all tests in one batched wavefront; the
+    scores equal ``[dtw_detect(supports, t, config) for t in tests]``.
+    """
+    config = config or DtwConfig()
+    if not supports:
+        raise ValueError("need at least one support sequence")
+    frames = [_frames_and_space(test, config) for test in tests]
+    per_test = zip(*(_support_scores(support, frames, config) for support in supports))
+    if config.aggregation == "max":
+        return [max(scores) for scores in per_test]
+    return [sum(scores) / len(scores) for scores in per_test]
 
 
 def dtw_detect(supports, test, config: DtwConfig | None = None) -> float:
     """Detection score against enrollment recordings (max or mean over them)."""
-    config = config or DtwConfig()
-    scores = [dtw_score(support, test, config) for support in supports]
-    if not scores:
-        raise ValueError("need at least one support sequence")
-    if config.aggregation == "max":
-        return max(scores)
-    return sum(scores) / len(scores)
+    return dtw_detect_all(supports, [test], config)[0]

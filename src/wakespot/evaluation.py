@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, extract_fbank, read_wav, stack_frames, write_wav
+from .audio import AudioBuffer, FeatureSequence, extract_fbank, read_wav, stack_frames, write_wav
 from .ctc import NEG_INF
-from .dtw import DtwConfig, dtw_detect
+from .dtw import DtwConfig, dtw_detect_all
 from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet, Posteriorgram, run
 from .vad import VadConfig, trim_to_speech
@@ -178,37 +178,46 @@ def _trim(audio: AudioBuffer, params: HarnessParams) -> AudioBuffer:
     return trimmed
 
 
+def _fbank(audio: AudioBuffer, params: HarnessParams) -> FeatureSequence:
+    return extract_fbank(_trim(audio, params))
+
+
 def _posteriorgram(audio: AudioBuffer, params: HarnessParams) -> Posteriorgram:
-    return run(params.weights, stack_frames(extract_fbank(_trim(audio, params))))
+    return run(params.weights, stack_frames(_fbank(audio, params)))
+
+
+def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+    if detector == "dtw_fbank":
+        featurize, config = _fbank, replace(params.dtw, feature_space="fbank")
+    else:
+        featurize, config = _posteriorgram, replace(params.dtw, feature_space="posteriorgram")
+    supports = [featurize(a, params) for a in episode.support]
+    return dtw_detect_all(supports, [featurize(t.audio, params) for t in episode.tests], config)
+
+
+def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+    if detector == "query_by_string":
+        symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
+        model = model_from_labels(symbols, params.weights.alphabet)
+    else:
+        posts = [_posteriorgram(a, params) for a in episode.support]
+        model = learn(posts, params.beam_width, params.num_hypotheses)
+    aggregate = score_logsumexp_prior if detector == "donut_logsumexp" else score
+    return [aggregate(model, _posteriorgram(t.audio, params)) for t in episode.tests]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:
-    if detector == "dtw_fbank":
-        config = replace(params.dtw, feature_space="fbank")
-        supports = [extract_fbank(_trim(a, params)) for a in episode.support]
-        scorer = lambda test: dtw_detect(supports, extract_fbank(_trim(test.audio, params)), config)
-    elif detector == "dtw_post":
-        config = replace(params.dtw, feature_space="posteriorgram")
-        supports = [_posteriorgram(a, params) for a in episode.support]
-        scorer = lambda test: dtw_detect(supports, _posteriorgram(test.audio, params), config)
-    else:
-        if detector == "query_by_string":
-            symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
-            model = model_from_labels(symbols, params.weights.alphabet)
-        else:
-            posts = [_posteriorgram(a, params) for a in episode.support]
-            model = learn(posts, params.beam_width, params.num_hypotheses)
-        aggregate = score_logsumexp_prior if detector == "donut_logsumexp" else score
-        scorer = lambda test: aggregate(model, _posteriorgram(test.audio, params))
+    family = _dtw_scores if detector.startswith("dtw_") else _ctc_scores
+    scores = family(detector, episode, params)
     return [
         ScoreRecord(
             episode_id=episode.episode_id,
-            score=scorer(test),
+            score=value,
             is_positive=test.is_positive,
             tag=test.tag,
             speaker_match=test.speaker_match,
         )
-        for test in episode.tests
+        for value, test in zip(scores, episode.tests)
     ]
 
 

@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer
 
 FULL_SCALE = 32768.0
+_BLOCK_FRAMES = 1024  # bounds the squared window copy classify_frames makes on long audio
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,10 @@ class VadConfig:
 def frame_dbfs(frame: np.ndarray) -> float:
     """RMS level of a window relative to int16 full scale; -inf for silence."""
     x = np.asarray(frame, dtype=np.float64) / FULL_SCALE
-    mean_square = float(np.mean(x * x))
+    return _dbfs(float(np.mean(x * x)))
+
+
+def _dbfs(mean_square: float) -> float:
     if mean_square <= 0.0:
         return float("-inf")
     return 10.0 * math.log10(mean_square)
@@ -54,7 +59,10 @@ class Vad:
         frame = np.asarray(frame)
         if frame.shape != (WINDOW_SAMPLES,):
             raise ValueError(f"VAD frames must have {WINDOW_SAMPLES} samples, got {frame.shape}")
-        if frame_dbfs(frame) >= self.config.energy_threshold_db:
+        return self._decide(frame_dbfs(frame))
+
+    def _decide(self, dbfs: float) -> bool:
+        if dbfs >= self.config.energy_threshold_db:
             self._hang = self.config.hangover_frames
             return True
         if self._hang > 0:
@@ -64,16 +72,23 @@ class Vad:
 
 
 def classify_frames(config: VadConfig, audio: AudioBuffer) -> list[bool]:
-    """Per-frame speech decisions (hangover applied) on the hop grid."""
-    detector = Vad(config)
-    n = len(audio.samples)
-    if n < WINDOW_SAMPLES:
+    """Per-frame speech decisions (hangover applied) on the hop grid.
+
+    Equal to stepping ``Vad(config).classify_frame`` over the windows: the
+    mean squares of a block of windows come from one numpy reduction over
+    the same window values, and levels and hangover stay scalar.
+    """
+    x = np.asarray(audio.samples, dtype=np.float64) / FULL_SCALE
+    if len(x) < WINDOW_SAMPLES:
         return []
-    count = 1 + (n - WINDOW_SAMPLES) // HOP_SAMPLES
-    return [
-        detector.classify_frame(audio.samples[t * HOP_SAMPLES : t * HOP_SAMPLES + WINDOW_SAMPLES])
-        for t in range(count)
-    ]
+    windows = sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    detector = Vad(config)
+    decisions = []
+    for start in range(0, len(windows), _BLOCK_FRAMES):
+        block = windows[start : start + _BLOCK_FRAMES]
+        for mean_square in np.mean(block * block, axis=1).tolist():
+            decisions.append(detector._decide(_dbfs(mean_square)))
+    return decisions
 
 
 def segment(config: VadConfig, audio: AudioBuffer) -> list[tuple[int, int]]:

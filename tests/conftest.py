@@ -111,3 +111,36 @@ def oracle_model():
     from wakespot.synth import oracle_weights
 
     return oracle_weights()
+
+
+def reference_dtw_cost(distances: np.ndarray) -> tuple[float, int]:
+    """Test oracle for ``dtw._dtw_costs``: the plain row-by-row DP over one
+    distance matrix, cell by cell in Python floats. Ties prefer diagonal,
+    then up (query advance), then left (test advance), with strict ``<``."""
+    n, m = distances.shape
+    d = distances.tolist()
+    inf = float("inf")
+    prev_cost = [inf] * m
+    prev_len = [0] * m
+    cost_row = [inf] * m
+    len_row = [0] * m
+    for i in range(n):
+        di = d[i]
+        for j in range(m):
+            if i == 0 and j == 0:
+                cost_row[0] = di[0]
+                len_row[0] = 1
+                continue
+            diag = prev_cost[j - 1] if (i > 0 and j > 0) else inf
+            up = prev_cost[j] if i > 0 else inf
+            left = cost_row[j - 1] if j > 0 else inf
+            best, steps = diag, (prev_len[j - 1] if j > 0 else 0)
+            if up < best:
+                best, steps = up, prev_len[j]
+            if left < best:
+                best, steps = left, len_row[j - 1]
+            cost_row[j] = best + di[j]
+            len_row[j] = steps + 1
+        prev_cost, cost_row = cost_row, prev_cost
+        prev_len, len_row = len_row, prev_len
+    return prev_cost[m - 1], prev_len[m - 1]

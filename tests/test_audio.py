@@ -199,6 +199,15 @@ class TestWavRoundTrip:
             read_wav(path)
 
 
+    def test_data_cut_on_a_sample_boundary_is_refused(self, tmp_path):
+        path = tmp_path / "t.wav"
+        write_wav(path, AudioBuffer(np.arange(-50, 50, dtype=np.int16)))
+        data = path.read_bytes()
+        assert len(data) == 244
+        path.write_bytes(data[:242])  # 99 whole samples left of the 100 the header claims
+        with pytest.raises(AudioError):
+            read_wav(path)
+
     def test_truncations_and_header_bit_flips_load_or_raise_audio_error(self, tmp_path):
         # the wave module meets these with EOFError, RuntimeError, or odd-length data
         path = tmp_path / "t.wav"

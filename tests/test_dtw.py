@@ -1,14 +1,26 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakespot.audio import FeatureSequence
-from wakespot.dtw import DtwConfig, dtw_detect, dtw_score, frame_distance_post
+from wakespot.dtw import (
+    DtwConfig,
+    _distance_matrices,
+    _dtw_costs,
+    _frames_and_space,
+    dtw_detect,
+    dtw_detect_all,
+    dtw_score,
+    frame_distance_post,
+)
 from wakespot.label_model import Posteriorgram
 
-from conftest import make_alphabet, random_posteriorgram
+from conftest import make_alphabet, random_posteriorgram, reference_dtw_cost
 
 
 def fbank_seq(rows):
@@ -219,3 +231,87 @@ class TestConfigValidation:
             DtwConfig(normalization="length")
         with pytest.raises(ValueError):
             DtwConfig(aggregation="min")
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_costs_equal_reference(matrices):
+    costs, lengths = _dtw_costs(matrices)
+    got = list(zip(map(bits, costs.tolist()), lengths.tolist()))
+    want = [(bits(cost), length) for cost, length in map(reference_dtw_cost, matrices)]
+    assert got == want
+
+
+@st.composite
+def ragged_distance_batches(draw):
+    """1-6 matrices of 1-12 by 1-12 quantized distances: equal path sums
+    force ties, and signed zeros show which operand a tie kept."""
+    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 0.1, 0.2, 0.3])
+    matrices = []
+    for _ in range(draw(st.integers(1, 6))):
+        n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        matrices.append(np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m))
+    return matrices
+
+
+class TestWavefront:
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_distance_batches())
+    def test_costs_and_path_lengths_equal_reference_property(self, matrices):
+        assert_costs_equal_reference(matrices)
+
+    def test_signed_zero_ties_keep_the_diagonal(self):
+        # every path costs zero; the diagonal carries -0.0 and must win the ties
+        matrix = np.array([[-0.0, 0.0], [0.0, -0.0]])
+        costs, lengths = _dtw_costs([matrix])
+        assert bits(costs[0]) == bits(-0.0) and lengths[0] == 2
+
+    def test_empty_batch(self):
+        costs, lengths = _dtw_costs([])
+        assert costs.shape == lengths.shape == (0,)
+
+    @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
+    def test_equals_reference_on_real_supports(self, real_episodes, space):
+        config = DtwConfig(feature_space=space)
+        for supports, tests in real_episodes[space]:
+            frames = [_frames_and_space(test, config) for test in tests]
+            for support in supports:
+                query = _frames_and_space(support, config)
+                assert_costs_equal_reference(_distance_matrices(query, frames, config))
+
+    @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
+    @pytest.mark.parametrize("aggregation", ["max", "mean"])
+    @pytest.mark.parametrize("normalization", ["none", "path_length"])
+    def test_detect_all_equals_detect_per_test(self, real_episodes, space, aggregation, normalization):
+        config = DtwConfig(feature_space=space, aggregation=aggregation, normalization=normalization)
+        for supports, tests in real_episodes[space]:
+            got = dtw_detect_all(supports, tests, config)
+            want = [dtw_detect(supports, test, config) for test in tests]
+            assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_detect_all_without_tests(self):
+        seq = fbank_seq(np.ones((2, 41)))
+        assert dtw_detect_all([seq], [], DtwConfig(feature_space="fbank")) == []
+        with pytest.raises(ValueError):
+            dtw_detect_all([], [seq], DtwConfig(feature_space="fbank"))
+
+
+@pytest.fixture(scope="module")
+def real_episodes(oracle_model):
+    """(supports, tests) per episode of ``generate_synthetic_episodes(7, 5)``,
+    featurized as the harness does, in both feature spaces."""
+    from wakespot.audio import extract_fbank, stack_frames
+    from wakespot.label_model import run
+    from wakespot.synth import generate_synthetic_episodes
+    from wakespot.vad import VadConfig, trim_to_speech
+
+    out = {"fbank": [], "posteriorgram": []}
+    for episode in generate_synthetic_episodes(7, 5):
+        recordings = [*episode.support, *(t.audio for t in episode.tests)]
+        fbanks = [extract_fbank(trim_to_speech(VadConfig(), a)[0]) for a in recordings]
+        posts = [run(oracle_model, stack_frames(f)) for f in fbanks]
+        for space, seqs in (("fbank", fbanks), ("posteriorgram", posts)):
+            out[space].append((seqs[:3], seqs[3:]))
+    return out

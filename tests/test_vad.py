@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakespot.audio import AudioBuffer, HOP_SAMPLES, WINDOW_SAMPLES
 from wakespot.vad import Vad, VadConfig, classify_frames, frame_dbfs, segment, span_samples, trim_to_speech
@@ -129,3 +131,46 @@ class TestTrim:
         trimmed, found = trim_to_speech(VadConfig(), audio)
         assert not found
         assert trimmed is audio
+
+
+@st.composite
+def vad_streams(draw):
+    """Hops of silence, of a constant level exactly on the threshold, one
+    step below it, or of noise, with a ragged tail; windows straddle them."""
+    level = draw(st.integers(1, 20000))
+    kinds = draw(st.lists(st.sampled_from(["zero", "on", "below", "noise"]), max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hops = {
+        "zero": lambda: silence(HOP_SAMPLES),
+        "on": lambda: np.full(HOP_SAMPLES, level, dtype=np.int16),
+        "below": lambda: np.full(HOP_SAMPLES, level - 1, dtype=np.int16),
+        "noise": lambda: rng.integers(-level, level + 1, size=HOP_SAMPLES).astype(np.int16),
+    }
+    parts = [hops[kind]() for kind in kinds]
+    parts.append(silence(draw(st.integers(0, WINDOW_SAMPLES))))
+    threshold = frame_dbfs(np.full(WINDOW_SAMPLES, level, dtype=np.int16))
+    config = VadConfig(energy_threshold_db=threshold, hangover_frames=draw(st.integers(0, 5)))
+    return config, AudioBuffer(np.concatenate(parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vad_streams())
+def test_classify_frames_equals_stepping_the_streaming_vad(case):
+    config, audio = case
+    detector = Vad(config)
+    n = len(audio.samples)
+    count = 1 + (n - WINDOW_SAMPLES) // HOP_SAMPLES if n >= WINDOW_SAMPLES else 0
+    expected = [
+        detector.classify_frame(audio.samples[t * HOP_SAMPLES : t * HOP_SAMPLES + WINDOW_SAMPLES])
+        for t in range(count)
+    ]
+    assert classify_frames(config, audio) == expected
+
+
+def test_frames_on_the_threshold_are_speech():
+    level = 1234
+    window = np.full(WINDOW_SAMPLES, level, dtype=np.int16)
+    config = VadConfig(energy_threshold_db=frame_dbfs(window), hangover_frames=0)
+    audio = AudioBuffer(np.concatenate([window, np.full(WINDOW_SAMPLES, level - 1, dtype=np.int16)]))
+    decisions = classify_frames(config, audio)
+    assert decisions[0] and not decisions[-1]
