@@ -66,12 +66,12 @@ from .wakeword import (
     StreamingDetector,
     WakewordModel,
     detect_stream,
+    featurize,
     learn,
     load_model,
     model_from_labels,
     save_model,
     score,
-    score_logsumexp_prior,
 )
 
 __version__ = "0.1.0"

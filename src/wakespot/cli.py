@@ -3,23 +3,32 @@
 Commands: featurize, posteriors, enroll, score, listen, baseline, eval,
 gen-episodes. Exit codes: 0 success, 1 usage error, 2 data or I/O error,
 3 internal error.
+
+Recordings become detector input through :func:`wakeword.featurize`.
+``enroll``, ``score``, ``baseline`` and ``eval`` use the VAD-trimmed speech
+of each recording, and ``listen`` scores each VAD segment of its stream, so
+a threshold read off ``score`` carries over to ``listen``; ``featurize``
+and ``posteriors`` write files of the whole recording.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
+import warnings
 
 from . import evaluation, synth
-from .audio import extract_fbank, read_wav, save_features, stack_frames
+from .audio import read_wav, save_features, stack_frames
 from .dtw import DtwConfig, dtw_detect
 from .errors import WakespotError
-from .label_model import load_weights, run, save_posteriorgram, save_weights
-from .vad import VadConfig, trim_to_speech
+from .label_model import load_weights, save_posteriorgram, save_weights
+from .vad import VadConfig
 from .wakeword import (
     AGGREGATIONS,
     aggregate,
     detect_stream,
+    featurize,
     hypothesis_logprobs,
     learn,
     load_model,
@@ -41,10 +50,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_vad_flags(parser):
     parser.add_argument("--vad-threshold-db", type=float, default=-40.0)
     parser.add_argument("--vad-hangover", type=int, default=20)
-    parser.add_argument("--vad-min-speech", type=int, default=10)
+    parser.add_argument("--vad-min-speech", type=_positive_int, default=10)
 
 
 def _vad_config(args) -> VadConfig:
@@ -73,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="model file to write")
     p.add_argument("wavs", nargs=3, metavar="wav")
     p.add_argument("--weights", required=True)
-    p.add_argument("--beam-width", type=int, default=100)
-    p.add_argument("--num-hypotheses", type=int, default=10)
+    p.add_argument("--beam-width", type=_positive_int, default=100)
+    p.add_argument("--num-hypotheses", type=_positive_int, default=10)
     p.add_argument("--threshold", type=float, default=None)
     _add_vad_flags(p)
 
@@ -83,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("--weights", required=True)
     p.add_argument("--aggregation", choices=AGGREGATIONS, default="weighted_sum")
+    _add_vad_flags(p)
 
     p = sub.add_parser("listen", help="stream a WAV through the online detector")
     p.add_argument("model")
@@ -90,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--threshold", type=float, required=True)
     p.add_argument("--aggregation", choices=AGGREGATIONS, default="weighted_sum")
-    p.add_argument("--chunk-samples", type=int, default=160)
+    p.add_argument("--chunk-samples", type=_positive_int, default=160)
     _add_vad_flags(p)
 
     p = sub.add_parser("baseline", help="DTW score of a test WAV against three supports")
@@ -107,15 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--detector", choices=evaluation.DETECTORS, required=True)
     p.add_argument("--weights")
-    p.add_argument("--beam-width", type=int, default=100)
-    p.add_argument("--num-hypotheses", type=int, default=10)
+    p.add_argument("--beam-width", type=_positive_int, default=100)
+    p.add_argument("--num-hypotheses", type=_positive_int, default=10)
     p.add_argument("--report", help="write the metrics report here as well")
     p.add_argument("--roc-points", help="write ROC sweep points as CSV")
     _add_vad_flags(p)
 
     p = sub.add_parser("gen-episodes", help="generate a synthetic episode suite")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=50)
+    p.add_argument("--count", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--clean", action="store_true", help="gentle noise settings")
     p.add_argument("--weights-out", help="also write the matching oracle weights")
@@ -123,15 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_post(weights, wav_path, vad_config=None, trim=False):
-    audio = read_wav(wav_path)
-    if trim:
-        audio, _ = trim_to_speech(vad_config or VadConfig(), audio)
-    return run(weights, stack_frames(extract_fbank(audio)))
-
-
 def cmd_featurize(args) -> int:
-    features = extract_fbank(read_wav(args.wav))
+    features = featurize(read_wav(args.wav))
     if args.stack:
         features = stack_frames(features)
     save_features(args.out, features)
@@ -140,8 +150,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_posteriors(args) -> int:
-    weights = load_weights(args.weights)
-    post = _load_post(weights, args.wav)
+    post = featurize(read_wav(args.wav), weights=load_weights(args.weights))
     save_posteriorgram(args.out, post)
     print(f"wrote {post.num_frames} x {post.num_symbols} posteriors to {args.out}")
     return EXIT_OK
@@ -152,8 +161,10 @@ def cmd_enroll(args) -> int:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
     weights = load_weights(args.weights)
     vad_config = _vad_config(args)
-    posts = [_load_post(weights, w, vad_config, trim=True) for w in args.wavs]
-    model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
+    posts = [featurize(read_wav(w), vad_config, weights) for w in args.wavs]
+    with warnings.catch_warnings():  # printed once below, from model.warnings
+        warnings.simplefilter("ignore", UserWarning)
+        model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
     save_model(args.out, model)
     for note in model.warnings:
         print(f"warning: {note}", file=sys.stderr)
@@ -171,7 +182,7 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
-    post = _load_post(weights, args.wav)
+    post = featurize(read_wav(args.wav), _vad_config(args), weights)
     logprobs = hypothesis_logprobs(model, post)
     for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
         symbols = " ".join(model.alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
@@ -183,11 +194,8 @@ def cmd_score(args) -> int:
 def cmd_listen(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
-    audio = read_wav(args.wav)
-    chunk = max(args.chunk_samples, 1)
-    chunks = (
-        audio.samples[i : i + chunk] for i in range(0, len(audio.samples), chunk)
-    )
+    samples, chunk = read_wav(args.wav).samples, args.chunk_samples
+    chunks = (samples[i : i + chunk] for i in range(0, len(samples), chunk))
     report = detect_stream(
         model,
         weights,
@@ -210,7 +218,6 @@ def cmd_listen(args) -> int:
 
 def cmd_baseline(args) -> int:
     config = DtwConfig(
-        feature_space="posteriorgram" if args.space == "post" else "fbank",
         smoothing=args.smoothing,
         normalization="none" if args.no_normalize else "path_length",
         aggregation=args.agg,
@@ -221,16 +228,8 @@ def cmd_baseline(args) -> int:
         if not args.weights:
             raise UsageError("--space post requires --weights")
         weights = load_weights(args.weights)
-
-    def prepare(path):
-        audio, _ = trim_to_speech(vad_config, read_wav(path))
-        features = extract_fbank(audio)
-        if weights is not None:
-            return run(weights, stack_frames(features))
-        return features
-
-    supports = [prepare(p) for p in args.supports]
-    value = dtw_detect(supports, prepare(args.test), config)
+    supports = [featurize(read_wav(p), vad_config, weights) for p in args.supports]
+    value = dtw_detect(supports, featurize(read_wav(args.test), vad_config, weights), config)
     print(f"score {value}")
     return EXIT_OK
 
@@ -281,6 +280,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    logging.basicConfig(format="warning: %(message)s")  # log warnings print like the CLI's own
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,12 +1,16 @@
 """Dynamic-time-warping baselines for query-by-example matching.
 
-Two feature spaces are supported: raw log-Mel features compared with the
-l2 norm, and posteriorgrams compared with a smoothed dot-product distance
+Two feature spaces are supported, and the type of the sequences selects
+the distance: filterbank features (``FeatureSequence``) are compared with
+the l2 norm, and posteriorgrams (``Posteriorgram``) with a smoothed
+dot-product distance
 
     d(p, q) = -log((lam*u + (1-lam)*p) . (lam*u + (1-lam)*q))
 
 where u is the uniform distribution over the K symbols and lam is a small
 smoothing constant that keeps the dot product positive for peaky rows.
+One call compares sequences of one type only; mixing them is a
+``TypeError``.
 
 The alignment is a full sequence-to-sequence DP with steps (1,0), (0,1)
 and (1,1), no band constraint; the cost of a path is the sum of frame
@@ -42,21 +46,17 @@ import numpy as np
 from .audio import FeatureSequence
 from .label_model import Posteriorgram
 
-FEATURE_SPACES = ("fbank", "posteriorgram")
 NORMALIZATIONS = ("none", "path_length")
 AGGREGATIONS = ("max", "mean")
 
 
 @dataclass(frozen=True)
 class DtwConfig:
-    feature_space: str = "posteriorgram"
     smoothing: float = 1e-5  # lambda in the posterior distance
     normalization: str = "path_length"
     aggregation: str = "max"
 
     def __post_init__(self):
-        if self.feature_space not in FEATURE_SPACES:
-            raise ValueError(f"feature_space must be one of {FEATURE_SPACES}")
         if not 0.0 < self.smoothing < 1.0:
             raise ValueError("smoothing must lie strictly between 0 and 1")
         if self.normalization not in NORMALIZATIONS:
@@ -94,26 +94,24 @@ def _fbank_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _frames_and_space(seq, config: DtwConfig) -> np.ndarray:
-    if isinstance(seq, Posteriorgram):
-        if config.feature_space != "posteriorgram":
-            raise TypeError("got a posteriorgram but the config selects fbank features")
-        return seq.rows
-    if isinstance(seq, FeatureSequence):
-        if config.feature_space != "fbank":
-            raise TypeError("got filterbank features but the config selects posteriorgrams")
-        return seq.frames
-    raise TypeError(f"unsupported sequence type {type(seq).__name__}")
+def _frames_and_space(sequences) -> tuple[list[np.ndarray], bool]:
+    """Each sequence's frames, and whether they are posteriorgram rows."""
+    if all(isinstance(seq, Posteriorgram) for seq in sequences):
+        return [seq.rows for seq in sequences], True
+    if all(isinstance(seq, FeatureSequence) for seq in sequences):
+        return [seq.frames for seq in sequences], False
+    kinds = sorted({type(seq).__name__ for seq in sequences})
+    raise TypeError(f"DTW compares FeatureSequences or Posteriorgrams, not a mix; got {kinds}")
 
 
-def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], config: DtwConfig) -> list[np.ndarray]:
-    """Frame distances between the query ``a`` and each test in ``tests``."""
+def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool, config: DtwConfig) -> list:
+    """Frame distances between the query ``a`` and each test (posteriorgram rows if ``post``)."""
     for b in tests:
         if a.shape[0] == 0 or b.shape[0] == 0:
             raise ValueError("DTW requires non-empty sequences")
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if config.feature_space == "posteriorgram":
+    if post:
         return [_post_distance_matrix(a, b, config.smoothing) for b in tests]
     # entries do not depend on their neighbours, so one matrix against every
     # test frame, split per test, holds the same values
@@ -182,11 +180,11 @@ def _dtw_costs(distance_matrices) -> tuple[np.ndarray, np.ndarray]:
     return costs, lengths
 
 
-def _support_scores(support, tests: list[np.ndarray], config: DtwConfig) -> list[float]:
-    """Scores of one support against every test's frames, in one wavefront."""
+def _support_scores(support: np.ndarray, tests: list, post: bool, config: DtwConfig) -> list[float]:
+    """Scores of one support's frames against every test's, in one wavefront."""
     if not tests:
         return []
-    costs, lengths = _dtw_costs(_distance_matrices(_frames_and_space(support, config), tests, config))
+    costs, lengths = _dtw_costs(_distance_matrices(support, tests, post, config))
     if config.normalization == "path_length":
         return (-costs / lengths).tolist()
     return (-costs).tolist()
@@ -194,8 +192,8 @@ def _support_scores(support, tests: list[np.ndarray], config: DtwConfig) -> list
 
 def dtw_score(query, test, config: DtwConfig | None = None) -> float:
     """Similarity score between two sequences; higher means more similar."""
-    config = config or DtwConfig()
-    return _support_scores(query, [_frames_and_space(test, config)], config)[0]
+    (query, test), post = _frames_and_space([query, test])
+    return _support_scores(query, [test], post, config or DtwConfig())[0]
 
 
 def dtw_detect_all(supports, tests, config: DtwConfig | None = None) -> list[float]:
@@ -207,8 +205,9 @@ def dtw_detect_all(supports, tests, config: DtwConfig | None = None) -> list[flo
     config = config or DtwConfig()
     if not supports:
         raise ValueError("need at least one support sequence")
-    frames = [_frames_and_space(test, config) for test in tests]
-    per_test = zip(*(_support_scores(support, frames, config) for support in supports))
+    frames, post = _frames_and_space([*supports, *tests])
+    supports, tests = frames[: len(supports)], frames[len(supports) :]
+    per_test = zip(*(_support_scores(support, tests, post, config) for support in supports))
     if config.aggregation == "max":
         return [max(scores) for scores in per_test]
     return [sum(scores) / len(scores) for scores in per_test]

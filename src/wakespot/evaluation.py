@@ -10,24 +10,27 @@ Mann-Whitney statistic with ties counted half.
 
 The harness enrolls each detector on the supports, scores every test, and
 reports overall metrics plus splits by negative tag and speaker match.
+Every recording becomes detector input through :func:`wakeword.featurize`,
+the one recipe (VAD trim, filterbank, and for all detectors but
+``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .audio import AudioBuffer, FeatureSequence, extract_fbank, read_wav, stack_frames, write_wav
-from .ctc import NEG_INF
+from .audio import AudioBuffer, read_wav, write_wav
 from .dtw import DtwConfig, dtw_detect_all
 from .errors import FileFormatError, WakespotError
-from .label_model import GruWeights, LabelAlphabet, Posteriorgram, run
-from .vad import VadConfig, trim_to_speech
-from .wakeword import WakewordModel, learn, model_from_labels, score, score_logsumexp_prior
+from .label_model import GruWeights, LabelAlphabet
+from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
+from .vad import VadConfig
+from .wakeword import featurize, learn, model_from_labels, score
 
 logger = logging.getLogger(__name__)
 
@@ -171,28 +174,11 @@ class HarnessReport:
     episodes_skipped: int
 
 
-def _trim(audio: AudioBuffer, params: HarnessParams) -> AudioBuffer:
-    trimmed, found = trim_to_speech(params.vad, audio)
-    if not found:
-        logger.warning("no speech found by VAD; using the whole recording")
-    return trimmed
-
-
-def _fbank(audio: AudioBuffer, params: HarnessParams) -> FeatureSequence:
-    return extract_fbank(_trim(audio, params))
-
-
-def _posteriorgram(audio: AudioBuffer, params: HarnessParams) -> Posteriorgram:
-    return run(params.weights, stack_frames(_fbank(audio, params)))
-
-
 def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
-    if detector == "dtw_fbank":
-        featurize, config = _fbank, replace(params.dtw, feature_space="fbank")
-    else:
-        featurize, config = _posteriorgram, replace(params.dtw, feature_space="posteriorgram")
-    supports = [featurize(a, params) for a in episode.support]
-    return dtw_detect_all(supports, [featurize(t.audio, params) for t in episode.tests], config)
+    weights = None if detector == "dtw_fbank" else params.weights
+    supports = [featurize(a, params.vad, weights) for a in episode.support]
+    tests = [featurize(t.audio, params.vad, weights) for t in episode.tests]
+    return dtw_detect_all(supports, tests, params.dtw)
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
@@ -200,10 +186,13 @@ def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
         model = model_from_labels(symbols, params.weights.alphabet)
     else:
-        posts = [_posteriorgram(a, params) for a in episode.support]
+        posts = [featurize(a, params.vad, params.weights) for a in episode.support]
         model = learn(posts, params.beam_width, params.num_hypotheses)
-    aggregate = score_logsumexp_prior if detector == "donut_logsumexp" else score
-    return [aggregate(model, _posteriorgram(t.audio, params)) for t in episode.tests]
+    aggregation = "logsumexp_prior" if detector == "donut_logsumexp" else "weighted_sum"
+    return [
+        score(model, featurize(t.audio, params.vad, params.weights), aggregation)
+        for t in episode.tests
+    ]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

@@ -52,9 +52,6 @@ class Vad:
         self.config = config or VadConfig()
         self._hang = 0
 
-    def reset(self) -> None:
-        self._hang = 0
-
     def classify_frame(self, frame: np.ndarray) -> bool:
         frame = np.asarray(frame)
         if frame.shape != (WINDOW_SAMPLES,):

@@ -35,6 +35,7 @@ A model may also be built directly from a provided label sequence
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field, replace
@@ -42,18 +43,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, frame_fbank
+from .audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES, AudioBuffer, FeatureSequence
+from .audio import extract_fbank, frame_fbank, stack_frames
 from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
 from .errors import FileFormatError, NonFiniteError
-from .label_model import (
-    BLANK_INDEX,
-    GruWeights,
-    LabelAlphabet,
-    Posteriorgram,
-    gru_step,
-    init_state,
-)
-from .vad import Vad, VadConfig
+from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
+from .label_model import gru_step, init_state, run
+from .vad import Vad, VadConfig, trim_to_speech
+
+logger = logging.getLogger(__name__)
 
 ENROLL_LOGPROB_CEILING = -1e-6
 
@@ -203,18 +201,14 @@ def hypothesis_logprobs(model: WakewordModel, post: Posteriorgram) -> np.ndarray
     return _scored_lattice(model, post).finalize()
 
 
-def score(model: WakewordModel, post: Posteriorgram) -> float:
-    """Confidence-weighted sum of per-hypothesis forward log probabilities.
+def score(model: WakewordModel, post: Posteriorgram, aggregation: str = "weighted_sum") -> float:
+    """Per-hypothesis forward log probabilities combined by :func:`aggregate`.
 
-    A hypothesis with no valid alignment contributes -inf, which makes the
-    whole score -inf; such audio simply fails any finite threshold.
+    With the default confidence-weighted sum, a hypothesis with no valid
+    alignment contributes -inf, which makes the whole score -inf; such
+    audio simply fails any finite threshold.
     """
-    return aggregate(model, hypothesis_logprobs(model, post), "weighted_sum")
-
-
-def score_logsumexp_prior(model: WakewordModel, post: Posteriorgram) -> float:
-    """logsumexp of (enrollment log prob + test log prob) over hypotheses."""
-    return aggregate(model, hypothesis_logprobs(model, post), "logsumexp_prior")
+    return aggregate(model, hypothesis_logprobs(model, post), aggregation)
 
 
 @dataclass(frozen=True)
@@ -331,6 +325,26 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
         kept_per_example=kept,
         threshold=threshold,
     )
+
+
+def featurize(
+    audio: AudioBuffer, vad: VadConfig | None = None, weights: GruWeights | None = None
+) -> FeatureSequence | Posteriorgram:
+    """Detector input of one recording in batch; :class:`StreamingDetector` is its twin.
+
+    With ``vad`` the recording is trimmed to the span from its first to its
+    last utterance (kept whole, with a logged warning, when the VAD finds no
+    speech). Returns the 100 Hz filterbank frames when ``weights`` is None,
+    else the label model's posteriorgram of their stacked 50 Hz frames.
+    """
+    if vad is not None:
+        audio, found = trim_to_speech(vad, audio)
+        if not found:
+            logger.warning("no speech found by VAD; using the whole recording")
+    features = extract_fbank(audio)
+    if weights is None:
+        return features
+    return run(weights, stack_frames(features))
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ def test_criterion_04_beam_search_exactness():
 
 def test_criterion_05_dtw_oracle_equivalence():
     rng = np.random.default_rng(20250813)
-    config = DtwConfig(feature_space="fbank", normalization="none")
+    config = DtwConfig(normalization="none")
     for _ in range(200):
         n, m = rng.integers(1, 6, size=2)
         a = fbank_seq(rng.normal(size=(int(n), 41)))

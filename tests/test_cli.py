@@ -260,3 +260,74 @@ def test_eval_dtw_fbank_needs_no_weights(world, tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert "overall eer" in capsys.readouterr().out
+
+
+def _enroll(world, model_path):
+    args = ["enroll", str(model_path), *[str(w) for w in world["wavs"]]]
+    args += ["--weights", str(world["weights"]), "--beam-width", "20", "--num-hypotheses", "3"]
+    assert main(args) == EXIT_OK
+
+
+@pytest.mark.parametrize("wav", ["probe", "distractor"])
+def test_score_equals_the_streaming_event_bit_for_bit(world, tmp_path, capsys, wav):
+    from wakespot.label_model import load_weights
+    from wakespot.wakeword import detect_stream, load_model
+
+    model_path = tmp_path / "word.model"
+    _enroll(world, model_path)
+    capsys.readouterr()
+    assert main(["score", str(model_path), str(world[wav]), "--weights", str(world["weights"])]) == EXIT_OK
+    batch = float(capsys.readouterr().out.strip().splitlines()[-1].split()[-1])
+    weights = load_weights(world["weights"])
+    samples = read_wav(world[wav]).samples
+    chunks = (samples[i : i + 160] for i in range(0, len(samples), 160))
+    report = detect_stream(load_model(model_path, weights.alphabet), weights, chunks, -np.inf)
+    assert [event.score for event in report.events] == [batch]
+
+
+def test_enroll_prints_each_degenerate_note_once(world, tmp_path, capsys):
+    import warnings
+
+    from wakespot.audio import AudioBuffer
+
+    rng = np.random.default_rng(3)
+    wavs = []
+    for i in range(3):  # white noise at -60 dBFS: no speech, and only blanks from the GRU
+        wavs.append(tmp_path / f"noise_{i}.wav")
+        write_wav(wavs[-1], AudioBuffer(np.round(rng.normal(0.0, 32.768, 16000)).astype(np.int16)))
+    args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main([*args, "--num-hypotheses", "1"]) == EXIT_OK
+    assert not [w for w in escaped if issubclass(w.category, UserWarning)]
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if "empty sequence" in line] == [
+        f"warning: training example {i}: decoder produced only the empty sequence; "
+        "the model may be degenerate"
+        for i in range(3)
+    ]
+    assert all(line.startswith("warning: ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("enroll", ["--beam-width", "0", "--num-hypotheses", "0"]),
+        ("enroll", ["--num-hypotheses", "-1"]),
+        ("enroll", ["--vad-min-speech", "0"]),
+        ("listen", ["--chunk-samples", "0"]),
+        ("listen", ["--chunk-samples", "-5"]),
+        ("eval", ["--beam-width", "0"]),
+        ("gen-episodes", ["--count", "0"]),
+    ],
+)
+def test_non_positive_numeric_flags_are_usage_errors(world, tmp_path, capsys, command, flags):
+    weights = ["--weights", str(world["weights"])]
+    args = {
+        "enroll": [str(tmp_path / "m.model"), *map(str, world["wavs"]), *weights],
+        "listen": [str(tmp_path / "m.model"), str(world["probe"]), *weights, "--threshold", "0"],
+        "eval": ["--manifest", str(tmp_path / "manifest.txt"), "--detector", "dtw_fbank"],
+        "gen-episodes": ["--out", str(tmp_path / "suite")],
+    }[command]
+    assert main([command, *args, *flags]) == EXIT_USAGE
+    assert "must be a positive integer" in capsys.readouterr().err

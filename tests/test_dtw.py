@@ -106,21 +106,21 @@ class TestDtwScore:
         rng = np.random.default_rng(5)
         seq = fbank_seq(rng.normal(size=(6, 41)))
         for norm in ("none", "path_length"):
-            config = DtwConfig(feature_space="fbank", normalization=norm)
+            config = DtwConfig(normalization=norm)
             assert dtw_score(seq, seq, config) == 0.0
 
     def test_single_frame_query_forces_path(self):
         rng = np.random.default_rng(6)
         q = rng.normal(size=(1, 41))
         t = rng.normal(size=(4, 41))
-        config = DtwConfig(feature_space="fbank", normalization="none")
+        config = DtwConfig(normalization="none")
         got = dtw_score(fbank_seq(q), fbank_seq(t), config)
         expected = -sum(float(np.linalg.norm(q[0] - t[i])) for i in range(4))
         assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_matches_exhaustive_path_oracle_exactly(self):
         rng = np.random.default_rng(7)
-        config = DtwConfig(feature_space="fbank", normalization="none")
+        config = DtwConfig(normalization="none")
         for _ in range(60):
             n, m = rng.integers(1, 6, size=2)
             a = fbank_seq(rng.normal(size=(n, 41)))
@@ -131,7 +131,7 @@ class TestDtwScore:
 
     def test_posterior_space_matches_oracle(self):
         rng = np.random.default_rng(8)
-        config = DtwConfig(feature_space="posteriorgram", normalization="none", smoothing=1e-5)
+        config = DtwConfig(normalization="none", smoothing=1e-5)
         for _ in range(30):
             n, m = rng.integers(1, 6, size=2)
             a = random_posteriorgram(rng, int(n), 4)
@@ -150,7 +150,7 @@ class TestDtwScore:
 
     def test_cost_monotone_when_extending_test(self):
         rng = np.random.default_rng(9)
-        config = DtwConfig(feature_space="fbank", normalization="none")
+        config = DtwConfig(normalization="none")
         a = fbank_seq(rng.normal(size=(4, 41)))
         b_rows = rng.normal(size=(5, 41))
         far = rng.normal(size=(2, 41)) + 50.0
@@ -163,26 +163,24 @@ class TestDtwScore:
         feats = fbank_seq(rng.normal(size=(3, 41)))
         post = random_posteriorgram(rng, 3, 4)
         with pytest.raises(TypeError):
-            dtw_score(feats, feats, DtwConfig(feature_space="posteriorgram"))
+            dtw_score(feats, post)
         with pytest.raises(TypeError):
-            dtw_score(post, post, DtwConfig(feature_space="fbank"))
-        with pytest.raises(TypeError):
-            dtw_score(feats, post, DtwConfig(feature_space="fbank"))
+            dtw_detect_all([feats], [feats, post])
 
     def test_empty_rejected(self):
         feats = fbank_seq(np.zeros((0, 41)))
         with pytest.raises(ValueError):
-            dtw_score(feats, feats, DtwConfig(feature_space="fbank"))
+            dtw_score(feats, feats)
 
     def test_path_normalization_divides_by_path_cells(self):
         rng = np.random.default_rng(11)
         a = fbank_seq(rng.normal(size=(3, 41)))
-        raw = dtw_score(a, a, DtwConfig(feature_space="fbank", normalization="none"))
-        normalized = dtw_score(a, a, DtwConfig(feature_space="fbank", normalization="path_length"))
+        raw = dtw_score(a, a, DtwConfig(normalization="none"))
+        normalized = dtw_score(a, a, DtwConfig(normalization="path_length"))
         assert raw == normalized == 0.0
         b = fbank_seq(rng.normal(size=(3, 41)))
-        raw = dtw_score(a, b, DtwConfig(feature_space="fbank", normalization="none"))
-        normalized = dtw_score(a, b, DtwConfig(feature_space="fbank", normalization="path_length"))
+        raw = dtw_score(a, b, DtwConfig(normalization="none"))
+        normalized = dtw_score(a, b, DtwConfig(normalization="path_length"))
         assert normalized >= raw  # dividing a negative score by path length shrinks it
 
 
@@ -191,14 +189,14 @@ class TestDtwDetect:
         rng = np.random.default_rng(12)
         seq = fbank_seq(rng.normal(size=(5, 41)))
         other = fbank_seq(rng.normal(size=(5, 41)))
-        config = DtwConfig(feature_space="fbank", normalization="none", aggregation="max")
+        config = DtwConfig(normalization="none", aggregation="max")
         assert dtw_detect([other, seq, other], seq, config) == 0.0
 
     def test_all_supports_identical(self):
         rng = np.random.default_rng(13)
         support = fbank_seq(rng.normal(size=(4, 41)))
         test = fbank_seq(rng.normal(size=(6, 41)))
-        config = DtwConfig(feature_space="fbank")
+        config = DtwConfig()
         assert dtw_detect([support] * 3, test, config) == dtw_score(support, test, config)
 
     def test_support_permutation_invariance(self):
@@ -206,7 +204,7 @@ class TestDtwDetect:
         supports = [fbank_seq(rng.normal(size=(4, 41))) for _ in range(3)]
         test = fbank_seq(rng.normal(size=(5, 41)))
         for agg in ("max", "mean"):
-            config = DtwConfig(feature_space="fbank", aggregation=agg)
+            config = DtwConfig(aggregation=agg)
             base = dtw_detect(supports, test, config)
             assert dtw_detect(supports[::-1], test, config) == pytest.approx(base, abs=1e-12)
 
@@ -214,15 +212,13 @@ class TestDtwDetect:
         rng = np.random.default_rng(15)
         supports = [fbank_seq(rng.normal(size=(4, 41))) for _ in range(3)]
         test = fbank_seq(rng.normal(size=(5, 41)))
-        config = DtwConfig(feature_space="fbank", aggregation="mean")
+        config = DtwConfig(aggregation="mean")
         scores = [dtw_score(s, test, config) for s in supports]
         assert dtw_detect(supports, test, config) == pytest.approx(sum(scores) / 3)
 
 
 class TestConfigValidation:
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            DtwConfig(feature_space="mfcc")
         with pytest.raises(ValueError):
             DtwConfig(smoothing=0.0)
         with pytest.raises(ValueError):
@@ -274,18 +270,16 @@ class TestWavefront:
 
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
     def test_equals_reference_on_real_supports(self, real_episodes, space):
-        config = DtwConfig(feature_space=space)
         for supports, tests in real_episodes[space]:
-            frames = [_frames_and_space(test, config) for test in tests]
-            for support in supports:
-                query = _frames_and_space(support, config)
-                assert_costs_equal_reference(_distance_matrices(query, frames, config))
+            frames, post = _frames_and_space(tests)
+            for query in _frames_and_space(supports)[0]:
+                assert_costs_equal_reference(_distance_matrices(query, frames, post, DtwConfig()))
 
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
     @pytest.mark.parametrize("aggregation", ["max", "mean"])
     @pytest.mark.parametrize("normalization", ["none", "path_length"])
     def test_detect_all_equals_detect_per_test(self, real_episodes, space, aggregation, normalization):
-        config = DtwConfig(feature_space=space, aggregation=aggregation, normalization=normalization)
+        config = DtwConfig(aggregation=aggregation, normalization=normalization)
         for supports, tests in real_episodes[space]:
             got = dtw_detect_all(supports, tests, config)
             want = [dtw_detect(supports, test, config) for test in tests]
@@ -293,25 +287,23 @@ class TestWavefront:
 
     def test_detect_all_without_tests(self):
         seq = fbank_seq(np.ones((2, 41)))
-        assert dtw_detect_all([seq], [], DtwConfig(feature_space="fbank")) == []
+        assert dtw_detect_all([seq], []) == []
         with pytest.raises(ValueError):
-            dtw_detect_all([], [seq], DtwConfig(feature_space="fbank"))
+            dtw_detect_all([], [seq])
 
 
 @pytest.fixture(scope="module")
 def real_episodes(oracle_model):
     """(supports, tests) per episode of ``generate_synthetic_episodes(7, 5)``,
     featurized as the harness does, in both feature spaces."""
-    from wakespot.audio import extract_fbank, stack_frames
-    from wakespot.label_model import run
     from wakespot.synth import generate_synthetic_episodes
-    from wakespot.vad import VadConfig, trim_to_speech
+    from wakespot.vad import VadConfig
+    from wakespot.wakeword import featurize
 
     out = {"fbank": [], "posteriorgram": []}
     for episode in generate_synthetic_episodes(7, 5):
         recordings = [*episode.support, *(t.audio for t in episode.tests)]
-        fbanks = [extract_fbank(trim_to_speech(VadConfig(), a)[0]) for a in recordings]
-        posts = [run(oracle_model, stack_frames(f)) for f in fbanks]
-        for space, seqs in (("fbank", fbanks), ("posteriorgram", posts)):
+        for space, weights in (("fbank", None), ("posteriorgram", oracle_model)):
+            seqs = [featurize(a, VadConfig(), weights) for a in recordings]
             out[space].append((seqs[:3], seqs[3:]))
     return out

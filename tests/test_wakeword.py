@@ -20,20 +20,20 @@ from wakespot.audio import (
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.errors import FileFormatError, NonFiniteError
 from wakespot.label_model import Posteriorgram, run
-from wakespot.vad import VadConfig, segment, span_samples
+from wakespot.vad import VadConfig, segment, span_samples, trim_to_speech
 from wakespot.wakeword import (
     Hypothesis,
     StreamingDetector,
     WakewordModel,
     aggregate,
     detect_stream,
+    featurize,
     hypothesis_logprobs,
     learn,
     load_model,
     model_from_labels,
     save_model,
     score,
-    score_logsumexp_prior,
     score_with_stats,
     weight_from_logprob,
 )
@@ -220,7 +220,7 @@ class TestLogsumexpAggregation:
         post = peaky_posteriorgram((1,), alphabet)
         lp = forward_logprob(post, (1,))
         model = model_with([Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0)], alphabet)
-        assert score_logsumexp_prior(model, post) == pytest.approx(-1.0 + lp, abs=1e-12)
+        assert score(model, post, "logsumexp_prior") == pytest.approx(-1.0 + lp, abs=1e-12)
 
     def test_two_equal_terms_add_log2(self):
         alphabet = make_alphabet(2)
@@ -228,15 +228,15 @@ class TestLogsumexpAggregation:
         lp = forward_logprob(post, (1,))
         hyp = Hypothesis(labels=(1,), enroll_logprob=-3.0, weight=weight_from_logprob(-3.0))
         model = model_with([hyp, Hypothesis(labels=(1,), enroll_logprob=-3.0, weight=0.3)], alphabet)
-        assert score_logsumexp_prior(model, post) == pytest.approx(-3.0 + lp + math.log(2), abs=1e-12)
+        assert score(model, post, "logsumexp_prior") == pytest.approx(-3.0 + lp + math.log(2), abs=1e-12)
 
     def test_dominated_term_negligible(self):
         alphabet = make_alphabet(2)
         post = peaky_posteriorgram((1,), alphabet)
         strong = Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0)
         weak = Hypothesis(labels=(1, 1), enroll_logprob=-1000.0, weight=0.001)
-        with_weak = score_logsumexp_prior(model_with([strong, weak], alphabet), post)
-        alone = score_logsumexp_prior(model_with([strong], alphabet), post)
+        with_weak = score(model_with([strong, weak], alphabet), post, "logsumexp_prior")
+        alone = score(model_with([strong], alphabet), post, "logsumexp_prior")
         assert abs(with_weak - alone) < 1e-6
 
 
@@ -430,6 +430,33 @@ def enrolled_fixture(seed=0):
     posts = [run(weights, stack_frames(extract_fbank(a))) for a in supports]
     model = learn(posts, beam_width=20, num_hypotheses=3)
     return weights, model, target, speaker, cfg, rng
+
+
+class TestFeaturize:
+    def test_is_trim_fbank_stack_and_gru(self):
+        weights = synth.oracle_weights()
+        rng = np.random.default_rng(9)
+        speaker = synth.Speaker(pitch=1.0, rate=1.0, gain_db=0.0)
+        audio = synth.render_utterance((2, 5, 9), speaker, rng, synth.EpisodeConfig.clean())
+        trimmed, found = trim_to_speech(VadConfig(), audio)
+        assert found and len(trimmed.samples) < len(audio.samples)
+        fbank = featurize(audio, VadConfig())
+        assert fbank.frames.tobytes() == extract_fbank(trimmed).frames.tobytes()
+        assert featurize(audio).frames.tobytes() == extract_fbank(audio).frames.tobytes()
+        post = featurize(audio, VadConfig(), weights)
+        assert post.rows.tobytes() == run(weights, stack_frames(fbank)).rows.tobytes()
+
+    def test_no_speech_keeps_the_whole_recording_and_warns(self, caplog):
+        audio = AudioBuffer(np.zeros(4000, dtype=np.int16))
+        with caplog.at_level("WARNING", logger="wakespot"):
+            fbank = featurize(audio, VadConfig())
+        assert fbank.num_frames == extract_fbank(audio).num_frames
+        assert [r.getMessage() for r in caplog.records] == [
+            "no speech found by VAD; using the whole recording"
+        ]
+        caplog.clear()
+        featurize(audio)
+        assert not caplog.records
 
 
 class TestStreamingDetector:
