@@ -57,9 +57,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_vad_flags(parser):
     parser.add_argument("--vad-threshold-db", type=float, default=-40.0)
-    parser.add_argument("--vad-hangover", type=int, default=20)
+    parser.add_argument("--vad-hangover", type=_non_negative_int, default=20)
     parser.add_argument("--vad-min-speech", type=_positive_int, default=10)
 
 
@@ -141,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_featurize(args) -> int:
-    features = featurize(read_wav(args.wav))
+    features = featurize([read_wav(args.wav)])[0]
     if args.stack:
         features = stack_frames(features)
     save_features(args.out, features)
@@ -150,7 +157,7 @@ def cmd_featurize(args) -> int:
 
 
 def cmd_posteriors(args) -> int:
-    post = featurize(read_wav(args.wav), weights=load_weights(args.weights))
+    post = featurize([read_wav(args.wav)], weights=load_weights(args.weights))[0]
     save_posteriorgram(args.out, post)
     print(f"wrote {post.num_frames} x {post.num_symbols} posteriors to {args.out}")
     return EXIT_OK
@@ -160,8 +167,7 @@ def cmd_enroll(args) -> int:
     if args.num_hypotheses > args.beam_width:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
     weights = load_weights(args.weights)
-    vad_config = _vad_config(args)
-    posts = [featurize(read_wav(w), vad_config, weights) for w in args.wavs]
+    posts = featurize([read_wav(w) for w in args.wavs], _vad_config(args), weights)
     with warnings.catch_warnings():  # printed once below, from model.warnings
         warnings.simplefilter("ignore", UserWarning)
         model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
@@ -182,7 +188,7 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
-    post = featurize(read_wav(args.wav), _vad_config(args), weights)
+    post = featurize([read_wav(args.wav)], _vad_config(args), weights)[0]
     logprobs = hypothesis_logprobs(model, post)
     for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
         symbols = " ".join(model.alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
@@ -222,14 +228,14 @@ def cmd_baseline(args) -> int:
         normalization="none" if args.no_normalize else "path_length",
         aggregation=args.agg,
     )
-    vad_config = _vad_config(args)
     weights = None
     if args.space == "post":
         if not args.weights:
             raise UsageError("--space post requires --weights")
         weights = load_weights(args.weights)
-    supports = [featurize(read_wav(p), vad_config, weights) for p in args.supports]
-    value = dtw_detect(supports, featurize(read_wav(args.test), vad_config, weights), config)
+    wavs = [*args.supports, args.test]
+    *supports, test = featurize([read_wav(p) for p in wavs], _vad_config(args), weights)
+    value = dtw_detect(supports, test, config)
     print(f"score {value}")
     return EXIT_OK
 

@@ -13,6 +13,10 @@ reports overall metrics plus splits by negative tag and speaker match.
 Every recording becomes detector input through :func:`wakeword.featurize`,
 the one recipe (VAD trim, filterbank, and for all detectors but
 ``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
+Each detector makes one ``featurize`` call per episode, over its supports
+and tests together (``query_by_string``, which enrolls from the target
+labels, passes only the tests), so the label model steps all of an
+episode's recordings in lockstep.
 """
 
 from __future__ import annotations
@@ -176,23 +180,25 @@ class HarnessReport:
 
 def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
     weights = None if detector == "dtw_fbank" else params.weights
-    supports = [featurize(a, params.vad, weights) for a in episode.support]
-    tests = [featurize(t.audio, params.vad, weights) for t in episode.tests]
-    return dtw_detect_all(supports, tests, params.dtw)
+    recordings = [*episode.support, *(t.audio for t in episode.tests)]
+    sequences = featurize(recordings, params.vad, weights)
+    supports = len(episode.support)
+    return dtw_detect_all(sequences[:supports], sequences[supports:], params.dtw)
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+    tests = [t.audio for t in episode.tests]
     if detector == "query_by_string":
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
         model = model_from_labels(symbols, params.weights.alphabet)
+        posts = featurize(tests, params.vad, params.weights)
     else:
-        posts = [featurize(a, params.vad, params.weights) for a in episode.support]
-        model = learn(posts, params.beam_width, params.num_hypotheses)
+        posts = featurize([*episode.support, *tests], params.vad, params.weights)
+        supports = len(episode.support)
+        model = learn(posts[:supports], params.beam_width, params.num_hypotheses)
+        posts = posts[supports:]
     aggregation = "logsumexp_prior" if detector == "donut_logsumexp" else "weighted_sum"
-    return [
-        score(model, featurize(t.audio, params.vad, params.weights), aggregation)
-        for t in episode.tests
-    ]
+    return [score(model, post, aggregation) for post in posts]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

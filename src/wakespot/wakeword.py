@@ -48,7 +48,7 @@ from .audio import extract_fbank, frame_fbank, stack_frames
 from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
 from .errors import FileFormatError, NonFiniteError
 from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
-from .label_model import gru_step, init_state, run
+from .label_model import gru_step, init_state, run_batch
 from .vad import Vad, VadConfig, trim_to_speech
 
 logger = logging.getLogger(__name__)
@@ -328,23 +328,33 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
 
 
 def featurize(
-    audio: AudioBuffer, vad: VadConfig | None = None, weights: GruWeights | None = None
-) -> FeatureSequence | Posteriorgram:
-    """Detector input of one recording in batch; :class:`StreamingDetector` is its twin.
+    recordings: Sequence[AudioBuffer],
+    vad: VadConfig | None = None,
+    weights: GruWeights | None = None,
+) -> list[FeatureSequence] | list[Posteriorgram]:
+    """Detector input of each recording in batch; :class:`StreamingDetector` is its twin.
 
-    With ``vad`` the recording is trimmed to the span from its first to its
-    last utterance (kept whole, with a logged warning, when the VAD finds no
-    speech). Returns the 100 Hz filterbank frames when ``weights`` is None,
-    else the label model's posteriorgram of their stacked 50 Hz frames.
+    With ``vad`` each recording is trimmed to the span from its first to its
+    last utterance (kept whole, with a logged warning that gives its
+    position in ``recordings``, when the VAD finds no speech). Returns the
+    100 Hz filterbank frames of each recording when ``weights`` is None,
+    else the label model's posteriorgrams of their stacked 50 Hz frames,
+    stepped together by :func:`label_model.run_batch`.
     """
-    if vad is not None:
-        audio, found = trim_to_speech(vad, audio)
-        if not found:
-            logger.warning("no speech found by VAD; using the whole recording")
-    features = extract_fbank(audio)
+    features = []
+    for i, audio in enumerate(recordings):
+        if vad is not None:
+            audio, found = trim_to_speech(vad, audio)
+            if not found:
+                logger.warning(
+                    "no speech found by VAD in recording %d of %d; using the whole recording",
+                    i + 1,
+                    len(recordings),
+                )
+        features.append(extract_fbank(audio))
     if weights is None:
         return features
-    return run(weights, stack_frames(features))
+    return run_batch(weights, [stack_frames(f) for f in features])
 
 
 @dataclass(frozen=True)

@@ -331,3 +331,38 @@ def test_non_positive_numeric_flags_are_usage_errors(world, tmp_path, capsys, co
     }[command]
     assert main([command, *args, *flags]) == EXIT_USAGE
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enroll", "listen"])
+def test_negative_vad_hangover_is_a_usage_error(world, tmp_path, capsys, command):
+    weights = ["--weights", str(world["weights"])]
+    args = {
+        "enroll": [str(tmp_path / "m.model"), *map(str, world["wavs"]), *weights],
+        "listen": [str(tmp_path / "m.model"), str(world["probe"]), *weights, "--threshold", "0"],
+    }[command]
+    assert main([command, *args, "--vad-hangover", "-1"]) == EXIT_USAGE
+    assert "must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_zero_vad_hangover_is_accepted(world, capsys):
+    supports = map(str, world["wavs"])
+    args = ["baseline", *supports, str(world["probe"]), "--space", "fbank", "--vad-hangover", "0"]
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.startswith("score ")
+
+
+def test_enroll_names_each_recording_without_speech(world, tmp_path, caplog):
+    from wakespot.audio import AudioBuffer
+
+    rng = np.random.default_rng(3)
+    wavs = []
+    for i in range(3):  # white noise at -60 dBFS: the VAD finds no speech in any of them
+        wavs.append(tmp_path / f"noise_{i}.wav")
+        write_wav(wavs[-1], AudioBuffer(np.round(rng.normal(0.0, 32.768, 16000)).astype(np.int16)))
+    args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
+    with caplog.at_level("WARNING", logger="wakespot"):
+        assert main([*args, "--num-hypotheses", "1"]) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if "no speech" in r.getMessage()] == [
+        f"no speech found by VAD in recording {i} of 3; using the whole recording"
+        for i in (1, 2, 3)
+    ]

@@ -304,6 +304,6 @@ def real_episodes(oracle_model):
     for episode in generate_synthetic_episodes(7, 5):
         recordings = [*episode.support, *(t.audio for t in episode.tests)]
         for space, weights in (("fbank", None), ("posteriorgram", oracle_model)):
-            seqs = [featurize(a, VadConfig(), weights) for a in recordings]
+            seqs = featurize(recordings, VadConfig(), weights)
             out[space].append((seqs[:3], seqs[3:]))
     return out

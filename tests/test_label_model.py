@@ -1,8 +1,12 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wakespot import container
-from wakespot.audio import FeatureSequence
+from wakespot import container, synth
+from wakespot.audio import FeatureSequence, extract_fbank, stack_frames
 from wakespot.errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
 from wakespot.label_model import (
     GruWeights,
@@ -14,6 +18,7 @@ from wakespot.label_model import (
     load_weights,
     random_weights,
     run,
+    run_batch,
     save_posteriorgram,
     save_weights,
     zero_weights,
@@ -122,6 +127,66 @@ class TestRun:
             frames[t, t] = 1.0
         post = run(oracle, FeatureSequence(frames, 50))
         assert list(post.rows.argmax(axis=1)) == [1, 2, 3, 4]
+
+
+@cache
+def lockstep_weights(name: str) -> GruWeights:
+    if name == "oracle":
+        return synth.oracle_weights()
+    return random_weights(synth.synth_alphabet(), num_layers=3, hidden_size=96, seed=21)
+
+
+@cache
+def speech_frames() -> np.ndarray:
+    """Stacked filterbank frames of a synthetic utterance, so the oracle
+    model's detector units see the levels they were built for."""
+    speaker = synth.Speaker(pitch=1.0, rate=1.0, gain_db=0.0)
+    audio = synth.render_utterance((2, 5, 9, 12), speaker, np.random.default_rng(4))
+    return stack_frames(extract_fbank(audio)).frames
+
+
+@st.composite
+def ragged_batches(draw):
+    """1-6 recordings of 0-30 frames, each a window of real speech frames
+    plus seeded noise."""
+    pool = speech_frames()
+    lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    starts = [draw(st.integers(0, len(pool) - 30)) for _ in lengths]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [
+        FeatureSequence(pool[s : s + n] + rng.normal(0.0, 0.5, size=(n, pool.shape[1])), 50)
+        for s, n in zip(starts, lengths)
+    ]
+
+
+class TestRunBatch:
+    @pytest.mark.parametrize("name", ["oracle", "random_3x96"])
+    @settings(max_examples=60, deadline=None)
+    @given(sequences=ragged_batches())
+    @example(sequences=[FeatureSequence(np.zeros((7, 82)), 50)])
+    @example(sequences=[FeatureSequence(np.zeros((0, 82)), 50)])
+    @example(sequences=[FeatureSequence(np.ones((3, 82)), 50), FeatureSequence(np.zeros((0, 82)), 50)])
+    def test_equals_run_bit_for_bit_property(self, name, sequences):
+        weights = lockstep_weights(name)
+        posts = run_batch(weights, sequences)
+        assert len(posts) == len(sequences)
+        for features, post in zip(sequences, posts):
+            want = run(weights, features)
+            assert post.alphabet == weights.alphabet
+            assert post.rows.shape == want.rows.shape
+            assert post.rows.tobytes() == want.rows.tobytes()
+
+    def test_empty_batch(self):
+        assert run_batch(lockstep_weights("oracle"), []) == []
+
+    def test_dim_mismatch_rejected_as_by_run(self):
+        weights = random_weights(make_alphabet(3), input_dim=82, seed=1)
+        good = FeatureSequence(np.zeros((4, 82)), 50)
+        bad = FeatureSequence(np.zeros((4, 41)), 100)
+        with pytest.raises(ValueError, match="does not match model input dim"):
+            run(weights, bad)
+        with pytest.raises(ValueError, match="does not match model input dim"):
+            run_batch(weights, [good, bad])
 
 
 class TestStreaming:

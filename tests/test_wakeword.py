@@ -440,23 +440,35 @@ class TestFeaturize:
         audio = synth.render_utterance((2, 5, 9), speaker, rng, synth.EpisodeConfig.clean())
         trimmed, found = trim_to_speech(VadConfig(), audio)
         assert found and len(trimmed.samples) < len(audio.samples)
-        fbank = featurize(audio, VadConfig())
+        [fbank] = featurize([audio], VadConfig())
         assert fbank.frames.tobytes() == extract_fbank(trimmed).frames.tobytes()
-        assert featurize(audio).frames.tobytes() == extract_fbank(audio).frames.tobytes()
-        post = featurize(audio, VadConfig(), weights)
+        assert featurize([audio])[0].frames.tobytes() == extract_fbank(audio).frames.tobytes()
+        [post] = featurize([audio], VadConfig(), weights)
         assert post.rows.tobytes() == run(weights, stack_frames(fbank)).rows.tobytes()
 
     def test_no_speech_keeps_the_whole_recording_and_warns(self, caplog):
         audio = AudioBuffer(np.zeros(4000, dtype=np.int16))
         with caplog.at_level("WARNING", logger="wakespot"):
-            fbank = featurize(audio, VadConfig())
+            [fbank] = featurize([audio], VadConfig())
         assert fbank.num_frames == extract_fbank(audio).num_frames
         assert [r.getMessage() for r in caplog.records] == [
-            "no speech found by VAD; using the whole recording"
+            "no speech found by VAD in recording 1 of 1; using the whole recording"
         ]
         caplog.clear()
-        featurize(audio)
+        featurize([audio])
         assert not caplog.records
+
+    def test_no_speech_warning_gives_the_position_in_the_call(self, caplog):
+        speech = synth.render_utterance(
+            (2, 5, 9), synth.Speaker(1.0, 1.0, 0.0), np.random.default_rng(9), synth.EpisodeConfig.clean()
+        )
+        silence = AudioBuffer(np.zeros(4000, dtype=np.int16))
+        with caplog.at_level("WARNING", logger="wakespot"):
+            fbanks = featurize([speech, silence, speech, silence], VadConfig())
+        assert [f.num_frames for f in fbanks[1::2]] == 2 * [extract_fbank(silence).num_frames]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"no speech found by VAD in recording {i} of 4; using the whole recording" for i in (2, 4)
+        ]
 
 
 class TestStreamingDetector:
