@@ -15,8 +15,7 @@ the one recipe (VAD trim, filterbank, and for all detectors but
 ``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
 Each detector makes one ``featurize`` call per episode, over its supports
 and tests together (``query_by_string``, which enrolls from the target
-labels, passes only the tests), so the label model steps all of an
-episode's recordings in lockstep.
+labels, passes only the tests).
 """
 
 from __future__ import annotations

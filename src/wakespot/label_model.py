@@ -11,14 +11,15 @@ followed by an affine projection of the top hidden state to K logits and a
 per-frame softmax. The model is strictly causal: output row t depends only
 on input frames up to t.
 
-Three entry points compute it: :func:`gru_step` advances one frame (the
-streaming detector's step), :func:`run` loops it over one recording, and
-:func:`run_batch` steps several recordings together, one frame index at a
-time. All three give the same bits, because every product of a weight
-matrix with a frame or a hidden state is its own matrix-vector product:
-:func:`run_batch` stacks them with ``np.matmul(W, X[:, :, None])`` instead
-of forming ``X @ W.T``, whose matrix-matrix product rounds differently in
-the last bits. Streaming output therefore equals batch output exactly.
+Two entry points compute it: :func:`gru_step` advances one frame (the
+streaming detector's step) and :func:`run` computes one recording layer by
+layer. Both give the same bits, because every product of a weight matrix
+with a frame or a hidden state is its own matrix-vector product: :func:`run`
+forms a layer's input products for all frames at once with
+``np.matmul(W, X[:, :, None])`` instead of ``X @ W.T``, whose
+matrix-matrix product rounds differently in the last bits, and adds the
+terms of each gate in :func:`gru_step`'s order. Streaming output therefore
+equals batch output exactly.
 
 Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
 
@@ -40,7 +41,6 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -314,68 +314,43 @@ def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[n
     return row, tuple(new_state)
 
 
-def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
-    """Batch inference; concatenation of single steps, so it matches streaming."""
-    if features.dim != weights.input_dim:
-        raise ValueError(
-            f"feature dim {features.dim} does not match model input dim {weights.input_dim}"
-        )
-    state = init_state(weights)
-    rows = np.zeros((features.num_frames, weights.num_symbols))
-    for t in range(features.num_frames):
-        rows[t], state = gru_step(weights, state, features.frames[t])
-    return Posteriorgram(rows, weights.alphabet)
-
-
 def _stacked_matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``matrix @ row`` for each row: one matrix-vector product per row, so
     each result is bit-equal to the 1-D product :func:`gru_step` computes."""
     return np.matmul(matrix, rows[:, :, None])[:, :, 0]
 
 
-def run_batch(weights: GruWeights, sequences: Sequence[FeatureSequence]) -> list[Posteriorgram]:
-    """Batch inference over several recordings, stepped together one frame
-    index at a time; each posteriorgram is bit-equal to :func:`run`'s.
+def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
+    """Batch inference over one recording, bit-equal to looping :func:`gru_step`.
 
-    Recordings are ordered longest first, so the ones still running at
-    frame t are a prefix of the batch and the rows of ended recordings are
-    dropped, never computed.
+    Each layer runs over the whole recording before the next: its input
+    products for every frame are formed at once, and only the recurrent
+    half is stepped frame by frame, with the z and r gates as one vector.
     """
-    for features in sequences:
-        if features.dim != weights.input_dim:
-            raise ValueError(
-                f"feature dim {features.dim} does not match model input dim {weights.input_dim}"
-            )
-    lengths = [features.num_frames for features in sequences]
-    order = sorted(range(len(sequences)), key=lambda i: -lengths[i])
-    steps = max(lengths, default=0)
-    inputs = np.zeros((steps, len(order), weights.input_dim))  # time-major: each step contiguous
-    outputs = np.zeros((len(order), steps, weights.num_symbols))
-    for slot, i in enumerate(order):
-        inputs[: lengths[i], slot] = sequences[i].frames
-    active = len(order)
-    state = [np.zeros((active, weights.hidden_size)) for _ in weights.layers]
-    for t in range(steps):
-        while lengths[order[active - 1]] <= t:
-            active -= 1
-        x = inputs[t, :active]
-        for k, layer in enumerate(weights.layers):
-            h = state[k][:active]
-            z = _sigmoid(_stacked_matvec(layer.w_z, x) + _stacked_matvec(layer.u_z, h) + layer.b_z)
-            r = _sigmoid(_stacked_matvec(layer.w_r, x) + _stacked_matvec(layer.u_r, h) + layer.b_r)
-            c = np.tanh(
-                _stacked_matvec(layer.w_h, x) + _stacked_matvec(layer.u_h, r * h) + layer.b_h
-            )
-            h = (1.0 - z) * c + z * h
-            state[k] = h
-            x = h
-        logits = _stacked_matvec(weights.w_out, x) + weights.b_out
-        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
-        outputs[:active, t] = ex / ex.sum(axis=1, keepdims=True)
-    posts: list[Posteriorgram | None] = [None] * len(order)
-    for slot, i in enumerate(order):
-        posts[i] = Posteriorgram(outputs[slot, : lengths[i]].copy(), weights.alphabet)
-    return posts
+    if features.dim != weights.input_dim:
+        raise ValueError(
+            f"feature dim {features.dim} does not match model input dim {weights.input_dim}"
+        )
+    hidden = weights.hidden_size
+    x = features.frames
+    for layer in weights.layers:
+        x_zr = np.hstack([_stacked_matvec(layer.w_z, x), _stacked_matvec(layer.w_r, x)])
+        x_h = _stacked_matvec(layer.w_h, x)
+        b_zr = np.hstack([layer.b_z, layer.b_r])
+        u_zr = np.empty(2 * hidden)  # u_z @ h, then u_r @ h
+        h = np.zeros(hidden)
+        out = np.empty((features.num_frames, hidden))
+        for t in range(features.num_frames):
+            np.matmul(layer.u_z, h, out=u_zr[:hidden])
+            np.matmul(layer.u_r, h, out=u_zr[hidden:])
+            zr = _sigmoid(x_zr[t] + u_zr + b_zr)
+            z, r = zr[:hidden], zr[hidden:]
+            c = np.tanh(x_h[t] + layer.u_h @ (r * h) + layer.b_h)
+            h = out[t] = (1.0 - z) * c + z * h
+        x = out
+    logits = _stacked_matvec(weights.w_out, x) + weights.b_out
+    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return Posteriorgram(ex / ex.sum(axis=1, keepdims=True), weights.alphabet)
 
 
 def _read_alphabet(reader: container.Reader) -> LabelAlphabet:

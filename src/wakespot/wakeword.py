@@ -48,7 +48,7 @@ from .audio import extract_fbank, frame_fbank, stack_frames
 from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
 from .errors import FileFormatError, NonFiniteError
 from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
-from .label_model import gru_step, init_state, run_batch
+from .label_model import gru_step, init_state, run
 from .vad import Vad, VadConfig, trim_to_speech
 
 logger = logging.getLogger(__name__)
@@ -338,8 +338,7 @@ def featurize(
     last utterance (kept whole, with a logged warning that gives its
     position in ``recordings``, when the VAD finds no speech). Returns the
     100 Hz filterbank frames of each recording when ``weights`` is None,
-    else the label model's posteriorgrams of their stacked 50 Hz frames,
-    stepped together by :func:`label_model.run_batch`.
+    else the label model's posteriorgrams of their stacked 50 Hz frames.
     """
     features = []
     for i, audio in enumerate(recordings):
@@ -354,7 +353,7 @@ def featurize(
         features.append(extract_fbank(audio))
     if weights is None:
         return features
-    return run_batch(weights, [stack_frames(f) for f in features])
+    return [run(weights, stack_frames(f)) for f in features]
 
 
 @dataclass(frozen=True)

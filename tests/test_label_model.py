@@ -1,3 +1,4 @@
+import dataclasses
 from functools import cache
 
 import numpy as np
@@ -18,7 +19,6 @@ from wakespot.label_model import (
     load_weights,
     random_weights,
     run,
-    run_batch,
     save_posteriorgram,
     save_weights,
     zero_weights,
@@ -130,10 +130,19 @@ class TestRun:
 
 
 @cache
-def lockstep_weights(name: str) -> GruWeights:
+def named_weights(name: str) -> GruWeights:
     if name == "oracle":
         return synth.oracle_weights()
-    return random_weights(synth.synth_alphabet(), num_layers=3, hidden_size=96, seed=21)
+    weights = random_weights(synth.synth_alphabet(), num_layers=3, hidden_size=96, seed=21)
+    if name == "random_3x96":
+        return weights
+    # random_weights leaves the biases at zero; give every bias a value
+    rng = np.random.default_rng(22)
+    layers = tuple(
+        dataclasses.replace(layer, **{b: rng.normal(size=96) for b in ("b_z", "b_r", "b_h")})
+        for layer in weights.layers
+    )
+    return dataclasses.replace(weights, layers=layers, b_out=rng.normal(size=weights.num_symbols))
 
 
 @cache
@@ -146,47 +155,32 @@ def speech_frames() -> np.ndarray:
 
 
 @st.composite
-def ragged_batches(draw):
-    """1-6 recordings of 0-30 frames, each a window of real speech frames
-    plus seeded noise."""
+def recordings(draw):
+    """0-30 frames: a window of real speech frames plus seeded noise."""
     pool = speech_frames()
-    lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
-    starts = [draw(st.integers(0, len(pool) - 30)) for _ in lengths]
+    length = draw(st.integers(0, 30))
+    start = draw(st.integers(0, len(pool) - 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [
-        FeatureSequence(pool[s : s + n] + rng.normal(0.0, 0.5, size=(n, pool.shape[1])), 50)
-        for s, n in zip(starts, lengths)
-    ]
+    return FeatureSequence(
+        pool[start : start + length] + rng.normal(0.0, 0.5, size=(length, pool.shape[1])), 50
+    )
 
 
-class TestRunBatch:
-    @pytest.mark.parametrize("name", ["oracle", "random_3x96"])
+class TestRunEqualsSteps:
+    @pytest.mark.parametrize("name", ["oracle", "random_3x96", "random_3x96_biased"])
     @settings(max_examples=60, deadline=None)
-    @given(sequences=ragged_batches())
-    @example(sequences=[FeatureSequence(np.zeros((7, 82)), 50)])
-    @example(sequences=[FeatureSequence(np.zeros((0, 82)), 50)])
-    @example(sequences=[FeatureSequence(np.ones((3, 82)), 50), FeatureSequence(np.zeros((0, 82)), 50)])
-    def test_equals_run_bit_for_bit_property(self, name, sequences):
-        weights = lockstep_weights(name)
-        posts = run_batch(weights, sequences)
-        assert len(posts) == len(sequences)
-        for features, post in zip(sequences, posts):
-            want = run(weights, features)
-            assert post.alphabet == weights.alphabet
-            assert post.rows.shape == want.rows.shape
-            assert post.rows.tobytes() == want.rows.tobytes()
-
-    def test_empty_batch(self):
-        assert run_batch(lockstep_weights("oracle"), []) == []
-
-    def test_dim_mismatch_rejected_as_by_run(self):
-        weights = random_weights(make_alphabet(3), input_dim=82, seed=1)
-        good = FeatureSequence(np.zeros((4, 82)), 50)
-        bad = FeatureSequence(np.zeros((4, 41)), 100)
-        with pytest.raises(ValueError, match="does not match model input dim"):
-            run(weights, bad)
-        with pytest.raises(ValueError, match="does not match model input dim"):
-            run_batch(weights, [good, bad])
+    @given(features=recordings())
+    @example(features=FeatureSequence(np.zeros((7, 82)), 50))
+    @example(features=FeatureSequence(np.zeros((0, 82)), 50))
+    def test_run_equals_gru_step_loop_bit_for_bit_property(self, name, features):
+        weights = named_weights(name)
+        post = run(weights, features)
+        state = init_state(weights)
+        assert post.alphabet == weights.alphabet
+        assert post.rows.shape == (features.num_frames, weights.num_symbols)
+        for t in range(features.num_frames):
+            row, state = gru_step(weights, state, features.frames[t])
+            assert row.tobytes() == post.rows[t].tobytes()
 
 
 class TestStreaming:
