@@ -149,18 +149,15 @@ def _mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(
-    num_filters: int = NUM_FILTERS,
-    fft_size: int = FFT_SIZE,
-    sample_rate: int = SAMPLE_RATE,
-    low_hz: float = MEL_LOW_HZ,
-    high_hz: float = MEL_HIGH_HZ,
-) -> np.ndarray:
-    """Triangular Mel filters as a (num_filters, fft_size//2 + 1) matrix."""
-    mel_points = np.linspace(_hz_to_mel(low_hz), _hz_to_mel(high_hz), num_filters + 2)
-    bins = np.floor((fft_size + 1) * _mel_to_hz(mel_points) / sample_rate).astype(int)
-    bank = np.zeros((num_filters, fft_size // 2 + 1))
-    for m in range(num_filters):
+def _mel_points() -> np.ndarray:
+    return np.linspace(_hz_to_mel(MEL_LOW_HZ), _hz_to_mel(MEL_HIGH_HZ), NUM_FILTERS + 2)
+
+
+def mel_filterbank() -> np.ndarray:
+    """Triangular Mel filters as a (NUM_FILTERS, FFT_SIZE // 2 + 1) = (41, 257) matrix."""
+    bins = np.floor((FFT_SIZE + 1) * _mel_to_hz(_mel_points()) / SAMPLE_RATE).astype(int)
+    bank = np.zeros((NUM_FILTERS, FFT_SIZE // 2 + 1))
+    for m in range(NUM_FILTERS):
         lo, center, hi = bins[m], bins[m + 1], bins[m + 2]
         for k in range(lo, center):
             bank[m, k] = (k - lo) / max(center - lo, 1)
@@ -169,14 +166,9 @@ def mel_filterbank(
     return bank
 
 
-def mel_center_frequencies(
-    num_filters: int = NUM_FILTERS,
-    low_hz: float = MEL_LOW_HZ,
-    high_hz: float = MEL_HIGH_HZ,
-) -> np.ndarray:
-    """Center frequency in Hz of each Mel filter."""
-    mel_points = np.linspace(_hz_to_mel(low_hz), _hz_to_mel(high_hz), num_filters + 2)
-    return _mel_to_hz(mel_points)[1:-1]
+def mel_center_frequencies() -> np.ndarray:
+    """Center frequency in Hz of each of the NUM_FILTERS Mel filters."""
+    return _mel_to_hz(_mel_points())[1:-1]
 
 
 _filters_cache: np.ndarray | None = None

@@ -9,12 +9,19 @@ Recordings become detector input through :func:`wakeword.featurize`.
 of each recording, and ``listen`` scores each VAD segment of its stream, so
 a threshold read off ``score`` carries over to ``listen``; ``featurize``
 and ``posteriors`` write files of the whole recording.
+
+``enroll --threshold`` stores a threshold in the model file, and ``listen``
+fires on a segment whose score reaches it; ``listen --threshold`` overrides
+the stored value, and is required when the model stores none. A NaN
+threshold is a usage error; inf and -inf (as ``--threshold=-inf``) are
+accepted.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import warnings
 
@@ -64,6 +71,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _threshold(text: str) -> float:
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number or +-inf, got nan")
+    return value
+
+
 def _add_vad_flags(parser):
     parser.add_argument("--vad-threshold-db", type=float, default=-40.0)
     parser.add_argument("--vad-hangover", type=_non_negative_int, default=20)
@@ -98,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--beam-width", type=_positive_int, default=100)
     p.add_argument("--num-hypotheses", type=_positive_int, default=10)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_threshold, help="stored in the model for listen")
     _add_vad_flags(p)
 
     p = sub.add_parser("score", help="score one recording against a model")
@@ -112,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("wav")
     p.add_argument("--weights", required=True)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_threshold, help="default: the model's threshold")
     p.add_argument("--aggregation", choices=AGGREGATIONS, default="weighted_sum")
     p.add_argument("--chunk-samples", type=_positive_int, default=160)
     _add_vad_flags(p)
@@ -130,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a detector over an episode manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--detector", choices=evaluation.DETECTORS, required=True)
-    p.add_argument("--weights")
+    p.add_argument("--weights", help="required by every detector but dtw_fbank")
     p.add_argument("--beam-width", type=_positive_int, default=100)
     p.add_argument("--num-hypotheses", type=_positive_int, default=10)
     p.add_argument("--report", help="write the metrics report here as well")
@@ -200,13 +214,16 @@ def cmd_score(args) -> int:
 def cmd_listen(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
+    threshold = model.threshold if args.threshold is None else args.threshold
+    if threshold is None:
+        raise UsageError("listen needs --threshold: the model stores none")
     samples, chunk = read_wav(args.wav).samples, args.chunk_samples
     chunks = (samples[i : i + chunk] for i in range(0, len(samples), chunk))
     report = detect_stream(
         model,
         weights,
         chunks,
-        threshold=args.threshold,
+        threshold=threshold,
         vad_config=_vad_config(args),
         aggregation=args.aggregation,
     )
@@ -243,6 +260,8 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     if args.num_hypotheses > args.beam_width:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
+    if args.detector != "dtw_fbank" and not args.weights:
+        raise UsageError(f"--detector {args.detector} requires --weights")
     _, episodes = evaluation.read_episodes(args.manifest)
     weights = load_weights(args.weights) if args.weights else None
     params = evaluation.HarnessParams(

@@ -155,7 +155,6 @@ class HarnessParams:
     beam_width: int = 100
     num_hypotheses: int = 10
     vad: VadConfig = VadConfig()
-    dtw: DtwConfig = DtwConfig()
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
     recordings = [*episode.support, *(t.audio for t in episode.tests)]
     sequences = featurize(recordings, params.vad, weights)
     supports = len(episode.support)
-    return dtw_detect_all(sequences[:supports], sequences[supports:], params.dtw)
+    return dtw_detect_all(sequences[:supports], sequences[supports:], DtwConfig())
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:

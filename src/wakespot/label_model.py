@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import container
-from .audio import FeatureSequence
+from .audio import STACKED_DIM, FeatureSequence
 from .errors import DimensionError, FileFormatError, NonFiniteError
 
 logger = logging.getLogger(__name__)
@@ -221,9 +221,7 @@ class Posteriorgram:
                 raise ValueError(f"posteriorgram rows must sum to 1 (worst error {worst:.3g})")
 
 
-def zero_weights(
-    alphabet: LabelAlphabet, num_layers: int = 3, hidden_size: int = 96, input_dim: int = 82
-) -> GruWeights:
+def zero_weights(alphabet: LabelAlphabet, num_layers: int = 3, hidden_size: int = 96) -> GruWeights:
     """All-zero weights; every output row is uniform 1/K."""
 
     def layer(in_dim):
@@ -233,7 +231,7 @@ def zero_weights(
             *(np.zeros(hidden_size) for _ in range(3)),
         )
 
-    layers = tuple(layer(input_dim if i == 0 else hidden_size) for i in range(num_layers))
+    layers = tuple(layer(STACKED_DIM if i == 0 else hidden_size) for i in range(num_layers))
     weights = GruWeights(layers, np.zeros((alphabet.size, hidden_size)), np.zeros(alphabet.size), alphabet)
     weights.validate()
     return weights
@@ -243,7 +241,6 @@ def random_weights(
     alphabet: LabelAlphabet,
     num_layers: int = 3,
     hidden_size: int = 96,
-    input_dim: int = 82,
     seed: int = 0,
 ) -> GruWeights:
     """Seeded random weights, scaled by fan-in; a stand-in for trained models."""
@@ -254,7 +251,7 @@ def random_weights(
 
     layers = []
     for i in range(num_layers):
-        in_dim = input_dim if i == 0 else hidden_size
+        in_dim = STACKED_DIM if i == 0 else hidden_size
         layers.append(
             GruLayer(
                 mat(hidden_size, in_dim),

@@ -32,8 +32,10 @@ import numpy as np
 
 from .audio import (
     FFT_SIZE,
+    NUM_FILTERS,
     PREEMPHASIS,
     SAMPLE_RATE,
+    STACKED_DIM,
     WINDOW_SAMPLES,
     AudioBuffer,
     mel_center_frequencies,
@@ -62,7 +64,22 @@ ONSET_LOGIT = 10.0
 STEADY_LOGIT = -2.0
 SILENCE_LOGIT = -6.0
 
+# Rendering constants that no episode configuration varies.
 _EDGE_RAMP_MS = 6.0
+_PHRASE_LENGTH = (4, 5)  # pseudo-phonemes per keyword, inclusive
+_TONE_AMP = 6000.0
+_PHONEME_MS = (90.0, 150.0)
+_GAP_MS = (30.0, 60.0)
+_UTTERANCE_PITCH = (0.998, 1.002)
+_UTTERANCE_RATE = (0.95, 1.05)
+_ATTACK_MS = (5.0, 35.0)  # per-phoneme onset ramp
+_PARTNER_LEVEL = (0.008, 0.07)  # confusable-partner amplitude ratio
+_WEAK_ONSET_PROB = 0.25  # chance a phoneme starts almost inaudible
+_WEAK_ONSET_MS = (40.0, 80.0)
+_WEAK_ONSET_ATTENUATION = (0.1, 0.35)
+_DROPOUT_MS = (25.0, 60.0)
+_DROPOUT_ATTENUATION = 0.2
+_DROPOUT_EDGE_MS = 15.0
 
 
 def synth_alphabet() -> LabelAlphabet:
@@ -89,46 +106,37 @@ def noise_log_energy_profile(noise_db: float) -> np.ndarray:
     return np.log(sigma**2 * window_power * (mel_filterbank() @ preemph_gain))
 
 
-def oracle_weights(
-    noise_floor_db: float = NOISE_FLOOR_DB,
-    margin: float = ACTIVATION_MARGIN,
-    slope: float = ACTIVATION_SLOPE,
-    onset_logit: float = ONSET_LOGIT,
-    steady_logit: float = STEADY_LOGIT,
-    silence_logit: float = SILENCE_LOGIT,
-) -> GruWeights:
+def oracle_weights() -> GruWeights:
     """Hand-constructed 1-layer GRU recognizing the pseudo-phoneme bank.
 
-    Hidden units come in two banks of 41. Detector unit j is
-    tanh(slope * (mean of the two stacked copies of Mel channel j -
-    threshold_j)), with per-channel thresholds a fixed margin above the
-    noise profile; its update gate is biased hard off, so it is
-    memory-free. Memory unit j copies the detector's previous value
-    through the recurrent path. The output logit of pseudo-phoneme i reads
-    its detector positively and its memory negatively, placed so that a
-    fresh channel onset scores ``onset_logit``, a channel that stays
-    active scores ``steady_logit``, and everything else ``silence_logit``
+    Hidden units come in two banks of NUM_FILTERS. Detector unit j is
+    tanh(ACTIVATION_SLOPE * (mean of the two stacked copies of Mel channel
+    j - threshold_j)), with per-channel thresholds ACTIVATION_MARGIN above
+    the noise profile at NOISE_FLOOR_DB; its update gate is biased hard
+    off, so it is memory-free. Memory unit j copies the detector's previous
+    value through the recurrent path. The output logit of pseudo-phoneme i
+    reads its detector positively and its memory negatively, placed so that
+    a fresh channel onset scores ``ONSET_LOGIT``, a channel that stays
+    active scores ``STEADY_LOGIT``, and everything else ``SILENCE_LOGIT``
     or below, all against a zero blank logit. The posteriorgrams therefore
     look like a trained CTC model's: blank holds nearly all mass, each
     phoneme onset fires one sharp spike, and a weak label residue persists
     while the tone lasts.
     """
     alphabet = synth_alphabet()
-    channels = 41
-    hidden = 2 * channels  # detector bank, then memory bank
-    input_dim = 82
-    thresholds = noise_log_energy_profile(noise_floor_db) + margin
-    w_h = np.zeros((hidden, input_dim))
+    hidden = 2 * NUM_FILTERS  # detector bank, then memory bank
+    thresholds = noise_log_energy_profile(NOISE_FLOOR_DB) + ACTIVATION_MARGIN
+    w_h = np.zeros((hidden, STACKED_DIM))
     b_h = np.zeros(hidden)
     u_h = np.zeros((hidden, hidden))
-    for j in range(channels):
-        w_h[j, j] = 0.5 * slope
-        w_h[j, channels + j] = 0.5 * slope
-        b_h[j] = -slope * thresholds[j]
-        u_h[channels + j, j] = 2.0  # memory unit saturates on the previous detector
+    for j in range(NUM_FILTERS):
+        w_h[j, j] = 0.5 * ACTIVATION_SLOPE
+        w_h[j, NUM_FILTERS + j] = 0.5 * ACTIVATION_SLOPE
+        b_h[j] = -ACTIVATION_SLOPE * thresholds[j]
+        u_h[NUM_FILTERS + j, j] = 2.0  # memory unit saturates on the previous detector
     layer = GruLayer(
-        w_z=np.zeros((hidden, input_dim)),
-        w_r=np.zeros((hidden, input_dim)),
+        w_z=np.zeros((hidden, STACKED_DIM)),
+        w_r=np.zeros((hidden, STACKED_DIM)),
         w_h=w_h,
         u_z=np.zeros((hidden, hidden)),
         u_r=np.zeros((hidden, hidden)),
@@ -137,14 +145,14 @@ def oracle_weights(
         b_r=np.full(hidden, 20.0),  # reset gate fully open
         b_h=b_h,
     )
-    detector_gain = (onset_logit - silence_logit) / 2.0
-    memory_gain = (onset_logit - steady_logit) / 2.0
-    bias = onset_logit - detector_gain - memory_gain
+    detector_gain = (ONSET_LOGIT - SILENCE_LOGIT) / 2.0
+    memory_gain = (ONSET_LOGIT - STEADY_LOGIT) / 2.0
+    bias = ONSET_LOGIT - detector_gain - memory_gain
     w_out = np.zeros((alphabet.size, hidden))
     b_out = np.zeros(alphabet.size)
     for i, channel in enumerate(PHONEME_CHANNELS):
         w_out[1 + i, channel] = detector_gain
-        w_out[1 + i, channels + channel] = -memory_gain
+        w_out[1 + i, NUM_FILTERS + channel] = -memory_gain
         b_out[1 + i] = bias
     weights = GruWeights((layer,), w_out, b_out, alphabet)
     weights.validate()
@@ -160,33 +168,19 @@ class Speaker:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    phrase_length: tuple[int, int] = (4, 5)
     num_positive: int = 4
     num_confusing_same: int = 3
     num_confusing_different: int = 3
     num_nonconfusing_same: int = 2
     num_nonconfusing_different: int = 2
-    tone_amp: float = 6000.0
-    phoneme_ms: tuple[float, float] = (90.0, 150.0)
-    gap_ms: tuple[float, float] = (30.0, 60.0)
     edge_ms: tuple[float, float] = (60.0, 130.0)
     phoneme_gain: tuple[float, float] = (0.7, 1.3)
     speaker_pitch: tuple[float, float] = (0.97, 1.03)
     speaker_rate: tuple[float, float] = (0.85, 1.15)
     speaker_gain_db: tuple[float, float] = (-6.0, 6.0)
-    utterance_pitch: tuple[float, float] = (0.998, 1.002)
-    utterance_rate: tuple[float, float] = (0.95, 1.05)
     utterance_gain_db: tuple[float, float] = (-1.5, 1.5)
-    attack_ms: tuple[float, float] = (5.0, 35.0)  # per-phoneme onset ramp
-    partner_level: tuple[float, float] = (0.008, 0.07)  # confusable-partner amplitude ratio
-    weak_onset_prob: float = 0.25  # chance a phoneme starts almost inaudible
-    weak_onset_ms: tuple[float, float] = (40.0, 80.0)
-    weak_onset_attenuation: tuple[float, float] = (0.1, 0.35)
     noise_db: tuple[float, float] = (-48.0, -36.0)
     dropouts_per_second: float = 4.0
-    dropout_ms: tuple[float, float] = (25.0, 60.0)
-    dropout_attenuation: float = 0.2
-    dropout_edge_ms: float = 15.0
 
     @classmethod
     def clean(cls) -> "EpisodeConfig":
@@ -217,54 +211,54 @@ def render_utterance(
     """Render a pseudo-phoneme sequence as 16 kHz audio."""
     cfg = cfg or EpisodeConfig()
     centers = mel_center_frequencies()
-    pitch = speaker.pitch * rng.uniform(*cfg.utterance_pitch)
-    rate = speaker.rate * rng.uniform(*cfg.utterance_rate)
+    pitch = speaker.pitch * rng.uniform(*_UTTERANCE_PITCH)
+    rate = speaker.rate * rng.uniform(*_UTTERANCE_RATE)
     gain = 10.0 ** ((speaker.gain_db + rng.uniform(*cfg.utterance_gain_db)) / 20.0)
     noise_sigma = 32768.0 * 10.0 ** (rng.uniform(*cfg.noise_db) / 20.0)
     ramp = int(_EDGE_RAMP_MS * SAMPLE_RATE / 1000.0)
 
     pieces = [np.zeros(int(rng.uniform(*cfg.edge_ms) * SAMPLE_RATE / 1000.0))]
     for label in labels:
-        duration_ms = rng.uniform(*cfg.phoneme_ms) * rate
+        duration_ms = rng.uniform(*_PHONEME_MS) * rate
         n = max(int(duration_ms * SAMPLE_RATE / 1000.0), 4 * ramp)
         freq = centers[PHONEME_CHANNELS[label - 1]] * pitch
         partner = CONFUSION_PARTNER[label]
         partner_freq = centers[PHONEME_CHANNELS[partner - 1]] * pitch
-        amp = cfg.tone_amp * gain * rng.uniform(*cfg.phoneme_gain)
-        partner_amp = amp * rng.uniform(*cfg.partner_level)
+        amp = _TONE_AMP * gain * rng.uniform(*cfg.phoneme_gain)
+        partner_amp = amp * rng.uniform(*_PARTNER_LEVEL)
         phase = rng.uniform(0.0, 2.0 * math.pi)
         partner_phase = rng.uniform(0.0, 2.0 * math.pi)
         t = np.arange(n) / SAMPLE_RATE
         tone = amp * np.sin(2.0 * math.pi * freq * t + phase)
         tone += partner_amp * np.sin(2.0 * math.pi * partner_freq * t + partner_phase)
         envelope = np.ones(n)
-        attack = max(int(rng.uniform(*cfg.attack_ms) * SAMPLE_RATE / 1000.0), ramp)
+        attack = max(int(rng.uniform(*_ATTACK_MS) * SAMPLE_RATE / 1000.0), ramp)
         attack = min(attack, n // 2)
         envelope[:attack] = 0.5 - 0.5 * np.cos(np.pi * np.arange(attack) / attack)
         envelope[-ramp:] *= (0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp))[::-1]
-        if rng.uniform() < cfg.weak_onset_prob:
+        if rng.uniform() < _WEAK_ONSET_PROB:
             # the start of the phoneme is nearly inaudible; recover smoothly
-            weak = min(int(rng.uniform(*cfg.weak_onset_ms) * SAMPLE_RATE / 1000.0), n // 2)
-            level = rng.uniform(*cfg.weak_onset_attenuation)
-            release = min(weak, max(int(cfg.dropout_edge_ms * SAMPLE_RATE / 1000.0), 1))
+            weak = min(int(rng.uniform(*_WEAK_ONSET_MS) * SAMPLE_RATE / 1000.0), n // 2)
+            level = rng.uniform(*_WEAK_ONSET_ATTENUATION)
+            release = min(weak, max(int(_DROPOUT_EDGE_MS * SAMPLE_RATE / 1000.0), 1))
             shape = np.full(weak, level)
             rise = 0.5 - 0.5 * np.cos(np.pi * np.arange(release) / release)
             shape[weak - release :] = level + (1.0 - level) * rise
             envelope[:weak] *= shape
-        edge = max(int(cfg.dropout_edge_ms * SAMPLE_RATE / 1000.0), 1)
+        edge = max(int(_DROPOUT_EDGE_MS * SAMPLE_RATE / 1000.0), 1)
         for _ in range(rng.poisson(cfg.dropouts_per_second * n / SAMPLE_RATE)):
-            width = int(rng.uniform(*cfg.dropout_ms) * SAMPLE_RATE / 1000.0)
+            width = int(rng.uniform(*_DROPOUT_MS) * SAMPLE_RATE / 1000.0)
             lo = int(rng.integers(0, max(n - width, 1)))
             # smooth-edged dip: a click-free fade to the attenuated level
             dip = np.ones(width)
             fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(min(edge, width // 2)) / edge)
-            depth = 1.0 - cfg.dropout_attenuation
+            depth = 1.0 - _DROPOUT_ATTENUATION
             dip[: fade.size] = 1.0 - depth * fade
             dip[width - fade.size :] = (1.0 - depth * fade)[::-1]
-            dip[fade.size : width - fade.size] = cfg.dropout_attenuation
+            dip[fade.size : width - fade.size] = _DROPOUT_ATTENUATION
             envelope[lo : lo + width] *= dip
         pieces.append(tone * envelope)
-        pieces.append(np.zeros(int(rng.uniform(*cfg.gap_ms) * SAMPLE_RATE / 1000.0)))
+        pieces.append(np.zeros(int(rng.uniform(*_GAP_MS) * SAMPLE_RATE / 1000.0)))
     pieces.append(np.zeros(int(rng.uniform(*cfg.edge_ms) * SAMPLE_RATE / 1000.0)))
 
     signal = np.concatenate(pieces)
@@ -305,7 +299,7 @@ def generate_synthetic_episodes(
     num_templates = len(PHONEME_NAMES)
     episodes = []
     for index in range(count):
-        length = int(rng.integers(cfg.phrase_length[0], cfg.phrase_length[1] + 1))
+        length = int(rng.integers(_PHRASE_LENGTH[0], _PHRASE_LENGTH[1] + 1))
         order = [int(v) + 1 for v in rng.permutation(num_templates)]
         target = tuple(order[:length])
         pool = order[length:]  # templates the target does not use

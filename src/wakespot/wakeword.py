@@ -91,6 +91,8 @@ class WakewordModel:
     def __post_init__(self):
         if not self.hypotheses:
             raise ValueError("a wakeword model needs at least one hypothesis")
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("a wakeword model's threshold may not be nan")
 
     def with_threshold(self, threshold: float) -> "WakewordModel":
         return replace(self, threshold=threshold)
@@ -147,11 +149,7 @@ def learn(
     )
 
 
-def model_from_labels(
-    symbols: Iterable[str],
-    alphabet: LabelAlphabet,
-    threshold: float | None = None,
-) -> WakewordModel:
+def model_from_labels(symbols: Iterable[str], alphabet: LabelAlphabet) -> WakewordModel:
     """Query-by-string model: a single provided sequence with weight 1."""
     labels = tuple(alphabet.index_of(s) for s in symbols)
     validate_labels(labels, alphabet.size)
@@ -161,7 +159,6 @@ def model_from_labels(
         alphabet=alphabet,
         beam_width=1,
         kept_per_example=1,
-        threshold=threshold,
     )
 
 
@@ -411,6 +408,8 @@ class StreamingDetector:
             raise ValueError("model and label-model alphabets differ")
         if aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+        if math.isnan(threshold):
+            raise ValueError("detection threshold may not be nan")
         self.model = model
         self.weights = weights
         self.threshold = threshold

@@ -5,12 +5,16 @@ import pytest
 
 from wakespot.audio import (
     BASE_FRAME_RATE,
+    FFT_SIZE,
     LOG_FLOOR,
+    NUM_FILTERS,
+    SAMPLE_RATE,
     AudioBuffer,
     FeatureSequence,
     extract_fbank,
     frame_fbank,
     load_features,
+    mel_center_frequencies,
     mel_filterbank,
     num_feature_frames,
     read_wav,
@@ -158,6 +162,16 @@ class TestMelFilterbank:
         bank = mel_filterbank()
         assert bank.min() >= 0.0
         assert (bank.sum(axis=1) > 0).all()
+
+    def test_each_filter_peaks_on_the_bin_of_its_center_frequency(self):
+        centers = mel_center_frequencies()
+        assert centers.shape == (NUM_FILTERS,)
+        assert 0.0 < centers[0] and centers[-1] < 8000.0
+        assert (np.diff(centers) > 0.0).all()
+        bank = mel_filterbank()
+        peak_bins = np.floor((FFT_SIZE + 1) * centers / SAMPLE_RATE).astype(int)
+        assert (bank.max(axis=1) == 1.0).all()
+        assert bank.argmax(axis=1).tolist() == peak_bins.tolist()
 
 
 class TestWavRoundTrip:

@@ -366,3 +366,91 @@ def test_enroll_names_each_recording_without_speech(world, tmp_path, caplog):
         f"no speech found by VAD in recording {i} of 3; using the whole recording"
         for i in (1, 2, 3)
     ]
+
+
+def _last_score(out: str) -> float:
+    return float(out.strip().splitlines()[-1].split()[-1])
+
+
+@pytest.fixture(scope="module")
+def stored_threshold_model(world, tmp_path_factory):
+    """A model enrolled with a threshold between the probe's and the distractor's scores."""
+    import contextlib
+    import io
+
+    root = tmp_path_factory.mktemp("stored_threshold")
+    weights = ["--weights", str(world["weights"])]
+    plain = root / "plain.model"
+    _enroll(world, plain)
+    scores = []
+    for wav in ("probe", "distractor"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["score", str(plain), str(world[wav]), *weights]) == EXIT_OK
+        scores.append(_last_score(out.getvalue()))
+    threshold = repr(sum(scores) / 2.0)
+    model = root / "stored.model"
+    args = ["enroll", str(model), *map(str, world["wavs"]), *weights]
+    args += ["--beam-width", "20", "--num-hypotheses", "3", "--threshold", threshold]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == EXIT_OK
+    return {"plain": plain, "stored": model, "threshold": threshold}
+
+
+@pytest.mark.parametrize("wav, events", [("probe", 1), ("distractor", 0)])
+def test_listen_defaults_to_the_stored_threshold(
+    world, stored_threshold_model, capsys, wav, events
+):
+    args = ["listen", str(stored_threshold_model["stored"]), str(world[wav])]
+    args += ["--weights", str(world["weights"])]
+    capsys.readouterr()
+    assert main(args) == EXIT_OK
+    stored = capsys.readouterr().out
+    assert main([*args, "--threshold", stored_threshold_model["threshold"]]) == EXIT_OK
+    assert stored == capsys.readouterr().out
+    assert f"events={events}" in stored
+
+
+def test_listen_threshold_flag_overrides_the_stored_one(world, stored_threshold_model, capsys):
+    args = ["listen", str(stored_threshold_model["stored"]), str(world["probe"])]
+    args += ["--weights", str(world["weights"]), "--threshold", "inf"]
+    assert main(args) == EXIT_OK
+    assert "events=0" in capsys.readouterr().out
+
+
+def test_listen_without_any_threshold_is_a_usage_error(world, stored_threshold_model, capsys):
+    args = ["listen", str(stored_threshold_model["plain"]), str(world["probe"])]
+    assert main([*args, "--weights", str(world["weights"])]) == EXIT_USAGE
+    assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["enroll", "listen"])
+def test_nan_threshold_is_a_usage_error(world, stored_threshold_model, tmp_path, capsys, command):
+    weights = ["--weights", str(world["weights"])]
+    out = tmp_path / "m.model"
+    args = {
+        "enroll": [str(out), *map(str, world["wavs"]), *weights],
+        "listen": [str(stored_threshold_model["stored"]), str(world["probe"]), *weights],
+    }[command]
+    assert main([command, *args, "--threshold", "nan"]) == EXIT_USAGE
+    assert "nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold, events", [("-inf", 1), ("inf", 0)])
+def test_infinite_thresholds_are_stored_and_used(world, tmp_path, capsys, threshold, events):
+    model = tmp_path / "m.model"
+    weights = ["--weights", str(world["weights"])]
+    args = ["enroll", str(model), *map(str, world["wavs"]), *weights, f"--threshold={threshold}"]
+    assert main([*args, "--beam-width", "20", "--num-hypotheses", "3"]) == EXIT_OK
+    assert f"threshold {threshold}\n" in model.read_text()
+    capsys.readouterr()
+    assert main(["listen", str(model), str(world["probe"]), *weights]) == EXIT_OK
+    assert f"events={events}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("detector", ["donut", "donut_logsumexp", "query_by_string", "dtw_post"])
+def test_eval_without_weights_is_a_usage_error_before_reading(tmp_path, capsys, detector):
+    missing = tmp_path / "no-such-manifest.txt"  # unread: the flags are checked first
+    assert main(["eval", "--manifest", str(missing), "--detector", detector]) == EXIT_USAGE
+    assert "requires --weights" in capsys.readouterr().err

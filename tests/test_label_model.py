@@ -66,7 +66,7 @@ class TestRun:
     def test_zero_weights_give_uniform_rows(self):
         rng = np.random.default_rng(0)
         alphabet = make_alphabet(4)
-        weights = zero_weights(alphabet, num_layers=2, hidden_size=8, input_dim=82)
+        weights = zero_weights(alphabet, num_layers=2, hidden_size=8)
         post = run(weights, stacked_features(rng, 6))
         assert post.rows.shape == (6, 5)
         assert np.allclose(post.rows, 1.0 / 5.0)
@@ -85,7 +85,7 @@ class TestRun:
         post.validate(atol=1e-5)
 
     def test_dim_mismatch_rejected(self):
-        weights = random_weights(make_alphabet(3), input_dim=82, seed=1)
+        weights = random_weights(make_alphabet(3), seed=1)
         bad = FeatureSequence(np.zeros((4, 41)), 100)
         with pytest.raises(ValueError):
             run(weights, bad)
@@ -103,7 +103,7 @@ class TestRun:
         # hand-built single-layer model: feature pattern j activates label j+1
         alphabet = make_alphabet(4)
         hidden = 4
-        weights = zero_weights(alphabet, num_layers=1, hidden_size=hidden, input_dim=82)
+        weights = zero_weights(alphabet, num_layers=1, hidden_size=hidden)
         w_h = np.zeros((hidden, 82))
         for j in range(hidden):
             w_h[j, j] = 3.0
@@ -225,7 +225,7 @@ class TestWeightFiles:
     def test_parameter_count_for_paper_shape(self, tmp_path, caplog):
         # 3x96 on 82-dim stacked input with a 39-label alphabet: ~168k parameters
         alphabet = make_alphabet(39)
-        weights = zero_weights(alphabet, num_layers=3, hidden_size=96, input_dim=82)
+        weights = zero_weights(alphabet, num_layers=3, hidden_size=96)
         assert abs(weights.num_parameters - 168_000) < 4_000
         path = tmp_path / "w.bin"
         save_weights(path, weights)
@@ -237,7 +237,7 @@ class TestWeightFiles:
 
     def test_zero_weights_load(self, tmp_path):
         path = tmp_path / "w.bin"
-        save_weights(path, zero_weights(make_alphabet(3), 1, 4, 82))
+        save_weights(path, zero_weights(make_alphabet(3), 1, 4))
         assert load_weights(path).num_parameters > 0
 
     def test_unknown_magic(self, tmp_path):
@@ -247,7 +247,7 @@ class TestWeightFiles:
             load_weights(path)
 
     def test_unknown_version(self, tmp_path):
-        weights = zero_weights(make_alphabet(3), 1, 4, 82)
+        weights = zero_weights(make_alphabet(3), 1, 4)
         path = tmp_path / "w.bin"
         save_weights(path, weights)
         data = bytearray(path.read_bytes())
@@ -257,7 +257,7 @@ class TestWeightFiles:
             load_weights(path)
 
     def test_truncation_is_dimension_error(self, tmp_path):
-        weights = zero_weights(make_alphabet(3), 1, 4, 82)
+        weights = zero_weights(make_alphabet(3), 1, 4)
         path = tmp_path / "w.bin"
         save_weights(path, weights)
         data = path.read_bytes()
@@ -266,7 +266,7 @@ class TestWeightFiles:
             load_weights(path)
 
     def test_non_finite_rejected(self, tmp_path):
-        weights = zero_weights(make_alphabet(3), 1, 4, 82)
+        weights = zero_weights(make_alphabet(3), 1, 4)
         path = tmp_path / "w.bin"
         save_weights(path, weights)
         data = bytearray(path.read_bytes())
@@ -279,11 +279,11 @@ class TestWeightFiles:
     def test_zero_hidden_units_refused(self):
         # the loader refuses them too: zero-width layers would take no bytes
         with pytest.raises(DimensionError):
-            zero_weights(make_alphabet(3), 1, 0, 82)
+            zero_weights(make_alphabet(3), 1, 0)
 
     def test_output_dim_alphabet_mismatch(self):
         alphabet = make_alphabet(3)
-        good = zero_weights(alphabet, 1, 4, 82)
+        good = zero_weights(alphabet, 1, 4)
         bad = GruWeights(good.layers, np.zeros((7, 4)), np.zeros(7), alphabet)
         with pytest.raises(DimensionError):
             bad.validate()

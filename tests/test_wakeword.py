@@ -291,6 +291,13 @@ class TestModelFiles:
             (h.labels, h.weight, h.enroll_logprob) for h in model.hypotheses
         ]
 
+    def test_nan_threshold_rejected(self):
+        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-2.0, weight=0.5)], make_alphabet(2))
+        with pytest.raises(ValueError, match="nan"):
+            model.with_threshold(math.nan)
+        for threshold in (-math.inf, math.inf):
+            assert model.with_threshold(threshold).threshold == threshold
+
     def test_file_is_human_readable(self, tmp_path):
         alphabet = make_alphabet(3)
         model = model_with([Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5)], alphabet)
@@ -404,7 +411,7 @@ def learned_models(draw):
     ]
     beam_width = draw(st.integers(1, 8))
     kept = draw(st.integers(1, beam_width))
-    threshold = draw(st.one_of(st.none(), st.floats(-1e6, 0.0)))
+    threshold = draw(st.one_of(st.none(), st.floats(-1e6, 0.0), st.sampled_from([-math.inf, math.inf])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return learn(posts, beam_width, kept, threshold=threshold)
@@ -486,6 +493,11 @@ class TestStreamingDetector:
         report = detect_stream(model, weights, [audio.samples], threshold=float("inf"))
         assert report.events == ()
         assert report.stats.segments_scored >= 1
+
+    def test_nan_threshold_rejected(self):
+        weights, model, *_ = enrolled_fixture()
+        with pytest.raises(ValueError, match="nan"):
+            StreamingDetector(model, weights, threshold=math.nan)
 
     def test_single_phrase_gives_single_event(self):
         weights, model, target, speaker, cfg, rng = enrolled_fixture(2)
