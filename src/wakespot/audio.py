@@ -14,6 +14,10 @@ posteriorgrams are reproducible bit-for-bit across machines:
 Frame stacking concatenates consecutive frame pairs so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 
+The streaming step :func:`frame_fbank` is the batch kernel of
+:func:`extract_fbank` applied to one window, so its output is the matching
+batch row bit for bit.
+
 Feature file (a :mod:`wakespot.container`, magic ``WSFB``, version 1):
 
     fields: u32 T, u32 d, u32 frame rate
@@ -198,34 +202,32 @@ def num_feature_frames(num_samples: int) -> int:
     return 1 + (num_samples - WINDOW_SAMPLES) // HOP_SAMPLES
 
 
-def _power_to_logmel(power: np.ndarray) -> np.ndarray:
-    """Log-Mel energies of one power spectrum or of a stack of them.
-
-    Each row is its own vector-matrix product: a matrix-matrix product
-    over all frames rounds differently in the last bits, and streaming
-    (one frame at a time) must equal batch extraction exactly.
+def _fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
+    """Log-Mel features of float64 windows (last axis); ``prev`` is the
+    sample before each window: a float for one window, a vector for a stack.
+    Each spectrum meets the filterbank in its own vector-matrix product: a
+    matrix-matrix product over all frames rounds differently in the last bits.
     """
+    emphasized = np.empty_like(windows)  # pre-emphasis in one buffer: one copy of a stack
+    emphasized[..., 0] = prev
+    emphasized[..., 1:] = windows[..., :-1]
+    emphasized *= PREEMPHASIS
+    np.subtract(windows, emphasized, out=emphasized)
+    power = np.abs(np.fft.rfft(emphasized * _hamming(), FFT_SIZE)) ** 2
     energies = np.matmul(power[..., None, :], _filters().T)[..., 0, :]
     return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 
 def frame_fbank(window: np.ndarray, prev_sample: float) -> np.ndarray:
-    """Features for a single 400-sample window.
+    """Features for a single 400-sample window: one row of :func:`extract_fbank`.
 
     ``prev_sample`` is the waveform sample immediately before the window
-    (0.0 at the very start), used by the pre-emphasis filter. This is the
-    streaming featurizer's primitive; each of its outputs is bit-equal to
-    the corresponding row of :func:`extract_fbank`, which applies the same
-    per-frame arithmetic to all frames at once.
+    (0.0 at the very start), used by the pre-emphasis filter.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.shape != (WINDOW_SAMPLES,):
         raise ValueError(f"window must have {WINDOW_SAMPLES} samples, got {w.shape}")
-    emphasized = w.copy()
-    emphasized[1:] -= PREEMPHASIS * w[:-1]
-    emphasized[0] -= PREEMPHASIS * prev_sample
-    power = np.abs(np.fft.rfft(emphasized * _hamming(), FFT_SIZE)) ** 2
-    return _power_to_logmel(power)
+    return _fbank(w, prev_sample)
 
 
 def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
@@ -233,14 +235,10 @@ def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     x = audio.samples.astype(np.float64)
     count = num_feature_frames(len(x))
     starts = HOP_SAMPLES * np.arange(count)
-    frames = x[starts[:, None] + np.arange(WINDOW_SAMPLES)[None, :]]
     prev = np.zeros(count)
     prev[1:] = x[starts[1:] - 1]
-    emphasized = frames.copy()
-    emphasized[:, 1:] -= PREEMPHASIS * frames[:, :-1]
-    emphasized[:, 0] -= PREEMPHASIS * prev
-    power = np.abs(np.fft.rfft(emphasized * _hamming(), FFT_SIZE, axis=-1)) ** 2
-    return FeatureSequence(_power_to_logmel(power), BASE_FRAME_RATE)
+    windows = x[starts[:, None] + np.arange(WINDOW_SAMPLES)]
+    return FeatureSequence(_fbank(windows, prev), BASE_FRAME_RATE)
 
 
 def stack_frames(features: FeatureSequence) -> FeatureSequence:

@@ -263,7 +263,7 @@ def cmd_eval(args) -> int:
     if args.detector != "dtw_fbank" and not args.weights:
         raise UsageError(f"--detector {args.detector} requires --weights")
     _, episodes = evaluation.read_episodes(args.manifest)
-    weights = load_weights(args.weights) if args.weights else None
+    weights = None if args.detector == "dtw_fbank" else load_weights(args.weights)
     params = evaluation.HarnessParams(
         weights=weights,
         beam_width=args.beam_width,

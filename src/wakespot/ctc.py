@@ -10,11 +10,11 @@ implementation serves every caller: :class:`ForwardLattice` scores H
 sequences at once, keeping only the 2U+1 augmented-position probabilities
 of each at the current timestep, so memory is independent of the audio
 length. Each posterior row is logged once and advances all H sequences in
-one set of array operations. Batch scoring is a loop of the same
-single-row update that streaming uses, so streaming and batch results are
-identical by construction, and each sequence's result is bit-identical to
-scoring it alone (:func:`forward_logprob` and :class:`CtcForwardScorer`
-are the one-sequence case).
+one set of array operations. The streaming step is the batch kernel
+applied to one row: batch scoring is a loop of the same ``step`` that
+streaming uses, and each sequence's result is bit-identical to scoring it
+alone (:func:`forward_logprob` and :class:`CtcForwardScorer` are the
+one-sequence case).
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -133,40 +133,20 @@ class ForwardLattice:
         return np.where(self._lengths == 0, self._log_alpha[:, 0], ends)
 
 
-class CtcForwardScorer:
+class CtcForwardScorer(ForwardLattice):
     """Incremental forward scorer for one label sequence: a one-sequence
-    :class:`ForwardLattice`.
-
-    Holds the log forward probabilities of the 2U+1 blank-interleaved
-    positions at the current timestep. ``step`` ingests one posterior row;
-    ``finalize`` may be called at any time and does not disturb the state.
-    """
+    :class:`ForwardLattice` whose ``state`` and ``finalize`` return that
+    sequence's values."""
 
     def __init__(self, labels: Iterable[int], num_symbols: int):
-        self._lattice = ForwardLattice([labels], num_symbols)
-        self.labels = self._lattice.sequences[0]
-        self.num_symbols = num_symbols
-
-    @property
-    def steps(self) -> int:
-        return self._lattice.steps
-
-    @property
-    def cell_updates(self) -> int:
-        return self._lattice.cell_updates
-
-    @property
-    def num_state_cells(self) -> int:
-        return self._lattice.num_state_cells
+        super().__init__([labels], num_symbols)
+        self.labels = self.sequences[0]
 
     def state(self) -> np.ndarray:
-        return self._lattice.state(0)
-
-    def step(self, row: np.ndarray) -> None:
-        self._lattice.step(row)
+        return super().state(0)
 
     def finalize(self) -> float:
-        return float(self._lattice.finalize()[0])
+        return float(super().finalize()[0])
 
 
 def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:

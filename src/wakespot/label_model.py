@@ -13,13 +13,13 @@ on input frames up to t.
 
 Two entry points compute it: :func:`gru_step` advances one frame (the
 streaming detector's step) and :func:`run` computes one recording layer by
-layer. Both give the same bits, because every product of a weight matrix
-with a frame or a hidden state is its own matrix-vector product: :func:`run`
-forms a layer's input products for all frames at once with
-``np.matmul(W, X[:, :, None])`` instead of ``X @ W.T``, whose
-matrix-matrix product rounds differently in the last bits, and adds the
-terms of each gate in :func:`gru_step`'s order. Streaming output therefore
-equals batch output exactly.
+layer. The streaming step is the batch kernel applied to one frame: both
+call the same recurrent cell and softmax, so streaming output equals batch
+output bit for bit. Every product of a weight matrix with a frame or a
+hidden state stays its own matrix-vector product: :func:`run` forms a
+layer's input products for all frames at once with
+``np.matmul(W, X[:, :, None])``, not ``X @ W.T``, whose matrix-matrix
+product rounds differently in the last bits.
 
 Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
 
@@ -273,18 +273,29 @@ def random_weights(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    """Softmax over the last axis: one row, or each row of a matrix."""
+    ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def _cell(layer: GruLayer, x_zr: np.ndarray, x_h: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The recurrent half of one layer for one frame: the new hidden state.
+
+    ``x_zr`` is the frame's input products ``[Wz x, Wr x]`` and ``x_h`` is
+    ``Wh x``; the z and r gates are computed as one vector.
+    """
+    hidden = h.size
+    u_zr = np.concatenate([layer.u_z @ h, layer.u_r @ h])
+    zr = _sigmoid(x_zr + u_zr + np.concatenate([layer.b_z, layer.b_r]))
+    z, r = zr[:hidden], zr[hidden:]
+    c = np.tanh(x_h + layer.u_h @ (r * h) + layer.b_h)
+    return (1.0 - z) * c + z * h
 
 
 GruState = tuple[np.ndarray, ...]
@@ -301,19 +312,13 @@ def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[n
         raise ValueError(f"frame dim {x.shape} does not match input dim {weights.input_dim}")
     new_state = []
     for layer, h in zip(weights.layers, state):
-        z = _sigmoid(layer.w_z @ x + layer.u_z @ h + layer.b_z)
-        r = _sigmoid(layer.w_r @ x + layer.u_r @ h + layer.b_r)
-        c = np.tanh(layer.w_h @ x + layer.u_h @ (r * h) + layer.b_h)
-        h = (1.0 - z) * c + z * h
-        new_state.append(h)
-        x = h
-    row = _softmax(weights.w_out @ x + weights.b_out)
-    return row, tuple(new_state)
+        x = _cell(layer, np.concatenate([layer.w_z @ x, layer.w_r @ x]), layer.w_h @ x, h)
+        new_state.append(x)
+    return _softmax(weights.w_out @ x + weights.b_out), tuple(new_state)
 
 
 def _stacked_matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for each row: one matrix-vector product per row, so
-    each result is bit-equal to the 1-D product :func:`gru_step` computes."""
+    """``matrix @ row`` for each row, each its own matrix-vector product."""
     return np.matmul(matrix, rows[:, :, None])[:, :, 0]
 
 
@@ -322,32 +327,23 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
 
     Each layer runs over the whole recording before the next: its input
     products for every frame are formed at once, and only the recurrent
-    half is stepped frame by frame, with the z and r gates as one vector.
+    half is stepped frame by frame.
     """
     if features.dim != weights.input_dim:
         raise ValueError(
             f"feature dim {features.dim} does not match model input dim {weights.input_dim}"
         )
-    hidden = weights.hidden_size
     x = features.frames
     for layer in weights.layers:
         x_zr = np.hstack([_stacked_matvec(layer.w_z, x), _stacked_matvec(layer.w_r, x)])
         x_h = _stacked_matvec(layer.w_h, x)
-        b_zr = np.hstack([layer.b_z, layer.b_r])
-        u_zr = np.empty(2 * hidden)  # u_z @ h, then u_r @ h
-        h = np.zeros(hidden)
-        out = np.empty((features.num_frames, hidden))
+        h = np.zeros(weights.hidden_size)
+        out = np.empty((features.num_frames, weights.hidden_size))
         for t in range(features.num_frames):
-            np.matmul(layer.u_z, h, out=u_zr[:hidden])
-            np.matmul(layer.u_r, h, out=u_zr[hidden:])
-            zr = _sigmoid(x_zr[t] + u_zr + b_zr)
-            z, r = zr[:hidden], zr[hidden:]
-            c = np.tanh(x_h[t] + layer.u_h @ (r * h) + layer.b_h)
-            h = out[t] = (1.0 - z) * c + z * h
+            h = out[t] = _cell(layer, x_zr[t], x_h[t], h)
         x = out
     logits = _stacked_matvec(weights.w_out, x) + weights.b_out
-    ex = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return Posteriorgram(ex / ex.sum(axis=1, keepdims=True), weights.alphabet)
+    return Posteriorgram(_softmax(logits), weights.alphabet)
 
 
 def _read_alphabet(reader: container.Reader) -> LabelAlphabet:

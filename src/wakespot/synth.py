@@ -86,12 +86,6 @@ def synth_alphabet() -> LabelAlphabet:
     return LabelAlphabet(PHONEME_NAMES)
 
 
-def phoneme_frequency(label_index: int) -> float:
-    """Tone frequency (Hz) of a pseudo-phoneme, by alphabet label index."""
-    centers = mel_center_frequencies()
-    return float(centers[PHONEME_CHANNELS[label_index - 1]])
-
-
 def noise_log_energy_profile(noise_db: float) -> np.ndarray:
     """Expected per-channel log energy of white noise at ``noise_db`` dBFS.
 

@@ -4,6 +4,10 @@ A frame (one 25 ms window on the 10 ms hop grid) counts as speech when its
 RMS level in dBFS reaches the threshold; the decision is then held high for
 ``hangover_frames`` further frames. Utterance spans are maximal runs of
 speech-classified frames of at least ``min_speech_frames``.
+
+The streaming level :func:`frame_dbfs` is the batch kernel of
+:func:`classify_frames` (the mean square of each window) applied to one
+window, so streaming and batch decisions agree bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +37,14 @@ class VadConfig:
             raise ValueError("min_speech_frames must be >= 1")
 
 
+def _mean_square(x: np.ndarray) -> np.ndarray:
+    """Mean square of each window (last axis) of samples scaled to full scale 1."""
+    return np.mean(x * x, axis=-1)
+
+
 def frame_dbfs(frame: np.ndarray) -> float:
     """RMS level of a window relative to int16 full scale; -inf for silence."""
-    x = np.asarray(frame, dtype=np.float64) / FULL_SCALE
-    return _dbfs(float(np.mean(x * x)))
+    return _dbfs(float(_mean_square(np.asarray(frame, dtype=np.float64) / FULL_SCALE)))
 
 
 def _dbfs(mean_square: float) -> float:
@@ -69,12 +77,8 @@ class Vad:
 
 
 def classify_frames(config: VadConfig, audio: AudioBuffer) -> list[bool]:
-    """Per-frame speech decisions (hangover applied) on the hop grid.
-
-    Equal to stepping ``Vad(config).classify_frame`` over the windows: the
-    mean squares of a block of windows come from one numpy reduction over
-    the same window values, and levels and hangover stay scalar.
-    """
+    """Per-frame speech decisions (hangover applied) on the hop grid; equal
+    to stepping ``Vad(config).classify_frame`` over the windows."""
     x = np.asarray(audio.samples, dtype=np.float64) / FULL_SCALE
     if len(x) < WINDOW_SAMPLES:
         return []
@@ -82,8 +86,7 @@ def classify_frames(config: VadConfig, audio: AudioBuffer) -> list[bool]:
     detector = Vad(config)
     decisions = []
     for start in range(0, len(windows), _BLOCK_FRAMES):
-        block = windows[start : start + _BLOCK_FRAMES]
-        for mean_square in np.mean(block * block, axis=1).tolist():
+        for mean_square in _mean_square(windows[start : start + _BLOCK_FRAMES]).tolist():
             decisions.append(detector._decide(_dbfs(mean_square)))
     return decisions
 

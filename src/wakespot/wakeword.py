@@ -49,7 +49,7 @@ from .ctc import ForwardLattice, beam_search, forward_lattice, validate_labels
 from .errors import FileFormatError, NonFiniteError
 from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
 from .label_model import gru_step, init_state, run
-from .vad import Vad, VadConfig, trim_to_speech
+from .vad import Vad, VadConfig, span_samples, trim_to_speech
 
 logger = logging.getLogger(__name__)
 
@@ -498,7 +498,7 @@ class StreamingDetector:
             self.stats.segments_scored += 1
             value = aggregate(self.model, self._lattice.finalize(), self.aggregation)
             if value >= self.threshold:
-                end_sample = (end_frame - 1) * HOP_SAMPLES + WINDOW_SAMPLES
+                _, end_sample = span_samples((start, end_frame))
                 event = DetectionEvent(
                     time=end_sample / SAMPLE_RATE,
                     score=value,

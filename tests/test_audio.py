@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wakespot.audio import (
     BASE_FRAME_RATE,
@@ -105,6 +107,34 @@ class TestExtractFbank:
             prev = x[start - 1] if start else 0.0
             single = frame_fbank(x[start : start + 400], prev)
             assert np.array_equal(single, feats[t]), f"frame {t}"
+
+
+@st.composite
+def edge_audio(draw):
+    """int16 audio of at least one window built from runs of exact zeros,
+    of full scale (+32767 and -32768) and of noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = {
+        "zero": lambda n: np.zeros(n, dtype=np.int16),
+        "max": lambda n: np.full(n, 32767, dtype=np.int16),
+        "min": lambda n: np.full(n, -32768, dtype=np.int16),
+        "noise": lambda n: rng.integers(-32768, 32768, size=n).astype(np.int16),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(runs)), min_size=1, max_size=8))
+    parts = [runs[kind](draw(st.integers(1, 1200))) for kind in kinds]
+    parts.append(np.zeros(max(0, 400 - sum(map(len, parts))), dtype=np.int16))
+    return AudioBuffer(np.concatenate(parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_audio())
+def test_extract_fbank_rows_equal_frame_fbank_on_silence_and_full_scale(audio):
+    feats = extract_fbank(audio).frames
+    x = audio.samples.astype(np.float64)
+    for t in range(feats.shape[0]):
+        start = 160 * t
+        prev = x[start - 1] if start else 0.0
+        assert np.array_equal(frame_fbank(x[start : start + 400], prev), feats[t]), f"frame {t}"
 
 
 class TestStackFrames:

@@ -255,11 +255,14 @@ def test_eval_dtw_fbank_needs_no_weights(world, tmp_path, capsys):
         == EXIT_OK
     )
     capsys.readouterr()
-    code = main(
-        ["eval", "--manifest", str(suite / "manifest.txt"), "--detector", "dtw_fbank"]
-    )
-    assert code == EXIT_OK
-    assert "overall eer" in capsys.readouterr().out
+    args = ["eval", "--manifest", str(suite / "manifest.txt"), "--detector", "dtw_fbank"]
+    assert main(args) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert "overall eer" in plain
+    broken = tmp_path / "broken.bin"  # never read: dtw_fbank uses no weights
+    broken.write_bytes(b"not a weight file")
+    assert main([*args, "--weights", str(broken)]) == EXIT_OK
+    assert capsys.readouterr().out == plain
 
 
 def _enroll(world, model_path):

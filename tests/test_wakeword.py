@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wakespot import synth
 from wakespot.audio import (
     HOP_SAMPLES,
+    SAMPLE_RATE,
     WINDOW_SAMPLES,
     AudioBuffer,
     extract_fbank,
@@ -595,6 +596,7 @@ class TestStreamingEqualsBatch:
         assert max(lengths) * HOP_SAMPLES > len(stretch)  # the stretch is one segment
         for event in report.events:
             assert event.score == batch_event_score(model, weights, stream, event, aggregation)
+            assert event.time == span_samples((event.start_frame, event.end_frame))[1] / SAMPLE_RATE
 
     def test_state_stays_bounded_under_unbroken_speech(self):
         weights, model, *_ = enrolled_fixture(8)
@@ -610,3 +612,4 @@ class TestStreamingEqualsBatch:
         (event,) = detector.finish()
         assert (event.start_frame, event.end_frame) == (0, num_feature_frames(len(stream)))
         assert event.score == batch_event_score(model, weights, stream, event, "weighted_sum")
+        assert event.time == span_samples((event.start_frame, event.end_frame))[1] / SAMPLE_RATE
