@@ -4,7 +4,8 @@ The front end is a fixed fixture contract so that serialized features and
 posteriorgrams are reproducible bit-for-bit across machines:
 
 * input: 16 kHz mono PCM16 WAV only
-* 25 ms Hamming window, 10 ms hop (400 / 160 samples)
+* 25 ms Hamming window, 10 ms hop (400 / 160 samples); :func:`hop_windows`
+  is the one framing of that grid, for the filterbank and the VAD alike
 * pre-emphasis 0.97 on the waveform, first sample kept as-is
 * 512-point FFT, power spectrum ``|X|^2``
 * 41 triangular filters on the HTK Mel scale spanning 0..8000 Hz
@@ -30,6 +31,7 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import container
 from .errors import AudioError, DimensionError, NonFiniteError
@@ -230,14 +232,18 @@ def frame_fbank(window: np.ndarray, prev_sample: float) -> np.ndarray:
     return _fbank(w, prev_sample)
 
 
+def hop_windows(x: np.ndarray) -> np.ndarray:
+    """The 400-sample windows of ``x`` on the 160-sample hop grid: a
+    read-only (T, 400) view, T = :func:`num_feature_frames` of ``len(x)``."""
+    return sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+
+
 def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     """Convert audio to T x 41 log-Mel energies at 100 Hz."""
     x = audio.samples.astype(np.float64)
-    count = num_feature_frames(len(x))
-    starts = HOP_SAMPLES * np.arange(count)
-    prev = np.zeros(count)
-    prev[1:] = x[starts[1:] - 1]
-    windows = x[starts[:, None] + np.arange(WINDOW_SAMPLES)]
+    prev = np.zeros(num_feature_frames(len(x)))
+    windows = hop_windows(x)
+    prev[1:] = windows[:-1, HOP_SAMPLES - 1]  # the sample before each later window
     return FeatureSequence(_fbank(windows, prev), BASE_FRAME_RATE)
 
 

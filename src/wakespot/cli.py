@@ -13,8 +13,9 @@ and ``posteriors`` write files of the whole recording.
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
 the stored value, and is required when the model stores none. A NaN
-threshold is a usage error; inf and -inf (as ``--threshold=-inf``) are
-accepted.
+threshold is a usage error; inf and -inf are accepted. Every option takes
+float text that starts with "-" (such as -inf or -1.5e-05, as ``score``
+prints it) as its value, not as another option.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import re
 import sys
 import warnings
 
@@ -53,6 +55,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only plain decimals such as -2 or -0.5 as negative
+        # numbers, and takes -inf or -1e3 for an option that needs a value
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # argparse defaults to exit code 2; we use 1
         raise UsageError(message)
 
@@ -144,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a detector over an episode manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--detector", choices=evaluation.DETECTORS, required=True)
-    p.add_argument("--weights", help="required by every detector but dtw_fbank")
+    no_weights = " and ".join(evaluation.WEIGHTLESS_DETECTORS)
+    p.add_argument("--weights", help=f"required by every detector but {no_weights}")
     p.add_argument("--beam-width", type=_positive_int, default=100)
     p.add_argument("--num-hypotheses", type=_positive_int, default=10)
     p.add_argument("--report", help="write the metrics report here as well")
@@ -260,10 +269,11 @@ def cmd_baseline(args) -> int:
 def cmd_eval(args) -> int:
     if args.num_hypotheses > args.beam_width:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
-    if args.detector != "dtw_fbank" and not args.weights:
+    weightless = args.detector in evaluation.WEIGHTLESS_DETECTORS
+    if not weightless and not args.weights:
         raise UsageError(f"--detector {args.detector} requires --weights")
     _, episodes = evaluation.read_episodes(args.manifest)
-    weights = None if args.detector == "dtw_fbank" else load_weights(args.weights)
+    weights = None if weightless else load_weights(args.weights)
     params = evaluation.HarnessParams(
         weights=weights,
         beam_width=args.beam_width,

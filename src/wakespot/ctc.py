@@ -76,6 +76,11 @@ class ForwardLattice:
     cells, and each row evolves exactly as it would alone. ``step`` ingests
     one posterior row; ``finalize`` may be called at any time and does not
     disturb the state. The work counters cover valid cells only.
+
+    The lattice starts in a start cell: before any row, position 0 holds
+    log 1 = 0.0 and the others -inf (``state(h)`` reads so, and ``finalize``
+    gives 0.0 for the empty sequence, -inf for the rest). The one recurrence
+    then also yields the first row, because ``logaddexp(-inf, 0.0) == 0.0``.
     """
 
     def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
@@ -91,6 +96,7 @@ class ForwardLattice:
         # only when its label differs from the one two slots back.
         self._can_skip = self._symbols[:, 3::2] != self._symbols[:, 1:-2:2]
         self._log_alpha = np.full(self._symbols.shape, NEG_INF)
+        self._log_alpha[:, 0] = 0.0  # the start cell
         self.num_state_cells = int((2 * self._lengths + 1).sum())
         self.steps = 0
         self.cell_updates = 0
@@ -105,28 +111,21 @@ class ForwardLattice:
             raise ValueError(
                 f"posterior row has {row.shape} entries, scorer expects {self.num_symbols}"
             )
-        emit = _log_rows(row)[self._symbols]
-        if self.steps == 0:
-            alpha = np.full(self._symbols.shape, NEG_INF)
-            alpha[:, :2] = emit[:, :2]
-        else:
-            # logaddexp(x, -inf) == x exactly, so leaving out the
-            # transitions that cannot occur (an advance into position 0, a
-            # skip into a blank or a repeated label) changes no bit.
-            prev = self._log_alpha
-            alpha = prev.copy()
-            np.logaddexp(prev[:, 1:], prev[:, :-1], out=alpha[:, 1:])
-            skip = np.where(self._can_skip, prev[:, 1:-2:2], NEG_INF)
-            np.logaddexp(alpha[:, 3::2], skip, out=alpha[:, 3::2])
-            alpha += emit
+        # logaddexp(x, -inf) == x exactly, so leaving out the transitions
+        # that cannot occur (an advance into position 0, a skip into a blank
+        # or a repeated label) changes no bit.
+        prev = self._log_alpha
+        alpha = prev.copy()
+        np.logaddexp(prev[:, 1:], prev[:, :-1], out=alpha[:, 1:])
+        skip = np.where(self._can_skip, prev[:, 1:-2:2], NEG_INF)
+        np.logaddexp(alpha[:, 3::2], skip, out=alpha[:, 3::2])
+        alpha += _log_rows(row)[self._symbols]
         self._log_alpha = alpha
         self.steps += 1
         self.cell_updates += self.num_state_cells
 
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""
-        if self.steps == 0:
-            return np.where(self._lengths == 0, 0.0, NEG_INF)
         rows = np.arange(len(self.sequences))
         last = 2 * self._lengths
         ends = np.logaddexp(self._log_alpha[rows, last], self._log_alpha[rows, last - 1])

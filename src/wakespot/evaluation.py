@@ -42,6 +42,7 @@ TAGS = ("confusing", "non_confusing")
 SPEAKER_MATCHES = ("same", "different")
 
 DETECTORS = ("donut", "donut_logsumexp", "query_by_string", "dtw_fbank", "dtw_post")
+WEIGHTLESS_DETECTORS = ("dtw_fbank",)  # every other detector runs the label model
 
 _MANIFEST_HEADER = "# wakespot episodes v1"
 
@@ -177,7 +178,7 @@ class HarnessReport:
 
 
 def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
-    weights = None if detector == "dtw_fbank" else params.weights
+    weights = None if detector in WEIGHTLESS_DETECTORS else params.weights
     recordings = [*episode.support, *(t.audio for t in episode.tests)]
     sequences = featurize(recordings, params.vad, weights)
     supports = len(episode.support)
@@ -223,7 +224,7 @@ def run_harness(
         raise ValueError(f"unknown detector {detector!r}; choose from {DETECTORS}")
     if not episodes:
         raise ValueError("no episodes to evaluate")
-    if detector != "dtw_fbank" and params.weights is None:
+    if detector not in WEIGHTLESS_DETECTORS and params.weights is None:
         raise ValueError(f"detector {detector!r} needs label-model weights")
     records: list[ScoreRecord] = []
     skipped = 0

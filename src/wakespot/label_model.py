@@ -27,6 +27,9 @@ Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
     parts : per layer Wz Wr Wh Uz Ur Uh bz br bh, then W_out (K x hidden),
             b_out (K), then the alphabet (K - 1 labels)
 
+The per-layer order is the layer table ``_LAYER_FIELDS`` (the fields of
+:class:`GruLayer`), and ``_layer_shapes`` gives each array's shape.
+
 Posteriorgram file (magic ``WSPG``, version 1):
 
     fields: u32 T, u32 K
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,6 +120,17 @@ class GruLayer:
     b_h: np.ndarray
 
 
+_LAYER_FIELDS = tuple(f.name for f in fields(GruLayer))
+
+
+def _layer_shapes(num_layers: int, hidden: int, input_dim: int):
+    """Each layer's array shapes in ``_LAYER_FIELDS`` order; layer 0 reads
+    ``input_dim`` features and every later layer the one below it."""
+    for i in range(num_layers):
+        in_dim = input_dim if i == 0 else hidden
+        yield 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
+
+
 @dataclass(frozen=True)
 class GruWeights:
     layers: tuple[GruLayer, ...]
@@ -142,11 +156,8 @@ class GruWeights:
 
     @property
     def num_parameters(self) -> int:
-        count = self.w_out.size + self.b_out.size
-        for layer in self.layers:
-            for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-                count += getattr(layer, name).size
-        return count
+        arrays = [getattr(layer, name) for layer in self.layers for name in _LAYER_FIELDS]
+        return sum(a.size for a in arrays) + self.w_out.size + self.b_out.size
 
     def validate(self) -> None:
         if not self.layers:
@@ -154,23 +165,16 @@ class GruWeights:
         hidden = self.hidden_size
         if hidden < 1:
             raise DimensionError("hidden size must be positive")
-        in_dim = self.input_dim
-        for i, layer in enumerate(self.layers):
-            expect_in = in_dim if i == 0 else hidden
-            for name in ("w_z", "w_r", "w_h"):
-                if getattr(layer, name).shape != (hidden, expect_in):
+        shapes = _layer_shapes(self.num_layers, hidden, self.input_dim)
+        for i, (layer, layer_shapes) in enumerate(zip(self.layers, shapes)):
+            arrays = [getattr(layer, name) for name in _LAYER_FIELDS]
+            for name, array, shape in zip(_LAYER_FIELDS, arrays, layer_shapes):
+                if array.shape != shape:
                     raise DimensionError(
-                        f"layer {i}: {name} has shape {getattr(layer, name).shape}, "
-                        f"expected {(hidden, expect_in)}"
+                        f"layer {i}: {name} has shape {array.shape}, expected {shape}"
                     )
-            for name in ("u_z", "u_r", "u_h"):
-                if getattr(layer, name).shape != (hidden, hidden):
-                    raise DimensionError(f"layer {i}: {name} must be {(hidden, hidden)}")
-            for name in ("b_z", "b_r", "b_h"):
-                if getattr(layer, name).shape != (hidden,):
-                    raise DimensionError(f"layer {i}: {name} must be a length-{hidden} vector")
-            for name in ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h"):
-                if not np.all(np.isfinite(getattr(layer, name))):
+            for name, array in zip(_LAYER_FIELDS, arrays):
+                if not np.all(np.isfinite(array)):
                     raise NonFiniteError(f"layer {i}: {name} contains non-finite values")
         if self.w_out.shape != (self.num_symbols, hidden):
             raise DimensionError(f"output projection must be (K, {hidden})")
@@ -221,20 +225,23 @@ class Posteriorgram:
                 raise ValueError(f"posteriorgram rows must sum to 1 (worst error {worst:.3g})")
 
 
-def zero_weights(alphabet: LabelAlphabet, num_layers: int = 3, hidden_size: int = 96) -> GruWeights:
-    """All-zero weights; every output row is uniform 1/K."""
-
-    def layer(in_dim):
-        return GruLayer(
-            *(np.zeros((hidden_size, in_dim)) for _ in range(3)),
-            *(np.zeros((hidden_size, hidden_size)) for _ in range(3)),
-            *(np.zeros(hidden_size) for _ in range(3)),
-        )
-
-    layers = tuple(layer(STACKED_DIM if i == 0 else hidden_size) for i in range(num_layers))
-    weights = GruWeights(layers, np.zeros((alphabet.size, hidden_size)), np.zeros(alphabet.size), alphabet)
+def _build_weights(alphabet: LabelAlphabet, num_layers: int, hidden_size: int, matrix) -> GruWeights:
+    """Weights whose matrices ``matrix(shape)`` makes, in weight-file order,
+    ending with the output projection; every bias is zero."""
+    layers = tuple(
+        GruLayer(*(matrix(shape) if len(shape) == 2 else np.zeros(shape) for shape in shapes))
+        for shapes in _layer_shapes(num_layers, hidden_size, STACKED_DIM)
+    )
+    weights = GruWeights(
+        layers, matrix((alphabet.size, hidden_size)), np.zeros(alphabet.size), alphabet
+    )
     weights.validate()
     return weights
+
+
+def zero_weights(alphabet: LabelAlphabet, num_layers: int = 3, hidden_size: int = 96) -> GruWeights:
+    """All-zero weights; every output row is uniform 1/K."""
+    return _build_weights(alphabet, num_layers, hidden_size, np.zeros)
 
 
 def random_weights(
@@ -246,30 +253,10 @@ def random_weights(
     """Seeded random weights, scaled by fan-in; a stand-in for trained models."""
     rng = np.random.default_rng(seed)
 
-    def mat(rows, cols):
-        return rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols))
+    def matrix(shape):
+        return rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape)
 
-    layers = []
-    for i in range(num_layers):
-        in_dim = STACKED_DIM if i == 0 else hidden_size
-        layers.append(
-            GruLayer(
-                mat(hidden_size, in_dim),
-                mat(hidden_size, in_dim),
-                mat(hidden_size, in_dim),
-                mat(hidden_size, hidden_size),
-                mat(hidden_size, hidden_size),
-                mat(hidden_size, hidden_size),
-                np.zeros(hidden_size),
-                np.zeros(hidden_size),
-                np.zeros(hidden_size),
-            )
-        )
-    weights = GruWeights(
-        tuple(layers), mat(alphabet.size, hidden_size), np.zeros(alphabet.size), alphabet
-    )
-    weights.validate()
-    return weights
+    return _build_weights(alphabet, num_layers, hidden_size, matrix)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -353,9 +340,6 @@ def _read_alphabet(reader: container.Reader) -> LabelAlphabet:
         raise FileFormatError(f"{reader.path}: bad alphabet ({exc})") from exc
 
 
-_LAYER_FIELDS = ("w_z", "w_r", "w_h", "u_z", "u_r", "u_h", "b_z", "b_r", "b_h")
-
-
 def save_weights(path, weights: GruWeights) -> None:
     weights.validate()
     container.write(
@@ -374,11 +358,10 @@ def load_weights(path) -> GruWeights:
     num_layers, hidden, input_dim, num_symbols = reader.fields
     if hidden < 1:  # each layer then takes at least 24 bytes, so num_layers is bounded
         raise DimensionError(f"{path}: hidden size must be positive")
-    layers = []
-    for i in range(num_layers):
-        in_dim = input_dim if i == 0 else hidden
-        shapes = 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
-        layers.append(GruLayer(*(reader.matrix(shape) for shape in shapes)))
+    layers = [
+        GruLayer(*(reader.matrix(shape) for shape in shapes))
+        for shapes in _layer_shapes(num_layers, hidden, input_dim)
+    ]
     w_out = reader.matrix((num_symbols, hidden))
     b_out = reader.matrix((num_symbols,))
     alphabet = _read_alphabet(reader)

@@ -129,14 +129,14 @@ def learn(
                 "the model may be degenerate"
             )
         for entry in kept:
-            candidate = Hypothesis(
-                labels=entry.labels,
-                enroll_logprob=entry.logprob,
-                weight=weight_from_logprob(entry.logprob),
-                example=i,
+            hypotheses.append(
+                Hypothesis(
+                    labels=entry.labels,
+                    enroll_logprob=entry.logprob,
+                    weight=weight_from_logprob(entry.logprob),
+                    example=i,
+                )
             )
-            if candidate not in hypotheses:  # identical (example, sequence, weight) only once
-                hypotheses.append(candidate)
     for note in notes:
         _warnings.warn(note, stacklevel=2)
     return WakewordModel(

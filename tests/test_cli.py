@@ -452,6 +452,32 @@ def test_infinite_thresholds_are_stored_and_used(world, tmp_path, capsys, thresh
     assert f"events={events}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, joined",
+    [("listen", "--threshold", "-inf", "-inf"), ("score", "--vad-threshold-db", "-4.5e1", "-45")],
+    ids=["listen-threshold", "score-vad-threshold-db"],
+)
+def test_negative_float_text_after_a_space_is_the_option_value(
+    world, stored_threshold_model, capsys, command, flag, value, joined
+):
+    args = [command, str(stored_threshold_model["plain"]), str(world["distractor"])]
+    args += ["--weights", str(world["weights"])]
+    capsys.readouterr()
+    assert main([*args, f"{flag}={joined}"]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main([*args, flag, value]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert command != "listen" or "events=1" in expected
+
+
+def test_enroll_stores_a_space_separated_scientific_threshold(world, tmp_path):
+    model = tmp_path / "m.model"
+    args = ["enroll", str(model), *map(str, world["wavs"]), "--weights", str(world["weights"])]
+    args += ["--beam-width", "20", "--num-hypotheses", "3", "--threshold", "-1e3"]
+    assert main(args) == EXIT_OK
+    assert "threshold -1000.0\n" in model.read_text()
+
+
 @pytest.mark.parametrize("detector", ["donut", "donut_logsumexp", "query_by_string", "dtw_post"])
 def test_eval_without_weights_is_a_usage_error_before_reading(tmp_path, capsys, detector):
     missing = tmp_path / "no-such-manifest.txt"  # unread: the flags are checked first

@@ -21,7 +21,7 @@ from wakespot.audio import (
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.errors import FileFormatError, NonFiniteError
 from wakespot.label_model import Posteriorgram, run
-from wakespot.vad import VadConfig, segment, span_samples, trim_to_speech
+from wakespot.vad import VadConfig, classify_frames, segment, span_samples, trim_to_speech
 from wakespot.wakeword import (
     Hypothesis,
     StreamingDetector,
@@ -613,3 +613,53 @@ class TestStreamingEqualsBatch:
         assert (event.start_frame, event.end_frame) == (0, num_feature_frames(len(stream)))
         assert event.score == batch_event_score(model, weights, stream, event, "weighted_sum")
         assert event.time == span_samples((event.start_frame, event.end_frame))[1] / SAMPLE_RATE
+
+
+def speech_runs(decisions):
+    """Maximal runs of speech decisions as (start, end) pairs, end exclusive."""
+    runs, start = [], None
+    for t, speech in enumerate([*decisions, False]):
+        if speech and start is None:
+            start = t
+        elif not speech and start is not None:
+            runs.append((start, t))
+            start = None
+    return runs
+
+
+@pytest.mark.parametrize(
+    "config, tail_frames, dropped",
+    [
+        (VadConfig(), 4, 1),
+        (VadConfig(hangover_frames=0, min_speech_frames=10), 4, 3),
+        (VadConfig(hangover_frames=3, min_speech_frames=12), 4, 3),
+        (VadConfig(), 40, 0),
+        (VadConfig(hangover_frames=0, min_speech_frames=10), 40, 3),
+        (VadConfig(hangover_frames=3, min_speech_frames=12), 40, 3),
+        # runs exactly min_speech_frames long, mid-stream and cut off at the end
+        (VadConfig(hangover_frames=0, min_speech_frames=12), 4, 4),
+        (VadConfig(min_speech_frames=40), 40, 2),
+    ],
+)
+def test_streaming_segments_are_vad_segment_spans(config, tail_frames, dropped):
+    """Streaming opens a segment on speech, closes it on the first non-speech
+    frame and drops runs shorter than ``min_speech_frames``, as ``segment``
+    does: keywords, 50 ms noise bursts, and a last utterance cut off
+    ``tail_frames`` frames after its onset, which ``finish`` closes."""
+    weights, model, target, speaker, cfg, rng = enrolled_fixture(5)
+    gap = lambda seconds: np.zeros(int(seconds * 16000), dtype=np.int16)
+    utterance = lambda: synth.render_utterance(target, speaker, rng, cfg).samples
+    burst = lambda: noisy(np.zeros(800), rng, dbfs=-20.0)
+    last = utterance()
+    onset = classify_frames(VadConfig(hangover_frames=0), AudioBuffer(last)).index(True)
+    cut = last[: (onset + tail_frames) * HOP_SAMPLES + WINDOW_SAMPLES]
+    stream = np.concatenate(
+        [gap(0.3), utterance(), gap(0.5), burst(), gap(0.5), utterance(), gap(0.5), burst(),
+         gap(0.5), cut]
+    )
+    chunks = [stream[i : i + HOP_SAMPLES] for i in range(0, len(stream), HOP_SAMPLES)]
+    report = detect_stream(model, weights, chunks, -math.inf, config)
+    spans = segment(config, AudioBuffer(stream))
+    assert [(e.start_frame, e.end_frame) for e in report.events] == spans
+    runs = speech_runs(classify_frames(config, AudioBuffer(stream)))
+    assert report.stats.segments_discarded == len(runs) - len(spans) == dropped
