@@ -13,9 +13,10 @@ and ``posteriors`` write files of the whole recording.
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
 the stored value, and is required when the model stores none. A NaN
-threshold is a usage error; inf and -inf are accepted. Every option takes
-float text that starts with "-" (such as -inf or -1.5e-05, as ``score``
-prints it) as its value, not as another option.
+threshold, ``--threshold`` or ``--vad-threshold-db``, is a usage error; inf
+and -inf are accepted. Every option takes float text that starts with "-"
+(such as -inf or -1.5e-05, as ``score`` prints it) as its value, not as
+another option.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ import warnings
 
 from . import evaluation, synth
 from .audio import read_wav, save_features, stack_frames
-from .dtw import DtwConfig, dtw_detect
+from .dtw import AGGREGATIONS, DtwConfig, dtw_detect
 from .errors import WakespotError
 from .label_model import load_weights, save_posteriorgram, save_weights
 from .vad import VadConfig
 from .wakeword import (
-    AGGREGATIONS,
     aggregate,
     detect_stream,
     featurize,
@@ -87,7 +87,7 @@ def _threshold(text: str) -> float:
 
 
 def _add_vad_flags(parser):
-    parser.add_argument("--vad-threshold-db", type=float, default=-40.0)
+    parser.add_argument("--vad-threshold-db", type=_threshold, default=-40.0)
     parser.add_argument("--vad-hangover", type=_non_negative_int, default=20)
     parser.add_argument("--vad-min-speech", type=_positive_int, default=10)
 
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("wav")
     p.add_argument("--weights", required=True)
-    p.add_argument("--aggregation", choices=AGGREGATIONS, default="weighted_sum")
     _add_vad_flags(p)
 
     p = sub.add_parser("listen", help="stream a WAV through the online detector")
@@ -135,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("--weights", required=True)
     p.add_argument("--threshold", type=_threshold, help="default: the model's threshold")
-    p.add_argument("--aggregation", choices=AGGREGATIONS, default="weighted_sum")
     p.add_argument("--chunk-samples", type=_positive_int, default=160)
     _add_vad_flags(p)
 
@@ -145,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--space", choices=("fbank", "post"), default="post")
     p.add_argument("--weights", help="required for --space post")
     p.add_argument("--lambda", dest="smoothing", type=float, default=1e-5)
-    p.add_argument("--agg", choices=("max", "mean"), default="max")
+    p.add_argument("--agg", choices=AGGREGATIONS, default="max")
     p.add_argument("--no-normalize", action="store_true", help="skip path-length normalization")
     _add_vad_flags(p)
 
@@ -168,6 +166,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-out", help="also write the matching oracle weights")
 
     return parser
+
+
+def _hypothesis_line(alphabet, hyp, logprob: float) -> str:
+    """One hypothesis as ``enroll`` and ``score`` print it."""
+    symbols = " ".join(alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
+    return f"  {symbols}  logp={logprob:.4f}  w={hyp.weight:.6f}"
 
 
 def cmd_featurize(args) -> int:
@@ -197,13 +201,11 @@ def cmd_enroll(args) -> int:
     save_model(args.out, model)
     for note in model.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    alphabet = model.alphabet
     for i in range(len(posts)):
         print(f"example {i + 1}:")
         for hyp in model.hypotheses:
             if hyp.example == i:
-                symbols = " ".join(alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
-                print(f"  {symbols}  logp={hyp.enroll_logprob:.4f}  w={hyp.weight:.6f}")
+                print(_hypothesis_line(model.alphabet, hyp, hyp.enroll_logprob))
     print(f"wrote {len(model.hypotheses)} hypotheses to {args.out}")
     return EXIT_OK
 
@@ -214,9 +216,8 @@ def cmd_score(args) -> int:
     post = featurize([read_wav(args.wav)], _vad_config(args), weights)[0]
     logprobs = hypothesis_logprobs(model, post)
     for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
-        symbols = " ".join(model.alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
-        print(f"  {symbols}  logp={lp:.4f}  w={hyp.weight:.6f}")
-    print(f"score {aggregate(model, logprobs, args.aggregation)}")
+        print(_hypothesis_line(model.alphabet, hyp, lp))
+    print(f"score {aggregate(model, logprobs)}")
     return EXIT_OK
 
 
@@ -228,14 +229,7 @@ def cmd_listen(args) -> int:
         raise UsageError("listen needs --threshold: the model stores none")
     samples, chunk = read_wav(args.wav).samples, args.chunk_samples
     chunks = (samples[i : i + chunk] for i in range(0, len(samples), chunk))
-    report = detect_stream(
-        model,
-        weights,
-        chunks,
-        threshold=threshold,
-        vad_config=_vad_config(args),
-        aggregation=args.aggregation,
-    )
+    report = detect_stream(model, weights, chunks, threshold, _vad_config(args))
     for event in report.events:
         print(f"event t={event.time:.3f}s score={event.score:.4f} "
               f"frames=[{event.start_frame},{event.end_frame})")
@@ -249,11 +243,14 @@ def cmd_listen(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    config = DtwConfig(
-        smoothing=args.smoothing,
-        normalization="none" if args.no_normalize else "path_length",
-        aggregation=args.agg,
-    )
+    try:
+        config = DtwConfig(
+            smoothing=args.smoothing,
+            normalization="none" if args.no_normalize else "path_length",
+            aggregation=args.agg,
+        )
+    except ValueError as exc:  # --lambda out of range
+        raise UsageError(str(exc)) from None
     weights = None
     if args.space == "post":
         if not args.weights:

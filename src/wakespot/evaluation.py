@@ -41,7 +41,7 @@ POLARITIES = ("positive", "negative")
 TAGS = ("confusing", "non_confusing")
 SPEAKER_MATCHES = ("same", "different")
 
-DETECTORS = ("donut", "donut_logsumexp", "query_by_string", "dtw_fbank", "dtw_post")
+DETECTORS = ("donut", "query_by_string", "dtw_fbank", "dtw_post")
 WEIGHTLESS_DETECTORS = ("dtw_fbank",)  # every other detector runs the label model
 
 _MANIFEST_HEADER = "# wakespot episodes v1"
@@ -196,8 +196,7 @@ def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
         supports = len(episode.support)
         model = learn(posts[:supports], params.beam_width, params.num_hypotheses)
         posts = posts[supports:]
-    aggregation = "logsumexp_prior" if detector == "donut_logsumexp" else "weighted_sum"
-    return [score(model, post, aggregation) for post in posts]
+    return [score(model, post) for post in posts]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

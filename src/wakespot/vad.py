@@ -30,6 +30,8 @@ class VadConfig:
     min_speech_frames: int = 10
 
     def __post_init__(self):
+        if math.isnan(self.energy_threshold_db):
+            raise ValueError("energy_threshold_db may not be nan")
         if self.hangover_frames < 0:
             raise ValueError("hangover_frames must be >= 0")
         if self.min_speech_frames < 1:

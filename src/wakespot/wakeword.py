@@ -8,12 +8,10 @@ cannot produce an unbounded weight). Entries from different recordings are
 all kept, including repeats of the same sequence.
 
 Detection computes the forward log probability of every hypothesis on the
-test posteriorgram, all hypotheses in one forward lattice, and combines
-them with :func:`aggregate`, which batch scoring and the streaming detector
-share. The default aggregation is the confidence-weighted sum;
-``logsumexp`` aggregation treating the enrollment log probabilities as log
-priors is available for comparison but tends to behave like a max over
-hypotheses.
+test posteriorgram, all hypotheses in one forward lattice. The score is
+their confidence-weighted sum, weight times log probability summed in model
+order by :func:`aggregate`. It is the only aggregation, and batch scoring
+and the streaming detector share it.
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -58,8 +56,6 @@ ENROLL_LOGPROB_CEILING = -1e-6
 _MODEL_HEADER = "wakespot-model"
 _MODEL_VERSION = 2
 _HYPOTHESIS_FIELDS = {"1": 3, "2": 4}  # readable version -> tab-separated fields per hypothesis
-
-AGGREGATIONS = ("weighted_sum", "logsumexp_prior")
 
 
 @dataclass(frozen=True)
@@ -162,34 +158,22 @@ def model_from_labels(symbols: Iterable[str], alphabet: LabelAlphabet) -> Wakewo
     )
 
 
-def _check_scoring_inputs(model: WakewordModel, post: Posteriorgram) -> None:
-    if post.alphabet != model.alphabet:
-        raise ValueError("posteriorgram alphabet does not match the wakeword model")
+def aggregate(model: WakewordModel, logprobs: np.ndarray) -> float:
+    """Confidence-weighted sum of per-hypothesis forward log probabilities.
 
-
-def aggregate(model: WakewordModel, logprobs: np.ndarray, aggregation: str) -> float:
-    """Combine per-hypothesis forward log probabilities into one score.
-
-    ``weighted_sum`` is a left-to-right float sum from 0.0 of weight times
-    log probability (not ``sum()``, which compensates rounding on newer
-    interpreters); ``logsumexp_prior`` is the logsumexp of enrollment plus
-    test log probability.
+    The sum runs left to right from 0.0 in model order, not by ``sum()``
+    (which compensates rounding from Python 3.12) or ``math.fsum``, so a
+    score has the same bits on every supported Python.
     """
-    if aggregation == "weighted_sum":
-        total = 0.0
-        for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
-            total += hyp.weight * lp
-        return total
-    if aggregation == "logsumexp_prior":
-        terms = np.array(
-            [hyp.enroll_logprob + lp for hyp, lp in zip(model.hypotheses, logprobs.tolist())]
-        )
-        return float(np.logaddexp.reduce(terms))
-    raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
+    total = 0.0
+    for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
+        total += hyp.weight * lp
+    return total
 
 
 def _scored_lattice(model: WakewordModel, post: Posteriorgram) -> ForwardLattice:
-    _check_scoring_inputs(model, post)
+    if post.alphabet != model.alphabet:
+        raise ValueError("posteriorgram alphabet does not match the wakeword model")
     return forward_lattice(post, [hyp.labels for hyp in model.hypotheses])
 
 
@@ -198,14 +182,13 @@ def hypothesis_logprobs(model: WakewordModel, post: Posteriorgram) -> np.ndarray
     return _scored_lattice(model, post).finalize()
 
 
-def score(model: WakewordModel, post: Posteriorgram, aggregation: str = "weighted_sum") -> float:
-    """Per-hypothesis forward log probabilities combined by :func:`aggregate`.
+def score(model: WakewordModel, post: Posteriorgram) -> float:
+    """Confidence-weighted sum of the hypotheses' forward log probabilities on ``post``.
 
-    With the default confidence-weighted sum, a hypothesis with no valid
-    alignment contributes -inf, which makes the whole score -inf; such
-    audio simply fails any finite threshold.
+    A hypothesis with no valid alignment contributes -inf, which makes the
+    whole score -inf; such audio simply fails any finite threshold.
     """
-    return aggregate(model, hypothesis_logprobs(model, post), aggregation)
+    return aggregate(model, hypothesis_logprobs(model, post))
 
 
 @dataclass(frozen=True)
@@ -223,7 +206,7 @@ def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, 
         cell_updates=lattice.cell_updates,
         state_cells=lattice.num_state_cells,
     )
-    return aggregate(model, lattice.finalize(), "weighted_sum"), stats
+    return aggregate(model, lattice.finalize()), stats
 
 
 def save_model(path, model: WakewordModel) -> None:
@@ -386,9 +369,9 @@ class StreamingDetector:
     boundary, matching batch extraction on the segment's samples), stacked
     in pairs, pushed through the streaming GRU, and folded into one forward
     lattice over all hypotheses. When the segment closes, :func:`aggregate`
-    turns the lattice's log probabilities into the score compared against
-    the threshold. Segment scores are therefore bit-equal to the batch
-    score of the same audio span.
+    sums the lattice's log probabilities with the confidence weights into
+    the score compared against the threshold. Segment scores are therefore
+    bit-equal to the batch score of the same audio span.
 
     State is bounded whatever the segment length: the rolling sample buffer
     holds at most the unclassified samples plus the one sample before the
@@ -402,18 +385,14 @@ class StreamingDetector:
         weights: GruWeights,
         threshold: float,
         vad_config: VadConfig | None = None,
-        aggregation: str = "weighted_sum",
     ):
         if model.alphabet != weights.alphabet:
             raise ValueError("model and label-model alphabets differ")
-        if aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
         if math.isnan(threshold):
             raise ValueError("detection threshold may not be nan")
         self.model = model
         self.weights = weights
         self.threshold = threshold
-        self.aggregation = aggregation
         self.vad = Vad(vad_config or VadConfig())
         self.stats = DetectionStats()
         self._buffer = np.zeros(0, dtype=np.float64)
@@ -496,7 +475,7 @@ class StreamingDetector:
         event = None
         if length >= self.vad.config.min_speech_frames:
             self.stats.segments_scored += 1
-            value = aggregate(self.model, self._lattice.finalize(), self.aggregation)
+            value = aggregate(self.model, self._lattice.finalize())
             if value >= self.threshold:
                 _, end_sample = span_samples((start, end_frame))
                 event = DetectionEvent(
@@ -519,10 +498,9 @@ def detect_stream(
     chunks: Iterable[np.ndarray],
     threshold: float,
     vad_config: VadConfig | None = None,
-    aggregation: str = "weighted_sum",
 ) -> DetectionReport:
     """Run the streaming detector over an iterable of sample chunks."""
-    detector = StreamingDetector(model, weights, threshold, vad_config, aggregation)
+    detector = StreamingDetector(model, weights, threshold, vad_config)
     events: list[DetectionEvent] = []
     for chunk in chunks:
         events.extend(detector.process(chunk))

@@ -440,6 +440,13 @@ def test_nan_threshold_is_a_usage_error(world, stored_threshold_model, tmp_path,
     assert not out.exists()
 
 
+def test_nan_vad_threshold_is_a_usage_error(world, stored_threshold_model, capsys):
+    args = ["score", str(stored_threshold_model["stored"]), str(world["probe"])]
+    args += ["--weights", str(world["weights"]), "--vad-threshold-db", "nan"]
+    assert main(args) == EXIT_USAGE
+    assert "nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threshold, events", [("-inf", 1), ("inf", 0)])
 def test_infinite_thresholds_are_stored_and_used(world, tmp_path, capsys, threshold, events):
     model = tmp_path / "m.model"
@@ -478,8 +485,15 @@ def test_enroll_stores_a_space_separated_scientific_threshold(world, tmp_path):
     assert "threshold -1000.0\n" in model.read_text()
 
 
-@pytest.mark.parametrize("detector", ["donut", "donut_logsumexp", "query_by_string", "dtw_post"])
+@pytest.mark.parametrize("detector", ["donut", "query_by_string", "dtw_post"])
 def test_eval_without_weights_is_a_usage_error_before_reading(tmp_path, capsys, detector):
     missing = tmp_path / "no-such-manifest.txt"  # unread: the flags are checked first
     assert main(["eval", "--manifest", str(missing), "--detector", detector]) == EXIT_USAGE
     assert "requires --weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("smoothing", ["0", "1", "nan"])
+def test_baseline_lambda_outside_zero_to_one_is_a_usage_error(tmp_path, capsys, smoothing):
+    wavs = [str(tmp_path / f"missing-{i}.wav") for i in range(4)]  # unread: flags come first
+    assert main(["baseline", *wavs, "--space", "fbank", "--lambda", smoothing]) == EXIT_USAGE
+    assert "smoothing must lie strictly between 0 and 1" in capsys.readouterr().err

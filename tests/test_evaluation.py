@@ -221,11 +221,6 @@ class TestHarness:
             report = run_harness(detector, episodes, params)
             assert 0.0 <= report.overall.eer <= 1.0
 
-    def test_logsumexp_variant_runs(self, small_world):
-        episodes, params = small_world
-        report = run_harness("donut_logsumexp", episodes, params)
-        assert 0.0 <= report.overall.eer <= 1.0
-
 
 class TestManifests:
     def test_round_trip(self, tmp_path):

@@ -34,6 +34,8 @@ class TestConfig:
             VadConfig(hangover_frames=-1)
         with pytest.raises(ValueError):
             VadConfig(min_speech_frames=0)
+        with pytest.raises(ValueError):
+            VadConfig(energy_threshold_db=float("nan"))
 
 
 class TestClassifyFrame:

@@ -26,10 +26,8 @@ from wakespot.wakeword import (
     Hypothesis,
     StreamingDetector,
     WakewordModel,
-    aggregate,
     detect_stream,
     featurize,
-    hypothesis_logprobs,
     learn,
     load_model,
     model_from_labels,
@@ -143,14 +141,23 @@ class TestScore:
         lp1 = forward_logprob(post, h1.labels)
         lp2 = forward_logprob(post, h2.labels)
         assert score(model, post) == 0.5 * lp1 + 0.25 * lp2
-        fabricated = model_with(
-            [
-                Hypothesis(labels=(1,), enroll_logprob=-2.0, weight=0.5),
-                Hypothesis(labels=(1, 1), enroll_logprob=-4.0, weight=0.25),
-            ],
-            alphabet,
-        )
         assert 0.5 * -10.0 + 0.25 * -20.0 == -10.0  # the worked arithmetic itself
+
+    def test_weighted_sum_runs_left_to_right_in_model_order(self):
+        # one frame on which the hypothesis (1,) has forward log prob exactly -1
+        alphabet = make_alphabet(1)
+        post = Posteriorgram(np.array([[1.0 - math.exp(-1.0), math.exp(-1.0)]]), alphabet)
+        assert forward_logprob(post, (1,)) == -1.0
+        weights = (1e16, 1.0, 1.0)
+        model = model_with(
+            [Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=w) for w in weights], alphabet
+        )
+        terms = [-w for w in weights]  # -1e16, -1.0, -1.0
+        total = 0.0
+        for term in terms:
+            total += term  # each -1.0 rounds away against -1e16
+        assert score(model, post) == total == -1e16
+        assert math.fsum(terms) == -1.0000000000000002e16 != score(model, post)
 
     def test_single_unit_weight_equals_forward(self):
         alphabet = make_alphabet(3)
@@ -213,32 +220,6 @@ class TestScore:
         scaled_scores = np.array([score(scaled, p) for p in posts])
         assert np.allclose(scaled_scores, 3.0 * base_scores, rtol=1e-12)
         assert list(np.argsort(base_scores)) == list(np.argsort(scaled_scores))
-
-
-class TestLogsumexpAggregation:
-    def test_single_term(self):
-        alphabet = make_alphabet(2)
-        post = peaky_posteriorgram((1,), alphabet)
-        lp = forward_logprob(post, (1,))
-        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0)], alphabet)
-        assert score(model, post, "logsumexp_prior") == pytest.approx(-1.0 + lp, abs=1e-12)
-
-    def test_two_equal_terms_add_log2(self):
-        alphabet = make_alphabet(2)
-        post = peaky_posteriorgram((1,), alphabet)
-        lp = forward_logprob(post, (1,))
-        hyp = Hypothesis(labels=(1,), enroll_logprob=-3.0, weight=weight_from_logprob(-3.0))
-        model = model_with([hyp, Hypothesis(labels=(1,), enroll_logprob=-3.0, weight=0.3)], alphabet)
-        assert score(model, post, "logsumexp_prior") == pytest.approx(-3.0 + lp + math.log(2), abs=1e-12)
-
-    def test_dominated_term_negligible(self):
-        alphabet = make_alphabet(2)
-        post = peaky_posteriorgram((1,), alphabet)
-        strong = Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0)
-        weak = Hypothesis(labels=(1, 1), enroll_logprob=-1000.0, weight=0.001)
-        with_weak = score(model_with([strong, weak], alphabet), post, "logsumexp_prior")
-        alone = score(model_with([strong], alphabet), post, "logsumexp_prior")
-        assert abs(with_weak - alone) < 1e-6
 
 
 class TestScoreStats:
@@ -566,15 +547,14 @@ def noisy(signal, rng, dbfs=-30.0):
     return np.clip(out, -32768, 32767).round().astype(np.int16)
 
 
-def batch_event_score(model, weights, stream, event, aggregation):
+def batch_event_score(model, weights, stream, event):
     lo, hi = span_samples((event.start_frame, event.end_frame))
     post = run(weights, stack_frames(extract_fbank(AudioBuffer(stream[lo:hi]))))
-    return aggregate(model, hypothesis_logprobs(model, post), aggregation)
+    return score(model, post)
 
 
 class TestStreamingEqualsBatch:
-    @pytest.mark.parametrize("aggregation", ["weighted_sum", "logsumexp_prior"])
-    def test_events_are_bit_equal_to_batch_score_of_their_span(self, aggregation):
+    def test_events_are_bit_equal_to_batch_score_of_their_span(self):
         weights, model, target, speaker, cfg, rng = enrolled_fixture(7)
         other = synth.Speaker(pitch=1.03, rate=0.9, gain_db=-2.0)
         gap = lambda seconds: np.zeros(int(seconds * 16000), dtype=np.int16)
@@ -590,12 +570,12 @@ class TestStreamingEqualsBatch:
              gap(0.5), stretch, gap(0.5), utterance(target, speaker), gap(0.5)]
         )
         chunks = [stream[i : i + HOP_SAMPLES] for i in range(0, len(stream), HOP_SAMPLES)]
-        report = detect_stream(model, weights, chunks, -math.inf, aggregation=aggregation)
+        report = detect_stream(model, weights, chunks, -math.inf)
         assert len(report.events) == report.stats.segments_scored == 4
         lengths = [e.end_frame - e.start_frame for e in report.events]
         assert max(lengths) * HOP_SAMPLES > len(stretch)  # the stretch is one segment
         for event in report.events:
-            assert event.score == batch_event_score(model, weights, stream, event, aggregation)
+            assert event.score == batch_event_score(model, weights, stream, event)
             assert event.time == span_samples((event.start_frame, event.end_frame))[1] / SAMPLE_RATE
 
     def test_state_stays_bounded_under_unbroken_speech(self):
@@ -611,7 +591,7 @@ class TestStreamingEqualsBatch:
         assert largest <= WINDOW_SAMPLES + HOP_SAMPLES + 1
         (event,) = detector.finish()
         assert (event.start_frame, event.end_frame) == (0, num_feature_frames(len(stream)))
-        assert event.score == batch_event_score(model, weights, stream, event, "weighted_sum")
+        assert event.score == batch_event_score(model, weights, stream, event)
         assert event.time == span_samples((event.start_frame, event.end_frame))[1] / SAMPLE_RATE
 
 
