@@ -161,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-episodes", help="generate a synthetic episode suite")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=_positive_int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--clean", action="store_true", help="gentle noise settings")
     p.add_argument("--weights-out", help="also write the matching oracle weights")
 

@@ -7,14 +7,17 @@ indices with the blank (index 0) excluded.
 The forward algorithm sums over every frame-level alignment that collapses
 (merge adjacent repeats, then delete blanks) to the target sequence. One
 implementation serves every caller: :class:`ForwardLattice` scores H
-sequences at once, keeping only the 2U+1 augmented-position probabilities
-of each at the current timestep, so memory is independent of the audio
-length. Each posterior row is logged once and advances all H sequences in
-one set of array operations. The streaming step is the batch kernel
-applied to one row: batch scoring is a loop of the same ``step`` that
-streaming uses, and each sequence's result is bit-identical to scoring it
-alone (:func:`forward_logprob` and :class:`CtcForwardScorer` are the
-one-sequence case).
+sequences at once on a prefix trie. The forward cells of positions 0..2u
+depend only on the first u labels, so sequences that share a prefix share
+those cells: the lattice holds one label cell and one blank cell per
+distinct non-empty prefix, plus the start blank, and its memory is
+independent of the audio length. Each posterior row is logged once and
+advances every cell in one set of array operations, which apply to each
+cell the operations, in the order, that scoring its sequence alone would,
+so each sequence's result is bit-identical to scoring it alone
+(:func:`forward_logprob` and :class:`CtcForwardScorer` are the
+one-sequence case). The streaming step is the batch kernel applied to one
+row: batch scoring is a loop of the same ``step`` that streaming uses.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -69,13 +72,29 @@ def _log_rows(rows: np.ndarray) -> np.ndarray:
 class ForwardLattice:
     """Incremental forward scores of H label sequences over one row stream.
 
-    Sequence h occupies cells 0..2U_h of row h of an (H, 2*U_max+1) array of
-    log forward probabilities over the blank-interleaved positions. Every
-    transition moves mass rightwards (stay, advance one, skip two), so the
-    padding cells to the right of a short sequence never feed its valid
-    cells, and each row evolves exactly as it would alone. ``step`` ingests
-    one posterior row; ``finalize`` may be called at any time and does not
-    disturb the state. The work counters cover valid cells only.
+    The sequences share a prefix trie. Node 0 is the root, the empty
+    prefix; every other node is one distinct non-empty prefix, kept as the
+    node of the prefix one label shorter (``parent``) and its last label.
+    Duplicate sequences share an end node, and so does a sequence that is
+    a prefix of another. The cells sit in one array laid out like one
+    sequence's blank-interleaved positions: cell 0 is the root's start
+    blank, and node n holds its label cell 2n-1 and the blank cell 2n after
+    it. A skip into node n's label cell comes from its parent's label cell;
+    it is allowed when the parent is not the root and its label differs.
+
+    The cells of positions 0..2u of a sequence depend only on its first u
+    labels, and ``step`` updates each node from its own and its parent's
+    cells with the operations, in the order, that the same positions of
+    one sequence alone would see (an advance from the parent's blank, a
+    skip from the parent's label, then the row). Leaving out a transition
+    that cannot occur is adding -inf, and ``logaddexp(x, -inf) == x``
+    exactly, so every cell, and every sequence's score, is bit-identical to
+    scoring the sequence alone. ``step`` ingests one posterior row;
+    ``finalize`` may be called at any time and does not disturb the state.
+
+    ``num_state_cells`` and ``cell_updates`` count the 2U+1 cells of each
+    sequence as if it were scored alone; ``num_lattice_cells`` counts the
+    cells the trie holds: two per node plus the start blank.
 
     The lattice starts in a start cell: before any row, position 0 holds
     log 1 = 0.0 and the others -inf (``state(h)`` reads so, and ``finalize``
@@ -86,24 +105,49 @@ class ForwardLattice:
     def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
         self.sequences = tuple(validate_labels(seq, num_symbols) for seq in sequences)
         self.num_symbols = num_symbols
-        self._lengths = np.array([len(seq) for seq in self.sequences], dtype=np.intp)
-        width = 2 * int(self._lengths.max(initial=0)) + 1
-        # Augmented symbol rows: blank, y1, blank, y2, ..., blank, then padding.
-        self._symbols = np.zeros((len(self.sequences), width), dtype=np.intp)
-        for h, seq in enumerate(self.sequences):
-            self._symbols[h, 1 : 2 * len(seq) : 2] = seq
-        # A skip transition into label position s = 3, 5, ... is allowed
-        # only when its label differs from the one two slots back.
-        self._can_skip = self._symbols[:, 3::2] != self._symbols[:, 1:-2:2]
-        self._log_alpha = np.full(self._symbols.shape, NEG_INF)
-        self._log_alpha[:, 0] = 0.0  # the start cell
-        self.num_state_cells = int((2 * self._lengths + 1).sum())
+        node_of: dict[tuple[int, int], int] = {}
+        parent, label, ends = [0], [BLANK_INDEX], []
+        for seq in self.sequences:
+            node = 0
+            for y in seq:
+                child = node_of.get((node, y))
+                if child is None:
+                    child = node_of[node, y] = len(parent)
+                    parent.append(node)
+                    label.append(y)
+                node = child
+            ends.append(node)
+        self._parent = np.array(parent, dtype=np.intp)
+        self._label = np.array(label, dtype=np.intp)
+        self._ends = np.array(ends, dtype=np.intp)
+        up = self._parent[1:]
+        self._can_skip = (up != 0) & (self._label[up] != self._label[1:])
+        # Cell symbols: the start blank, then each node's label and blank.
+        self._symbols = np.zeros(2 * len(parent) - 1, dtype=np.intp)
+        self._symbols[1::2] = self._label[1:]
+        # Entry i is the cell that cell i+1 advances from: a label cell from
+        # its parent's blank, a blank cell from the label cell before it.
+        self._advance_from = np.arange(self._symbols.size - 1)
+        self._advance_from[0::2] = 2 * up
+        self._skip_from = 2 * up - 1
+        self._alpha = np.full(self._symbols.size, NEG_INF)
+        self._alpha[0] = 0.0  # the start cell
+        self.num_lattice_cells = self._alpha.size
+        self.num_state_cells = sum(2 * len(seq) + 1 for seq in self.sequences)
         self.steps = 0
         self.cell_updates = 0
 
     def state(self, h: int) -> np.ndarray:
         """Log forward probabilities of sequence ``h``'s 2U+1 positions."""
-        return self._log_alpha[h, : 2 * self._lengths[h] + 1].copy()
+        path = []
+        node = int(self._ends[h])
+        while node:
+            path.append(node)
+            node = int(self._parent[node])
+        cells = [0]
+        for node in reversed(path):
+            cells += (2 * node - 1, 2 * node)
+        return self._alpha[cells]
 
     def step(self, row: np.ndarray) -> None:
         row = np.asarray(row, dtype=np.float64)
@@ -111,31 +155,31 @@ class ForwardLattice:
             raise ValueError(
                 f"posterior row has {row.shape} entries, scorer expects {self.num_symbols}"
             )
-        # logaddexp(x, -inf) == x exactly, so leaving out the transitions
-        # that cannot occur (an advance into position 0, a skip into a blank
-        # or a repeated label) changes no bit.
-        prev = self._log_alpha
-        alpha = prev.copy()
-        np.logaddexp(prev[:, 1:], prev[:, :-1], out=alpha[:, 1:])
-        skip = np.where(self._can_skip, prev[:, 1:-2:2], NEG_INF)
-        np.logaddexp(alpha[:, 3::2], skip, out=alpha[:, 3::2])
+        prev = self._alpha
+        alpha = np.empty_like(prev)
+        alpha[0] = prev[0]
+        np.logaddexp(prev[1:], prev[self._advance_from], out=alpha[1:])
+        skip = np.where(self._can_skip, prev[self._skip_from], NEG_INF)
+        np.logaddexp(alpha[1::2], skip, out=alpha[1::2])
         alpha += _log_rows(row)[self._symbols]
-        self._log_alpha = alpha
+        self._alpha = alpha
         self.steps += 1
         self.cell_updates += self.num_state_cells
 
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""
-        rows = np.arange(len(self.sequences))
-        last = 2 * self._lengths
-        ends = np.logaddexp(self._log_alpha[rows, last], self._log_alpha[rows, last - 1])
-        return np.where(self._lengths == 0, self._log_alpha[:, 0], ends)
+        ends = 2 * self._ends
+        # An empty sequence ends on the root: its score is the start blank.
+        return np.where(
+            ends == 0, self._alpha[0], np.logaddexp(self._alpha[ends], self._alpha[ends - 1])
+        )
 
 
 class CtcForwardScorer(ForwardLattice):
     """Incremental forward scorer for one label sequence: a one-sequence
-    :class:`ForwardLattice` whose ``state`` and ``finalize`` return that
-    sequence's values."""
+    :class:`ForwardLattice`. Its trie is a chain, so the lattice's cells are
+    the sequence's 2U+1 blank-interleaved positions in order; ``state`` and
+    ``finalize`` return that sequence's values."""
 
     def __init__(self, labels: Iterable[int], num_symbols: int):
         super().__init__([labels], num_symbols)

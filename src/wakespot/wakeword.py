@@ -196,6 +196,7 @@ class ScoreStats:
     hypotheses: int
     cell_updates: int  # forward-state cells written across all hypotheses
     state_cells: int  # total live forward-state cells (2U+1 per hypothesis)
+    lattice_cells: int  # cells the prefix-trie lattice holds (2 per distinct prefix + 1)
 
 
 def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, ScoreStats]:
@@ -205,6 +206,7 @@ def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, 
         hypotheses=len(model.hypotheses),
         cell_updates=lattice.cell_updates,
         state_cells=lattice.num_state_cells,
+        lattice_cells=lattice.num_lattice_cells,
     )
     return aggregate(model, lattice.finalize()), stats
 

@@ -347,6 +347,20 @@ def test_negative_vad_hangover_is_a_usage_error(world, tmp_path, capsys, command
     assert "must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_negative_episode_seed_is_a_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    assert main(["gen-episodes", "--out", str(suite), "--count", "1", "--seed", "-1"]) == EXIT_USAGE
+    assert "must be a non-negative integer" in capsys.readouterr().err
+    assert not suite.exists()
+
+
+def test_zero_episode_seed_is_accepted(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    args = ["gen-episodes", "--out", str(suite), "--count", "1", "--seed", "0", "--clean"]
+    assert main(args) == EXIT_OK
+    assert (suite / "manifest.txt").exists()
+
+
 def test_zero_vad_hangover_is_accepted(world, capsys):
     supports = map(str, world["wavs"])
     args = ["baseline", *supports, str(world["probe"]), "--space", "fbank", "--vad-hangover", "0"]

@@ -445,6 +445,46 @@ def test_lattice_entries_equal_single_sequence_scoring_property(case):
 
 
 @st.composite
+def shared_prefix_cases(draw):
+    """A posteriorgram as in :func:`ragged_lattice_cases` with K >= 3 and a
+    hypothesis set whose members share prefixes: a drawn sequence, each of
+    its proper prefixes, an exact duplicate of it, a sibling that differs
+    in the last label, and (1, 1)."""
+    post, _ = draw(ragged_lattice_cases().filter(lambda case: case[0].num_symbols >= 3))
+    label = st.integers(1, post.num_symbols - 1)
+    drawn = draw(st.lists(label, min_size=1, max_size=post.num_frames + 2).map(tuple))
+    last = draw(label.filter(lambda y: y != drawn[-1]))
+    prefixes = [drawn[:u] for u in range(len(drawn))]
+    sequences = draw(st.permutations([drawn, *prefixes, drawn, drawn[:-1] + (last,), (1, 1)]))
+    return post, sequences
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_prefix_cases())
+def test_shared_prefix_cells_equal_single_sequence_scoring_property(case):
+    post, sequences = case
+    lattice = ForwardLattice(sequences, post.num_symbols)
+    alone = [CtcForwardScorer(labels, post.num_symbols) for labels in sequences]
+    prefixes = {labels[:u] for labels in sequences for u in range(1, len(labels) + 1)}
+    assert lattice.num_lattice_cells == 2 * len(prefixes) + 1
+    for row in [None, *post.rows]:
+        if row is not None:
+            lattice.step(row)
+            for scorer in alone:
+                scorer.step(row)
+        for h, scorer in enumerate(alone):
+            assert lattice.state(h).tobytes() == scorer.state().tobytes()  # bitwise
+    probs = brute_force_sequence_probs(post)
+    for labels, lp in zip(sequences, lattice.finalize().tolist()):
+        assert lp == forward_logprob(post, labels)  # bitwise
+        expected = probs.get(labels, 0.0)
+        if expected == 0.0:
+            assert lp == NEG_INF
+        else:
+            assert math.isclose(lp, math.log(expected), abs_tol=1e-9)
+
+
+@st.composite
 def beam_search_cases(draw):
     """Posteriorgrams with T = 0..11 and K = 2..6, drawn as Dirichlet-like
     rows, rows with zero entries or small-integer (quantized) rows whose

@@ -253,6 +253,21 @@ class TestScoreStats:
         assert value == score(model, post)
 
 
+def test_identical_hypotheses_share_lattice_cells():
+    rng = np.random.default_rng(5)
+    alphabet = make_alphabet(4)
+    post = random_posteriorgram(rng, 8, alphabet.size)
+    hyps = [
+        Hypothesis(labels=(1, 2, 3, 4), enroll_logprob=-2.0 - i, weight=0.2) for i in range(5)
+    ]
+    model = model_with(hyps, alphabet)
+    value, stats = score_with_stats(model, post)
+    assert stats.state_cells == 45  # 5 * (2 * 4 + 1), as if scored one by one
+    assert stats.lattice_cells == 9  # one path of 4 prefixes: 2 * 4 + 1
+    assert stats.cell_updates == 8 * 45
+    assert value == score(model, post)
+
+
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
         alphabet = make_alphabet(4)
