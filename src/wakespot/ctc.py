@@ -11,13 +11,14 @@ sequences at once on a prefix trie. The forward cells of positions 0..2u
 depend only on the first u labels, so sequences that share a prefix share
 those cells: the lattice holds one label cell and one blank cell per
 distinct non-empty prefix, plus the start blank, and its memory is
-independent of the audio length. Each posterior row is logged once and
-advances every cell in one set of array operations, which apply to each
-cell the operations, in the order, that scoring its sequence alone would,
-so each sequence's result is bit-identical to scoring it alone
-(:func:`forward_logprob` and :class:`CtcForwardScorer` are the
-one-sequence case). The streaming step is the batch kernel applied to one
-row: batch scoring is a loop of the same ``step`` that streaming uses.
+independent of the audio length. Each posterior row is logged once (batch
+scoring logs the whole posteriorgram in one call) and advances every cell
+in one set of array operations, which apply to each cell the operations,
+in the order, that scoring its sequence alone would, so each sequence's
+result is bit-identical to scoring it alone (:func:`forward_logprob` and
+:class:`CtcForwardScorer` are the one-sequence case). The streaming step
+is the batch kernel applied to one row: batch scoring and ``step`` feed
+each row's cell logs to the same advance.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -89,12 +90,14 @@ class ForwardLattice:
     skip from the parent's label, then the row). Leaving out a transition
     that cannot occur is adding -inf, and ``logaddexp(x, -inf) == x``
     exactly, so every cell, and every sequence's score, is bit-identical to
-    scoring the sequence alone. ``step`` ingests one posterior row;
+    scoring the sequence alone. A skip that cannot occur reads a trailing
+    sentinel cell that stays -inf. ``step`` ingests one posterior row;
     ``finalize`` may be called at any time and does not disturb the state.
 
     ``num_state_cells`` and ``cell_updates`` count the 2U+1 cells of each
     sequence as if it were scored alone; ``num_lattice_cells`` counts the
-    cells the trie holds: two per node plus the start blank.
+    cells the trie holds: two per node plus the start blank, not the
+    sentinel.
 
     The lattice starts in a start cell: before any row, position 0 holds
     log 1 = 0.0 and the others -inf (``state(h)`` reads so, and ``finalize``
@@ -121,18 +124,21 @@ class ForwardLattice:
         self._label = np.array(label, dtype=np.intp)
         self._ends = np.array(ends, dtype=np.intp)
         up = self._parent[1:]
-        self._can_skip = (up != 0) & (self._label[up] != self._label[1:])
+        num_cells = 2 * len(parent) - 1
         # Cell symbols: the start blank, then each node's label and blank.
-        self._symbols = np.zeros(2 * len(parent) - 1, dtype=np.intp)
+        self._symbols = np.zeros(num_cells, dtype=np.intp)
         self._symbols[1::2] = self._label[1:]
         # Entry i is the cell that cell i+1 advances from: a label cell from
         # its parent's blank, a blank cell from the label cell before it.
-        self._advance_from = np.arange(self._symbols.size - 1)
+        self._advance_from = np.arange(num_cells - 1)
         self._advance_from[0::2] = 2 * up
-        self._skip_from = 2 * up - 1
-        self._alpha = np.full(self._symbols.size, NEG_INF)
+        # Node n's label cell skips from its parent's label cell, or from
+        # the -inf sentinel after the cells when the skip cannot occur.
+        can_skip = (up != 0) & (self._label[up] != self._label[1:])
+        self._skip_from = np.where(can_skip, 2 * up - 1, num_cells)
+        self._alpha = np.full(num_cells + 1, NEG_INF)
         self._alpha[0] = 0.0  # the start cell
-        self.num_lattice_cells = self._alpha.size
+        self.num_lattice_cells = num_cells
         self.num_state_cells = sum(2 * len(seq) + 1 for seq in self.sequences)
         self.steps = 0
         self.cell_updates = 0
@@ -155,13 +161,19 @@ class ForwardLattice:
             raise ValueError(
                 f"posterior row has {row.shape} entries, scorer expects {self.num_symbols}"
             )
+        self._advance(_log_rows(row)[self._symbols])
+
+    def _advance(self, cell_logs: np.ndarray) -> None:
+        """Advance every cell by one row, given the row's log probability of
+        each cell's symbol."""
         prev = self._alpha
         alpha = np.empty_like(prev)
         alpha[0] = prev[0]
-        np.logaddexp(prev[1:], prev[self._advance_from], out=alpha[1:])
-        skip = np.where(self._can_skip, prev[self._skip_from], NEG_INF)
-        np.logaddexp(alpha[1::2], skip, out=alpha[1::2])
-        alpha += _log_rows(row)[self._symbols]
+        alpha[-1] = NEG_INF
+        cells = alpha[1:-1]
+        np.logaddexp(prev[1:-1], prev[self._advance_from], out=cells)
+        np.logaddexp(cells[0::2], prev[self._skip_from], out=cells[0::2])
+        alpha[:-1] += cell_logs
         self._alpha = alpha
         self.steps += 1
         self.cell_updates += self.num_state_cells
@@ -195,8 +207,8 @@ class CtcForwardScorer(ForwardLattice):
 def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
     """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
     lattice = ForwardLattice(sequences, post.num_symbols)
-    for row in post.rows:
-        lattice.step(row)
+    for logs in _log_rows(post.rows):
+        lattice._advance(logs[lattice._symbols])
     return lattice
 
 
@@ -254,38 +266,40 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     p_nonblank = np.full(1, NEG_INF)
     last = np.full(1, BLANK_INDEX, dtype=np.intp)
     parent = np.full(1, -1, dtype=np.intp)
-    for row in post.rows.tolist():
+    # math.log per entry: np.log on an array may round some entries differently.
+    logrows = [[math.log(p) if p > 0.0 else NEG_INF for p in row] for row in post.rows.tolist()]
+    for logrow in np.array(logrows).reshape(post.rows.shape):
         num_beams = len(prefixes)
-        # math.log per entry: np.log on an array may round some entries differently.
-        logrow = np.array([math.log(p) if p > 0.0 else NEG_INF for p in row])
         total = np.logaddexp(p_blank, p_nonblank)
-        runs = np.flatnonzero(last != BLANK_INDEX)
+        runs = (last != BLANK_INDEX).nonzero()[0]
         run_label = last[runs]
         # Emit a blank: the prefix is unchanged and now ends in blank.
         new_blank = total + logrow[BLANK_INDEX]
         # Extend the current run of the final label: unchanged prefix.
         new_nonblank = np.full(num_beams, NEG_INF)
         new_nonblank[runs] = p_nonblank[runs] + logrow[run_label]
-        # Append label c (column c - 1). A repeated label needs a separating
-        # blank, so only blank-ending mass can start a new run of it.
-        extend = total[:, None] + logrow[1:]
+        # Candidates: the B beams, then the (B, K-1) extension cells row by
+        # row. Append label c (column c - 1). A repeated label needs a
+        # separating blank, so only blank-ending mass can start a new run of it.
+        candidates = np.empty(num_beams * post.num_symbols)
+        extend = candidates[num_beams:].reshape(num_beams, num_labels)
+        np.add(total[:, None], logrow[1:], out=extend)
         extend[runs, run_label - 1] = p_blank[runs] + logrow[run_label]
         # An extension that already is a surviving beam merges into it.
-        children = np.flatnonzero(parent >= 0)
+        children = (parent >= 0).nonzero()[0]
         folded = (parent[children], last[children] - 1)
         new_nonblank[children] = np.logaddexp(new_nonblank[children], extend[folded])
         extend[folded] = NEG_INF
 
-        # Candidates: the B beams, then the extension cells row by row.
-        blank_mass = np.concatenate([new_blank, np.full(extend.size, NEG_INF)])
-        label_mass = np.concatenate([new_nonblank, extend.ravel()])
-        candidates = np.logaddexp(blank_mass, label_mass)
-        survivors = np.flatnonzero(candidates > NEG_INF)
+        # Only a beam has blank mass; an extension's total is its label mass,
+        # as logaddexp(-inf, x) == x exactly.
+        np.logaddexp(new_blank, new_nonblank, out=candidates[:num_beams])
+        survivors = (candidates > NEG_INF).nonzero()[0]
         if survivors.size > beam_width:
             kth = candidates.size - beam_width
             cutoff = np.partition(candidates, kth)[kth]
-            above = np.flatnonzero(candidates > cutoff)
-            tied = np.flatnonzero(candidates == cutoff).tolist()
+            above = (candidates > cutoff).nonzero()[0]
+            tied = (candidates == cutoff).nonzero()[0].tolist()
             need = beam_width - above.size
             if need < len(tied):
                 seqs = {k: _candidate_prefix(prefixes, k, num_labels) for k in tied}
@@ -309,14 +323,15 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         # A kept beam whose parent was pruned in an earlier row may find it
         # again among this row's extensions (a parent pruned in this row
         # cannot come back: its extension cell was masked).
-        orphans = np.flatnonzero((kept_parent < 0) & (last[kept] != BLANK_INDEX))
+        orphans = ((kept_parent < 0) & (last[kept] != BLANK_INDEX)).nonzero()[0]
         prefixes = [prefixes[b] for b in kept.tolist()] + extensions
         if orphans.size and extensions:
             found = {seq: num_kept + n for n, seq in enumerate(extensions)}
             for n in orphans.tolist():
                 parent[n] = found.get(prefixes[n][:-1], -1)
-        p_blank = blank_mass[survivors]
-        p_nonblank = label_mass[survivors]
+        p_blank = np.concatenate([new_blank[kept], np.full(owner.size, NEG_INF)])
+        p_nonblank = candidates[survivors]
+        p_nonblank[:num_kept] = new_nonblank[kept]
         last = np.concatenate([last[kept], column + 1])
 
     logprobs = forward_lattice(post, prefixes).finalize().tolist()

@@ -15,11 +15,18 @@ Two entry points compute it: :func:`gru_step` advances one frame (the
 streaming detector's step) and :func:`run` computes one recording layer by
 layer. The streaming step is the batch kernel applied to one frame: both
 call the same recurrent cell and softmax, so streaming output equals batch
-output bit for bit. Every product of a weight matrix with a frame or a
-hidden state stays its own matrix-vector product: :func:`run` forms a
-layer's input products for all frames at once with
-``np.matmul(W, X[:, :, None])``, not ``X @ W.T``, whose matrix-matrix
-product rounds differently in the last bits.
+output bit for bit.
+
+Every product of a weight matrix with a frame or a hidden state stays its
+own matrix-vector product. A layer holds its gates stacked on a leading
+axis (input weights ``(3, H, in)``, z and r recurrent weights ``(2, H, H)``
+and biases ``(2, H)``), so one ``np.matmul`` forms a frame's three input
+products or its two recurrent ones, each gate still by itself. :func:`run`
+forms a layer's input products for all frames at once the same way. Two
+layouts that look equivalent round differently in the last bits and are
+not used: ``X @ W.T``, a matrix-matrix product, and gates stacked by rows
+into one ``(2H, H)`` matrix, whose product BLAS blocks differently
+whenever H is not a multiple of its row block.
 
 Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
 
@@ -109,6 +116,11 @@ class LabelAlphabet:
 
 @dataclass(frozen=True)
 class GruLayer:
+    """One layer's gates. The layer stores its gates stacked once, on a
+    leading axis: ``w_z``, ``w_r`` and ``w_h`` are views of one ``(3, H, in)``
+    array, ``u_z`` and ``u_r`` of one ``(2, H, H)`` array and ``b_z`` and
+    ``b_r`` of one ``(2, H)`` array."""
+
     w_z: np.ndarray
     w_r: np.ndarray
     w_h: np.ndarray
@@ -119,8 +131,25 @@ class GruLayer:
     b_r: np.ndarray
     b_h: np.ndarray
 
+    def __post_init__(self):
+        for stack, names in _GATE_STACKS:
+            gates = [np.asarray(getattr(self, name)) for name in names]
+            if len({g.shape for g in gates}) > 1:
+                shapes = ", ".join(f"{n} {g.shape}" for n, g in zip(names, gates))
+                raise DimensionError(f"stacked gates differ in shape: {shapes}")
+            stacked = np.stack(gates)
+            object.__setattr__(self, stack, stacked)
+            for name, view in zip(names, stacked):
+                object.__setattr__(self, name, view)
+
 
 _LAYER_FIELDS = tuple(f.name for f in fields(GruLayer))
+# Each gate stack: the private attribute that holds it, then its gates in order.
+_GATE_STACKS = (
+    ("_w_zrh", ("w_z", "w_r", "w_h")),
+    ("_u_zr", ("u_z", "u_r")),
+    ("_b_zr", ("b_z", "b_r")),
+)
 
 
 def _layer_shapes(num_layers: int, hidden: int, input_dim: int):
@@ -197,8 +226,10 @@ class Posteriorgram:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
+        if rows.ndim == 1:  # a flat list of entries, such as an empty one
             rows = rows.reshape(-1, self.alphabet.size)
+        if rows.ndim != 2:
+            raise ValueError(f"posteriorgram rows must be 2-D, got shape {rows.shape}")
         object.__setattr__(self, "rows", rows)
         if rows.shape[1] != self.alphabet.size:
             raise ValueError(
@@ -260,9 +291,9 @@ def random_weights(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows
-    ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: exp never overflows.
+    # The numerator e^min(x, 0) is 1.0 or e^-|x| exactly, as a select would be.
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -271,17 +302,15 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _cell(layer: GruLayer, x_zr: np.ndarray, x_h: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _cell(layer: GruLayer, x_zrh: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The recurrent half of one layer for one frame: the new hidden state.
 
-    ``x_zr`` is the frame's input products ``[Wz x, Wr x]`` and ``x_h`` is
-    ``Wh x``; the z and r gates are computed as one vector.
+    ``x_zrh`` is the frame's input products ``[Wz x, Wr x, Wh x]``, one row
+    per gate; the z and r gates are computed as one ``(2, H)`` array.
     """
-    hidden = h.size
-    u_zr = np.concatenate([layer.u_z @ h, layer.u_r @ h])
-    zr = _sigmoid(x_zr + u_zr + np.concatenate([layer.b_z, layer.b_r]))
-    z, r = zr[:hidden], zr[hidden:]
-    c = np.tanh(x_h + layer.u_h @ (r * h) + layer.b_h)
+    zr = _sigmoid(x_zrh[:2] + np.matmul(layer._u_zr, h) + layer._b_zr)
+    z, r = zr[0], zr[1]
+    c = np.tanh(x_zrh[2] + layer.u_h @ (r * h) + layer.b_h)
     return (1.0 - z) * c + z * h
 
 
@@ -299,14 +328,15 @@ def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[n
         raise ValueError(f"frame dim {x.shape} does not match input dim {weights.input_dim}")
     new_state = []
     for layer, h in zip(weights.layers, state):
-        x = _cell(layer, np.concatenate([layer.w_z @ x, layer.w_r @ x]), layer.w_h @ x, h)
+        x = _cell(layer, np.matmul(layer._w_zrh, x), h)
         new_state.append(x)
     return _softmax(weights.w_out @ x + weights.b_out), tuple(new_state)
 
 
-def _stacked_matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for each row, each its own matrix-vector product."""
-    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+def _stacked_matvec(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``m @ row`` for each ``(T, in)`` row and each matrix ``m`` of a
+    ``(G, H, in)`` stack, each its own matrix-vector product: ``(T, G, H)``."""
+    return np.matmul(matrices, rows[:, None, :, None])[..., 0]
 
 
 def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
@@ -322,14 +352,13 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
         )
     x = features.frames
     for layer in weights.layers:
-        x_zr = np.hstack([_stacked_matvec(layer.w_z, x), _stacked_matvec(layer.w_r, x)])
-        x_h = _stacked_matvec(layer.w_h, x)
+        x_zrh = _stacked_matvec(layer._w_zrh, x)
         h = np.zeros(weights.hidden_size)
         out = np.empty((features.num_frames, weights.hidden_size))
         for t in range(features.num_frames):
-            h = out[t] = _cell(layer, x_zr[t], x_h[t], h)
+            h = out[t] = _cell(layer, x_zrh[t], h)
         x = out
-    logits = _stacked_matvec(weights.w_out, x) + weights.b_out
+    logits = _stacked_matvec(weights.w_out[None], x)[:, 0] + weights.b_out
     return Posteriorgram(_softmax(logits), weights.alphabet)
 
 

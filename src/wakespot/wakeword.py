@@ -408,15 +408,17 @@ class StreamingDetector:
     def process(self, chunk) -> list[DetectionEvent]:
         """Feed a chunk of samples; returns any events it completed."""
         arr = np.asarray(chunk)
-        if arr.ndim != 1 or not np.issubdtype(arr.dtype, np.number):
+        if arr.ndim != 1 or arr.dtype.kind not in "iuf":  # real-valued samples only
             self.stats.malformed_chunks += 1
             return []
         if arr.size == 0:
             return []
-        arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        # Samples must lie in the int16 range, as AudioBuffer requires; a
+        # NaN fails both comparisons.
+        if arr.dtype != np.int16 and not (arr.min() >= -32768 and arr.max() <= 32767):
             self.stats.malformed_chunks += 1
             return []
+        arr = arr.astype(np.float64)
         self._buffer = np.concatenate([self._buffer, arr])
         events = []
         while True:

@@ -12,6 +12,7 @@ from wakespot.ctc import (
     ForwardLattice,
     beam_search,
     collapse_alignment,
+    forward_lattice,
     forward_logprob,
     greedy_decode,
     nbest_sort_key,
@@ -482,6 +483,42 @@ def test_shared_prefix_cells_equal_single_sequence_scoring_property(case):
             assert lp == NEG_INF
         else:
             assert math.isclose(lp, math.log(expected), abs_tol=1e-9)
+
+
+@st.composite
+def batch_lattice_cases(draw):
+    """Up to 40 rows over K = 2..41 symbols, some with exact zeros, and
+    hypotheses with shared prefixes, duplicates and the empty sequence."""
+    num_symbols = draw(st.integers(2, 41))
+    frames = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.dirichlet(np.ones(num_symbols), size=frames)
+    rows[rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = 0.0
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    post = Posteriorgram(rows / rows.sum(axis=1, keepdims=True), make_alphabet(num_symbols - 1))
+    label = st.integers(1, num_symbols - 1)
+    drawn = draw(st.lists(st.lists(label, max_size=12).map(tuple), min_size=1, max_size=4))
+    prefixes = [seq[:u] for seq in drawn for u in range(len(seq))]
+    sequences = draw(st.permutations([(), *drawn, drawn[0], *prefixes]))
+    return post, sequences
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch_lattice_cases())
+def test_batch_lattice_equals_stepping_every_row_property(case):
+    post, sequences = case
+    batch = forward_lattice(post, sequences)
+    stepped = ForwardLattice(sequences, post.num_symbols)
+    for row in post.rows:
+        stepped.step(row)
+    assert batch.finalize().tobytes() == stepped.finalize().tobytes()  # bitwise
+    for h in range(len(sequences)):
+        assert batch.state(h).tobytes() == stepped.state(h).tobytes()
+    assert batch.steps == stepped.steps == post.num_frames
+    assert batch.cell_updates == stepped.cell_updates
+    # the physical cells: two per distinct non-empty prefix and the start blank
+    prefixes = {labels[:u] for labels in sequences for u in range(1, len(labels) + 1)}
+    assert batch.num_lattice_cells == stepped.num_lattice_cells == 2 * len(prefixes) + 1
 
 
 @st.composite

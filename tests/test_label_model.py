@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wakespot import container, synth
+from wakespot import container, label_model, synth
 from wakespot.audio import FeatureSequence, extract_fbank, stack_frames
 from wakespot.errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
 from wakespot.label_model import (
+    GruLayer,
     GruWeights,
     LabelAlphabet,
     Posteriorgram,
@@ -183,6 +184,81 @@ class TestRunEqualsSteps:
             assert row.tobytes() == post.rows[t].tobytes()
 
 
+def per_gate_rows(weights, frames):
+    """Posterior rows by the GRU formula with every gate its own
+    matrix-vector product and the z and r gates joined by concatenation."""
+
+    def sigmoid(x):
+        ex = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
+
+    state = [np.zeros(weights.hidden_size) for _ in weights.layers]
+    rows = []
+    for x in frames:
+        for i, layer in enumerate(weights.layers):
+            h = state[i]
+            x_zr = np.concatenate([layer.w_z @ x, layer.w_r @ x])
+            u_zr = np.concatenate([layer.u_z @ h, layer.u_r @ h])
+            zr = sigmoid(x_zr + u_zr + np.concatenate([layer.b_z, layer.b_r]))
+            z, r = zr[: h.size], zr[h.size :]
+            c = np.tanh(layer.w_h @ x + layer.u_h @ (r * h) + layer.b_h)
+            x = state[i] = (1.0 - z) * c + z * h
+        logits = weights.w_out @ x + weights.b_out
+        ex = np.exp(logits - logits.max())
+        rows.append(ex / ex.sum())
+    return np.array(rows).reshape(len(frames), weights.num_symbols)
+
+
+class TestStackedGates:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_layers=st.integers(1, 3),
+        hidden=st.sampled_from([1, 5, 41, 82]),
+        input_dim=st.sampled_from([41, 82]),
+        frames=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_and_gru_step_equal_per_gate_products_property(
+        self, num_layers, hidden, input_dim, frames, seed
+    ):
+        # H % 4 != 0 throughout: a (2H, H) row-stacked product rounds
+        # differently there
+        rng = np.random.default_rng(seed)
+        layers = []
+        for shapes in label_model._layer_shapes(num_layers, hidden, input_dim):
+            # every bias nonzero; matrices scaled by fan-in like random_weights
+            layers.append(
+                GruLayer(*(rng.normal(0.0, 2.0 / np.sqrt(s[-1]), size=s) for s in shapes))
+            )
+        alphabet = make_alphabet(5)
+        weights = GruWeights(
+            tuple(layers), rng.normal(size=(6, hidden)), rng.normal(size=6), alphabet
+        )
+        weights.validate()
+        frame_rate = 50 if input_dim == 82 else 100
+        features = FeatureSequence(rng.normal(0.0, 2.0, size=(frames, input_dim)), frame_rate)
+        want = per_gate_rows(weights, features.frames)
+        assert np.array_equal(run(weights, features).rows, want)
+        state = init_state(weights)
+        for t in range(frames):
+            row, state = gru_step(weights, state, features.frames[t])
+            assert np.array_equal(row, want[t])
+
+    def test_gates_are_views_of_one_stack(self, tmp_path):
+        built = random_weights(make_alphabet(3), num_layers=2, hidden_size=5, seed=3)
+        save_weights(tmp_path / "w.bin", built)
+        loaded = load_weights(tmp_path / "w.bin")
+        for layer in [*built.layers, *loaded.layers, *synth.oracle_weights().layers]:
+            # the kernel reads the stacks; the fields are views, not copies
+            for stack, names in label_model._GATE_STACKS:
+                assert all(getattr(layer, name).base is getattr(layer, stack) for name in names)
+
+    def test_gates_of_unequal_shape_are_refused(self):
+        layer = zero_weights(make_alphabet(3), 1, 4).layers[0]
+        with pytest.raises(DimensionError):
+            dataclasses.replace(layer, w_r=np.zeros((4, 3)))
+
+
 class TestStreaming:
     def test_streaming_equals_batch(self):
         rng = np.random.default_rng(4)
@@ -287,6 +363,18 @@ class TestWeightFiles:
         bad = GruWeights(good.layers, np.zeros((7, 4)), np.zeros(7), alphabet)
         with pytest.raises(DimensionError):
             bad.validate()
+
+
+class TestPosteriorgram:
+    def test_rows_of_more_than_two_dimensions_are_refused(self):
+        alphabet = make_alphabet(2)
+        with pytest.raises(ValueError, match="2-D"):
+            Posteriorgram(np.full((2, 2, 3), 1.0 / 3.0), alphabet)
+
+    def test_flat_rows_are_reshaped(self):
+        alphabet = make_alphabet(2)
+        assert Posteriorgram([], alphabet).rows.shape == (0, 3)
+        assert Posteriorgram(np.full(6, 1.0 / 3.0), alphabet).rows.shape == (2, 3)
 
 
 class TestPosteriorgramFiles:

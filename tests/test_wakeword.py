@@ -19,7 +19,7 @@ from wakespot.audio import (
     stack_frames,
 )
 from wakespot.ctc import NEG_INF, forward_logprob
-from wakespot.errors import FileFormatError, NonFiniteError
+from wakespot.errors import AudioError, FileFormatError, NonFiniteError
 from wakespot.label_model import Posteriorgram, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples, trim_to_speech
 from wakespot.wakeword import (
@@ -541,7 +541,37 @@ class TestStreamingDetector:
         assert detector.process(np.zeros((3, 3))) == []
         assert detector.process(np.array(["a", "b"])) == []
         assert detector.process(np.array([np.nan, 0.0])) == []
-        assert detector.stats.malformed_chunks == 3
+        assert detector.process(np.full(4000, 100 + 5j)) == []
+        assert detector.stats.malformed_chunks == 4
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [
+            np.full(4000, 40000, dtype=np.int32),
+            np.full(4000, -32769, dtype=np.int64),
+            np.full(4000, 1e9),
+            np.full(4000, 65535, dtype=np.uint16),
+            np.r_[np.zeros(3999), np.inf],
+        ],
+    )
+    def test_samples_outside_the_int16_range_are_malformed(self, chunk):
+        weights, model, *_ = enrolled_fixture(5)
+        detector = StreamingDetector(model, weights, threshold=-math.inf)
+        assert detector.process(chunk) == []
+        assert detector.finish() == []
+        assert detector.stats.malformed_chunks == 1
+        assert detector.stats.frames_processed == 0
+        if np.issubdtype(chunk.dtype, np.integer):  # the batch rule, for comparison
+            with pytest.raises(AudioError, match="int16 range"):
+                AudioBuffer(chunk)
+
+    def test_samples_at_the_int16_limits_are_accepted(self):
+        weights, model, *_ = enrolled_fixture(5)
+        detector = StreamingDetector(model, weights, threshold=-math.inf)
+        detector.process(np.array([-32768, 32767] * 2000, dtype=np.int32))
+        detector.process(np.array([-32768.0, 32767.0] * 2000))
+        assert detector.stats.malformed_chunks == 0
+        assert detector.stats.frames_processed > 0
 
     def test_two_phrases_give_two_events(self):
         weights, model, target, speaker, cfg, rng = enrolled_fixture(6)
