@@ -26,7 +26,6 @@ import logging
 import math
 import re
 import sys
-import warnings
 
 from . import evaluation, synth
 from .audio import read_wav, save_features, stack_frames
@@ -35,6 +34,8 @@ from .errors import WakespotError
 from .label_model import load_weights, save_posteriorgram, save_weights
 from .vad import VadConfig
 from .wakeword import (
+    DEFAULT_BEAM_WIDTH,
+    DEFAULT_NUM_HYPOTHESES,
     aggregate,
     detect_stream,
     featurize,
@@ -87,9 +88,10 @@ def _threshold(text: str) -> float:
 
 
 def _add_vad_flags(parser):
-    parser.add_argument("--vad-threshold-db", type=_threshold, default=-40.0)
-    parser.add_argument("--vad-hangover", type=_non_negative_int, default=20)
-    parser.add_argument("--vad-min-speech", type=_positive_int, default=10)
+    vad = VadConfig()
+    parser.add_argument("--vad-threshold-db", type=_threshold, default=vad.energy_threshold_db)
+    parser.add_argument("--vad-hangover", type=_non_negative_int, default=vad.hangover_frames)
+    parser.add_argument("--vad-min-speech", type=_positive_int, default=vad.min_speech_frames)
 
 
 def _vad_config(args) -> VadConfig:
@@ -118,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="model file to write")
     p.add_argument("wavs", nargs=3, metavar="wav")
     p.add_argument("--weights", required=True)
-    p.add_argument("--beam-width", type=_positive_int, default=100)
-    p.add_argument("--num-hypotheses", type=_positive_int, default=10)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--num-hypotheses", type=_positive_int, default=DEFAULT_NUM_HYPOTHESES)
     p.add_argument("--threshold", type=_threshold, help="stored in the model for listen")
     _add_vad_flags(p)
 
@@ -142,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--space", choices=("fbank", "post"), default="post")
     p.add_argument("--weights", help="required for --space post")
-    p.add_argument("--lambda", dest="smoothing", type=float, default=1e-5)
-    p.add_argument("--agg", choices=AGGREGATIONS, default="max")
+    p.add_argument("--lambda", dest="smoothing", type=float, default=DtwConfig.smoothing)
+    p.add_argument("--agg", choices=AGGREGATIONS, default=DtwConfig.aggregation)
     p.add_argument("--no-normalize", action="store_true", help="skip path-length normalization")
     _add_vad_flags(p)
 
@@ -152,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=evaluation.DETECTORS, required=True)
     no_weights = " and ".join(evaluation.WEIGHTLESS_DETECTORS)
     p.add_argument("--weights", help=f"required by every detector but {no_weights}")
-    p.add_argument("--beam-width", type=_positive_int, default=100)
-    p.add_argument("--num-hypotheses", type=_positive_int, default=10)
+    p.add_argument("--beam-width", type=_positive_int, default=DEFAULT_BEAM_WIDTH)
+    p.add_argument("--num-hypotheses", type=_positive_int, default=DEFAULT_NUM_HYPOTHESES)
     p.add_argument("--report", help="write the metrics report here as well")
     p.add_argument("--roc-points", help="write ROC sweep points as CSV")
     _add_vad_flags(p)
@@ -195,12 +197,8 @@ def cmd_enroll(args) -> int:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
     weights = load_weights(args.weights)
     posts = featurize([read_wav(w) for w in args.wavs], _vad_config(args), weights)
-    with warnings.catch_warnings():  # printed once below, from model.warnings
-        warnings.simplefilter("ignore", UserWarning)
-        model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
+    model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
     save_model(args.out, model)
-    for note in model.warnings:
-        print(f"warning: {note}", file=sys.stderr)
     for i in range(len(posts)):
         print(f"example {i + 1}:")
         for hyp in model.hypotheses:

@@ -33,6 +33,7 @@ from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
 from .vad import VadConfig
+from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES
 from .wakeword import featurize, learn, model_from_labels, score
 
 logger = logging.getLogger(__name__)
@@ -153,8 +154,8 @@ def compute_roc(scores: Sequence[tuple[float, bool]]) -> RocMetrics:
 @dataclass(frozen=True)
 class HarnessParams:
     weights: GruWeights | None = None
-    beam_width: int = 100
-    num_hypotheses: int = 10
+    beam_width: int = DEFAULT_BEAM_WIDTH
+    num_hypotheses: int = DEFAULT_NUM_HYPOTHESES
     vad: VadConfig = VadConfig()
 
 

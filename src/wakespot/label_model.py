@@ -18,24 +18,25 @@ call the same recurrent cell and softmax, so streaming output equals batch
 output bit for bit.
 
 Every product of a weight matrix with a frame or a hidden state stays its
-own matrix-vector product. A layer holds its gates stacked on a leading
-axis (input weights ``(3, H, in)``, z and r recurrent weights ``(2, H, H)``
-and biases ``(2, H)``), so one ``np.matmul`` forms a frame's three input
-products or its two recurrent ones, each gate still by itself. :func:`run`
-forms a layer's input products for all frames at once the same way. Two
-layouts that look equivalent round differently in the last bits and are
-not used: ``X @ W.T``, a matrix-matrix product, and gates stacked by rows
-into one ``(2H, H)`` matrix, whose product BLAS blocks differently
-whenever H is not a multiple of its row block.
+own matrix-vector product. A :class:`GruLayer` is the five arrays the
+kernel reads, with the gates stacked on a leading axis, so one
+``np.matmul`` forms a frame's three input products or its two recurrent
+ones, each gate still by itself. :func:`run` forms a layer's input
+products for all frames at once the same way. Two layouts that look
+equivalent round differently in the last bits and are not used:
+``X @ W.T``, a matrix-matrix product, and gates stacked by rows into one
+``(2H, H)`` matrix, whose product BLAS blocks differently whenever H is
+not a multiple of its row block.
 
 Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
 
     fields: u32 num_layers, u32 hidden, u32 input_dim, u32 K
-    parts : per layer Wz Wr Wh Uz Ur Uh bz br bh, then W_out (K x hidden),
+    parts : per layer w, u_zr, u_h, b_zr, b_h, then W_out (K x hidden),
             b_out (K), then the alphabet (K - 1 labels)
 
-The per-layer order is the layer table ``_LAYER_FIELDS`` (the fields of
-:class:`GruLayer`), and ``_layer_shapes`` gives each array's shape.
+Each stack is written gate after gate, so a layer's parts hold Wz Wr Wh
+Uz Ur Uh bz br bh in that order. The per-layer order is the layer table ``_LAYER_FIELDS``
+(the fields of :class:`GruLayer`), and ``_layer_shapes`` gives the shapes.
 
 Posteriorgram file (magic ``WSPG``, version 1):
 
@@ -116,40 +117,20 @@ class LabelAlphabet:
 
 @dataclass(frozen=True)
 class GruLayer:
-    """One layer's gates. The layer stores its gates stacked once, on a
-    leading axis: ``w_z``, ``w_r`` and ``w_h`` are views of one ``(3, H, in)``
-    array, ``u_z`` and ``u_r`` of one ``(2, H, H)`` array and ``b_z`` and
-    ``b_r`` of one ``(2, H)`` array."""
+    """One layer's weights, its gates stacked on a leading axis in the order
+    z, r, h: the input weights ``w`` ``(3, H, in)``, the z and r recurrent
+    weights ``u_zr`` ``(2, H, H)`` and biases ``b_zr`` ``(2, H)``, and the
+    candidate's recurrent weights ``u_h`` ``(H, H)`` and bias ``b_h`` ``(H,)``.
+    :class:`GruWeights` checks the shapes."""
 
-    w_z: np.ndarray
-    w_r: np.ndarray
-    w_h: np.ndarray
-    u_z: np.ndarray
-    u_r: np.ndarray
+    w: np.ndarray
+    u_zr: np.ndarray
     u_h: np.ndarray
-    b_z: np.ndarray
-    b_r: np.ndarray
+    b_zr: np.ndarray
     b_h: np.ndarray
-
-    def __post_init__(self):
-        for stack, names in _GATE_STACKS:
-            gates = [np.asarray(getattr(self, name)) for name in names]
-            if len({g.shape for g in gates}) > 1:
-                shapes = ", ".join(f"{n} {g.shape}" for n, g in zip(names, gates))
-                raise DimensionError(f"stacked gates differ in shape: {shapes}")
-            stacked = np.stack(gates)
-            object.__setattr__(self, stack, stacked)
-            for name, view in zip(names, stacked):
-                object.__setattr__(self, name, view)
 
 
 _LAYER_FIELDS = tuple(f.name for f in fields(GruLayer))
-# Each gate stack: the private attribute that holds it, then its gates in order.
-_GATE_STACKS = (
-    ("_w_zrh", ("w_z", "w_r", "w_h")),
-    ("_u_zr", ("u_z", "u_r")),
-    ("_b_zr", ("b_z", "b_r")),
-)
 
 
 def _layer_shapes(num_layers: int, hidden: int, input_dim: int):
@@ -157,38 +138,19 @@ def _layer_shapes(num_layers: int, hidden: int, input_dim: int):
     ``input_dim`` features and every later layer the one below it."""
     for i in range(num_layers):
         in_dim = input_dim if i == 0 else hidden
-        yield 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
+        yield [(3, hidden, in_dim), (2, hidden, hidden), (hidden, hidden), (2, hidden), (hidden,)]
 
 
 @dataclass(frozen=True)
 class GruWeights:
+    """Checked when built: every shape agrees and every value is finite."""
+
     layers: tuple[GruLayer, ...]
     w_out: np.ndarray
     b_out: np.ndarray
     alphabet: LabelAlphabet
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def hidden_size(self) -> int:
-        return self.layers[0].w_z.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].w_z.shape[1]
-
-    @property
-    def num_symbols(self) -> int:
-        return self.w_out.shape[0]
-
-    @property
-    def num_parameters(self) -> int:
-        arrays = [getattr(layer, name) for layer in self.layers for name in _LAYER_FIELDS]
-        return sum(a.size for a in arrays) + self.w_out.size + self.b_out.size
-
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.layers:
             raise DimensionError("weights must have at least one layer")
         hidden = self.hidden_size
@@ -215,6 +177,27 @@ class GruWeights:
             raise DimensionError(
                 f"output dim {self.num_symbols} does not match alphabet size {self.alphabet.size}"
             )
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.layers)
+
+    @property
+    def hidden_size(self) -> int:
+        return self.layers[0].u_h.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.layers[0].w.shape[-1]
+
+    @property
+    def num_symbols(self) -> int:
+        return self.w_out.shape[0]
+
+    @property
+    def num_parameters(self) -> int:
+        arrays = [getattr(layer, name) for layer in self.layers for name in _LAYER_FIELDS]
+        return sum(a.size for a in arrays) + self.w_out.size + self.b_out.size
 
 
 @dataclass(frozen=True)
@@ -244,7 +227,7 @@ class Posteriorgram:
     def num_symbols(self) -> int:
         return self.rows.shape[1]
 
-    def validate(self, atol: float = ROW_SUM_ATOL) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("posteriorgram contains non-finite values")
         if self.rows.size and (self.rows.min() < 0.0 or self.rows.max() > 1.0):
@@ -252,22 +235,19 @@ class Posteriorgram:
         if self.num_frames:
             sums = self.rows.sum(axis=1)
             worst = float(np.abs(sums - 1.0).max())
-            if worst > atol:
+            if worst > ROW_SUM_ATOL:
                 raise ValueError(f"posteriorgram rows must sum to 1 (worst error {worst:.3g})")
 
 
 def _build_weights(alphabet: LabelAlphabet, num_layers: int, hidden_size: int, matrix) -> GruWeights:
     """Weights whose matrices ``matrix(shape)`` makes, in weight-file order,
     ending with the output projection; every bias is zero."""
-    layers = tuple(
-        GruLayer(*(matrix(shape) if len(shape) == 2 else np.zeros(shape) for shape in shapes))
-        for shapes in _layer_shapes(num_layers, hidden_size, STACKED_DIM)
+    layers = []
+    for w, u_zr, u_h, b_zr, b_h in _layer_shapes(num_layers, hidden_size, STACKED_DIM):
+        layers.append(GruLayer(matrix(w), matrix(u_zr), matrix(u_h), np.zeros(b_zr), np.zeros(b_h)))
+    return GruWeights(
+        tuple(layers), matrix((alphabet.size, hidden_size)), np.zeros(alphabet.size), alphabet
     )
-    weights = GruWeights(
-        layers, matrix((alphabet.size, hidden_size)), np.zeros(alphabet.size), alphabet
-    )
-    weights.validate()
-    return weights
 
 
 def zero_weights(alphabet: LabelAlphabet, num_layers: int = 3, hidden_size: int = 96) -> GruWeights:
@@ -284,8 +264,8 @@ def random_weights(
     """Seeded random weights, scaled by fan-in; a stand-in for trained models."""
     rng = np.random.default_rng(seed)
 
-    def matrix(shape):
-        return rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape)
+    def matrix(shape):  # one draw per stack reads the stream as its gates in turn
+        return rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
 
     return _build_weights(alphabet, num_layers, hidden_size, matrix)
 
@@ -308,7 +288,7 @@ def _cell(layer: GruLayer, x_zrh: np.ndarray, h: np.ndarray) -> np.ndarray:
     ``x_zrh`` is the frame's input products ``[Wz x, Wr x, Wh x]``, one row
     per gate; the z and r gates are computed as one ``(2, H)`` array.
     """
-    zr = _sigmoid(x_zrh[:2] + np.matmul(layer._u_zr, h) + layer._b_zr)
+    zr = _sigmoid(x_zrh[:2] + np.matmul(layer.u_zr, h) + layer.b_zr)
     z, r = zr[0], zr[1]
     c = np.tanh(x_zrh[2] + layer.u_h @ (r * h) + layer.b_h)
     return (1.0 - z) * c + z * h
@@ -328,7 +308,7 @@ def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[n
         raise ValueError(f"frame dim {x.shape} does not match input dim {weights.input_dim}")
     new_state = []
     for layer, h in zip(weights.layers, state):
-        x = _cell(layer, np.matmul(layer._w_zrh, x), h)
+        x = _cell(layer, np.matmul(layer.w, x), h)
         new_state.append(x)
     return _softmax(weights.w_out @ x + weights.b_out), tuple(new_state)
 
@@ -352,7 +332,7 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
         )
     x = features.frames
     for layer in weights.layers:
-        x_zrh = _stacked_matvec(layer._w_zrh, x)
+        x_zrh = _stacked_matvec(layer.w, x)
         h = np.zeros(weights.hidden_size)
         out = np.empty((features.num_frames, weights.hidden_size))
         for t in range(features.num_frames):
@@ -370,7 +350,6 @@ def _read_alphabet(reader: container.Reader) -> LabelAlphabet:
 
 
 def save_weights(path, weights: GruWeights) -> None:
-    weights.validate()
     container.write(
         path,
         _WEIGHTS_MAGIC,
@@ -396,7 +375,6 @@ def load_weights(path) -> GruWeights:
     alphabet = _read_alphabet(reader)
     reader.end()
     weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
-    weights.validate()
     logger.info(
         "loaded GRU weights from %s: %d layers x %d hidden, input %d, K=%d, %d parameters",
         path,
@@ -432,7 +410,7 @@ def load_posteriorgram(path) -> Posteriorgram:
     reader.end()
     post = Posteriorgram(rows, alphabet)
     try:
-        post.validate(atol=ROW_SUM_ATOL)
+        post.validate()
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     return post

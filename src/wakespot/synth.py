@@ -120,25 +120,18 @@ def oracle_weights() -> GruWeights:
     alphabet = synth_alphabet()
     hidden = 2 * NUM_FILTERS  # detector bank, then memory bank
     thresholds = noise_log_energy_profile(NOISE_FLOOR_DB) + ACTIVATION_MARGIN
-    w_h = np.zeros((hidden, STACKED_DIM))
+    w = np.zeros((3, hidden, STACKED_DIM))  # input weights of z, r and h
     b_h = np.zeros(hidden)
     u_h = np.zeros((hidden, hidden))
     for j in range(NUM_FILTERS):
-        w_h[j, j] = 0.5 * ACTIVATION_SLOPE
-        w_h[j, NUM_FILTERS + j] = 0.5 * ACTIVATION_SLOPE
+        w[2, j, j] = 0.5 * ACTIVATION_SLOPE
+        w[2, j, NUM_FILTERS + j] = 0.5 * ACTIVATION_SLOPE
         b_h[j] = -ACTIVATION_SLOPE * thresholds[j]
         u_h[NUM_FILTERS + j, j] = 2.0  # memory unit saturates on the previous detector
-    layer = GruLayer(
-        w_z=np.zeros((hidden, STACKED_DIM)),
-        w_r=np.zeros((hidden, STACKED_DIM)),
-        w_h=w_h,
-        u_z=np.zeros((hidden, hidden)),
-        u_r=np.zeros((hidden, hidden)),
-        u_h=u_h,
-        b_z=np.full(hidden, -20.0),  # update gate off: state is rewritten each frame
-        b_r=np.full(hidden, 20.0),  # reset gate fully open
-        b_h=b_h,
-    )
+    b_zr = np.empty((2, hidden))
+    b_zr[0] = -20.0  # update gate off: state is rewritten each frame
+    b_zr[1] = 20.0  # reset gate fully open
+    layer = GruLayer(w=w, u_zr=np.zeros((2, hidden, hidden)), u_h=u_h, b_zr=b_zr, b_h=b_h)
     detector_gain = (ONSET_LOGIT - SILENCE_LOGIT) / 2.0
     memory_gain = (ONSET_LOGIT - STEADY_LOGIT) / 2.0
     bias = ONSET_LOGIT - detector_gain - memory_gain
@@ -148,9 +141,7 @@ def oracle_weights() -> GruWeights:
         w_out[1 + i, channel] = detector_gain
         w_out[1 + i, NUM_FILTERS + channel] = -memory_gain
         b_out[1 + i] = bias
-    weights = GruWeights((layer,), w_out, b_out, alphabet)
-    weights.validate()
-    return weights
+    return GruWeights((layer,), w_out, b_out, alphabet)
 
 
 @dataclass(frozen=True)

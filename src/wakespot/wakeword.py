@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings as _warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,6 +51,9 @@ from .vad import Vad, VadConfig, span_samples, trim_to_speech
 logger = logging.getLogger(__name__)
 
 ENROLL_LOGPROB_CEILING = -1e-6
+# enrollment defaults of learn, the harness and the CLI
+DEFAULT_BEAM_WIDTH = 100
+DEFAULT_NUM_HYPOTHESES = 10
 
 _MODEL_HEADER = "wakespot-model"
 _MODEL_VERSION = 2
@@ -82,7 +84,6 @@ class WakewordModel:
     beam_width: int
     kept_per_example: int
     threshold: float | None = None
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not self.hypotheses:
@@ -96,12 +97,13 @@ class WakewordModel:
 
 def learn(
     posteriorgrams: Sequence[Posteriorgram],
-    beam_width: int = 100,
-    num_hypotheses: int = 10,
+    beam_width: int = DEFAULT_BEAM_WIDTH,
+    num_hypotheses: int = DEFAULT_NUM_HYPOTHESES,
     threshold: float | None = None,
 ) -> WakewordModel:
     """Build a wakeword model from training posteriorgrams (three in the
-    standard enrollment flow)."""
+    standard enrollment flow). A recording whose hypotheses are all the
+    empty sequence is logged as a warning."""
     if not posteriorgrams:
         raise ValueError("enrollment needs at least one posteriorgram")
     if num_hypotheses < 1:
@@ -112,17 +114,18 @@ def learn(
         )
     alphabet = posteriorgrams[0].alphabet
     hypotheses: list[Hypothesis] = []
-    notes: list[str] = []
     for i, post in enumerate(posteriorgrams):
         if post.alphabet != alphabet:
             raise ValueError("training posteriorgrams use different alphabets")
         if post.num_frames == 0:
-            raise ValueError(f"training posteriorgram {i} is empty")
+            raise ValueError(f"training example {i + 1} of {len(posteriorgrams)} is empty")
         kept = beam_search(post, beam_width)[:num_hypotheses]
         if all(not entry.labels for entry in kept):
-            notes.append(
-                f"training example {i}: decoder produced only the empty sequence; "
-                "the model may be degenerate"
+            logger.warning(
+                "training example %d of %d: decoder produced only the empty sequence; "
+                "the model may be degenerate",
+                i + 1,
+                len(posteriorgrams),
             )
         for entry in kept:
             hypotheses.append(
@@ -133,15 +136,12 @@ def learn(
                     example=i,
                 )
             )
-    for note in notes:
-        _warnings.warn(note, stacklevel=2)
     return WakewordModel(
         hypotheses=tuple(hypotheses),
         alphabet=alphabet,
         beam_width=beam_width,
         kept_per_example=num_hypotheses,
         threshold=threshold,
-        warnings=tuple(notes),
     )
 
 

@@ -156,6 +156,32 @@ def test_enroll_usage_error_when_n_exceeds_beam(world, tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_omitted_options_take_the_library_defaults():
+    import inspect
+
+    from wakespot.cli import _vad_config, build_parser
+    from wakespot.dtw import DtwConfig
+    from wakespot.evaluation import HarnessParams
+    from wakespot.vad import VadConfig
+    from wakespot.wakeword import learn
+
+    learn_defaults = inspect.signature(learn).parameters
+    harness = HarnessParams()
+    parse = build_parser().parse_args
+    enroll = parse(["enroll", "m.model", "a.wav", "b.wav", "c.wav", "--weights", "w.bin"])
+    assert enroll.beam_width == learn_defaults["beam_width"].default == harness.beam_width
+    assert enroll.num_hypotheses == learn_defaults["num_hypotheses"].default
+    assert enroll.num_hypotheses == harness.num_hypotheses
+    evaluate = parse(["eval", "--manifest", "m.txt", "--detector", "donut"])
+    assert evaluate.beam_width == harness.beam_width
+    assert evaluate.num_hypotheses == harness.num_hypotheses
+    baseline = parse(["baseline", "a.wav", "b.wav", "c.wav", "t.wav"])
+    assert (baseline.smoothing, baseline.agg) == (DtwConfig().smoothing, DtwConfig().aggregation)
+    score = parse(["score", "m.model", "t.wav", "--weights", "w.bin"])
+    for args in (enroll, evaluate, baseline, score):
+        assert _vad_config(args) == VadConfig() == harness.vad
+
+
 def test_usage_error_exit_code_is_one(capsys):
     assert main(["enroll"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
@@ -288,9 +314,7 @@ def test_score_equals_the_streaming_event_bit_for_bit(world, tmp_path, capsys, w
     assert [event.score for event in report.events] == [batch]
 
 
-def test_enroll_prints_each_degenerate_note_once(world, tmp_path, capsys):
-    import warnings
-
+def test_enroll_prints_each_degenerate_note_once(world, tmp_path, caplog):
     from wakespot.audio import AudioBuffer
 
     rng = np.random.default_rng(3)
@@ -299,17 +323,13 @@ def test_enroll_prints_each_degenerate_note_once(world, tmp_path, capsys):
         wavs.append(tmp_path / f"noise_{i}.wav")
         write_wav(wavs[-1], AudioBuffer(np.round(rng.normal(0.0, 32.768, 16000)).astype(np.int16)))
     args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
-    with warnings.catch_warnings(record=True) as escaped:
-        warnings.simplefilter("always")
+    with caplog.at_level("WARNING", logger="wakespot"):
         assert main([*args, "--num-hypotheses", "1"]) == EXIT_OK
-    assert not [w for w in escaped if issubclass(w.category, UserWarning)]
-    lines = capsys.readouterr().err.splitlines()
-    assert [line for line in lines if "empty sequence" in line] == [
-        f"warning: training example {i}: decoder produced only the empty sequence; "
+    assert [r.getMessage() for r in caplog.records if "empty sequence" in r.getMessage()] == [
+        f"training example {i} of 3: decoder produced only the empty sequence; "
         "the model may be degenerate"
-        for i in range(3)
+        for i in (1, 2, 3)
     ]
-    assert all(line.startswith("warning: ") for line in lines)
 
 
 @pytest.mark.parametrize(

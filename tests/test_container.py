@@ -39,7 +39,11 @@ def ramp_weights(num_layers, hidden, input_dim, labels):
     for i in range(num_layers):
         in_dim = input_dim if i == 0 else hidden
         shapes = 3 * [(hidden, in_dim)] + 3 * [(hidden, hidden)] + 3 * [(hidden,)]
-        layers.append(GruLayer(*(ramp(s, 9 * i + j) for j, s in enumerate(shapes))))
+        # Wz Wr Wh Uz Ur Uh bz br bh, stacked into the layer's five arrays
+        g = [ramp(s, 9 * i + j) for j, s in enumerate(shapes)]
+        layers.append(
+            GruLayer(np.stack(g[0:3]), np.stack(g[3:5]), g[5], np.stack(g[6:8]), g[8])
+        )
     return GruWeights(tuple(layers), ramp((alphabet.size, hidden), 1), ramp((alphabet.size,), 2), alphabet)
 
 

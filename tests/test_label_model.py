@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from functools import cache
 
 import numpy as np
@@ -83,7 +84,7 @@ class TestRun:
         weights = random_weights(make_alphabet(5), seed=3)
         post = run(weights, stacked_features(rng, 12))
         assert np.allclose(post.rows.sum(axis=1), 1.0, atol=1e-5)
-        post.validate(atol=1e-5)
+        post.validate()
 
     def test_dim_mismatch_rejected(self):
         weights = random_weights(make_alphabet(3), seed=1)
@@ -105,23 +106,15 @@ class TestRun:
         alphabet = make_alphabet(4)
         hidden = 4
         weights = zero_weights(alphabet, num_layers=1, hidden_size=hidden)
-        w_h = np.zeros((hidden, 82))
+        w = np.zeros((3, hidden, 82))  # input weights of z, r and h
         for j in range(hidden):
-            w_h[j, j] = 3.0
+            w[2, j, j] = 3.0
+        b_zr = np.zeros((2, hidden))
+        b_zr[0] = -20.0
         w_out = np.zeros((alphabet.size, hidden))
         for j in range(hidden):
             w_out[j + 1, j] = 40.0  # large projection magnitudes -> near one-hot rows
-        layer = weights.layers[0].__class__(
-            w_z=weights.layers[0].w_z,
-            w_r=weights.layers[0].w_r,
-            w_h=w_h,
-            u_z=weights.layers[0].u_z,
-            u_r=weights.layers[0].u_r,
-            u_h=weights.layers[0].u_h,
-            b_z=np.full(hidden, -20.0),
-            b_r=weights.layers[0].b_r,
-            b_h=weights.layers[0].b_h,
-        )
+        layer = dataclasses.replace(weights.layers[0], w=w, b_zr=b_zr)
         oracle = GruWeights((layer,), w_out, np.zeros(alphabet.size), alphabet)
         frames = np.zeros((4, 82))
         for t in range(4):
@@ -140,7 +133,7 @@ def named_weights(name: str) -> GruWeights:
     # random_weights leaves the biases at zero; give every bias a value
     rng = np.random.default_rng(22)
     layers = tuple(
-        dataclasses.replace(layer, **{b: rng.normal(size=96) for b in ("b_z", "b_r", "b_h")})
+        dataclasses.replace(layer, b_zr=rng.normal(size=(2, 96)), b_h=rng.normal(size=96))
         for layer in weights.layers
     )
     return dataclasses.replace(weights, layers=layers, b_out=rng.normal(size=weights.num_symbols))
@@ -186,7 +179,8 @@ class TestRunEqualsSteps:
 
 def per_gate_rows(weights, frames):
     """Posterior rows by the GRU formula with every gate its own
-    matrix-vector product and the z and r gates joined by concatenation."""
+    matrix-vector product and the z and r gates joined by concatenation;
+    each gate is read from its layer's stacks."""
 
     def sigmoid(x):
         ex = np.exp(-np.abs(x))
@@ -197,11 +191,12 @@ def per_gate_rows(weights, frames):
     for x in frames:
         for i, layer in enumerate(weights.layers):
             h = state[i]
-            x_zr = np.concatenate([layer.w_z @ x, layer.w_r @ x])
-            u_zr = np.concatenate([layer.u_z @ h, layer.u_r @ h])
-            zr = sigmoid(x_zr + u_zr + np.concatenate([layer.b_z, layer.b_r]))
+            (w_z, w_r, w_h), (u_z, u_r), (b_z, b_r) = layer.w, layer.u_zr, layer.b_zr
+            x_zr = np.concatenate([w_z @ x, w_r @ x])
+            u_zr = np.concatenate([u_z @ h, u_r @ h])
+            zr = sigmoid(x_zr + u_zr + np.concatenate([b_z, b_r]))
             z, r = zr[: h.size], zr[h.size :]
-            c = np.tanh(layer.w_h @ x + layer.u_h @ (r * h) + layer.b_h)
+            c = np.tanh(w_h @ x + layer.u_h @ (r * h) + layer.b_h)
             x = state[i] = (1.0 - z) * c + z * h
         logits = weights.w_out @ x + weights.b_out
         ex = np.exp(logits - logits.max())
@@ -234,7 +229,6 @@ class TestStackedGates:
         weights = GruWeights(
             tuple(layers), rng.normal(size=(6, hidden)), rng.normal(size=6), alphabet
         )
-        weights.validate()
         frame_rate = 50 if input_dim == 82 else 100
         features = FeatureSequence(rng.normal(0.0, 2.0, size=(frames, input_dim)), frame_rate)
         want = per_gate_rows(weights, features.frames)
@@ -244,19 +238,15 @@ class TestStackedGates:
             row, state = gru_step(weights, state, features.frames[t])
             assert np.array_equal(row, want[t])
 
-    def test_gates_are_views_of_one_stack(self, tmp_path):
-        built = random_weights(make_alphabet(3), num_layers=2, hidden_size=5, seed=3)
-        save_weights(tmp_path / "w.bin", built)
-        loaded = load_weights(tmp_path / "w.bin")
-        for layer in [*built.layers, *loaded.layers, *synth.oracle_weights().layers]:
-            # the kernel reads the stacks; the fields are views, not copies
-            for stack, names in label_model._GATE_STACKS:
-                assert all(getattr(layer, name).base is getattr(layer, stack) for name in names)
-
-    def test_gates_of_unequal_shape_are_refused(self):
-        layer = zero_weights(make_alphabet(3), 1, 4).layers[0]
-        with pytest.raises(DimensionError):
-            dataclasses.replace(layer, w_r=np.zeros((4, 3)))
+    def test_a_stack_of_the_wrong_shape_is_refused(self):
+        weights = zero_weights(make_alphabet(3), 2, 4)
+        for i, name in itertools.product(range(2), label_model._LAYER_FIELDS):
+            stack = getattr(weights.layers[i], name)
+            for bad in (stack[1:], stack[0]):  # one gate or row short; one gate of a stack
+                layers = list(weights.layers)
+                layers[i] = dataclasses.replace(layers[i], **{name: bad})
+                with pytest.raises(DimensionError, match="has shape"):
+                    dataclasses.replace(weights, layers=tuple(layers))
 
 
 class TestStreaming:
@@ -360,9 +350,30 @@ class TestWeightFiles:
     def test_output_dim_alphabet_mismatch(self):
         alphabet = make_alphabet(3)
         good = zero_weights(alphabet, 1, 4)
-        bad = GruWeights(good.layers, np.zeros((7, 4)), np.zeros(7), alphabet)
         with pytest.raises(DimensionError):
-            bad.validate()
+            GruWeights(good.layers, np.zeros((7, 4)), np.zeros(7), alphabet)
+
+    @pytest.mark.parametrize("num_layers, hidden", [(1, 5), (2, 5), (3, 96)])
+    def test_seeded_weights_draw_each_gate_in_file_order(self, num_layers, hidden):
+        # Wz Wr Wh Uz Ur Uh per layer, then W_out, each N(0, 1/sqrt(fan-in));
+        # every bias zero
+        alphabet = make_alphabet(4)
+        rng = np.random.default_rng(7)
+
+        def gate(rows, fan_in):
+            return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(rows, fan_in))
+
+        weights = random_weights(alphabet, num_layers, hidden, seed=7)
+        assert weights.num_layers == num_layers
+        for i, layer in enumerate(weights.layers):
+            w_z, w_r, w_h = (gate(hidden, 82 if i == 0 else hidden) for _ in "zrh")
+            u_z, u_r, u_h = (gate(hidden, hidden) for _ in "zrh")
+            assert np.array_equal(layer.w, np.stack([w_z, w_r, w_h]))
+            assert np.array_equal(layer.u_zr, np.stack([u_z, u_r]))
+            assert np.array_equal(layer.u_h, u_h)
+            assert not layer.b_zr.any() and not layer.b_h.any()
+        assert np.array_equal(weights.w_out, gate(alphabet.size, hidden))
+        assert not weights.b_out.any()
 
 
 class TestPosteriorgram:

@@ -119,15 +119,20 @@ class TestLearn:
     def test_empty_posteriorgram_rejected(self):
         alphabet = make_alphabet(2)
         empty = Posteriorgram(np.zeros((0, alphabet.size)), alphabet)
-        with pytest.raises(ValueError):
-            learn([empty], beam_width=2, num_hypotheses=1)
+        word = peaky_posteriorgram((1,), alphabet)
+        with pytest.raises(ValueError, match="training example 2 of 2 is empty"):
+            learn([word, empty], beam_width=2, num_hypotheses=1)
 
-    def test_silence_only_training_warns(self):
+    def test_silence_only_training_warns(self, caplog):
         alphabet = make_alphabet(2)
         blank = peaky_posteriorgram((), alphabet, blank_between=6)
-        with pytest.warns(UserWarning, match="empty sequence"):
-            model = learn([blank], beam_width=1, num_hypotheses=1)
-        assert model.warnings
+        word = peaky_posteriorgram((1, 2), alphabet)
+        with caplog.at_level("WARNING", logger="wakespot"):
+            learn([word, blank], beam_width=1, num_hypotheses=1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "training example 2 of 2: decoder produced only the empty sequence; "
+            "the model may be degenerate"
+        ]
 
 
 class TestScore:
