@@ -22,14 +22,18 @@ each row's cell logs to the same advance.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
-top ``beam_width`` prefixes survive each timestep. Its state is arrays
-over the surviving prefixes (blank mass, non-blank mass, last label and
-the survivor index of the prefix one label shorter), so each posterior row
-advances every (beam x symbol) candidate in one set of array operations;
-only the survivors are built as tuples. Surviving prefixes are rescored
-with the exact forward algorithm before they are returned, so the reported
-log probability of every entry is the true sequence probability even when
-pruning discarded some of its alignment mass mid-search. No language model
+top ``beam_width`` prefixes survive each timestep. Its state is one
+prefix table, where each prefix the search has kept is a node (its parent
+node and last label, with a child map so that a prefix found again gets
+its old node), plus arrays over the surviving nodes (blank mass, non-blank
+mass, last label and parent node). So each posterior row advances every
+(beam x symbol) candidate in one set of array operations, and the survivor
+index of a beam's parent is one gather. Tuples are built only for
+candidates tied at the pruning cutoff and for the returned entries. The
+survivors are rescored with the exact forward algorithm before they are
+returned, on one lattice built from their ancestors in the table, so the
+reported log probability of every entry is the true sequence probability
+even when pruning discarded some of its alignment mass mid-search. No language model
 or lexicon is involved. Ties, both at the pruning cutoff and in the
 returned list, are ordered shorter sequence first, then lexicographically
 by label indices.
@@ -106,11 +110,12 @@ class ForwardLattice:
     """
 
     def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
-        self.sequences = tuple(validate_labels(seq, num_symbols) for seq in sequences)
-        self.num_symbols = num_symbols
         node_of: dict[tuple[int, int], int] = {}
         parent, label, ends = [0], [BLANK_INDEX], []
-        for seq in self.sequences:
+        total_length = 0
+        for seq in sequences:
+            seq = validate_labels(seq, num_symbols)
+            total_length += len(seq)
             node = 0
             for y in seq:
                 child = node_of.get((node, y))
@@ -120,26 +125,57 @@ class ForwardLattice:
                     label.append(y)
                 node = child
             ends.append(node)
-        self._parent = np.array(parent, dtype=np.intp)
-        self._label = np.array(label, dtype=np.intp)
-        self._ends = np.array(ends, dtype=np.intp)
-        up = self._parent[1:]
+        parent, label, ends = (np.array(a, dtype=np.intp) for a in (parent, label, ends))
+        self._init_trie(parent, label, ends, num_symbols, total_length)
+
+    @classmethod
+    def from_trie(
+        cls, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int
+    ) -> "ForwardLattice":
+        """A lattice over a trie that is already built, and trusted: node 0
+        is the root (its own parent, label the blank), every other node n
+        is one distinct non-empty prefix, the prefix of node ``parent[n]``
+        followed by label ``label[n]``, and sequence h ends on node
+        ``ends[h]``. Nothing is validated."""
+        # Each node's depth by pointer jumping: depth[n] counts the labels
+        # from node up[n] down to node n, and up[n] climbs to the root in
+        # about log2(U) rounds.
+        depth, up = (np.arange(len(parent)) != 0).astype(np.intp), parent
+        while up.any():
+            depth, up = depth + depth[up], up[up]
+        lattice = cls.__new__(cls)
+        lattice._init_trie(parent, label, ends, num_symbols, int(depth[ends].sum()))
+        return lattice
+
+    def _init_trie(
+        self,
+        parent: np.ndarray,
+        label: np.ndarray,
+        ends: np.ndarray,
+        num_symbols: int,
+        total_length: int,
+    ):
+        """The shared constructor; ``total_length`` is the sum of the
+        sequences' lengths U."""
+        self.num_symbols = num_symbols
+        self._parent, self._label, self._ends = parent, label, ends
+        up = parent[1:]
         num_cells = 2 * len(parent) - 1
         # Cell symbols: the start blank, then each node's label and blank.
         self._symbols = np.zeros(num_cells, dtype=np.intp)
-        self._symbols[1::2] = self._label[1:]
+        self._symbols[1::2] = label[1:]
         # Entry i is the cell that cell i+1 advances from: a label cell from
         # its parent's blank, a blank cell from the label cell before it.
         self._advance_from = np.arange(num_cells - 1)
         self._advance_from[0::2] = 2 * up
         # Node n's label cell skips from its parent's label cell, or from
         # the -inf sentinel after the cells when the skip cannot occur.
-        can_skip = (up != 0) & (self._label[up] != self._label[1:])
+        can_skip = (up != 0) & (label[up] != label[1:])
         self._skip_from = np.where(can_skip, 2 * up - 1, num_cells)
         self._alpha = np.full(num_cells + 1, NEG_INF)
         self._alpha[0] = 0.0  # the start cell
         self.num_lattice_cells = num_cells
-        self.num_state_cells = sum(2 * len(seq) + 1 for seq in self.sequences)
+        self.num_state_cells = 2 * total_length + len(ends)
         self.steps = 0
         self.cell_updates = 0
 
@@ -194,8 +230,8 @@ class CtcForwardScorer(ForwardLattice):
     ``finalize`` return that sequence's values."""
 
     def __init__(self, labels: Iterable[int], num_symbols: int):
-        super().__init__([labels], num_symbols)
-        self.labels = self.sequences[0]
+        self.labels = validate_labels(labels, num_symbols)
+        super().__init__([self.labels], num_symbols)
 
     def state(self) -> np.ndarray:
         return super().state(0)
@@ -204,12 +240,16 @@ class CtcForwardScorer(ForwardLattice):
         return float(super().finalize()[0])
 
 
-def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
-    """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
-    lattice = ForwardLattice(sequences, post.num_symbols)
+def _advanced(lattice: ForwardLattice, post: Posteriorgram) -> ForwardLattice:
+    """``lattice`` advanced over every row of ``post``, each row logged once."""
     for logs in _log_rows(post.rows):
         lattice._advance(logs[lattice._symbols])
     return lattice
+
+
+def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
+    """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
+    return _advanced(ForwardLattice(sequences, post.num_symbols), post)
 
 
 def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
@@ -226,50 +266,78 @@ def nbest_sort_key(entry: ScoredSequence):
     return (-entry.logprob, len(entry.labels), entry.labels)
 
 
-def _candidate_prefix(prefixes: list[LabelSequence], k: int, num_labels: int) -> LabelSequence:
-    """Candidate ``k`` of a beam-search row: beam k for k < B, otherwise the
-    extension of beam (k - B) // (K-1) by label (k - B) % (K-1) + 1."""
-    if k < len(prefixes):
-        return prefixes[k]
-    beam, column = divmod(k - len(prefixes), num_labels)
-    return prefixes[beam] + (column + 1,)
+def _prefix(parent: list[int], label: list[int], node: int) -> LabelSequence:
+    """The label sequence of ``node`` in a prefix table."""
+    labels = []
+    while node:
+        labels.append(label[node])
+        node = parent[node]
+    return tuple(reversed(labels))
+
+
+def _candidate(
+    parent: list[int], label: list[int], nodes: np.ndarray, k: int, num_labels: int
+) -> LabelSequence:
+    """Candidate ``k`` of a beam-search row over the survivors ``nodes``:
+    beam k for k < B, otherwise the extension of beam (k - B) // (K-1) by
+    label (k - B) % (K-1) + 1."""
+    num_beams = nodes.size
+    if k < num_beams:
+        return _prefix(parent, label, int(nodes[k]))
+    beam, column = divmod(k - num_beams, num_labels)
+    return _prefix(parent, label, int(nodes[beam])) + (column + 1,)
 
 
 def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """N-best label sequences by CTC prefix beam search.
 
-    The search state is the list of B surviving prefixes plus four arrays
-    over them: the log mass of the paths ending in blank and of those
-    ending in a label, each prefix's last label (the blank index for the
-    empty prefix) and the index of ``prefix[:-1]`` among the survivors (-1
-    when it was pruned). Each posterior row makes one blank/stay update of
-    the B beams and one (B, K-1) matrix of extensions. An extension that
-    already is a surviving beam is folded into that beam's non-blank mass
-    and masked out of the matrix. Every merged mass has at most two terms,
-    so the result does not depend on the order of merging.
+    Every prefix the search has kept is one node of a prefix table: its
+    parent node (the prefix one label shorter; node 0, the empty prefix,
+    is its own parent) and its last label, with a child map so that a
+    prefix found again gets its old node. The search state is the B
+    surviving nodes plus arrays over them: the log mass of the paths
+    ending in blank and of those ending in a label, the last label (the
+    blank index for the empty prefix) and the parent node (-1 for the empty
+    prefix). ``position`` maps each node to its survivor index, -1 when it
+    is not a survivor, so the survivor index of each beam's parent is one
+    gather, also for a parent that was pruned and later found again.
+
+    Each posterior row makes one blank/stay update of the B beams and one
+    (B, K-1) matrix of extensions. An extension that already is a surviving
+    beam is folded into that beam's non-blank mass and masked out of the
+    matrix. Every merged mass has at most two terms, so the result does not
+    depend on the order of merging.
 
     The ``beam_width`` candidates with the largest total mass survive each
     row, chosen with ``np.partition``. Only candidates that tie exactly at
     the cutoff are ordered by the tie rule, shorter prefix first, then
-    lexicographically by label indices; only survivors get a tuple.
+    lexicographically by label indices, and only they and the returned
+    entries are built as tuples.
 
     Returns at most ``beam_width`` entries sorted by descending log
     probability; each entry's log probability is its exact forward score
-    on the same posteriorgram, from one lattice over all surviving prefixes
-    (bit-identical to :func:`forward_logprob`).
+    on the same posteriorgram, from one lattice over the survivors'
+    ancestors in the prefix table (bit-identical to :func:`forward_logprob`).
     """
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    num_labels = post.num_symbols - 1
-    prefixes: list[LabelSequence] = [()]
+    num_symbols = post.num_symbols
+    num_labels = num_symbols - 1
+    table_parent, table_label = [0], [BLANK_INDEX]
+    child: dict[int, int] = {}  # parent node * K + label -> node
+    # Survivor index of each node; the extra last entry stays -1, so the
+    # empty prefix's parent node, -1, has no survivor index either.
+    position = np.array([0, -1], dtype=np.intp)
+    nodes = np.zeros(1, dtype=np.intp)
+    parent_node = np.full(1, -1, dtype=np.intp)
     p_blank = np.zeros(1)
     p_nonblank = np.full(1, NEG_INF)
     last = np.full(1, BLANK_INDEX, dtype=np.intp)
-    parent = np.full(1, -1, dtype=np.intp)
     # math.log per entry: np.log on an array may round some entries differently.
     logrows = [[math.log(p) if p > 0.0 else NEG_INF for p in row] for row in post.rows.tolist()]
     for logrow in np.array(logrows).reshape(post.rows.shape):
-        num_beams = len(prefixes)
+        num_beams = nodes.size
+        parent = position[parent_node]  # each beam's parent's survivor index, or -1
         total = np.logaddexp(p_blank, p_nonblank)
         runs = (last != BLANK_INDEX).nonzero()[0]
         run_label = last[runs]
@@ -281,7 +349,7 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         # Candidates: the B beams, then the (B, K-1) extension cells row by
         # row. Append label c (column c - 1). A repeated label needs a
         # separating blank, so only blank-ending mass can start a new run of it.
-        candidates = np.empty(num_beams * post.num_symbols)
+        candidates = np.empty(num_beams * num_symbols)
         extend = candidates[num_beams:].reshape(num_beams, num_labels)
         np.add(total[:, None], logrow[1:], out=extend)
         extend[runs, run_label - 1] = p_blank[runs] + logrow[run_label]
@@ -302,7 +370,9 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
             tied = (candidates == cutoff).nonzero()[0].tolist()
             need = beam_width - above.size
             if need < len(tied):
-                seqs = {k: _candidate_prefix(prefixes, k, num_labels) for k in tied}
+                seqs = {
+                    k: _candidate(table_parent, table_label, nodes, k, num_labels) for k in tied
+                }
                 tied = sorted(tied, key=lambda k: (len(seqs[k]), seqs[k]))[:need]
             survivors = np.concatenate([above, np.array(tied, dtype=np.intp)])
 
@@ -311,32 +381,49 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         num_kept = int(np.searchsorted(survivors, num_beams))
         kept = survivors[:num_kept]
         owner, column = np.divmod(survivors[num_kept:] - num_beams, num_labels)
-        extensions = [
-            prefixes[b] + (c + 1,) for b, c in zip(owner.tolist(), column.tolist())
-        ]
-        # New index of each old beam; the extra last entry maps "no parent"
-        # (-1) to -1.
-        position = np.full(num_beams + 1, -1, dtype=np.intp)
-        position[kept] = np.arange(num_kept)
-        kept_parent = parent[kept]
-        parent = np.concatenate([position[kept_parent], position[owner]])
-        # A kept beam whose parent was pruned in an earlier row may find it
-        # again among this row's extensions (a parent pruned in this row
-        # cannot come back: its extension cell was masked).
-        orphans = ((kept_parent < 0) & (last[kept] != BLANK_INDEX)).nonzero()[0]
-        prefixes = [prefixes[b] for b in kept.tolist()] + extensions
-        if orphans.size and extensions:
-            found = {seq: num_kept + n for n, seq in enumerate(extensions)}
-            for n in orphans.tolist():
-                parent[n] = found.get(prefixes[n][:-1], -1)
+        owner_node, ext_label = nodes[owner], column + 1
+        extended = []
+        for node, y in zip(owner_node.tolist(), ext_label.tolist()):
+            key = node * num_symbols + y
+            found = child.get(key)
+            if found is None:
+                found = child[key] = len(table_parent)
+                table_parent.append(node)
+                table_label.append(y)
+            extended.append(found)
+        position[nodes] = -1
+        if len(table_parent) >= position.size:
+            grown = np.full(2 * len(table_parent) + 1, -1, dtype=np.intp)
+            grown[: position.size - 1] = position[:-1]
+            position = grown
+        parent_node = np.concatenate([parent_node[kept], owner_node])
+        nodes = np.concatenate([nodes[kept], np.array(extended, dtype=np.intp)])
+        position[nodes] = np.arange(nodes.size)
         p_blank = np.concatenate([new_blank[kept], np.full(owner.size, NEG_INF)])
         p_nonblank = candidates[survivors]
         p_nonblank[:num_kept] = new_nonblank[kept]
-        last = np.concatenate([last[kept], column + 1])
+        last = np.concatenate([last[kept], ext_label])
 
-    logprobs = forward_lattice(post, prefixes).finalize().tolist()
+    # The rescoring trie: the survivors and their ancestors in the table,
+    # renumbered in table order; the root stays node 0.
+    parents = np.array(table_parent, dtype=np.intp)
+    in_trie = np.zeros(parents.size, dtype=bool)
+    in_trie[0] = True
+    frontier = nodes
+    while frontier.size:
+        in_trie[frontier] = True
+        frontier = parents[frontier]
+        frontier = frontier[~in_trie[frontier]]
+    renumber = np.cumsum(in_trie) - 1
+    trie_labels = np.array(table_label, dtype=np.intp)[in_trie]
+    lattice = ForwardLattice.from_trie(
+        renumber[parents[in_trie]], trie_labels, renumber[nodes], num_symbols
+    )
+    logprobs = _advanced(lattice, post).finalize().tolist()
     results = [
-        ScoredSequence(prefix, lp) for prefix, lp in zip(prefixes, logprobs) if lp > NEG_INF
+        ScoredSequence(_prefix(table_parent, table_label, node), lp)
+        for node, lp in zip(nodes.tolist(), logprobs)
+        if lp > NEG_INF
     ]
     results.sort(key=nbest_sort_key)
     return results

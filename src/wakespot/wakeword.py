@@ -413,9 +413,14 @@ class StreamingDetector:
             return []
         if arr.size == 0:
             return []
-        # Samples must lie in the int16 range, as AudioBuffer requires; a
-        # NaN fails both comparisons.
-        if arr.dtype != np.int16 and not (arr.min() >= -32768 and arr.max() <= 32767):
+        # Samples must be whole numbers in the int16 range, as AudioBuffer
+        # requires; a NaN fails every comparison. Only a float chunk can
+        # hold a fraction.
+        if arr.dtype != np.int16 and not (
+            arr.min() >= -32768
+            and arr.max() <= 32767
+            and (arr.dtype.kind != "f" or np.array_equal(arr, np.trunc(arr)))
+        ):
             self.stats.malformed_chunks += 1
             return []
         arr = arr.astype(np.float64)

@@ -521,6 +521,33 @@ def test_batch_lattice_equals_stepping_every_row_property(case):
     assert batch.num_lattice_cells == stepped.num_lattice_cells == 2 * len(prefixes) + 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(batch_lattice_cases())
+def test_lattice_from_a_prefix_table_equals_lattice_from_sequences_property(case):
+    post, sequences = case
+    # Number the prefix table breadth first, shorter prefixes first, unlike
+    # the trie that ForwardLattice builds in insertion order.
+    prefixes = sorted(
+        {labels[:u] for labels in sequences for u in range(len(labels) + 1)},
+        key=lambda labels: (len(labels), labels),
+    )
+    node = {labels: n for n, labels in enumerate(prefixes)}
+    parent = np.array([node[labels[:-1]] if labels else 0 for labels in prefixes])
+    label = np.array([labels[-1] if labels else 0 for labels in prefixes])
+    ends = np.array([node[labels] for labels in sequences], dtype=np.intp)
+    from_table = ForwardLattice.from_trie(parent, label, ends, post.num_symbols)
+    from_sequences = ForwardLattice(sequences, post.num_symbols)
+    assert from_table.num_lattice_cells == from_sequences.num_lattice_cells
+    assert from_table.num_state_cells == from_sequences.num_state_cells
+    for row in [None, *post.rows]:
+        if row is not None:
+            from_table.step(row)
+            from_sequences.step(row)
+        for h in range(len(sequences)):
+            assert from_table.state(h).tobytes() == from_sequences.state(h).tobytes()
+        assert from_table.finalize().tobytes() == from_sequences.finalize().tobytes()
+
+
 @st.composite
 def beam_search_cases(draw):
     """Posteriorgrams with T = 0..11 and K = 2..6, drawn as Dirichlet-like

@@ -207,7 +207,7 @@ def per_gate_rows(weights, frames):
 class TestStackedGates:
     @settings(max_examples=40, deadline=None)
     @given(
-        num_layers=st.integers(1, 3),
+        num_layers=st.integers(1, 4),
         hidden=st.sampled_from([1, 5, 41, 82]),
         input_dim=st.sampled_from([41, 82]),
         frames=st.integers(0, 12),

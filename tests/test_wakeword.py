@@ -547,7 +547,8 @@ class TestStreamingDetector:
         assert detector.process(np.array(["a", "b"])) == []
         assert detector.process(np.array([np.nan, 0.0])) == []
         assert detector.process(np.full(4000, 100 + 5j)) == []
-        assert detector.stats.malformed_chunks == 4
+        assert detector.process(np.full(4000, 0.5)) == []  # no PCM sample is fractional
+        assert detector.stats.malformed_chunks == 5
 
     @pytest.mark.parametrize(
         "chunk",

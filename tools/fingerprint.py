@@ -14,29 +14,40 @@ It prints one JSON object with a digest for each family:
   1, 24 episodes), supports and tests, under each set of weights;
 - ``beams_oracle``, ``beams_random_3x96``: ``beam_search(post, 100)`` on
   each episode's supports, as labels and ``logprob.hex()``;
+- ``scores_random_3x96``: ``wakeword.score`` of each episode's tests
+  against a model learned (beam 100, N = 10) from its support
+  posteriorgrams under the 3x96 weights;
+- ``streaming_oracle``: the events and counters of ``detect_stream`` with
+  the oracle weights, a model learned from the first episode's supports and
+  threshold -inf, fed in 10 ms chunks the recordings of the first two
+  episodes joined by 0.4 s of silence;
 - ``criterion_07``, ``criterion_08``: the score records and EERs of the
   acceptance suite's detector-ordering and hypothesis-count runs.
 
 Two checkouts print the same JSON when these numbers agree bit for bit.
-Takes about 40 s on 2 vCPUs.
+Takes about 45 s on 2 vCPUs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from wakespot import synth  # noqa: E402
+from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE  # noqa: E402
 from wakespot.ctc import beam_search  # noqa: E402
 from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
 from wakespot.vad import VadConfig  # noqa: E402
-from wakespot.wakeword import featurize  # noqa: E402
+from wakespot.wakeword import detect_stream, featurize, learn, score  # noqa: E402
 
 FEWSHOT_SEED = 1
 FEWSHOT_EPISODES = 24
@@ -47,6 +58,9 @@ ORDERING_EPISODES = 50
 TREND_SEEDS = (0, 1, 2, 3, 4)
 TREND_EPISODES = 15
 TREND_CONFIGS = ((100, 10), (100, 1), (1, 1))
+NUM_HYPOTHESES = 10
+STREAM_EPISODES = 2
+STREAM_GAP_SAMPLES = int(0.4 * SAMPLE_RATE)
 
 
 def digest(chunks) -> str:
@@ -72,6 +86,25 @@ def report_chunks(report):
         yield f"{name} {report.splits[name].eer.hex()}"
 
 
+def streaming_digest(weights, episodes) -> str:
+    first = episodes[0]
+    model = learn(featurize(first.support, VadConfig(), weights), BEAM_WIDTH, NUM_HYPOTHESES)
+    gap = np.zeros(STREAM_GAP_SAMPLES, dtype=np.int16)
+    parts = [
+        part
+        for episode in episodes
+        for audio in [*episode.support, *(t.audio for t in episode.tests)]
+        for part in (audio.samples, gap)
+    ]
+    stream = np.concatenate(parts[:-1])
+    chunks = np.split(stream, range(HOP_SAMPLES, stream.size, HOP_SAMPLES))
+    report = detect_stream(model, weights, chunks, -math.inf)
+    return digest(
+        [*(f"{e.time.hex()} {e.score.hex()} {e.start_frame} {e.end_frame}" for e in report.events),
+         report.stats]
+    )
+
+
 def main() -> None:
     all_weights = {
         "oracle": synth.oracle_weights(),
@@ -81,15 +114,21 @@ def main() -> None:
     out = {}
     for name, weights in all_weights.items():
         out[f"weights_{name}"] = weight_file_digest(weights)
-        posts, beams = [], []
+        posts, beams, scores = [], [], []
         for episode in episodes:
             recordings = [*episode.support, *(t.audio for t in episode.tests)]
             episode_posts = featurize(recordings, VadConfig(), weights)
             posts += [(p.rows.shape, p.rows.tobytes()) for p in episode_posts]
-            for post in episode_posts[: len(episode.support)]:
+            supports = episode_posts[: len(episode.support)]
+            for post in supports:
                 beams.append([(e.labels, e.logprob.hex()) for e in beam_search(post, BEAM_WIDTH)])
+            if name == "random_3x96":
+                model = learn(supports, BEAM_WIDTH, NUM_HYPOTHESES)
+                scores.append([score(model, p).hex() for p in episode_posts[len(supports) :]])
         out[f"posteriorgrams_{name}"] = digest(chunk for pair in posts for chunk in pair)
         out[f"beams_{name}"] = digest(beams)
+    out["scores_random_3x96"] = digest(scores)
+    out["streaming_oracle"] = streaming_digest(all_weights["oracle"], episodes[:STREAM_EPISODES])
 
     oracle = HarnessParams(weights=all_weights["oracle"])
     ordering = synth.generate_synthetic_episodes(ORDERING_SEED, ORDERING_EPISODES)
