@@ -16,8 +16,8 @@ Frame stacking concatenates consecutive frame pairs so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 
 The streaming step :func:`frame_fbank` is the batch kernel of
-:func:`extract_fbank` applied to one window, so its output is the matching
-batch row bit for bit.
+:func:`extract_fbank` applied to one window or a small stack of them, so
+its output is the matching batch rows bit for bit.
 
 Feature file (a :mod:`wakespot.container`, magic ``WSFB``, version 1):
 
@@ -220,16 +220,19 @@ def _fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
     return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 
-def frame_fbank(window: np.ndarray, prev_sample: float) -> np.ndarray:
-    """Features for a single 400-sample window: one row of :func:`extract_fbank`.
+def frame_fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
+    """Features of one 400-sample window, or of a ``(n, 400)`` stack of
+    windows: the matching rows of :func:`extract_fbank`.
 
-    ``prev_sample`` is the waveform sample immediately before the window
-    (0.0 at the very start), used by the pre-emphasis filter.
+    ``prev`` is the waveform sample immediately before each window (0.0 at
+    the very start), used by the pre-emphasis filter: a float for one
+    window, one sample per window for a stack. The streaming detector
+    passes the two windows of a stacked pair in one call.
     """
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != (WINDOW_SAMPLES,):
-        raise ValueError(f"window must have {WINDOW_SAMPLES} samples, got {w.shape}")
-    return _fbank(w, prev_sample)
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim not in (1, 2) or w.shape[-1] != WINDOW_SAMPLES:
+        raise ValueError(f"windows must have {WINDOW_SAMPLES} samples each, got {w.shape}")
+    return _fbank(w, prev)
 
 
 def hop_windows(x: np.ndarray) -> np.ndarray:

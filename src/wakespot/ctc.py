@@ -16,9 +16,10 @@ scoring logs the whole posteriorgram in one call) and advances every cell
 in one set of array operations, which apply to each cell the operations,
 in the order, that scoring its sequence alone would, so each sequence's
 result is bit-identical to scoring it alone (:func:`forward_logprob` and
-:class:`CtcForwardScorer` are the one-sequence case). The streaming step
-is the batch kernel applied to one row: batch scoring and ``step`` feed
-each row's cell logs to the same advance.
+:class:`CtcForwardScorer` are the one-sequence case). Batch scoring runs
+one loop over a posteriorgram's rows; the streaming detector runs the same
+loop over each block of rows, and ``step`` feeds one row to the same
+advance.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -74,6 +75,31 @@ def _log_rows(rows: np.ndarray) -> np.ndarray:
         return np.log(rows)
 
 
+def prefix_trie(
+    sequences: Iterable[Iterable[int]], num_symbols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefix trie of label sequences, checked with :func:`validate_labels`,
+    as the ``(parent, label, ends)`` arrays of :meth:`ForwardLattice.from_trie`.
+
+    Node 0 is the root, the empty prefix; each new prefix gets the next
+    node, in the order the sequences first reach it, through one
+    ``(parent, label) -> node`` dict.
+    """
+    node_of: dict[tuple[int, int], int] = {}
+    parent, label, ends = [0], [BLANK_INDEX], []
+    for seq in sequences:
+        node = 0
+        for y in validate_labels(seq, num_symbols):
+            child = node_of.get((node, y))
+            if child is None:
+                child = node_of[node, y] = len(parent)
+                parent.append(node)
+                label.append(y)
+            node = child
+        ends.append(node)
+    return tuple(np.array(a, dtype=np.intp) for a in (parent, label, ends))
+
+
 class ForwardLattice:
     """Incremental forward scores of H label sequences over one row stream.
 
@@ -110,23 +136,7 @@ class ForwardLattice:
     """
 
     def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
-        node_of: dict[tuple[int, int], int] = {}
-        parent, label, ends = [0], [BLANK_INDEX], []
-        total_length = 0
-        for seq in sequences:
-            seq = validate_labels(seq, num_symbols)
-            total_length += len(seq)
-            node = 0
-            for y in seq:
-                child = node_of.get((node, y))
-                if child is None:
-                    child = node_of[node, y] = len(parent)
-                    parent.append(node)
-                    label.append(y)
-                node = child
-            ends.append(node)
-        parent, label, ends = (np.array(a, dtype=np.intp) for a in (parent, label, ends))
-        self._init_trie(parent, label, ends, num_symbols, total_length)
+        self._init_trie(*prefix_trie(sequences, num_symbols), num_symbols)
 
     @classmethod
     def from_trie(
@@ -136,27 +146,20 @@ class ForwardLattice:
         is the root (its own parent, label the blank), every other node n
         is one distinct non-empty prefix, the prefix of node ``parent[n]``
         followed by label ``label[n]``, and sequence h ends on node
-        ``ends[h]``. Nothing is validated."""
+        ``ends[h]``, as :func:`prefix_trie` returns them. Nothing is
+        validated, and the arrays are only read."""
+        lattice = cls.__new__(cls)
+        lattice._init_trie(parent, label, ends, num_symbols)
+        return lattice
+
+    def _init_trie(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int):
+        """The shared constructor."""
         # Each node's depth by pointer jumping: depth[n] counts the labels
         # from node up[n] down to node n, and up[n] climbs to the root in
         # about log2(U) rounds.
         depth, up = (np.arange(len(parent)) != 0).astype(np.intp), parent
         while up.any():
             depth, up = depth + depth[up], up[up]
-        lattice = cls.__new__(cls)
-        lattice._init_trie(parent, label, ends, num_symbols, int(depth[ends].sum()))
-        return lattice
-
-    def _init_trie(
-        self,
-        parent: np.ndarray,
-        label: np.ndarray,
-        ends: np.ndarray,
-        num_symbols: int,
-        total_length: int,
-    ):
-        """The shared constructor; ``total_length`` is the sum of the
-        sequences' lengths U."""
         self.num_symbols = num_symbols
         self._parent, self._label, self._ends = parent, label, ends
         up = parent[1:]
@@ -175,7 +178,7 @@ class ForwardLattice:
         self._alpha = np.full(num_cells + 1, NEG_INF)
         self._alpha[0] = 0.0  # the start cell
         self.num_lattice_cells = num_cells
-        self.num_state_cells = 2 * total_length + len(ends)
+        self.num_state_cells = 2 * int(depth[ends].sum()) + len(ends)
         self.steps = 0
         self.cell_updates = 0
 
@@ -240,16 +243,18 @@ class CtcForwardScorer(ForwardLattice):
         return float(super().finalize()[0])
 
 
-def _advanced(lattice: ForwardLattice, post: Posteriorgram) -> ForwardLattice:
-    """``lattice`` advanced over every row of ``post``, each row logged once."""
-    for logs in _log_rows(post.rows):
+def _advanced(lattice: ForwardLattice, rows: np.ndarray) -> ForwardLattice:
+    """``lattice`` advanced over every posterior row of the ``(T, K)``
+    array ``rows``, each row logged once: batch scoring on a whole
+    posteriorgram, the streaming detector on a block of rows."""
+    for logs in _log_rows(rows):
         lattice._advance(logs[lattice._symbols])
     return lattice
 
 
 def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
     """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
-    return _advanced(ForwardLattice(sequences, post.num_symbols), post)
+    return _advanced(ForwardLattice(sequences, post.num_symbols), post.rows)
 
 
 def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
@@ -419,7 +424,7 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     lattice = ForwardLattice.from_trie(
         renumber[parents[in_trie]], trie_labels, renumber[nodes], num_symbols
     )
-    logprobs = _advanced(lattice, post).finalize().tolist()
+    logprobs = _advanced(lattice, post.rows).finalize().tolist()
     results = [
         ScoredSequence(_prefix(table_parent, table_label, node), lp)
         for node, lp in zip(nodes.tolist(), logprobs)

@@ -11,20 +11,22 @@ followed by an affine projection of the top hidden state to K logits and a
 per-frame softmax. The model is strictly causal: output row t depends only
 on input frames up to t.
 
-Two entry points compute it: :func:`gru_step` advances one frame (the
-streaming detector's step) and :func:`run` computes one recording, frame
-by frame for one layer and as a layer wavefront for two or more. The
-streaming step is the batch kernel applied to one frame: both call the
-same recurrent cell and softmax, so streaming output equals batch output
-bit for bit.
+One private kernel, ``_run_from(weights, frames, state) -> (rows,
+state)``, computes it: frame by frame for one layer and as a layer
+wavefront for two or more, both from a carried hidden state. :func:`run`
+is the kernel on one recording from :func:`init_state`, and
+:func:`gru_step` the kernel on one frame. The streaming detector calls the
+kernel on blocks of a few stacked frames. Every frame meets the same
+operations however the frames are split, so streaming output equals batch
+output bit for bit.
 
 Every product of a weight matrix with a frame or a hidden state stays its
 own matrix-vector product. A :class:`GruLayer` is the five arrays the
 kernel reads, with the gates stacked on a leading axis, so one
 ``np.matmul`` forms a frame's three input products or its two recurrent
-ones, each gate still by itself. :func:`run` forms layer 0's input
-products for all frames at once the same way, and its wavefront stacks
-the layers on one more axis. Two layouts that look
+ones, each gate still by itself. The kernel forms layer 0's input
+products for all its frames at once the same way, and its wavefront
+stacks the layers on one more axis. Two layouts that look
 equivalent round differently in the last bits and are not used:
 ``X @ W.T``, a matrix-matrix product, and gates stacked by rows into one
 ``(2H, H)`` matrix, whose product BLAS blocks differently whenever H is
@@ -318,9 +320,9 @@ def _cell(layer: GruLayer, x_zrh: np.ndarray, h: np.ndarray) -> np.ndarray:
     ``(L, H, 1)`` and ``u_zr`` is ``(2, L, H, H)``. The same operations then
     advance every layer, each layer's and gate's product still its own
     matrix-vector product, and the one-layer form pays nothing for this.
-    :func:`gru_step` calls it on one layer, and so does the frame loop that
-    :func:`run` keeps for one-layer weights; the wavefront that :func:`run`
-    uses for two or more layers calls it on the layers active at its step.
+    The GRU kernel's frame loop for one-layer weights calls it on one
+    layer; its wavefront for two or more layers calls it on the layers
+    active at its step.
     """
     zr = _sigmoid(x_zrh[:2] + np.matmul(layer.u_zr, h) + layer.b_zr)
     z, r = zr[0], zr[1]
@@ -335,37 +337,29 @@ def init_state(weights: GruWeights) -> GruState:
     return tuple(np.zeros(weights.hidden_size) for _ in weights.layers)
 
 
-def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[np.ndarray, GruState]:
-    """One frame through all layers; returns (posterior row, new state)."""
-    x = np.asarray(frame, dtype=np.float64)
-    if x.shape != (weights.input_dim,):
-        raise ValueError(f"frame dim {x.shape} does not match input dim {weights.input_dim}")
-    new_state = []
-    for layer, h in zip(weights.layers, state):
-        x = _cell(layer, np.matmul(layer.w, x), h)
-        new_state.append(x)
-    return _softmax(weights.w_out @ x + weights.b_out), tuple(new_state)
-
-
 def _stacked_matvec(matrices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``m @ row`` for each ``(T, in)`` row and each matrix ``m`` of a
     ``(G, H, in)`` stack, each its own matrix-vector product: ``(T, G, H)``."""
     return np.matmul(matrices, rows[:, None, :, None])[..., 0]
 
 
-def _wavefront(weights: GruWeights, x0_zrh: np.ndarray, top: np.ndarray) -> None:
-    """Step two or more layers as a layer wavefront; fills ``top``, the top
-    layer's hidden state at each frame.
+def _wavefront(
+    weights: GruWeights, x0_zrh: np.ndarray, top: np.ndarray, state: GruState
+) -> GruState:
+    """Step two or more layers from ``state`` as a layer wavefront; fills
+    ``top``, the top layer's hidden state at each frame, and returns the
+    state after the last frame.
 
     ``x0_zrh`` holds layer 0's input products of every frame. At step s
     each active layer l advances frame s - l: layer l reads the state that
     layer l - 1 reached at step s - 1, so every active layer's input
     products are one ``np.matmul`` on the stacked input weights, and one
-    :func:`_cell` call on the layer stacks advances them all.
+    :func:`_cell` call on the layer stacks advances them all. A layer that
+    is not active yet holds its state from ``state``.
     """
     stack = weights._layer_stack
     num_layers, num_frames = weights.num_layers, len(top)
-    h = np.zeros((num_layers, weights.hidden_size, 1))
+    h = np.stack(state)[..., None]  # (L, H, 1), a copy: ``state`` stays as it was
     x_zrh = np.empty((3, num_layers, weights.hidden_size, 1))
     views = {}  # (lo, hi) -> views of the stacks and the state
     for s in range(num_frames + num_layers - 1):
@@ -390,10 +384,15 @@ def _wavefront(weights: GruWeights, x0_zrh: np.ndarray, top: np.ndarray) -> None
         h_active[...] = _cell(layers, x_active, h_active)
         if hi == num_layers:
             top[s + 1 - num_layers] = h[-1, :, 0]
+    return tuple(h[:, :, 0])
 
 
-def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
-    """Batch inference over one recording, bit-equal to looping :func:`gru_step`.
+def _run_from(
+    weights: GruWeights, frames: np.ndarray, state: GruState
+) -> tuple[np.ndarray, GruState]:
+    """The GRU kernel: the posterior rows of the ``(T, input_dim)`` array
+    ``frames`` fed from hidden state ``state``, and the state after the
+    last frame. ``state`` is left as it was, and the frames are trusted.
 
     Layer 0's input products for every frame are formed at once. Then the
     schedule depends on the depth L:
@@ -409,22 +408,44 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
     there is nothing to batch, and the wavefront's stacking and slicing
     made it 0.84-0.88x as fast as the frame loop on the oracle weights, so
     one layer keeps the loop.
+
+    Every frame meets the same operations whatever T is, so chaining the
+    kernel over consecutive blocks of frames, each from the state the last
+    one returned, gives the bits of one call on all of them.
     """
+    first = weights.layers[0]
+    x0_zrh = _stacked_matvec(first.w, frames)
+    top = np.empty((len(frames), weights.hidden_size))
+    if weights.num_layers == 1:
+        (h,) = state
+        for t in range(len(frames)):
+            h = top[t] = _cell(first, x0_zrh[t], h)
+        state = (h,)
+    else:
+        state = _wavefront(weights, x0_zrh, top, state)
+    logits = _stacked_matvec(weights.w_out[None], top)[:, 0] + weights.b_out
+    return _softmax(logits), state
+
+
+def gru_step(weights: GruWeights, state: GruState, frame: np.ndarray) -> tuple[np.ndarray, GruState]:
+    """One frame through all layers, the GRU kernel on one frame; returns
+    (posterior row, new state)."""
+    x = np.asarray(frame, dtype=np.float64)
+    if x.shape != (weights.input_dim,):
+        raise ValueError(f"frame dim {x.shape} does not match input dim {weights.input_dim}")
+    rows, state = _run_from(weights, x[None], state)
+    return rows[0], state
+
+
+def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
+    """Batch inference over one recording: the GRU kernel from
+    :func:`init_state`, so it is bit-equal to looping :func:`gru_step`."""
     if features.dim != weights.input_dim:
         raise ValueError(
             f"feature dim {features.dim} does not match model input dim {weights.input_dim}"
         )
-    first = weights.layers[0]
-    x0_zrh = _stacked_matvec(first.w, features.frames)
-    top = np.empty((features.num_frames, weights.hidden_size))
-    if weights.num_layers == 1:
-        h = np.zeros(weights.hidden_size)
-        for t in range(features.num_frames):
-            h = top[t] = _cell(first, x0_zrh[t], h)
-    else:
-        _wavefront(weights, x0_zrh, top)
-    logits = _stacked_matvec(weights.w_out[None], top)[:, 0] + weights.b_out
-    return Posteriorgram(_softmax(logits), weights.alphabet)
+    rows, _ = _run_from(weights, features.frames, init_state(weights))
+    return Posteriorgram(rows, weights.alphabet)
 
 
 def _read_alphabet(reader: container.Reader) -> LabelAlphabet:

@@ -67,6 +67,12 @@ class Vad:
             raise ValueError(f"VAD frames must have {WINDOW_SAMPLES} samples, got {frame.shape}")
         return self._decide(frame_dbfs(frame))
 
+    @property
+    def hangover_left(self) -> int:
+        """Frames the hangover will still classify as speech however quiet
+        they are: 0 means the next quiet frame ends the speech run."""
+        return self._hang
+
     def _decide(self, dbfs: float) -> bool:
         if dbfs >= self.config.energy_threshold_db:
             self._hang = self.config.hangover_frames

@@ -109,6 +109,20 @@ class TestExtractFbank:
             assert np.array_equal(single, feats[t]), f"frame {t}"
 
 
+    def test_a_stack_of_windows_gives_the_batch_rows(self):
+        # the streaming detector's call: a stacked pair's two windows at once
+        rng = np.random.default_rng(10)
+        audio = AudioBuffer(rng.integers(-3000, 3000, size=4000).astype(np.int16))
+        feats = extract_fbank(audio).frames
+        x = audio.samples.astype(np.float64)
+        for t in range(feats.shape[0] - 1):
+            starts = (160 * t, 160 * (t + 1))
+            windows = np.stack([x[s : s + 400] for s in starts])
+            prev = np.array([x[s - 1] if s else 0.0 for s in starts])
+            assert np.array_equal(frame_fbank(windows, prev), feats[t : t + 2]), f"frames {t}, {t + 1}"
+        with pytest.raises(ValueError, match="400 samples"):
+            frame_fbank(np.zeros((2, 399)), np.zeros(2))
+
 @st.composite
 def edge_audio(draw):
     """int16 audio of at least one window built from runs of exact zeros,

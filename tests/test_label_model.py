@@ -249,6 +249,33 @@ class TestStackedGates:
                     dataclasses.replace(weights, layers=tuple(layers))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    num_layers=st.integers(1, 4),
+    frames=st.integers(0, 20),
+    cuts=st.lists(st.integers(0, 20), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_chained_over_blocks_equals_run_property(num_layers, frames, cuts, seed):
+    """The GRU kernel over consecutive blocks of a recording, each block
+    from the state the last one returned, gives the bits of ``run``; the
+    blocks may be empty, and a state passed in stays as it was."""
+    rng = np.random.default_rng(seed)
+    weights = random_weights(make_alphabet(5), num_layers, 7, seed=int(rng.integers(2**31)))
+    features = stacked_features(rng, frames)
+    want = run(weights, features).rows
+    bounds = [0, *sorted(min(c, frames) for c in cuts), frames]
+    state = init_state(weights)
+    rows = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        passed, before = state, [h.copy() for h in state]
+        block, state = label_model._run_from(weights, features.frames[lo:hi], passed)
+        assert block.shape == (hi - lo, weights.num_symbols)
+        assert all(np.array_equal(h, b) for h, b in zip(passed, before))
+        rows.append(block)
+    assert np.concatenate(rows).tobytes() == want.tobytes()
+
+
 class TestStreaming:
     def test_streaming_equals_batch(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,7 @@
 import math
 import tempfile
 import warnings
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakespot import synth
+from wakespot import synth, wakeword
 from wakespot.audio import (
     HOP_SAMPLES,
     SAMPLE_RATE,
@@ -20,9 +21,10 @@ from wakespot.audio import (
 )
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.errors import AudioError, FileFormatError, NonFiniteError
-from wakespot.label_model import Posteriorgram, run
+from wakespot.label_model import Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples, trim_to_speech
 from wakespot.wakeword import (
+    _BLOCK_PAIRS,
     Hypothesis,
     StreamingDetector,
     WakewordModel,
@@ -694,3 +696,89 @@ def test_streaming_segments_are_vad_segment_spans(config, tail_frames, dropped):
     assert [(e.start_frame, e.end_frame) for e in report.events] == spans
     runs = speech_runs(classify_frames(config, AudioBuffer(stream)))
     assert report.stats.segments_discarded == len(runs) - len(spans) == dropped
+
+
+def burst(frames, rng):
+    """A burst that exactly ``frames`` hop-grid windows find loud when it
+    starts on the grid: a -38 dBFS square wave under faint noise,
+    which lifts a window over the -40 dBFS threshold only when it fills all
+    400 samples of it (a window one hop further out holds 240). Silence
+    pads it to whole hops, so the next burst starts on the grid."""
+    amplitude = 32768.0 * 10.0 ** (-38.0 / 20.0)
+    n = WINDOW_SAMPLES + (frames - 1) * HOP_SAMPLES
+    square = amplitude * np.where(np.arange(n) % 2, -1.0, 1.0)
+    samples = (square + rng.normal(0.0, 20.0, n)).round().astype(np.int16)
+    return np.concatenate([samples, np.zeros(-n % HOP_SAMPLES, dtype=np.int16)])
+
+
+@cache
+def deep_weights_stream():
+    """Deep random weights, a model learned under them, and a stream whose
+    hangover-0 segments hold 1 to 2 x _BLOCK_PAIRS + 1 stacked pairs, with
+    and without a trailing unpaired frame, then a noisy stretch of speech."""
+    weights = random_weights(synth.synth_alphabet(), 3, 24, seed=5)
+    rng = np.random.default_rng(17)
+    speaker = synth.Speaker(pitch=1.0, rate=1.0, gain_db=0.0)
+    cfg = synth.EpisodeConfig.clean()
+    supports = [synth.render_utterance((2, 5, 9, 12), speaker, rng, cfg) for _ in range(3)]
+    model = learn([run(weights, stack_frames(extract_fbank(a))) for a in supports], 20, 4)
+    gap = np.zeros(30 * HOP_SAMPLES, dtype=np.int16)  # longer than the default hangover
+    parts = [gap]
+    for frames in range(2, 2 * (2 * _BLOCK_PAIRS + 1) + 2):
+        parts += [burst(frames, rng), gap]
+    stretch = synth.render_utterance((3, 7, 11), speaker, rng, cfg).samples
+    parts += [noisy(stretch, rng), gap]
+    return weights, model, np.concatenate(parts)
+
+
+DEEP_STREAM_CONFIGS = [
+    VadConfig(),
+    VadConfig(hangover_frames=0, min_speech_frames=1),
+    VadConfig(hangover_frames=3, min_speech_frames=1),
+]
+
+
+@pytest.mark.parametrize("chunk_samples", [HOP_SAMPLES, 4096])
+@pytest.mark.parametrize("config", DEEP_STREAM_CONFIGS)
+def test_streaming_with_deep_weights_is_bit_equal_to_batch(config, chunk_samples):
+    """Blocks of every size, flushed when full or at the last frame of a
+    hangover, stream through three GRU layers with the bits of batch
+    scoring."""
+    weights, model, stream = deep_weights_stream()
+    chunks = [stream[i : i + chunk_samples] for i in range(0, len(stream), chunk_samples)]
+    report = detect_stream(model, weights, chunks, -math.inf, config)
+    spans = segment(config, AudioBuffer(stream))
+    assert [(e.start_frame, e.end_frame) for e in report.events] == spans
+    if config.hangover_frames == 0:
+        pairs = {(end - start) // 2 for start, end in spans}
+        assert set(range(1, 2 * _BLOCK_PAIRS + 2)) <= pairs
+        assert max(pairs) > 4 * _BLOCK_PAIRS  # the noisy stretch
+    for event in report.events:
+        assert event.score == batch_event_score(model, weights, stream, event)
+    assert report.stats.label_model_frames == sum((end - start) // 2 for start, end in spans)
+
+
+@pytest.mark.parametrize("config", DEEP_STREAM_CONFIGS)
+def test_a_call_that_returns_an_event_runs_no_gru(config, monkeypatch):
+    """In 10 ms chunks, the block is flushed before a segment can close, so
+    the process call that returns an event calls the GRU kernel 0 times."""
+    weights, model, stream = deep_weights_stream()
+    calls, kernel = [], wakeword._run_from
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(wakeword, "_run_from", counted)
+    detector = StreamingDetector(model, weights, -math.inf, config)
+    events = 0
+    for i in range(0, len(stream), HOP_SAMPLES):
+        before = len(calls)
+        if detector.process(stream[i : i + HOP_SAMPLES]):
+            events += 1
+            assert len(calls) == before
+    assert detector.finish() == []
+    assert events == len(segment(config, AudioBuffer(stream)))
+    blocks = [len(args[1]) for args in calls]
+    # with no hangover every loud frame flushes, so each block is one pair
+    assert blocks and max(blocks) == (_BLOCK_PAIRS if config.hangover_frames else 1)

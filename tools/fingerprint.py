@@ -21,6 +21,10 @@ It prints one JSON object with a digest for each family:
   the oracle weights, a model learned from the first episode's supports and
   threshold -inf, fed in 10 ms chunks the recordings of the first two
   episodes joined by 0.4 s of silence;
+- ``streaming_random_3x96_noisy``: the same for the 3x96 weights, the
+  ``scores_random_3x96`` model of the first episode and that stream under
+  seeded -30 dBFS noise, above the VAD threshold, so the segment stays
+  open and the detector's GRU blocks are mostly full;
 - ``criterion_07``, ``criterion_08``: the score records and EERs of the
   acceptance suite's detector-ordering and hypothesis-count runs.
 
@@ -61,6 +65,8 @@ TREND_CONFIGS = ((100, 10), (100, 1), (1, 1))
 NUM_HYPOTHESES = 10
 STREAM_EPISODES = 2
 STREAM_GAP_SAMPLES = int(0.4 * SAMPLE_RATE)
+STREAM_NOISE_SEED = 3
+STREAM_NOISE_DBFS = -30.0
 
 
 def digest(chunks) -> str:
@@ -86,9 +92,8 @@ def report_chunks(report):
         yield f"{name} {report.splits[name].eer.hex()}"
 
 
-def streaming_digest(weights, episodes) -> str:
-    first = episodes[0]
-    model = learn(featurize(first.support, VadConfig(), weights), BEAM_WIDTH, NUM_HYPOTHESES)
+def stream_of(episodes) -> np.ndarray:
+    """The recordings of ``episodes``, supports then tests, joined by silence."""
     gap = np.zeros(STREAM_GAP_SAMPLES, dtype=np.int16)
     parts = [
         part
@@ -96,7 +101,17 @@ def streaming_digest(weights, episodes) -> str:
         for audio in [*episode.support, *(t.audio for t in episode.tests)]
         for part in (audio.samples, gap)
     ]
-    stream = np.concatenate(parts[:-1])
+    return np.concatenate(parts[:-1])
+
+
+def noisy(stream: np.ndarray) -> np.ndarray:
+    rng = np.random.default_rng(STREAM_NOISE_SEED)
+    sigma = 32768.0 * 10.0 ** (STREAM_NOISE_DBFS / 20.0)
+    out = stream + rng.normal(0.0, sigma, stream.size)
+    return np.clip(out, -32768, 32767).round().astype(np.int16)
+
+
+def streaming_digest(model, weights, stream) -> str:
     chunks = np.split(stream, range(HOP_SAMPLES, stream.size, HOP_SAMPLES))
     report = detect_stream(model, weights, chunks, -math.inf)
     return digest(
@@ -112,6 +127,7 @@ def main() -> None:
     }
     episodes = synth.generate_synthetic_episodes(FEWSHOT_SEED, FEWSHOT_EPISODES)
     out = {}
+    models_3x96 = []
     for name, weights in all_weights.items():
         out[f"weights_{name}"] = weight_file_digest(weights)
         posts, beams, scores = [], [], []
@@ -125,12 +141,21 @@ def main() -> None:
             if name == "random_3x96":
                 model = learn(supports, BEAM_WIDTH, NUM_HYPOTHESES)
                 scores.append([score(model, p).hex() for p in episode_posts[len(supports) :]])
+                models_3x96.append(model)
         out[f"posteriorgrams_{name}"] = digest(chunk for pair in posts for chunk in pair)
         out[f"beams_{name}"] = digest(beams)
     out["scores_random_3x96"] = digest(scores)
-    out["streaming_oracle"] = streaming_digest(all_weights["oracle"], episodes[:STREAM_EPISODES])
+    oracle_weights = all_weights["oracle"]
+    stream = stream_of(episodes[:STREAM_EPISODES])
+    oracle_model = learn(
+        featurize(episodes[0].support, VadConfig(), oracle_weights), BEAM_WIDTH, NUM_HYPOTHESES
+    )
+    out["streaming_oracle"] = streaming_digest(oracle_model, oracle_weights, stream)
+    out["streaming_random_3x96_noisy"] = streaming_digest(
+        models_3x96[0], all_weights["random_3x96"], noisy(stream)
+    )
 
-    oracle = HarnessParams(weights=all_weights["oracle"])
+    oracle = HarnessParams(weights=oracle_weights)
     ordering = synth.generate_synthetic_episodes(ORDERING_SEED, ORDERING_EPISODES)
     out["criterion_07"] = digest(
         chunk
