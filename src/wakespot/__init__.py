@@ -11,9 +11,7 @@ from .audio import (
     AudioBuffer,
     FeatureSequence,
     extract_fbank,
-    load_features,
     read_wav,
-    save_features,
     stack_frames,
     write_wav,
 )
@@ -49,11 +47,9 @@ from .label_model import (
     GruWeights,
     LabelAlphabet,
     Posteriorgram,
-    load_posteriorgram,
     load_weights,
     random_weights,
     run,
-    save_posteriorgram,
     save_weights,
     zero_weights,
 )

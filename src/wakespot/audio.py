@@ -1,6 +1,6 @@
-"""Log-Mel filterbank front end: WAV input, framing, stacking, feature files.
+"""Log-Mel filterbank front end: WAV input, framing, stacking.
 
-The front end is a fixed fixture contract so that serialized features and
+The front end is a fixed fixture contract so that features and
 posteriorgrams are reproducible bit-for-bit across machines:
 
 * input: 16 kHz mono PCM16 WAV only
@@ -18,11 +18,6 @@ models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 The streaming step :func:`frame_fbank` is the batch kernel of
 :func:`extract_fbank` applied to one window or a small stack of them, so
 its output is the matching batch rows bit for bit.
-
-Feature file (a :mod:`wakespot.container`, magic ``WSFB``, version 1):
-
-    fields: u32 T, u32 d, u32 frame rate
-    parts : the T x d frames
 """
 
 from __future__ import annotations
@@ -33,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import container
-from .errors import AudioError, DimensionError, NonFiniteError
+from .errors import AudioError
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400  # 25 ms
@@ -51,9 +45,6 @@ BASE_FRAME_RATE = 100
 BASE_DIM = NUM_FILTERS
 STACKED_FRAME_RATE = 50
 STACKED_DIM = 2 * NUM_FILTERS
-
-_FEATURE_MAGIC = b"WSFB"
-_FEATURE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -259,27 +250,3 @@ def stack_frames(features: FeatureSequence) -> FeatureSequence:
         [features.frames[0 : 2 * pairs : 2], features.frames[1 : 2 * pairs : 2]], axis=1
     )
     return FeatureSequence(stacked, STACKED_FRAME_RATE)
-
-
-def save_features(path, features: FeatureSequence) -> None:
-    """Write a feature file (see the module docstring)."""
-    container.write(
-        path,
-        _FEATURE_MAGIC,
-        _FEATURE_VERSION,
-        (features.num_frames, features.dim, features.frame_rate),
-        [features.frames],
-    )
-
-
-def load_features(path) -> FeatureSequence:
-    reader = container.Reader(path, _FEATURE_MAGIC, _FEATURE_VERSION, 3, "feature")
-    count, dim, rate = reader.fields
-    frames = reader.matrix((count, dim))
-    reader.end()
-    if not np.all(np.isfinite(frames)):
-        raise NonFiniteError(f"{path}: non-finite feature values")
-    try:
-        return FeatureSequence(frames, rate)
-    except ValueError as exc:
-        raise DimensionError(f"{path}: {exc}") from exc

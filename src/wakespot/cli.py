@@ -1,14 +1,12 @@
 """Command-line interface.
 
-Commands: featurize, posteriors, enroll, score, listen, baseline, eval,
-gen-episodes. Exit codes: 0 success, 1 usage error, 2 data or I/O error,
-3 internal error.
+Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
+0 success, 1 usage error, 2 data or I/O error, 3 internal error.
 
 Recordings become detector input through :func:`wakeword.featurize`.
 ``enroll``, ``score``, ``baseline`` and ``eval`` use the VAD-trimmed speech
 of each recording, and ``listen`` scores each VAD segment of its stream, so
-a threshold read off ``score`` carries over to ``listen``; ``featurize``
-and ``posteriors`` write files of the whole recording.
+a threshold read off ``score`` carries over to ``listen``.
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -28,10 +26,10 @@ import re
 import sys
 
 from . import evaluation, synth
-from .audio import read_wav, save_features, stack_frames
+from .audio import read_wav
 from .dtw import AGGREGATIONS, DtwConfig, dtw_detect
 from .errors import WakespotError
-from .label_model import load_weights, save_posteriorgram, save_weights
+from .label_model import load_weights, save_weights
 from .vad import VadConfig
 from .wakeword import (
     DEFAULT_BEAM_WIDTH,
@@ -106,16 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="wakespot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("featurize", help="WAV to log-Mel feature file")
-    p.add_argument("wav")
-    p.add_argument("out")
-    p.add_argument("--stack", action="store_true", help="write stacked 50 Hz features")
-
-    p = sub.add_parser("posteriors", help="WAV to posteriorgram file")
-    p.add_argument("weights")
-    p.add_argument("wav")
-    p.add_argument("out")
-
     p = sub.add_parser("enroll", help="learn a wakeword model from three recordings")
     p.add_argument("out", help="model file to write")
     p.add_argument("wavs", nargs=3, metavar="wav")
@@ -174,22 +162,6 @@ def _hypothesis_line(alphabet, hyp, logprob: float) -> str:
     """One hypothesis as ``enroll`` and ``score`` print it."""
     symbols = " ".join(alphabet.symbol_of(v) for v in hyp.labels) or "(empty)"
     return f"  {symbols}  logp={logprob:.4f}  w={hyp.weight:.6f}"
-
-
-def cmd_featurize(args) -> int:
-    features = featurize([read_wav(args.wav)])[0]
-    if args.stack:
-        features = stack_frames(features)
-    save_features(args.out, features)
-    print(f"wrote {features.num_frames} x {features.dim} frames to {args.out}")
-    return EXIT_OK
-
-
-def cmd_posteriors(args) -> int:
-    post = featurize([read_wav(args.wav)], weights=load_weights(args.weights))[0]
-    save_posteriorgram(args.out, post)
-    print(f"wrote {post.num_frames} x {post.num_symbols} posteriors to {args.out}")
-    return EXIT_OK
 
 
 def cmd_enroll(args) -> int:
@@ -298,8 +270,6 @@ def cmd_gen_episodes(args) -> int:
 
 
 _COMMANDS = {
-    "featurize": cmd_featurize,
-    "posteriors": cmd_posteriors,
     "enroll": cmd_enroll,
     "score": cmd_score,
     "listen": cmd_listen,

@@ -1,4 +1,4 @@
-"""The one binary container behind feature, weight and posteriorgram files.
+"""The binary container behind the GRU weight file (:mod:`wakespot.label_model`).
 
 Little-endian: 4 magic bytes, a u32 version, N u32 header fields (N fixed
 by the format), then the format's parts in order. A part is a float32

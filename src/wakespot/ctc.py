@@ -220,10 +220,9 @@ class ForwardLattice:
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""
         ends = 2 * self._ends
-        # An empty sequence ends on the root: its score is the start blank.
-        return np.where(
-            ends == 0, self._alpha[0], np.logaddexp(self._alpha[ends], self._alpha[ends - 1])
-        )
+        # An empty sequence ends on the root, so its cell 2 * 0 - 1 is the
+        # -inf sentinel and its score the start blank, exactly.
+        return np.logaddexp(self._alpha[ends], self._alpha[ends - 1])
 
 
 class CtcForwardScorer(ForwardLattice):

@@ -42,11 +42,6 @@ Each stack is written gate after gate, so a layer's parts hold Wz Wr Wh
 Uz Ur Uh bz br bh in that order. The per-layer order is the layer table ``_LAYER_FIELDS``
 (the fields of :class:`GruLayer`), and ``_layer_shapes`` gives the shapes.
 
-Posteriorgram file (magic ``WSPG``, version 1):
-
-    fields: u32 T, u32 K
-    parts : the alphabet (K - 1 labels), then the T x K probabilities
-
 No trained weights ship with the repo; tests and demos use zero weights,
 seeded random weights, or the constructed model from :mod:`wakespot.synth`.
 """
@@ -70,10 +65,7 @@ BLANK_SYMBOL = "<b>"
 BLANK_INDEX = 0
 
 _WEIGHTS_MAGIC = b"WSGW"
-_POST_MAGIC = b"WSPG"
 _FORMAT_VERSION = 1
-
-ROW_SUM_ATOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -252,17 +244,6 @@ class Posteriorgram:
     @property
     def num_symbols(self) -> int:
         return self.rows.shape[1]
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.rows)):
-            raise ValueError("posteriorgram contains non-finite values")
-        if self.rows.size and (self.rows.min() < 0.0 or self.rows.max() > 1.0):
-            raise ValueError("posteriorgram entries must lie in [0, 1]")
-        if self.num_frames:
-            sums = self.rows.sum(axis=1)
-            worst = float(np.abs(sums - 1.0).max())
-            if worst > ROW_SUM_ATOL:
-                raise ValueError(f"posteriorgram rows must sum to 1 (worst error {worst:.3g})")
 
 
 def _build_weights(alphabet: LabelAlphabet, num_layers: int, hidden_size: int, matrix) -> GruWeights:
@@ -448,13 +429,6 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
     return Posteriorgram(rows, weights.alphabet)
 
 
-def _read_alphabet(reader: container.Reader) -> LabelAlphabet:
-    try:
-        return LabelAlphabet(reader.labels())
-    except ValueError as exc:
-        raise FileFormatError(f"{reader.path}: bad alphabet ({exc})") from exc
-
-
 def save_weights(path, weights: GruWeights) -> None:
     container.write(
         path,
@@ -478,7 +452,10 @@ def load_weights(path) -> GruWeights:
     ]
     w_out = reader.matrix((num_symbols, hidden))
     b_out = reader.matrix((num_symbols,))
-    alphabet = _read_alphabet(reader)
+    try:
+        alphabet = LabelAlphabet(reader.labels())
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad alphabet ({exc})") from exc
     reader.end()
     weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
     logger.info(
@@ -491,32 +468,3 @@ def load_weights(path) -> GruWeights:
         weights.num_parameters,
     )
     return weights
-
-
-def save_posteriorgram(path, post: Posteriorgram) -> None:
-    post.validate()
-    container.write(
-        path,
-        _POST_MAGIC,
-        _FORMAT_VERSION,
-        (post.num_frames, post.num_symbols),
-        [post.alphabet.labels, post.rows],
-    )
-
-
-def load_posteriorgram(path) -> Posteriorgram:
-    reader = container.Reader(path, _POST_MAGIC, _FORMAT_VERSION, 2, "posteriorgram")
-    count, num_symbols = reader.fields
-    alphabet = _read_alphabet(reader)
-    if alphabet.size != num_symbols:
-        raise DimensionError(
-            f"{path}: header K={num_symbols} does not match alphabet size {alphabet.size}"
-        )
-    rows = reader.matrix((count, num_symbols))
-    reader.end()
-    post = Posteriorgram(rows, alphabet)
-    try:
-        post.validate()
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    return post

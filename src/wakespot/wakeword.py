@@ -333,27 +333,26 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
 
 def featurize(
     recordings: Sequence[AudioBuffer],
-    vad: VadConfig | None = None,
+    vad: VadConfig,
     weights: GruWeights | None = None,
 ) -> list[FeatureSequence] | list[Posteriorgram]:
     """Detector input of each recording in batch; :class:`StreamingDetector` is its twin.
 
-    With ``vad`` each recording is trimmed to the span from its first to its
+    Each recording is trimmed by ``vad`` to the span from its first to its
     last utterance (kept whole, with a logged warning that gives its
     position in ``recordings``, when the VAD finds no speech). Returns the
-    100 Hz filterbank frames of each recording when ``weights`` is None,
-    else the label model's posteriorgrams of their stacked 50 Hz frames.
+    100 Hz filterbank frames of each trimmed recording when ``weights`` is
+    None, else the label model's posteriorgrams of their stacked 50 Hz frames.
     """
     features = []
     for i, audio in enumerate(recordings):
-        if vad is not None:
-            audio, found = trim_to_speech(vad, audio)
-            if not found:
-                logger.warning(
-                    "no speech found by VAD in recording %d of %d; using the whole recording",
-                    i + 1,
-                    len(recordings),
-                )
+        audio, found = trim_to_speech(vad, audio)
+        if not found:
+            logger.warning(
+                "no speech found by VAD in recording %d of %d; using the whole recording",
+                i + 1,
+                len(recordings),
+            )
         features.append(extract_fbank(audio))
     if weights is None:
         return features

@@ -15,16 +15,14 @@ from wakespot.audio import (
     FeatureSequence,
     extract_fbank,
     frame_fbank,
-    load_features,
     mel_center_frequencies,
     mel_filterbank,
     num_feature_frames,
     read_wav,
-    save_features,
     stack_frames,
     write_wav,
 )
-from wakespot.errors import AudioError, DimensionError, UnknownVersionError
+from wakespot.errors import AudioError
 
 
 def tone(freq=440.0, seconds=1.0, amp=8000.0):
@@ -283,28 +281,3 @@ class TestWavRoundTrip:
                 read_wav(path)
             except AudioError:
                 pass
-
-
-class TestFeatureFiles:
-    def test_round_trip_float32_precision(self, tmp_path):
-        feats = extract_fbank(tone(seconds=0.1))
-        path = tmp_path / "f.feat"
-        save_features(path, feats)
-        back = load_features(path)
-        assert back.frame_rate == feats.frame_rate
-        assert np.allclose(back.frames, feats.frames, atol=1e-4)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "f.feat"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(UnknownVersionError):
-            load_features(path)
-
-    def test_truncated_payload(self, tmp_path):
-        feats = extract_fbank(tone(seconds=0.1))
-        path = tmp_path / "f.feat"
-        save_features(path, feats)
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(DimensionError):
-            load_features(path)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from wakespot import synth
-from wakespot.audio import load_features, read_wav, write_wav
+from wakespot.audio import read_wav, write_wav
 from wakespot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from wakespot.label_model import load_posteriorgram, save_weights
+from wakespot.label_model import save_weights
 
 
 @pytest.fixture(scope="module")
@@ -42,31 +42,6 @@ def world(tmp_path_factory):
         "distractor": distractor_path,
         "silence": silence_path,
     }
-
-
-def test_featurize(world, tmp_path, capsys):
-    out = tmp_path / "probe.feat"
-    assert main(["featurize", str(world["probe"]), str(out)]) == EXIT_OK
-    feats = load_features(out)
-    assert feats.dim == 41
-    assert "frames" in capsys.readouterr().out
-
-
-def test_featurize_stacked(world, tmp_path):
-    out = tmp_path / "probe.feat"
-    assert main(["featurize", "--stack", str(world["probe"]), str(out)]) == EXIT_OK
-    assert load_features(out).dim == 82
-
-
-def test_featurize_missing_file(tmp_path):
-    assert main(["featurize", str(tmp_path / "nope.wav"), str(tmp_path / "x")]) == EXIT_DATA
-
-
-def test_posteriors(world, tmp_path):
-    out = tmp_path / "probe.post"
-    assert main(["posteriors", str(world["weights"]), str(world["probe"]), str(out)]) == EXIT_OK
-    post = load_posteriorgram(out)
-    assert post.num_symbols == 13
 
 
 def test_enroll_score_listen_round_trip(world, tmp_path, capsys):
@@ -182,9 +157,20 @@ def test_omitted_options_take_the_library_defaults():
         assert _vad_config(args) == VadConfig() == harness.vad
 
 
-def test_usage_error_exit_code_is_one(capsys):
+def test_usage_error_exit_code_is_one(world, tmp_path, capsys):
     assert main(["enroll"]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
+    # no command writes feature or posteriorgram files
+    out = tmp_path / "out.bin"
+    assert main(["featurize", str(world["probe"]), str(out)]) == EXIT_USAGE
+    assert main(["posteriors", str(world["weights"]), str(world["probe"]), str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_missing_wav_is_a_data_error(world, tmp_path):
+    wavs = [str(w) for w in world["wavs"]]
+    code = main(["baseline", *wavs, str(tmp_path / "nope.wav"), "--space", "fbank"])
+    assert code == EXIT_DATA
 
 
 def test_baseline_fbank(world, capsys):

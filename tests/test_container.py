@@ -1,8 +1,8 @@
 """Container files: byte-stable writers, bounds-checked loaders, fuzzing.
 
-The digests pin the bytes of feature, weight and posteriorgram files to
-those of the format as first published. Their inputs are built from
-integer arithmetic and one division, so they round the same everywhere.
+The digests pin the bytes of weight files to those of the format as first
+published. Their inputs are built from integer arithmetic and one
+division, so they round the same everywhere.
 """
 
 import hashlib
@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from wakespot import container
-from wakespot.audio import FeatureSequence, load_features, save_features, stack_frames
 from wakespot.errors import DimensionError, FileFormatError, UnknownVersionError, WakespotError
 from wakespot.label_model import (
     GruLayer,
     GruWeights,
     LabelAlphabet,
-    Posteriorgram,
-    load_posteriorgram,
     load_weights,
-    save_posteriorgram,
     save_weights,
 )
 from wakespot.wakeword import Hypothesis, WakewordModel, load_model, save_model
@@ -47,45 +43,23 @@ def ramp_weights(num_layers, hidden, input_dim, labels):
     return GruWeights(tuple(layers), ramp((alphabet.size, hidden), 1), ramp((alphabet.size,), 2), alphabet)
 
 
-def dyadic_posteriorgram(num_frames, labels):
-    """Rows that are cyclic shifts of (4, 2, 1, 1) / 8: exact, summing to 1."""
-    rows = np.array([np.roll([0.5, 0.25, 0.125, 0.125], t) for t in range(num_frames)])
-    return Posteriorgram(rows.reshape(num_frames, 4), LabelAlphabet(labels))
-
-
 PAPER_LABELS = tuple(f"L{i}" for i in range(39))
 
 # sha256 of each file as written by the original per-format writers
 DIGESTS = {
-    "features_100hz": "5fe11fbd3601dcbff0de92d25f9985beed713b4f57427548266f59af56dec1dd",
-    "features_50hz": "8db89bd5a85dfe23e2a814b85649635dc0247cdda35bbe5da3f677b7f645022d",
-    "posteriorgram": "c90b0d00ff815cc2207976ebf8e6e705c4e7ace10b0c048a852dca9e67cd3cdc",
     "weights_1x4": "8f801f07b95b5766f4b91d9f9b76fe9fd53c32a04129c6f66159741103b72feb",
     "weights_3x96": "eff48fcf575cc5396aef008a745e8d46485cc2c184a43dc403be04a98e63cb63",
 }
 
 
 def write_case(name, path):
-    """Write case ``name``; returns (loader, the value written)."""
+    """Write case ``name``; returns the weights written."""
     if name == "weights_3x96":
         value = ramp_weights(3, 96, 82, PAPER_LABELS)
-        save_weights(path, value)
-        return load_weights, value
-    if name == "weights_1x4":
+    else:
         value = ramp_weights(1, 4, 82, ("ah", "éa", "x"))
-        save_weights(path, value)
-        return load_weights, value
-    if name == "features_100hz":
-        value = FeatureSequence(ramp((7, 41)), 100)
-        save_features(path, value)
-        return load_features, value
-    if name == "features_50hz":
-        value = stack_frames(FeatureSequence(ramp((7, 41), 5), 100))
-        save_features(path, value)
-        return load_features, value
-    value = dyadic_posteriorgram(5, ("a", "bc", "d"))
-    save_posteriorgram(path, value)
-    return load_posteriorgram, value
+    save_weights(path, value)
+    return value
 
 
 def as_float32(array):
@@ -95,22 +69,15 @@ def as_float32(array):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_written_bytes_are_unchanged_and_load_back(tmp_path, name):
     path = tmp_path / name
-    loader, value = write_case(name, path)
+    value = write_case(name, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
-    back = loader(path)
-    if isinstance(value, GruWeights):
-        assert back.alphabet == value.alphabet
-        for got, want in zip(back.layers, value.layers):
-            for field in GruLayer.__dataclass_fields__:
-                assert np.array_equal(getattr(got, field), as_float32(getattr(want, field)))
-        assert np.array_equal(back.w_out, as_float32(value.w_out))
-        assert np.array_equal(back.b_out, as_float32(value.b_out))
-    elif isinstance(value, FeatureSequence):
-        assert back.frame_rate == value.frame_rate
-        assert np.array_equal(back.frames, as_float32(value.frames))
-    else:
-        assert back.alphabet == value.alphabet
-        assert np.array_equal(back.rows, value.rows)
+    back = load_weights(path)
+    assert back.alphabet == value.alphabet
+    for got, want in zip(back.layers, value.layers):
+        for field in GruLayer.__dataclass_fields__:
+            assert np.array_equal(getattr(got, field), as_float32(getattr(want, field)))
+    assert np.array_equal(back.w_out, as_float32(value.w_out))
+    assert np.array_equal(back.b_out, as_float32(value.b_out))
 
 
 class TestReader:
@@ -158,20 +125,15 @@ class TestHostileHeaders:
         with pytest.raises(DimensionError):
             load_weights(path)
 
-    def test_oversized_posteriorgram_is_dimension_error(self, tmp_path):
-        path = tmp_path / "p.post"
-        container.write(path, b"WSPG", 1, (2**32 - 1, 2), [("a",)])
-        with pytest.raises(DimensionError):
-            load_posteriorgram(path)
-
     def test_non_utf8_label_is_file_format_error(self, tmp_path):
-        path = tmp_path / "p.post"
-        rows = np.array([[0.5, 0.5]])
-        container.write(path, b"WSPG", 1, (1, 2), [("a",), rows])
-        data = path.read_bytes().replace(b"\x01\x00\x00\x00a", b"\x01\x00\x00\x00\xff")
-        path.write_bytes(data)
+        path = tmp_path / "w.bin"
+        save_weights(path, ramp_weights(1, 2, 3, ("a",)))
+        data = path.read_bytes()
+        # the alphabet is the last part: a count of 1, then label "a" of length 1
+        assert data.endswith(b"\x01\x00\x00\x00\x01\x00\x00\x00a")
+        path.write_bytes(data[:-1] + b"\xff")
         with pytest.raises(FileFormatError):
-            load_posteriorgram(path)
+            load_weights(path)
 
 
 def alphabet_size(labels):
@@ -184,17 +146,11 @@ FUZZ_LABELS = ("a", "bc")
 def small_file(name, path):
     """Write a small valid file; returns its loader and the (start, stop)
     byte spans of its header and alphabet (all of it for the text model)."""
-    if name == "features":
-        save_features(path, FeatureSequence(ramp((3, 41)), 100))
-        return load_features, [(0, 20)]
     if name == "weights":
         save_weights(path, ramp_weights(2, 2, 3, FUZZ_LABELS))
         size = path.stat().st_size
         return load_weights, [(0, 24), (size - alphabet_size(FUZZ_LABELS), size)]
     alphabet = LabelAlphabet(FUZZ_LABELS)
-    if name == "posteriorgram":
-        save_posteriorgram(path, dyadic_posteriorgram(3, ("a", "bc", "d")))
-        return load_posteriorgram, [(0, 16 + alphabet_size(("a", "bc", "d")))]
     model = WakewordModel(
         hypotheses=(
             Hypothesis(labels=(1, 2), enroll_logprob=-1.5, weight=0.5, example=0),
@@ -209,7 +165,7 @@ def small_file(name, path):
     return (lambda p: load_model(p, alphabet)), [(0, path.stat().st_size)]
 
 
-@pytest.mark.parametrize("name", ["features", "weights", "posteriorgram", "model"])
+@pytest.mark.parametrize("name", ["weights", "model"])
 def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
     path = tmp_path / name
     loader, spans = small_file(name, path)

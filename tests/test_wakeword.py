@@ -453,7 +453,6 @@ class TestFeaturize:
         assert found and len(trimmed.samples) < len(audio.samples)
         [fbank] = featurize([audio], VadConfig())
         assert fbank.frames.tobytes() == extract_fbank(trimmed).frames.tobytes()
-        assert featurize([audio])[0].frames.tobytes() == extract_fbank(audio).frames.tobytes()
         [post] = featurize([audio], VadConfig(), weights)
         assert post.rows.tobytes() == run(weights, stack_frames(fbank)).rows.tobytes()
 
@@ -465,9 +464,6 @@ class TestFeaturize:
         assert [r.getMessage() for r in caplog.records] == [
             "no speech found by VAD in recording 1 of 1; using the whole recording"
         ]
-        caplog.clear()
-        featurize([audio])
-        assert not caplog.records
 
     def test_no_speech_warning_gives_the_position_in_the_call(self, caplog):
         speech = synth.render_utterance(
