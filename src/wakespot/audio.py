@@ -168,22 +168,8 @@ def mel_center_frequencies() -> np.ndarray:
     return _mel_to_hz(_mel_points())[1:-1]
 
 
-_filters_cache: np.ndarray | None = None
-_window_cache: np.ndarray | None = None
-
-
-def _filters() -> np.ndarray:
-    global _filters_cache
-    if _filters_cache is None:
-        _filters_cache = mel_filterbank()
-    return _filters_cache
-
-
-def _hamming() -> np.ndarray:
-    global _window_cache
-    if _window_cache is None:
-        _window_cache = np.hamming(WINDOW_SAMPLES)
-    return _window_cache
+_FILTERS = mel_filterbank()
+_HAMMING = np.hamming(WINDOW_SAMPLES)
 
 
 def num_feature_frames(num_samples: int) -> int:
@@ -206,8 +192,8 @@ def _fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
     emphasized[..., 1:] = windows[..., :-1]
     emphasized *= PREEMPHASIS
     np.subtract(windows, emphasized, out=emphasized)
-    power = np.abs(np.fft.rfft(emphasized * _hamming(), FFT_SIZE)) ** 2
-    energies = np.matmul(power[..., None, :], _filters().T)[..., 0, :]
+    power = np.abs(np.fft.rfft(emphasized * _HAMMING, FFT_SIZE)) ** 2
+    energies = np.matmul(power[..., None, :], _FILTERS.T)[..., 0, :]
     return np.log(np.maximum(energies, ENERGY_FLOOR))
 
 

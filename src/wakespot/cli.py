@@ -27,7 +27,7 @@ import sys
 
 from . import evaluation, synth
 from .audio import read_wav
-from .dtw import AGGREGATIONS, DtwConfig, dtw_detect
+from .dtw import dtw_detect
 from .errors import WakespotError
 from .label_model import load_weights, save_weights
 from .vad import VadConfig
@@ -132,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("test")
     p.add_argument("--space", choices=("fbank", "post"), default="post")
     p.add_argument("--weights", help="required for --space post")
-    p.add_argument("--lambda", dest="smoothing", type=float, default=DtwConfig.smoothing)
-    p.add_argument("--agg", choices=AGGREGATIONS, default=DtwConfig.aggregation)
-    p.add_argument("--no-normalize", action="store_true", help="skip path-length normalization")
     _add_vad_flags(p)
 
     p = sub.add_parser("eval", help="run a detector over an episode manifest")
@@ -213,14 +210,6 @@ def cmd_listen(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    try:
-        config = DtwConfig(
-            smoothing=args.smoothing,
-            normalization="none" if args.no_normalize else "path_length",
-            aggregation=args.agg,
-        )
-    except ValueError as exc:  # --lambda out of range
-        raise UsageError(str(exc)) from None
     weights = None
     if args.space == "post":
         if not args.weights:
@@ -228,8 +217,7 @@ def cmd_baseline(args) -> int:
         weights = load_weights(args.weights)
     wavs = [*args.supports, args.test]
     *supports, test = featurize([read_wav(p) for p in wavs], _vad_config(args), weights)
-    value = dtw_detect(supports, test, config)
-    print(f"score {value}")
+    print(f"score {dtw_detect(supports, test)}")
     return EXIT_OK
 
 

@@ -7,18 +7,20 @@ dot-product distance
 
     d(p, q) = -log((lam*u + (1-lam)*p) . (lam*u + (1-lam)*q))
 
-where u is the uniform distribution over the K symbols and lam is a small
-smoothing constant that keeps the dot product positive for peaky rows.
-One call compares sequences of one type only; mixing them is a
-``TypeError``.
+where u is the uniform distribution over the K symbols and lam
+(``SMOOTHING``, 1e-5) is a small smoothing constant that keeps the dot
+product positive for peaky rows. One call compares sequences of one type
+only; mixing them is a ``TypeError``.
 
 The alignment is a full sequence-to-sequence DP with steps (1,0), (0,1)
 and (1,1), no band constraint; the cost of a path is the sum of frame
-distances over its cells, including the start cell. Scores are negated
-costs, by default normalized by the optimal path's length so that one
-global threshold remains meaningful across utterances of different
-lengths. Ties between predecessors prefer diagonal, then query-advance,
-then test-advance, which makes the reported path length deterministic.
+distances over its cells, including the start cell; ``dtw_cost`` returns
+the minimal cost. Scores are negated costs normalized by the optimal
+path's length, so that one global threshold remains meaningful across
+utterances of different lengths, and a test's detection score is the best
+of its scores against the enrollment recordings. Ties between predecessors
+prefer diagonal, then query-advance, then test-advance, which makes the
+reported path length deterministic.
 
 The DP runs as one wavefront over a batch of distance matrices: cell
 (i, j) depends only on cells of anti-diagonals i + j - 1 and i + j - 2, so
@@ -39,33 +41,15 @@ implemented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import FeatureSequence
 from .label_model import Posteriorgram
 
-NORMALIZATIONS = ("none", "path_length")
-AGGREGATIONS = ("max", "mean")
+SMOOTHING = 1e-5  # lambda in the posterior distance
 
 
-@dataclass(frozen=True)
-class DtwConfig:
-    smoothing: float = 1e-5  # lambda in the posterior distance
-    normalization: str = "path_length"
-    aggregation: str = "max"
-
-    def __post_init__(self):
-        if not 0.0 < self.smoothing < 1.0:
-            raise ValueError("smoothing must lie strictly between 0 and 1")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-
-
-def frame_distance_post(p: np.ndarray, q: np.ndarray, smoothing: float = 1e-5) -> float:
+def frame_distance_post(p: np.ndarray, q: np.ndarray, smoothing: float = SMOOTHING) -> float:
     """Smoothed dot-product distance between two posterior rows."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -104,7 +88,7 @@ def _frames_and_space(sequences) -> tuple[list[np.ndarray], bool]:
     raise TypeError(f"DTW compares FeatureSequences or Posteriorgrams, not a mix; got {kinds}")
 
 
-def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool, config: DtwConfig) -> list:
+def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool) -> list:
     """Frame distances between the query ``a`` and each test (posteriorgram rows if ``post``)."""
     for b in tests:
         if a.shape[0] == 0 or b.shape[0] == 0:
@@ -112,7 +96,7 @@ def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool, confi
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
     if post:
-        return [_post_distance_matrix(a, b, config.smoothing) for b in tests]
+        return [_post_distance_matrix(a, b, SMOOTHING) for b in tests]
     # entries do not depend on their neighbours, so one matrix against every
     # test frame, split per test, holds the same values
     splits = np.cumsum([b.shape[0] for b in tests[:-1]], dtype=np.int64)
@@ -180,39 +164,38 @@ def _dtw_costs(distance_matrices) -> tuple[np.ndarray, np.ndarray]:
     return costs, lengths
 
 
-def _support_scores(support: np.ndarray, tests: list, post: bool, config: DtwConfig) -> list[float]:
-    """Scores of one support's frames against every test's, in one wavefront."""
-    if not tests:
-        return []
-    costs, lengths = _dtw_costs(_distance_matrices(support, tests, post, config))
-    if config.normalization == "path_length":
-        return (-costs / lengths).tolist()
-    return (-costs).tolist()
-
-
-def dtw_score(query, test, config: DtwConfig | None = None) -> float:
-    """Similarity score between two sequences; higher means more similar."""
+def dtw_cost(query, test) -> float:
+    """Minimal alignment cost between two sequences: the sum of frame
+    distances over the best path."""
     (query, test), post = _frames_and_space([query, test])
-    return _support_scores(query, [test], post, config or DtwConfig())[0]
+    costs, _ = _dtw_costs(_distance_matrices(query, [test], post))
+    return float(costs[0])
 
 
-def dtw_detect_all(supports, tests, config: DtwConfig | None = None) -> list[float]:
+def dtw_score(query, test) -> float:
+    """Similarity score between two sequences; higher means more similar."""
+    return dtw_detect_all([query], [test])[0]
+
+
+def dtw_detect_all(supports, tests) -> list[float]:
     """Detection score of every test against the enrollment recordings.
 
     Each support is aligned with all tests in one batched wavefront; the
-    scores equal ``[dtw_detect(supports, t, config) for t in tests]``.
+    scores equal ``[dtw_detect(supports, t) for t in tests]``.
     """
-    config = config or DtwConfig()
     if not supports:
         raise ValueError("need at least one support sequence")
     frames, post = _frames_and_space([*supports, *tests])
     supports, tests = frames[: len(supports)], frames[len(supports) :]
-    per_test = zip(*(_support_scores(support, tests, post, config) for support in supports))
-    if config.aggregation == "max":
-        return [max(scores) for scores in per_test]
-    return [sum(scores) / len(scores) for scores in per_test]
+    if not tests:
+        return []
+    per_support = []
+    for support in supports:
+        costs, lengths = _dtw_costs(_distance_matrices(support, tests, post))
+        per_support.append((-costs / lengths).tolist())
+    return [max(scores) for scores in zip(*per_support)]
 
 
-def dtw_detect(supports, test, config: DtwConfig | None = None) -> float:
-    """Detection score against enrollment recordings (max or mean over them)."""
-    return dtw_detect_all(supports, [test], config)[0]
+def dtw_detect(supports, test) -> float:
+    """Detection score against enrollment recordings: the best over them."""
+    return dtw_detect_all(supports, [test])[0]

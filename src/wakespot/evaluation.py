@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioBuffer, read_wav, write_wav
-from .dtw import DtwConfig, dtw_detect_all
+from .dtw import dtw_detect_all
 from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
@@ -183,7 +183,7 @@ def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
     recordings = [*episode.support, *(t.audio for t in episode.tests)]
     sequences = featurize(recordings, params.vad, weights)
     supports = len(episode.support)
-    return dtw_detect_all(sequences[:supports], sequences[supports:], DtwConfig())
+    return dtw_detect_all(sequences[:supports], sequences[supports:])
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:

@@ -30,9 +30,8 @@ Model file format (human-readable text, one hypothesis per line):
     <space-separated label symbols> TAB <weight> TAB <enrollment log prob> TAB <example>
 
 ``<example>`` is the index of the training recording that produced the
-hypothesis (-1 if unknown). Version 1 files, whose hypothesis lines lack
-that field, are still read (with example -1). Floats are written with
-``repr``, so a saved model loads back equal to the one saved.
+hypothesis (-1 if unknown). Only version 2 is read. Floats are written
+with ``repr``, so a saved model loads back equal to the one saved.
 
 A model may also be built directly from a provided label sequence
 ("query by string") with weight 1.
@@ -65,7 +64,6 @@ DEFAULT_NUM_HYPOTHESES = 10
 
 _MODEL_HEADER = "wakespot-model"
 _MODEL_VERSION = 2
-_HYPOTHESIS_FIELDS = {"1": 3, "2": 4}  # readable version -> tab-separated fields per hypothesis
 
 
 @dataclass(frozen=True)
@@ -249,7 +247,7 @@ def save_model(path, model: WakewordModel) -> None:
 
 
 def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
-    """Read a model file (version 1 or 2) written for ``alphabet``.
+    """Read a model file (version 2) written for ``alphabet``.
 
     Raises :class:`FileFormatError` for any malformed field, and its
     subclass :class:`NonFiniteError` for a NaN threshold or a non-finite
@@ -263,10 +261,8 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
     lines = [line for line in lines if line]
     if len(lines) < 6:
         raise FileFormatError(f"{path}: model file too short")
-    header = lines[0].split()
-    if len(header) != 2 or header[0] != _MODEL_HEADER or header[1] not in _HYPOTHESIS_FIELDS:
+    if lines[0].split() != [_MODEL_HEADER, str(_MODEL_VERSION)]:
         raise FileFormatError(f"{path}: bad header line {lines[0]!r}")
-    num_fields = _HYPOTHESIS_FIELDS[header[1]]
 
     def header_value(line, key):
         parts = line.split(None, 1)
@@ -309,14 +305,14 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
     hypotheses = []
     for line in lines[5:]:
         fields = line.split("\t")
-        if len(fields) != num_fields:
+        if len(fields) != 4:
             raise FileFormatError(f"{path}: bad hypothesis line {line!r}")
         labels = tuple(label_index(s) for s in fields[0].split())
         weight = finite(fields[1], "weight")
         if not weight > 0.0:
             raise FileFormatError(f"{path}: hypothesis weight must be positive, got {weight!r}")
         enroll_logprob = finite(fields[2], "enrollment log-prob")
-        example = number(fields[3], int, "example index") if num_fields == 4 else -1
+        example = number(fields[3], int, "example index")
         if example < -1:
             raise FileFormatError(f"{path}: bad example index {example}")
         hypotheses.append(

@@ -17,14 +17,13 @@ from wakespot import synth
 from wakespot.audio import AudioBuffer, extract_fbank, stack_frames, write_wav
 from wakespot.cli import EXIT_OK, main
 from wakespot.ctc import NEG_INF, CtcForwardScorer, beam_search, forward_logprob
-from wakespot.dtw import DtwConfig, dtw_score, frame_distance_post
+from wakespot.dtw import dtw_cost, frame_distance_post
 from wakespot.evaluation import HarnessParams, compute_roc, run_harness
 from wakespot.label_model import gru_step, init_state, run, random_weights, save_weights
 from wakespot.vad import VadConfig, segment, span_samples
 from wakespot.wakeword import (
     Hypothesis,
     WakewordModel,
-    learn,
     score,
     score_with_stats,
     weight_from_logprob,
@@ -131,14 +130,13 @@ def test_criterion_04_beam_search_exactness():
 
 def test_criterion_05_dtw_oracle_equivalence():
     rng = np.random.default_rng(20250813)
-    config = DtwConfig(normalization="none")
     for _ in range(200):
         n, m = rng.integers(1, 6, size=2)
         a = fbank_seq(rng.normal(size=(int(n), 41)))
         b = fbank_seq(rng.normal(size=(int(m), 41)))
         diff = a.frames[:, None, :] - b.frames[None, :, :]
         distances = np.sqrt((diff * diff).sum(axis=2))
-        assert dtw_score(a, b, config) == -exhaustive_dtw_cost(distances)  # exact
+        assert dtw_cost(a, b) == exhaustive_dtw_cost(distances)  # exact
 
     for k in (5, 40):
         u = np.full(k, 1.0 / k)

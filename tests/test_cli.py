@@ -4,7 +4,10 @@ import pytest
 from wakespot import synth
 from wakespot.audio import read_wav, write_wav
 from wakespot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from wakespot.label_model import save_weights
+from wakespot.dtw import dtw_detect
+from wakespot.label_model import load_weights, save_weights
+from wakespot.vad import VadConfig
+from wakespot.wakeword import featurize
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +138,7 @@ def test_omitted_options_take_the_library_defaults():
     import inspect
 
     from wakespot.cli import _vad_config, build_parser
-    from wakespot.dtw import DtwConfig
     from wakespot.evaluation import HarnessParams
-    from wakespot.vad import VadConfig
     from wakespot.wakeword import learn
 
     learn_defaults = inspect.signature(learn).parameters
@@ -151,7 +152,6 @@ def test_omitted_options_take_the_library_defaults():
     assert evaluate.beam_width == harness.beam_width
     assert evaluate.num_hypotheses == harness.num_hypotheses
     baseline = parse(["baseline", "a.wav", "b.wav", "c.wav", "t.wav"])
-    assert (baseline.smoothing, baseline.agg) == (DtwConfig().smoothing, DtwConfig().aggregation)
     score = parse(["score", "m.model", "t.wav", "--weights", "w.bin"])
     for args in (enroll, evaluate, baseline, score):
         assert _vad_config(args) == VadConfig() == harness.vad
@@ -173,6 +173,13 @@ def test_missing_wav_is_a_data_error(world, tmp_path):
     assert code == EXIT_DATA
 
 
+def baseline_detect(world, weights=None) -> float:
+    """The harness's DTW detection score of the probe against the enrollment WAVs."""
+    wavs = [*world["wavs"], world["probe"]]
+    *supports, test = featurize([read_wav(w) for w in wavs], VadConfig(), weights)
+    return dtw_detect(supports, test)
+
+
 def test_baseline_fbank(world, capsys):
     code = main(
         [
@@ -184,7 +191,7 @@ def test_baseline_fbank(world, capsys):
         ]
     )
     assert code == EXIT_OK
-    assert "score" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"score {baseline_detect(world)}\n"
 
 
 def test_baseline_post_requires_weights(world):
@@ -207,7 +214,8 @@ def test_baseline_post(world, capsys):
         ]
     )
     assert code == EXIT_OK
-    assert "score" in capsys.readouterr().out
+    weights = load_weights(world["weights"])
+    assert capsys.readouterr().out == f"score {baseline_detect(world, weights)}\n"
 
 
 def test_gen_episodes_and_eval(world, tmp_path, capsys):
@@ -285,7 +293,6 @@ def _enroll(world, model_path):
 
 @pytest.mark.parametrize("wav", ["probe", "distractor"])
 def test_score_equals_the_streaming_event_bit_for_bit(world, tmp_path, capsys, wav):
-    from wakespot.label_model import load_weights
     from wakespot.wakeword import detect_stream, load_model
 
     model_path = tmp_path / "word.model"
@@ -512,8 +519,8 @@ def test_eval_without_weights_is_a_usage_error_before_reading(tmp_path, capsys, 
     assert "requires --weights" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("smoothing", ["0", "1", "nan"])
-def test_baseline_lambda_outside_zero_to_one_is_a_usage_error(tmp_path, capsys, smoothing):
+@pytest.mark.parametrize("flag", ["--lambda 0.5", "--agg mean", "--no-normalize"])
+def test_baseline_has_one_dtw_rule_and_no_flags_to_change_it(tmp_path, capsys, flag):
     wavs = [str(tmp_path / f"missing-{i}.wav") for i in range(4)]  # unread: flags come first
-    assert main(["baseline", *wavs, "--space", "fbank", "--lambda", smoothing]) == EXIT_USAGE
-    assert "smoothing must lie strictly between 0 and 1" in capsys.readouterr().err
+    assert main(["baseline", *wavs, "--space", "fbank", *flag.split()]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import itertools
 import math
 import struct
 
@@ -9,18 +8,17 @@ from hypothesis import strategies as st
 
 from wakespot.audio import FeatureSequence
 from wakespot.dtw import (
-    DtwConfig,
     _distance_matrices,
     _dtw_costs,
     _frames_and_space,
+    dtw_cost,
     dtw_detect,
     dtw_detect_all,
     dtw_score,
     frame_distance_post,
 )
-from wakespot.label_model import Posteriorgram
 
-from conftest import make_alphabet, random_posteriorgram, reference_dtw_cost
+from conftest import random_posteriorgram, reference_dtw_cost
 
 
 def fbank_seq(rows):
@@ -105,33 +103,28 @@ class TestDtwScore:
     def test_identical_fbank_sequences_score_zero(self):
         rng = np.random.default_rng(5)
         seq = fbank_seq(rng.normal(size=(6, 41)))
-        for norm in ("none", "path_length"):
-            config = DtwConfig(normalization=norm)
-            assert dtw_score(seq, seq, config) == 0.0
+        assert dtw_cost(seq, seq) == dtw_score(seq, seq) == 0.0
 
     def test_single_frame_query_forces_path(self):
         rng = np.random.default_rng(6)
         q = rng.normal(size=(1, 41))
         t = rng.normal(size=(4, 41))
-        config = DtwConfig(normalization="none")
-        got = dtw_score(fbank_seq(q), fbank_seq(t), config)
-        expected = -sum(float(np.linalg.norm(q[0] - t[i])) for i in range(4))
+        got = dtw_cost(fbank_seq(q), fbank_seq(t))
+        expected = sum(float(np.linalg.norm(q[0] - t[i])) for i in range(4))
         assert math.isclose(got, expected, rel_tol=1e-12)
 
     def test_matches_exhaustive_path_oracle_exactly(self):
         rng = np.random.default_rng(7)
-        config = DtwConfig(normalization="none")
         for _ in range(60):
             n, m = rng.integers(1, 6, size=2)
             a = fbank_seq(rng.normal(size=(n, 41)))
             b = fbank_seq(rng.normal(size=(m, 41)))
             diff = a.frames[:, None, :] - b.frames[None, :, :]
             distances = np.sqrt((diff * diff).sum(axis=2))
-            assert dtw_score(a, b, config) == -exhaustive_dtw_cost(distances)
+            assert dtw_cost(a, b) == exhaustive_dtw_cost(distances)
 
     def test_posterior_space_matches_oracle(self):
         rng = np.random.default_rng(8)
-        config = DtwConfig(normalization="none", smoothing=1e-5)
         for _ in range(30):
             n, m = rng.integers(1, 6, size=2)
             a = random_posteriorgram(rng, int(n), 4)
@@ -143,20 +136,19 @@ class TestDtwScore:
             # the DP and the path enumeration must agree exactly on the
             # same distance matrix; per-entry values match the scalar
             # definition to float precision
-            assert dtw_score(a, b, config) == -exhaustive_dtw_cost(distances)
+            assert dtw_cost(a, b) == exhaustive_dtw_cost(distances)
             assert math.isclose(
                 distances[0, 0], frame_distance_post(a.rows[0], b.rows[0], lam), rel_tol=1e-12
             )
 
     def test_cost_monotone_when_extending_test(self):
         rng = np.random.default_rng(9)
-        config = DtwConfig(normalization="none")
         a = fbank_seq(rng.normal(size=(4, 41)))
         b_rows = rng.normal(size=(5, 41))
         far = rng.normal(size=(2, 41)) + 50.0
-        short_score = dtw_score(a, fbank_seq(b_rows), config)
-        long_score = dtw_score(a, fbank_seq(np.vstack([b_rows, far])), config)
-        assert long_score <= short_score
+        short_cost = dtw_cost(a, fbank_seq(b_rows))
+        long_cost = dtw_cost(a, fbank_seq(np.vstack([b_rows, far])))
+        assert long_cost >= short_cost
 
     def test_type_checks(self):
         rng = np.random.default_rng(10)
@@ -175,13 +167,9 @@ class TestDtwScore:
     def test_path_normalization_divides_by_path_cells(self):
         rng = np.random.default_rng(11)
         a = fbank_seq(rng.normal(size=(3, 41)))
-        raw = dtw_score(a, a, DtwConfig(normalization="none"))
-        normalized = dtw_score(a, a, DtwConfig(normalization="path_length"))
-        assert raw == normalized == 0.0
+        assert dtw_cost(a, a) == dtw_score(a, a) == 0.0
         b = fbank_seq(rng.normal(size=(3, 41)))
-        raw = dtw_score(a, b, DtwConfig(normalization="none"))
-        normalized = dtw_score(a, b, DtwConfig(normalization="path_length"))
-        assert normalized >= raw  # dividing a negative score by path length shrinks it
+        assert dtw_score(a, b) >= -dtw_cost(a, b)  # dividing a negative score by path length shrinks it
 
 
 class TestDtwDetect:
@@ -189,44 +177,20 @@ class TestDtwDetect:
         rng = np.random.default_rng(12)
         seq = fbank_seq(rng.normal(size=(5, 41)))
         other = fbank_seq(rng.normal(size=(5, 41)))
-        config = DtwConfig(normalization="none", aggregation="max")
-        assert dtw_detect([other, seq, other], seq, config) == 0.0
+        assert dtw_detect([other, seq, other], seq) == 0.0
 
     def test_all_supports_identical(self):
         rng = np.random.default_rng(13)
         support = fbank_seq(rng.normal(size=(4, 41)))
         test = fbank_seq(rng.normal(size=(6, 41)))
-        config = DtwConfig()
-        assert dtw_detect([support] * 3, test, config) == dtw_score(support, test, config)
+        assert dtw_detect([support] * 3, test) == dtw_score(support, test)
 
     def test_support_permutation_invariance(self):
         rng = np.random.default_rng(14)
         supports = [fbank_seq(rng.normal(size=(4, 41))) for _ in range(3)]
         test = fbank_seq(rng.normal(size=(5, 41)))
-        for agg in ("max", "mean"):
-            config = DtwConfig(aggregation=agg)
-            base = dtw_detect(supports, test, config)
-            assert dtw_detect(supports[::-1], test, config) == pytest.approx(base, abs=1e-12)
-
-    def test_mean_aggregation_runs(self):
-        rng = np.random.default_rng(15)
-        supports = [fbank_seq(rng.normal(size=(4, 41))) for _ in range(3)]
-        test = fbank_seq(rng.normal(size=(5, 41)))
-        config = DtwConfig(aggregation="mean")
-        scores = [dtw_score(s, test, config) for s in supports]
-        assert dtw_detect(supports, test, config) == pytest.approx(sum(scores) / 3)
-
-
-class TestConfigValidation:
-    def test_bad_values(self):
-        with pytest.raises(ValueError):
-            DtwConfig(smoothing=0.0)
-        with pytest.raises(ValueError):
-            DtwConfig(smoothing=1.0)
-        with pytest.raises(ValueError):
-            DtwConfig(normalization="length")
-        with pytest.raises(ValueError):
-            DtwConfig(aggregation="min")
+        base = dtw_detect(supports, test)
+        assert dtw_detect(supports[::-1], test) == pytest.approx(base, abs=1e-12)
 
 
 def bits(value: float) -> bytes:
@@ -273,16 +237,13 @@ class TestWavefront:
         for supports, tests in real_episodes[space]:
             frames, post = _frames_and_space(tests)
             for query in _frames_and_space(supports)[0]:
-                assert_costs_equal_reference(_distance_matrices(query, frames, post, DtwConfig()))
+                assert_costs_equal_reference(_distance_matrices(query, frames, post))
 
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
-    @pytest.mark.parametrize("aggregation", ["max", "mean"])
-    @pytest.mark.parametrize("normalization", ["none", "path_length"])
-    def test_detect_all_equals_detect_per_test(self, real_episodes, space, aggregation, normalization):
-        config = DtwConfig(aggregation=aggregation, normalization=normalization)
+    def test_detect_all_equals_detect_per_test(self, real_episodes, space):
         for supports, tests in real_episodes[space]:
-            got = dtw_detect_all(supports, tests, config)
-            want = [dtw_detect(supports, test, config) for test in tests]
+            got = dtw_detect_all(supports, tests)
+            want = [dtw_detect(supports, test) for test in tests]
             assert list(map(bits, got)) == list(map(bits, want))
 
     def test_detect_all_without_tests(self):

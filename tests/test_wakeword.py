@@ -340,27 +340,6 @@ class TestModelFiles:
         assert path.read_text().startswith("wakespot-model 2\n")
         assert load_model(path, alphabet) == model
 
-    def test_version_1_files_still_load(self, tmp_path):
-        alphabet = make_alphabet(3)
-        path = tmp_path / "m.model"
-        path.write_text(
-            "wakespot-model 1\n"
-            f"alphabet-sha256 {alphabet.content_hash()}\n"
-            "beam-width 20\nkept-per-example 3\nthreshold -12.5\n"
-            "L0 L1\t0.5\t-2.0\n"
-            "\t0.25\t-4.0\n"
-        )
-        assert load_model(path, alphabet) == WakewordModel(
-            hypotheses=(
-                Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5),
-                Hypothesis(labels=(), enroll_logprob=-4.0, weight=0.25),
-            ),
-            alphabet=alphabet,
-            beam_width=20,
-            kept_per_example=3,
-            threshold=-12.5,
-        )
-
     @pytest.mark.parametrize(
         "old, new, error",
         [
@@ -370,6 +349,7 @@ class TestModelFiles:
             ("threshold -7.5", "threshold high", FileFormatError),
             ("threshold -7.5", "threshold nan", NonFiniteError),
             ("wakespot-model 2", "wakespot-model 3", FileFormatError),
+            ("wakespot-model 2", "wakespot-model 1", FileFormatError),
             ("L0 L1\t", "L0 Lx\t", FileFormatError),  # unknown symbol
             ("L0 L1\t", "L0 <b>\t", FileFormatError),  # the blank is not a label
             ("\t0.5\t", "\t0.0\t", FileFormatError),  # non-positive weight
@@ -381,7 +361,7 @@ class TestModelFiles:
             ("\t-2.0\t", "\tlow\t", FileFormatError),
             ("\t-2.0\t1\n", "\t-2.0\tone\n", FileFormatError),  # example index
             ("\t-2.0\t1\n", "\t-2.0\t-2\n", FileFormatError),
-            ("\t-2.0\t1\n", "\t-2.0\n", FileFormatError),  # version 2 needs 4 fields
+            ("\t-2.0\t1\n", "\t-2.0\n", FileFormatError),  # every hypothesis has 4 fields
         ],
     )
     def test_malformed_field_raises_file_format_error(self, tmp_path, old, new, error):
