@@ -180,7 +180,10 @@ class ForwardLattice:
         self.num_lattice_cells = num_cells
         self.num_state_cells = 2 * int(depth[ends].sum()) + len(ends)
         self.steps = 0
-        self.cell_updates = 0
+
+    @property
+    def cell_updates(self) -> int:
+        return self.steps * self.num_state_cells
 
     def state(self, h: int) -> np.ndarray:
         """Log forward probabilities of sequence ``h``'s 2U+1 positions."""
@@ -215,7 +218,6 @@ class ForwardLattice:
         alpha[:-1] += cell_logs
         self._alpha = alpha
         self.steps += 1
-        self.cell_updates += self.num_state_cells
 
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""

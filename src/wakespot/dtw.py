@@ -33,10 +33,6 @@ Each cell's cost is then the same IEEE sum as in that loop. Matching
 scores all tests of an episode against one support in one wavefront
 (``dtw_detect_all``); ``dtw_score`` and ``dtw_detect`` are its one-pair
 and one-test cases.
-
-Removed variants that did not help (dropping the softmax, l2 on
-posteriors, a framewise cross-entropy label model) are intentionally not
-implemented.
 """
 
 from __future__ import annotations
@@ -49,20 +45,20 @@ from .label_model import Posteriorgram
 SMOOTHING = 1e-5  # lambda in the posterior distance
 
 
-def frame_distance_post(p: np.ndarray, q: np.ndarray, smoothing: float = SMOOTHING) -> float:
+def frame_distance_post(p: np.ndarray, q: np.ndarray) -> float:
     """Smoothed dot-product distance between two posterior rows."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distributions must share one shape, got {p.shape} and {q.shape}")
-    return float(_post_distance_matrix(p[None, :], q[None, :], smoothing)[0, 0])
+    return float(_post_distance_matrix(p[None, :], q[None, :])[0, 0])
 
 
-def _post_distance_matrix(a: np.ndarray, b: np.ndarray, smoothing: float) -> np.ndarray:
+def _post_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between every row of ``a`` and every row of ``b``."""
     k = a.shape[1]
-    sa = smoothing / k + (1.0 - smoothing) * a
-    sb = smoothing / k + (1.0 - smoothing) * b
+    sa = SMOOTHING / k + (1.0 - SMOOTHING) * a
+    sb = SMOOTHING / k + (1.0 - SMOOTHING) * b
     return -np.log(sa @ sb.T)
 
 
@@ -96,7 +92,7 @@ def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool) -> li
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
     if post:
-        return [_post_distance_matrix(a, b, SMOOTHING) for b in tests]
+        return [_post_distance_matrix(a, b) for b in tests]
     # entries do not depend on their neighbours, so one matrix against every
     # test frame, split per test, holds the same values
     splits = np.cumsum([b.shape[0] for b in tests[:-1]], dtype=np.int64)

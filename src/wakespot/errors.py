@@ -14,7 +14,7 @@ class FileFormatError(WakespotError):
 
 
 class UnknownVersionError(FileFormatError):
-    """Unrecognized magic bytes or unsupported container version."""
+    """Unrecognized magic bytes or unsupported file version."""
 
 
 class DimensionError(FileFormatError):

@@ -32,15 +32,23 @@ equivalent round differently in the last bits and are not used:
 ``(2H, H)`` matrix, whose product BLAS blocks differently whenever H is
 not a multiple of its row block.
 
-Weight file (a :mod:`wakespot.container`, magic ``WSGW``, version 1):
+Weight file, little-endian throughout (:func:`save_weights`,
+:func:`load_weights`):
 
-    fields: u32 num_layers, u32 hidden, u32 input_dim, u32 K
-    parts : per layer w, u_zr, u_h, b_zr, b_h, then W_out (K x hidden),
-            b_out (K), then the alphabet (K - 1 labels)
+    header  : 4 magic bytes ``WSGW``, then u32 version (1), num_layers,
+              hidden, input_dim, K
+    parts   : per layer w, u_zr, u_h, b_zr, b_h, then W_out (K x hidden),
+              b_out (K), each float32 row-major in the shape the header
+              implies
+    alphabet: u32 count (K - 1), then per label a u32 byte length and
+              its UTF-8 bytes
 
-Each stack is written gate after gate, so a layer's parts hold Wz Wr Wh
-Uz Ur Uh bz br bh in that order. The per-layer order is the layer table ``_LAYER_FIELDS``
-(the fields of :class:`GruLayer`), and ``_layer_shapes`` gives the shapes.
+Nothing follows the alphabet. Each stack is written gate after gate, so a
+layer's parts hold Wz Wr Wh Uz Ur Uh bz br bh in that order. The
+per-layer order is the layer table ``_LAYER_FIELDS`` (the fields of
+:class:`GruLayer`), and ``_layer_shapes`` gives the shapes. The loader
+reads the file once and checks every size the file claims against the
+bytes left before it slices.
 
 No trained weights ship with the repo; tests and demos use zero weights,
 seeded random weights, or the constructed model from :mod:`wakespot.synth`.
@@ -50,14 +58,15 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
+import struct
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from . import container
 from .audio import STACKED_DIM, FeatureSequence
-from .errors import DimensionError, FileFormatError, NonFiniteError
+from .errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +75,9 @@ BLANK_INDEX = 0
 
 _WEIGHTS_MAGIC = b"WSGW"
 _FORMAT_VERSION = 1
+# magic, version, num_layers, hidden, input_dim, K
+_WEIGHTS_HEADER = struct.Struct("<4s5I")
+_U32 = struct.Struct("<I")
 
 
 @dataclass(frozen=True)
@@ -430,33 +442,71 @@ def run(weights: GruWeights, features: FeatureSequence) -> Posteriorgram:
 
 
 def save_weights(path, weights: GruWeights) -> None:
-    container.write(
-        path,
-        _WEIGHTS_MAGIC,
-        _FORMAT_VERSION,
-        (weights.num_layers, weights.hidden_size, weights.input_dim, weights.num_symbols),
-        [getattr(layer, name) for layer in weights.layers for name in _LAYER_FIELDS]
-        + [weights.w_out, weights.b_out, weights.alphabet.labels],
-    )
+    dims = (weights.num_layers, weights.hidden_size, weights.input_dim, weights.num_symbols)
+    arrays = [getattr(layer, name) for layer in weights.layers for name in _LAYER_FIELDS]
+    chunks = [_WEIGHTS_HEADER.pack(_WEIGHTS_MAGIC, _FORMAT_VERSION, *dims)]
+    chunks += [
+        np.ascontiguousarray(array, dtype="<f4").tobytes()
+        for array in arrays + [weights.w_out, weights.b_out]
+    ]
+    chunks.append(_U32.pack(len(weights.alphabet.labels)))
+    for label in weights.alphabet.labels:
+        raw = label.encode("utf-8")
+        chunks += [_U32.pack(len(raw)), raw]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(chunks))
 
 
 def load_weights(path) -> GruWeights:
-    """Load and validate a weight file; logs the parameter count."""
-    reader = container.Reader(path, _WEIGHTS_MAGIC, _FORMAT_VERSION, 4, "weight")
-    num_layers, hidden, input_dim, num_symbols = reader.fields
+    """Load and validate a weight file; logs the parameter count. A short
+    header, another magic or another version raise
+    :class:`UnknownVersionError`; a part that runs past the end, or bytes
+    after the alphabet, :class:`DimensionError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < _WEIGHTS_HEADER.size:
+        raise UnknownVersionError(f"{path}: truncated weight header")
+    magic, version, num_layers, hidden, input_dim, num_symbols = _WEIGHTS_HEADER.unpack_from(data)
+    if magic != _WEIGHTS_MAGIC:
+        raise UnknownVersionError(f"{path}: not a weight file (magic {magic!r})")
+    if version != _FORMAT_VERSION:
+        raise UnknownVersionError(f"{path}: unsupported weight version {version}")
     if hidden < 1:  # each layer then takes at least 24 bytes, so num_layers is bounded
         raise DimensionError(f"{path}: hidden size must be positive")
+    pos = _WEIGHTS_HEADER.size
+
+    def take(size: int) -> bytes:
+        nonlocal pos
+        left = len(data) - pos
+        if size > left:
+            raise DimensionError(f"{path}: truncated file ({size} bytes claimed, {left} left)")
+        pos += size
+        return data[pos - size : pos]
+
+    def matrix(shape: tuple[int, ...]) -> np.ndarray:
+        raw = take(4 * math.prod(shape))
+        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+
     layers = [
-        GruLayer(*(reader.matrix(shape) for shape in shapes))
+        GruLayer(*(matrix(shape) for shape in shapes))
         for shapes in _layer_shapes(num_layers, hidden, input_dim)
     ]
-    w_out = reader.matrix((num_symbols, hidden))
-    b_out = reader.matrix((num_symbols,))
+    w_out = matrix((num_symbols, hidden))
+    b_out = matrix((num_symbols,))
+    (count,) = _U32.unpack(take(4))
+    labels = []
+    for _ in range(count):
+        (size,) = _U32.unpack(take(4))
+        try:
+            labels.append(take(size).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: label is not UTF-8 ({exc})") from None
     try:
-        alphabet = LabelAlphabet(reader.labels())
+        alphabet = LabelAlphabet(labels)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad alphabet ({exc})") from exc
-    reader.end()
+    if pos != len(data):
+        raise DimensionError(f"{path}: trailing bytes after the alphabet")
     weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
     logger.info(
         "loaded GRU weights from %s: %d layers x %d hidden, input %d, K=%d, %d parameters",

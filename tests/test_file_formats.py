@@ -1,4 +1,5 @@
-"""Container files: byte-stable writers, bounds-checked loaders, fuzzing.
+"""The weight and model files: byte-stable writers, bounds-checked
+loaders, fuzzing.
 
 The digests pin the bytes of weight files to those of the format as first
 published. Their inputs are built from integer arithmetic and one
@@ -11,8 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from wakespot import container
-from wakespot.errors import DimensionError, FileFormatError, UnknownVersionError, WakespotError
+from wakespot.errors import DimensionError, FileFormatError, WakespotError
 from wakespot.label_model import (
     GruLayer,
     GruWeights,
@@ -78,36 +78,6 @@ def test_written_bytes_are_unchanged_and_load_back(tmp_path, name):
             assert np.array_equal(getattr(got, field), as_float32(getattr(want, field)))
     assert np.array_equal(back.w_out, as_float32(value.w_out))
     assert np.array_equal(back.b_out, as_float32(value.b_out))
-
-
-class TestReader:
-    def test_parts_round_trip(self, tmp_path):
-        path = tmp_path / "c.bin"
-        labels = ("ah", "ü")
-        container.write(path, b"TEST", 7, (2, 3), [ramp((2, 3)), labels, ramp((3,), 4)])
-        reader = container.Reader(path, b"TEST", 7, 2, "test")
-        assert reader.fields == (2, 3)
-        assert np.array_equal(reader.matrix((2, 3)), as_float32(ramp((2, 3))))
-        assert reader.labels() == labels
-        assert np.array_equal(reader.matrix((3,)), as_float32(ramp((3,), 4)))
-        reader.end()
-
-    def test_header_errors_are_unknown_version(self, tmp_path):
-        path = tmp_path / "c.bin"
-        container.write(path, b"TEST", 7, (2,), [])
-        for magic, version, fields in ((b"TEST", 8, 1), (b"TESS", 7, 1), (b"TEST", 7, 2)):
-            with pytest.raises(UnknownVersionError):
-                container.Reader(path, magic, version, fields, "test")
-
-    def test_trailing_and_missing_bytes_are_dimension_errors(self, tmp_path):
-        path = tmp_path / "c.bin"
-        container.write(path, b"TEST", 7, (), [ramp((2,))])
-        reader = container.Reader(path, b"TEST", 7, 0, "test")
-        reader.matrix((1,))
-        with pytest.raises(DimensionError):
-            reader.end()
-        with pytest.raises(DimensionError):
-            reader.matrix((2,))
 
 
 class TestHostileHeaders:

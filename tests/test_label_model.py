@@ -342,20 +342,23 @@ class TestWeightFiles:
         weights = zero_weights(make_alphabet(3), 1, 4)
         path = tmp_path / "w.bin"
         save_weights(path, weights)
-        data = bytearray(path.read_bytes())
-        data[4] = 99
-        path.write_bytes(bytes(data))
-        with pytest.raises(UnknownVersionError):
-            load_weights(path)
+        data = path.read_bytes()
+        # another version, and a file cut inside the 24-byte header
+        for variant in (data[:4] + bytes([99]) + data[5:], data[:23]):
+            path.write_bytes(variant)
+            with pytest.raises(UnknownVersionError):
+                load_weights(path)
 
     def test_truncation_is_dimension_error(self, tmp_path):
         weights = zero_weights(make_alphabet(3), 1, 4)
         path = tmp_path / "w.bin"
         save_weights(path, weights)
         data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(DimensionError):
-            load_weights(path)
+        # a part that runs past the end, and one byte after the alphabet
+        for variant in (data[: len(data) // 2], data + b"\x00"):
+            path.write_bytes(variant)
+            with pytest.raises(DimensionError):
+                load_weights(path)
 
     def test_non_finite_rejected(self, tmp_path):
         weights = zero_weights(make_alphabet(3), 1, 4)
