@@ -101,10 +101,6 @@ class LabelAlphabet:
         """K = 1 + number of labels."""
         return 1 + len(self.labels)
 
-    @property
-    def blank_index(self) -> int:
-        return BLANK_INDEX
-
     def index_of(self, symbol: str) -> int:
         if symbol == BLANK_SYMBOL:
             return BLANK_INDEX
@@ -485,7 +481,9 @@ def load_weights(path) -> GruWeights:
 
     def matrix(shape: tuple[int, ...]) -> np.ndarray:
         raw = take(4 * math.prod(shape))
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+        # a signalling NaN warns in the cast; GruWeights rejects it after
+        with np.errstate(invalid="ignore"):
+            return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
 
     layers = [
         GruLayer(*(matrix(shape) for shape in shapes))

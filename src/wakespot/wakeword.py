@@ -1,11 +1,13 @@
 """Wakeword enrollment and detection.
 
 Enrollment runs the N-best decoder over each training recording's
-posteriorgram and keeps the top N hypotheses per recording, converting each
-enrollment log probability into a confidence weight ``w = -1 / log p``
-(the log probability is clamped to -1e-6 first so a near-certain hypothesis
-cannot produce an unbounded weight). Entries from different recordings are
-all kept, including repeats of the same sequence.
+posteriorgram and keeps the top N hypotheses per recording with their
+enrollment log probabilities. Entries from different recordings are all
+kept, including repeats of the same sequence. A hypothesis's confidence
+weight ``w = -1 / log p`` is derived from its log probability by
+:func:`weight_from_logprob` (the log probability is clamped to -1e-6 first
+so a near-certain hypothesis cannot produce an unbounded weight); it is
+never stored.
 
 Detection computes the forward log probability of every hypothesis on the
 test posteriorgram, all hypotheses in one forward lattice. A model builds
@@ -22,26 +24,26 @@ score of its audio span, bit for bit.
 
 Model file format (human-readable text, one hypothesis per line):
 
-    wakespot-model 2
+    wakespot-model 3
     alphabet-sha256 <hex digest of the alphabet>
-    beam-width <B>
-    kept-per-example <N>
     threshold <float or "unset">
-    <space-separated label symbols> TAB <weight> TAB <enrollment log prob> TAB <example>
+    <space-separated label symbols> TAB <enrollment log prob> TAB <example>
 
 ``<example>`` is the index of the training recording that produced the
-hypothesis (-1 if unknown). Only version 2 is read. Floats are written
-with ``repr``, so a saved model loads back equal to the one saved.
+hypothesis (-1 if unknown). The weight is not in the file: loading derives
+it from the log probability, as enrollment does. Only version 3 is read.
+Floats are written with ``repr``, so a saved model loads back equal to the
+one saved, weights included.
 
 A model may also be built directly from a provided label sequence
-("query by string") with weight 1.
+("query by string") with log probability -1, so weight 1.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -63,32 +65,32 @@ DEFAULT_BEAM_WIDTH = 100
 DEFAULT_NUM_HYPOTHESES = 10
 
 _MODEL_HEADER = "wakespot-model"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
+
+
+def weight_from_logprob(enroll_logprob: float) -> float:
+    """Confidence weight -1 / log p, with log p clamped below -1e-6: the
+    only source of a hypothesis's weight, in (0, 1e6] for finite log p."""
+    return -1.0 / min(enroll_logprob, ENROLL_LOGPROB_CEILING)
 
 
 @dataclass(frozen=True)
 class Hypothesis:
     labels: tuple[int, ...]
     enroll_logprob: float
-    weight: float
     example: int = -1  # which training recording produced it; -1 if unknown
+    weight: float = field(init=False)  # weight_from_logprob(enroll_logprob)
 
     def __post_init__(self):
-        if not self.weight > 0.0 or not math.isfinite(self.weight):
-            raise ValueError("hypothesis weight must be positive and finite")
-
-
-def weight_from_logprob(enroll_logprob: float) -> float:
-    """Confidence weight -1 / log p, with log p clamped below -1e-6."""
-    return -1.0 / min(enroll_logprob, ENROLL_LOGPROB_CEILING)
+        if not math.isfinite(self.enroll_logprob):
+            raise ValueError("hypothesis enrollment log probability must be finite")
+        object.__setattr__(self, "weight", weight_from_logprob(self.enroll_logprob))
 
 
 @dataclass(frozen=True)
 class WakewordModel:
     hypotheses: tuple[Hypothesis, ...]
     alphabet: LabelAlphabet
-    beam_width: int
-    kept_per_example: int
     threshold: float | None = None
 
     def __post_init__(self):
@@ -96,9 +98,6 @@ class WakewordModel:
             raise ValueError("a wakeword model needs at least one hypothesis")
         if self.threshold is not None and math.isnan(self.threshold):
             raise ValueError("a wakeword model's threshold may not be nan")
-
-    def with_threshold(self, threshold: float) -> "WakewordModel":
-        return replace(self, threshold=threshold)
 
     @cached_property
     def _trie(self) -> tuple[np.ndarray, ...]:
@@ -148,34 +147,16 @@ def learn(
                 len(posteriorgrams),
             )
         for entry in kept:
-            hypotheses.append(
-                Hypothesis(
-                    labels=entry.labels,
-                    enroll_logprob=entry.logprob,
-                    weight=weight_from_logprob(entry.logprob),
-                    example=i,
-                )
-            )
-    return WakewordModel(
-        hypotheses=tuple(hypotheses),
-        alphabet=alphabet,
-        beam_width=beam_width,
-        kept_per_example=num_hypotheses,
-        threshold=threshold,
-    )
+            hypotheses.append(Hypothesis(entry.labels, entry.logprob, example=i))
+    return WakewordModel(tuple(hypotheses), alphabet, threshold)
 
 
 def model_from_labels(symbols: Iterable[str], alphabet: LabelAlphabet) -> WakewordModel:
-    """Query-by-string model: a single provided sequence with weight 1."""
+    """Query-by-string model: a single provided sequence with enrollment
+    log probability -1, which gives it weight 1."""
     labels = tuple(alphabet.index_of(s) for s in symbols)
     validate_labels(labels, alphabet.size)
-    hyp = Hypothesis(labels=labels, enroll_logprob=-1.0, weight=1.0)
-    return WakewordModel(
-        hypotheses=(hyp,),
-        alphabet=alphabet,
-        beam_width=1,
-        kept_per_example=1,
-    )
+    return WakewordModel((Hypothesis(labels, -1.0),), alphabet)
 
 
 def aggregate(model: WakewordModel, logprobs: np.ndarray) -> float:
@@ -235,23 +216,21 @@ def save_model(path, model: WakewordModel) -> None:
     lines = [
         f"{_MODEL_HEADER} {_MODEL_VERSION}",
         f"alphabet-sha256 {model.alphabet.content_hash()}",
-        f"beam-width {model.beam_width}",
-        f"kept-per-example {model.kept_per_example}",
         f"threshold {'unset' if model.threshold is None else repr(model.threshold)}",
     ]
     for hyp in model.hypotheses:
         symbols = " ".join(model.alphabet.symbol_of(i) for i in hyp.labels)
-        lines.append(f"{symbols}\t{hyp.weight!r}\t{hyp.enroll_logprob!r}\t{hyp.example}")
+        lines.append(f"{symbols}\t{hyp.enroll_logprob!r}\t{hyp.example}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
-    """Read a model file (version 2) written for ``alphabet``.
+    """Read a model file (version 3) written for ``alphabet``.
 
     Raises :class:`FileFormatError` for any malformed field, and its
     subclass :class:`NonFiniteError` for a NaN threshold or a non-finite
-    weight or enrollment log probability.
+    enrollment log probability.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -259,7 +238,7 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc})") from exc
     lines = [line for line in lines if line]
-    if len(lines) < 6:
+    if len(lines) < 4:
         raise FileFormatError(f"{path}: model file too short")
     if lines[0].split() != [_MODEL_HEADER, str(_MODEL_VERSION)]:
         raise FileFormatError(f"{path}: bad header line {lines[0]!r}")
@@ -276,12 +255,6 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
         except ValueError:
             raise FileFormatError(f"{path}: bad {what} {text!r}") from None
 
-    def finite(text, what):
-        value = number(text, float, what)
-        if not math.isfinite(value):
-            raise NonFiniteError(f"{path}: {what} is {value!r}")
-        return value
-
     def label_index(symbol):
         try:
             index = alphabet.index_of(symbol)
@@ -294,37 +267,24 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
     digest = header_value(lines[1], "alphabet-sha256")
     if digest != alphabet.content_hash():
         raise FileFormatError(f"{path}: model was built for a different alphabet")
-    beam_width = number(header_value(lines[2], "beam-width"), int, "beam width")
-    kept = number(header_value(lines[3], "kept-per-example"), int, "kept-per-example count")
-    if beam_width < 1 or kept < 1:
-        raise FileFormatError(f"{path}: beam width and kept-per-example must be >= 1")
-    raw_threshold = header_value(lines[4], "threshold")
+    raw_threshold = header_value(lines[2], "threshold")
     threshold = None if raw_threshold == "unset" else number(raw_threshold, float, "threshold")
     if threshold is not None and math.isnan(threshold):
         raise NonFiniteError(f"{path}: threshold is nan")
     hypotheses = []
-    for line in lines[5:]:
+    for line in lines[3:]:
         fields = line.split("\t")
-        if len(fields) != 4:
+        if len(fields) != 3:
             raise FileFormatError(f"{path}: bad hypothesis line {line!r}")
         labels = tuple(label_index(s) for s in fields[0].split())
-        weight = finite(fields[1], "weight")
-        if not weight > 0.0:
-            raise FileFormatError(f"{path}: hypothesis weight must be positive, got {weight!r}")
-        enroll_logprob = finite(fields[2], "enrollment log-prob")
-        example = number(fields[3], int, "example index")
+        enroll_logprob = number(fields[1], float, "enrollment log-prob")
+        if not math.isfinite(enroll_logprob):
+            raise NonFiniteError(f"{path}: enrollment log-prob is {enroll_logprob!r}")
+        example = number(fields[2], int, "example index")
         if example < -1:
             raise FileFormatError(f"{path}: bad example index {example}")
-        hypotheses.append(
-            Hypothesis(labels=labels, enroll_logprob=enroll_logprob, weight=weight, example=example)
-        )
-    return WakewordModel(
-        hypotheses=tuple(hypotheses),
-        alphabet=alphabet,
-        beam_width=beam_width,
-        kept_per_example=kept,
-        threshold=threshold,
-    )
+        hypotheses.append(Hypothesis(labels, enroll_logprob, example))
+    return WakewordModel(tuple(hypotheses), alphabet, threshold)
 
 
 def featurize(

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from wakespot import synth
-from wakespot.audio import AudioBuffer, extract_fbank, stack_frames, write_wav
+from wakespot.audio import AudioBuffer, FeatureSequence, extract_fbank, stack_frames, write_wav
 from wakespot.cli import EXIT_OK, main
 from wakespot.ctc import NEG_INF, CtcForwardScorer, beam_search, forward_logprob
 from wakespot.dtw import dtw_cost, frame_distance_post
@@ -24,6 +24,7 @@ from wakespot.vad import VadConfig, segment, span_samples
 from wakespot.wakeword import (
     Hypothesis,
     WakewordModel,
+    detect_stream,
     score,
     score_with_stats,
     weight_from_logprob,
@@ -97,16 +98,38 @@ def test_criterion_03_streaming_equals_batch():
             scorer.step(row)
         assert scorer.finalize() == forward_logprob(post, labels)  # bitwise
 
-    weights = random_weights(make_alphabet(6), seed=77)
+    alphabet = make_alphabet(6)
     frames = rng.normal(size=(49, 82))
-    from wakespot.audio import FeatureSequence
+    for num_layers in (1, 2, 3):
+        weights = random_weights(alphabet, num_layers, seed=77)
+        batch = run(weights, FeatureSequence(frames, 50)).rows
+        state = init_state(weights)
+        for t in range(frames.shape[0]):
+            row, state = gru_step(weights, state, frames[t])
+            assert np.array_equal(row, batch[t])
 
-    batch = run(weights, FeatureSequence(frames, 50)).rows
-    state = init_state(weights)
-    for t in range(frames.shape[0]):
-        row, state = gru_step(weights, state, frames[t])
-        assert np.allclose(row, batch[t], atol=1e-9)
-    _verdict(3, "forward stepping is bitwise batch-equal; GRU streaming within 1e-9")
+    # the detector: each event's score is the batch score of its sample span
+    weights = random_weights(alphabet, 2, 16, seed=78)
+    model = WakewordModel(
+        tuple(
+            Hypothesis(tuple(int(v) for v in rng.integers(1, alphabet.size, size=n)), -1.0 - n)
+            for n in (1, 2, 3)
+        ),
+        alphabet,
+    )
+    noise = lambda n, sigma: rng.normal(0.0, sigma, n).round().astype(np.int16)
+    quiet = lambda n: noise(n, 30.0)  # about -61 dBFS, below the VAD threshold
+    loud = lambda n: noise(n, 3000.0)  # about -21 dBFS
+    stream = np.concatenate([quiet(4000), loud(6000), quiet(6000), loud(9000), quiet(1000)])
+    chunks = np.split(stream, np.sort(rng.integers(0, stream.size, 40)))
+    report = detect_stream(model, weights, chunks, -math.inf)
+    assert len(report.events) == 2
+    for event in report.events:
+        lo, hi = span_samples((event.start_frame, event.end_frame))
+        post = run(weights, stack_frames(extract_fbank(AudioBuffer(stream[lo:hi]))))
+        assert math.isfinite(event.score)
+        assert event.score == score(model, post)  # bitwise
+    _verdict(3, "forward stepping, GRU stepping and detector events are bitwise batch-equal")
 
 
 def test_criterion_04_beam_search_exactness():
@@ -173,22 +196,18 @@ def test_criterion_06_enrollment_and_scoring_arithmetic():
     post = Posteriorgram(rows, alphabet)
     model = WakewordModel(
         hypotheses=(
-            Hypothesis(labels=(), enroll_logprob=-2.0, weight=0.5),
-            Hypothesis(labels=(), enroll_logprob=-4.0, weight=0.25),
+            Hypothesis(labels=(), enroll_logprob=-2.0),
+            Hypothesis(labels=(), enroll_logprob=-4.0),
         ),
         alphabet=alphabet,
-        beam_width=4,
-        kept_per_example=2,
     )
+    assert [h.weight for h in model.hypotheses] == [0.5, 0.25]
     # forward log probs are exactly -10 and -20 when scaled: emulate the
     # worked example directly through the aggregation arithmetic
     assert 0.5 * -10.0 + 0.25 * -20.0 == -10.0
     # and through the real path: hypotheses with w=1 reduce to forward_logprob
     single = WakewordModel(
-        hypotheses=(Hypothesis(labels=(), enroll_logprob=-1.0, weight=1.0),),
-        alphabet=alphabet,
-        beam_width=1,
-        kept_per_example=1,
+        hypotheses=(Hypothesis(labels=(), enroll_logprob=-1.0),), alphabet=alphabet
     )
     assert score(single, post) == forward_logprob(post, ())
     _verdict(6, "weight conversion and weighted-sum arithmetic match hand values")
@@ -243,11 +262,8 @@ def test_criterion_09_complexity_contract():
 
     def model_of(num_hyps, labels_len):
         labels = tuple(1 + (i % 4) for i in range(labels_len))
-        hyps = tuple(
-            Hypothesis(labels=labels, enroll_logprob=-2.0 - i, weight=weight_from_logprob(-2.0 - i))
-            for i in range(num_hyps)
-        )
-        return WakewordModel(hypotheses=hyps, alphabet=alphabet, beam_width=100, kept_per_example=10)
+        hyps = tuple(Hypothesis(labels=labels, enroll_logprob=-2.0 - i) for i in range(num_hyps))
+        return WakewordModel(hypotheses=hyps, alphabet=alphabet)
 
     post = random_posteriorgram(rng, 40, alphabet.size)
     longer_post = random_posteriorgram(rng, 80, alphabet.size)

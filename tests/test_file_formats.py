@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from wakespot.errors import DimensionError, FileFormatError, WakespotError
+from wakespot.errors import DimensionError, FileFormatError, NonFiniteError, WakespotError
 from wakespot.label_model import (
     GruLayer,
     GruWeights,
@@ -105,6 +105,16 @@ class TestHostileHeaders:
         with pytest.raises(FileFormatError):
             load_weights(path)
 
+    def test_signalling_nan_weight_is_non_finite_error(self, tmp_path):
+        # the cast to float64 must not warn before the finiteness check
+        path = tmp_path / "w.bin"
+        save_weights(path, ramp_weights(1, 2, 3, ("a",)))
+        data = bytearray(path.read_bytes())
+        data[24:28] = struct.pack("<I", 0x7F800001)  # layer 0's first w value
+        path.write_bytes(bytes(data))
+        with pytest.raises(NonFiniteError):
+            load_weights(path)
+
 
 def alphabet_size(labels):
     return 4 + sum(4 + len(label.encode("utf-8")) for label in labels)
@@ -123,12 +133,10 @@ def small_file(name, path):
     alphabet = LabelAlphabet(FUZZ_LABELS)
     model = WakewordModel(
         hypotheses=(
-            Hypothesis(labels=(1, 2), enroll_logprob=-1.5, weight=0.5, example=0),
-            Hypothesis(labels=(2,), enroll_logprob=-2.25, weight=0.25, example=2),
+            Hypothesis(labels=(1, 2), enroll_logprob=-1.5, example=0),
+            Hypothesis(labels=(2,), enroll_logprob=-2.25, example=2),
         ),
         alphabet=alphabet,
-        beam_width=4,
-        kept_per_example=1,
         threshold=0.125,
     )
     save_model(path, model)

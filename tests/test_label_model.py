@@ -11,6 +11,7 @@ from wakespot import label_model, synth
 from wakespot.audio import FeatureSequence, extract_fbank, stack_frames
 from wakespot.errors import DimensionError, NonFiniteError, UnknownVersionError
 from wakespot.label_model import (
+    BLANK_INDEX,
     GruLayer,
     GruWeights,
     LabelAlphabet,
@@ -35,7 +36,8 @@ class TestLabelAlphabet:
     def test_size_counts_blank(self):
         alphabet = make_alphabet(4)
         assert alphabet.size == 5
-        assert alphabet.blank_index == 0
+        assert BLANK_INDEX == 0
+        assert alphabet.index_of("<b>") == BLANK_INDEX
 
     def test_symbol_round_trip(self):
         alphabet = LabelAlphabet(("AA", "IY"))

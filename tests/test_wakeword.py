@@ -1,6 +1,7 @@
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -43,9 +44,7 @@ from conftest import make_alphabet, random_posteriorgram
 
 
 def model_with(hypotheses, alphabet):
-    return WakewordModel(
-        hypotheses=tuple(hypotheses), alphabet=alphabet, beam_width=100, kept_per_example=10
-    )
+    return WakewordModel(hypotheses=tuple(hypotheses), alphabet=alphabet)
 
 
 def peaky_posteriorgram(labels, alphabet, frames_per_label=2, blank_between=2, peak=0.98):
@@ -74,6 +73,16 @@ class TestWeightConversion:
         assert weight_from_logprob(0.0) == pytest.approx(1e6)
         assert weight_from_logprob(-1e-9) == pytest.approx(1e6)
         assert math.isfinite(weight_from_logprob(0.0))
+
+    def test_hypothesis_derives_its_weight(self):
+        for logprob in (-2.0, -0.1, -1e-9, -1e300):
+            hyp = Hypothesis(labels=(1,), enroll_logprob=logprob)
+            assert hyp.weight == weight_from_logprob(logprob) > 0.0
+
+    @pytest.mark.parametrize("logprob", [math.nan, math.inf, -math.inf])
+    def test_hypothesis_rejects_non_finite_logprob(self, logprob):
+        with pytest.raises(ValueError, match="finite"):
+            Hypothesis(labels=(1,), enroll_logprob=logprob)
 
 
 class TestLearn:
@@ -142,8 +151,8 @@ class TestScore:
         # (log p, w) = (-10, 0.5) and (-20, 0.25) sum to -10
         alphabet = make_alphabet(2)
         post = peaky_posteriorgram((1,), alphabet)
-        h1 = Hypothesis(labels=(1,), enroll_logprob=-2.0, weight=0.5)
-        h2 = Hypothesis(labels=(1, 1), enroll_logprob=-4.0, weight=0.25)
+        h1 = Hypothesis(labels=(1,), enroll_logprob=-2.0)
+        h2 = Hypothesis(labels=(1, 1), enroll_logprob=-4.0)
         model = model_with([h1, h2], alphabet)
         lp1 = forward_logprob(post, h1.labels)
         lp2 = forward_logprob(post, h2.labels)
@@ -155,16 +164,17 @@ class TestScore:
         alphabet = make_alphabet(1)
         post = Posteriorgram(np.array([[1.0 - math.exp(-1.0), math.exp(-1.0)]]), alphabet)
         assert forward_logprob(post, (1,)) == -1.0
-        weights = (1e16, 1.0, 1.0)
+        # weights that enrollment can produce: 1e6 (the largest), 1 / 0.3 and 1e6
+        logprobs = (-1e-6, -0.3, -1e-6)
         model = model_with(
-            [Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=w) for w in weights], alphabet
+            [Hypothesis(labels=(1,), enroll_logprob=lp) for lp in logprobs], alphabet
         )
-        terms = [-w for w in weights]  # -1e16, -1.0, -1.0
+        terms = [-h.weight for h in model.hypotheses]  # -1e6, -3.3333333333333335, -1e6
         total = 0.0
         for term in terms:
-            total += term  # each -1.0 rounds away against -1e16
-        assert score(model, post) == total == -1e16
-        assert math.fsum(terms) == -1.0000000000000002e16 != score(model, post)
+            total += term  # the small term's low bits round away against 1e6
+        assert score(model, post) == total == -2000003.3333333335
+        assert math.fsum(terms) == -2000003.3333333333 != score(model, post)
 
     def test_single_unit_weight_equals_forward(self):
         alphabet = make_alphabet(3)
@@ -177,8 +187,8 @@ class TestScore:
         post = Posteriorgram(np.array([[1.0, 0.0]]), alphabet)
         model = model_with(
             [
-                Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0),
-                Hypothesis(labels=(1, 1), enroll_logprob=-1.0, weight=1.0),
+                Hypothesis(labels=(1,), enroll_logprob=-1.0),
+                Hypothesis(labels=(1, 1), enroll_logprob=-1.0),
             ],
             alphabet,
         )
@@ -192,16 +202,16 @@ class TestScore:
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):
-            WakewordModel(hypotheses=(), alphabet=make_alphabet(2), beam_width=1, kept_per_example=1)
+            WakewordModel(hypotheses=(), alphabet=make_alphabet(2))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         alphabet = make_alphabet(3)
         post = random_posteriorgram(rng, 8, alphabet.size)
         hyps = [
-            Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0),
-            Hypothesis(labels=(2, 3), enroll_logprob=-2.0, weight=0.5),
-            Hypothesis(labels=(3,), enroll_logprob=-4.0, weight=0.25),
+            Hypothesis(labels=(1,), enroll_logprob=-1.0),
+            Hypothesis(labels=(2, 3), enroll_logprob=-2.0),
+            Hypothesis(labels=(3,), enroll_logprob=-4.0),
         ]
         base = score(model_with(hyps, alphabet), post)
         shuffled = score(model_with(hyps[::-1], alphabet), post)
@@ -212,14 +222,13 @@ class TestScore:
         alphabet = make_alphabet(3)
         posts = [random_posteriorgram(rng, 7, alphabet.size) for _ in range(5)]
         hyps = [
-            Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5),
-            Hypothesis(labels=(2,), enroll_logprob=-5.0, weight=0.2),
+            Hypothesis(labels=(1, 2), enroll_logprob=-2.0),
+            Hypothesis(labels=(2,), enroll_logprob=-5.0),
         ]
         model = model_with(hyps, alphabet)
         scaled = model_with(
             [
-                Hypothesis(labels=h.labels, enroll_logprob=h.enroll_logprob, weight=3.0 * h.weight)
-                for h in hyps
+                Hypothesis(labels=h.labels, enroll_logprob=h.enroll_logprob / 3.0) for h in hyps
             ],
             alphabet,
         )
@@ -235,8 +244,8 @@ class TestScoreStats:
         alphabet = make_alphabet(3)
         post = random_posteriorgram(rng, 10, alphabet.size)
         hyps = [
-            Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5),
-            Hypothesis(labels=(3,), enroll_logprob=-2.0, weight=0.5),
+            Hypothesis(labels=(1, 2), enroll_logprob=-2.0),
+            Hypothesis(labels=(3,), enroll_logprob=-2.0),
         ]
         model = model_with(hyps, alphabet)
         value, stats = score_with_stats(model, post)
@@ -250,8 +259,8 @@ class TestScoreStats:
         alphabet = make_alphabet(3)
         post = random_posteriorgram(rng, 12, alphabet.size)
         hyps = [
-            Hypothesis(labels=(2,), enroll_logprob=-2.0, weight=0.5),
-            Hypothesis(labels=(1, 2, 3, 1, 2, 3, 1, 2), enroll_logprob=-3.0, weight=0.25),
+            Hypothesis(labels=(2,), enroll_logprob=-2.0),
+            Hypothesis(labels=(1, 2, 3, 1, 2, 3, 1, 2), enroll_logprob=-4.0),
         ]
         model = model_with(hyps, alphabet)
         value, stats = score_with_stats(model, post)
@@ -264,9 +273,7 @@ def test_identical_hypotheses_share_lattice_cells():
     rng = np.random.default_rng(5)
     alphabet = make_alphabet(4)
     post = random_posteriorgram(rng, 8, alphabet.size)
-    hyps = [
-        Hypothesis(labels=(1, 2, 3, 4), enroll_logprob=-2.0 - i, weight=0.2) for i in range(5)
-    ]
+    hyps = [Hypothesis(labels=(1, 2, 3, 4), enroll_logprob=-5.0) for _ in range(5)]
     model = model_with(hyps, alphabet)
     value, stats = score_with_stats(model, post)
     assert stats.state_cells == 45  # 5 * (2 * 4 + 1), as if scored one by one
@@ -280,41 +287,40 @@ class TestModelFiles:
         alphabet = make_alphabet(4)
         model = model_with(
             [
-                Hypothesis(labels=(1, 3), enroll_logprob=-2.5, weight=0.4),
-                Hypothesis(labels=(), enroll_logprob=-1.25, weight=0.8),
+                Hypothesis(labels=(1, 3), enroll_logprob=-2.5),
+                Hypothesis(labels=(), enroll_logprob=-1.25),
             ],
             alphabet,
-        ).with_threshold(-121.0)
+        )
+        model = replace(model, threshold=-121.0)
         path = tmp_path / "m.model"
         save_model(path, model)
         back = load_model(path, alphabet)
         assert back.threshold == -121.0
-        assert back.beam_width == model.beam_width
-        assert back.kept_per_example == model.kept_per_example
         assert [(h.labels, h.weight, h.enroll_logprob) for h in back.hypotheses] == [
             (h.labels, h.weight, h.enroll_logprob) for h in model.hypotheses
         ]
 
     def test_nan_threshold_rejected(self):
-        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-2.0, weight=0.5)], make_alphabet(2))
+        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-2.0)], make_alphabet(2))
         with pytest.raises(ValueError, match="nan"):
-            model.with_threshold(math.nan)
+            replace(model, threshold=math.nan)
         for threshold in (-math.inf, math.inf):
-            assert model.with_threshold(threshold).threshold == threshold
+            assert replace(model, threshold=threshold).threshold == threshold
 
     def test_file_is_human_readable(self, tmp_path):
         alphabet = make_alphabet(3)
-        model = model_with([Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5)], alphabet)
+        model = model_with([Hypothesis(labels=(1, 2), enroll_logprob=-2.0)], alphabet)
         path = tmp_path / "m.model"
         save_model(path, model)
         text = path.read_text()
-        assert "L0 L1\t0.5\t-2.0" in text
+        assert "L0 L1\t-2.0\t-1\n" in text
         assert "alphabet-sha256" in text
         assert "threshold unset" in text
 
     def test_wrong_alphabet_rejected(self, tmp_path):
         alphabet = make_alphabet(3)
-        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-1.0, weight=1.0)], alphabet)
+        model = model_with([Hypothesis(labels=(1,), enroll_logprob=-1.0)], alphabet)
         path = tmp_path / "m.model"
         save_model(path, model)
         with pytest.raises(FileFormatError):
@@ -330,45 +336,41 @@ class TestModelFiles:
         alphabet = make_alphabet(3)
         model = model_with(
             [
-                Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5, example=2),
-                Hypothesis(labels=(3,), enroll_logprob=-0.1, weight=10.0, example=0),
+                Hypothesis(labels=(1, 2), enroll_logprob=-2.0, example=2),
+                Hypothesis(labels=(3,), enroll_logprob=-0.1, example=0),
             ],
             alphabet,
         )
         path = tmp_path / "m.model"
         save_model(path, model)
-        assert path.read_text().startswith("wakespot-model 2\n")
+        assert path.read_text().startswith("wakespot-model 3\n")
         assert load_model(path, alphabet) == model
 
     @pytest.mark.parametrize(
         "old, new, error",
         [
-            ("beam-width 100", "beam-width abc", FileFormatError),
-            ("beam-width 100", "beam-width 0", FileFormatError),
-            ("kept-per-example 10", "kept-per-example 1.5", FileFormatError),
             ("threshold -7.5", "threshold high", FileFormatError),
             ("threshold -7.5", "threshold nan", NonFiniteError),
-            ("wakespot-model 2", "wakespot-model 3", FileFormatError),
-            ("wakespot-model 2", "wakespot-model 1", FileFormatError),
+            ("wakespot-model 3", "wakespot-model 2", FileFormatError),
+            ("wakespot-model 3", "wakespot-model 1", FileFormatError),
             ("L0 L1\t", "L0 Lx\t", FileFormatError),  # unknown symbol
             ("L0 L1\t", "L0 <b>\t", FileFormatError),  # the blank is not a label
-            ("\t0.5\t", "\t0.0\t", FileFormatError),  # non-positive weight
-            ("\t0.5\t", "\t-0.5\t", FileFormatError),
-            ("\t0.5\t", "\theavy\t", FileFormatError),
-            ("\t0.5\t", "\tinf\t", NonFiniteError),
             ("\t-2.0\t", "\tnan\t", NonFiniteError),  # enrollment log-prob
+            ("\t-2.0\t", "\tinf\t", NonFiniteError),
             ("\t-2.0\t", "\t-inf\t", NonFiniteError),
             ("\t-2.0\t", "\tlow\t", FileFormatError),
             ("\t-2.0\t1\n", "\t-2.0\tone\n", FileFormatError),  # example index
             ("\t-2.0\t1\n", "\t-2.0\t-2\n", FileFormatError),
-            ("\t-2.0\t1\n", "\t-2.0\n", FileFormatError),  # every hypothesis has 4 fields
+            ("\t-2.0\t1\n", "\t-2.0\n", FileFormatError),  # every hypothesis has 3 fields
+            ("\t-2.0\t1\n", "\t0.5\t-2.0\t1\n", FileFormatError),  # a version-2 weight column
         ],
     )
     def test_malformed_field_raises_file_format_error(self, tmp_path, old, new, error):
         alphabet = make_alphabet(3)
         model = model_with(
-            [Hypothesis(labels=(1, 2), enroll_logprob=-2.0, weight=0.5, example=1)], alphabet
-        ).with_threshold(-7.5)
+            [Hypothesis(labels=(1, 2), enroll_logprob=-2.0, example=1)], alphabet
+        )
+        model = replace(model, threshold=-7.5)
         path = tmp_path / "m.model"
         save_model(path, model)
         text = path.read_text()
@@ -379,7 +381,7 @@ class TestModelFiles:
 
     def test_non_utf8_file_raises_file_format_error(self, tmp_path):
         path = tmp_path / "m.model"
-        path.write_bytes(b"wakespot-model 2\n\xff\xfe\n")
+        path.write_bytes(b"wakespot-model 3\n\xff\xfe\n")
         with pytest.raises(FileFormatError):
             load_model(path, make_alphabet(2))
 
@@ -407,7 +409,10 @@ def test_saved_model_loads_back_equal_property(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.model"
         save_model(path, model)
-        assert load_model(path, model.alphabet) == model
+        back = load_model(path, model.alphabet)
+    assert back == model
+    for got, saved in zip(back.hypotheses, model.hypotheses):
+        assert got.weight.hex() == weight_from_logprob(got.enroll_logprob).hex() == saved.weight.hex()
 
 
 def enrolled_fixture(seed=0):
