@@ -19,11 +19,9 @@ from .ctc import (
     CtcForwardScorer,
     ScoredSequence,
     beam_search,
-    collapse_alignment,
     forward_logprob,
-    greedy_decode,
 )
-from .dtw import dtw_cost, dtw_detect, dtw_detect_all, dtw_score, frame_distance_post
+from .dtw import dtw_cost, dtw_detect, dtw_detect_all, dtw_score
 from .errors import (
     AudioError,
     DimensionError,

@@ -52,7 +52,6 @@ class AudioBuffer:
     """Mono 16 kHz PCM16 audio."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         samples = np.asarray(self.samples)
@@ -65,15 +64,6 @@ class AudioBuffer:
                 raise AudioError("integer samples exceed the int16 range")
             samples = samples.astype(np.int16)
         object.__setattr__(self, "samples", samples)
-        if self.sample_rate != SAMPLE_RATE:
-            raise AudioError(f"sample rate must be {SAMPLE_RATE} Hz, got {self.sample_rate}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -134,7 +124,7 @@ def write_wav(path, audio: AudioBuffer) -> None:
     with wave.open(str(path), "wb") as wav:
         wav.setnchannels(1)
         wav.setsampwidth(2)
-        wav.setframerate(audio.sample_rate)
+        wav.setframerate(SAMPLE_RATE)
         wav.writeframes(audio.samples.astype("<i2").tobytes())
 
 

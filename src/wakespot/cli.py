@@ -5,8 +5,11 @@ Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
 
 Recordings become detector input through :func:`wakeword.featurize`.
 ``enroll``, ``score``, ``baseline`` and ``eval`` use the VAD-trimmed speech
-of each recording, and ``listen`` scores each VAD segment of its stream, so
-a threshold read off ``score`` carries over to ``listen``.
+of each recording, from its first VAD segment to its last, and ``listen``
+feeds its stream in 10 ms chunks and scores each VAD segment on its own. A
+threshold read off ``score`` carries over to ``listen`` only for a
+recording with one VAD segment: with two utterances, ``score`` scores both
+as one span and ``listen`` fires or not on each (ROADMAP item 2).
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -26,7 +29,7 @@ import re
 import sys
 
 from . import evaluation, synth
-from .audio import read_wav
+from .audio import HOP_SAMPLES, read_wav
 from .dtw import dtw_detect
 from .errors import WakespotError
 from .label_model import load_weights, save_weights
@@ -124,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wav")
     p.add_argument("--weights", required=True)
     p.add_argument("--threshold", type=_threshold, help="default: the model's threshold")
-    p.add_argument("--chunk-samples", type=_positive_int, default=160)
     _add_vad_flags(p)
 
     p = sub.add_parser("baseline", help="DTW score of a test WAV against three supports")
@@ -194,8 +196,8 @@ def cmd_listen(args) -> int:
     threshold = model.threshold if args.threshold is None else args.threshold
     if threshold is None:
         raise UsageError("listen needs --threshold: the model stores none")
-    samples, chunk = read_wav(args.wav).samples, args.chunk_samples
-    chunks = (samples[i : i + chunk] for i in range(0, len(samples), chunk))
+    samples = read_wav(args.wav).samples
+    chunks = (samples[i : i + HOP_SAMPLES] for i in range(0, len(samples), HOP_SAMPLES))
     report = detect_stream(model, weights, chunks, threshold, _vad_config(args))
     for event in report.events:
         print(f"event t={event.time:.3f}s score={event.score:.4f} "

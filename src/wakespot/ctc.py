@@ -7,19 +7,21 @@ indices with the blank (index 0) excluded.
 The forward algorithm sums over every frame-level alignment that collapses
 (merge adjacent repeats, then delete blanks) to the target sequence. One
 implementation serves every caller: :class:`ForwardLattice` scores H
-sequences at once on a prefix trie. The forward cells of positions 0..2u
-depend only on the first u labels, so sequences that share a prefix share
-those cells: the lattice holds one label cell and one blank cell per
-distinct non-empty prefix, plus the start blank, and its memory is
-independent of the audio length. Each posterior row is logged once (batch
-scoring logs the whole posteriorgram in one call) and advances every cell
-in one set of array operations, which apply to each cell the operations,
-in the order, that scoring its sequence alone would, so each sequence's
-result is bit-identical to scoring it alone (:func:`forward_logprob` and
-:class:`CtcForwardScorer` are the one-sequence case). Batch scoring runs
-one loop over a posteriorgram's rows; the streaming detector runs the same
-loop over each block of rows, and ``step`` feeds one row to the same
-advance.
+sequences at once on a prefix trie, and its one constructor takes that
+trie as arrays (:func:`prefix_trie` builds them from label sequences and
+checks the labels; the beam search builds them from its prefix table). The
+forward cells of positions 0..2u depend only on the first u labels, so
+sequences that share a prefix share those cells: the lattice holds one
+label cell and one blank cell per distinct non-empty prefix, plus the
+start blank, and its memory is independent of the audio length. Each
+posterior row is logged once (batch scoring logs the whole posteriorgram
+in one call) and advances every cell in one set of array operations, which
+apply to each cell the operations, in the order, that scoring its sequence
+alone would, so each sequence's result is bit-identical to scoring it
+alone (:func:`forward_logprob` and :class:`CtcForwardScorer` are the
+one-sequence case). Batch scoring runs one loop over a posteriorgram's
+rows; the streaming detector runs the same loop over each block of rows,
+and ``step`` feeds one row to the same advance.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -79,7 +81,8 @@ def prefix_trie(
     sequences: Iterable[Iterable[int]], num_symbols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The prefix trie of label sequences, checked with :func:`validate_labels`,
-    as the ``(parent, label, ends)`` arrays of :meth:`ForwardLattice.from_trie`.
+    as the ``(parent, label, ends)`` arrays that :class:`ForwardLattice` is
+    built on. It is the one builder of a trie from label sequences.
 
     Node 0 is the root, the empty prefix; each new prefix gets the next
     node, in the order the sequences first reach it, through one
@@ -133,27 +136,16 @@ class ForwardLattice:
     log 1 = 0.0 and the others -inf (``state(h)`` reads so, and ``finalize``
     gives 0.0 for the empty sequence, -inf for the rest). The one recurrence
     then also yields the first row, because ``logaddexp(-inf, 0.0) == 0.0``.
+
+    The one constructor takes the trie as the ``(parent, label, ends)``
+    arrays that :func:`prefix_trie` returns, and trusts it: node 0 is the
+    root (its own parent, label the blank), every other node n is the
+    prefix of node ``parent[n]`` followed by label ``label[n]``, and
+    sequence h ends on node ``ends[h]``. Nothing is validated, and the
+    arrays are only read.
     """
 
-    def __init__(self, sequences: Iterable[Iterable[int]], num_symbols: int):
-        self._init_trie(*prefix_trie(sequences, num_symbols), num_symbols)
-
-    @classmethod
-    def from_trie(
-        cls, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int
-    ) -> "ForwardLattice":
-        """A lattice over a trie that is already built, and trusted: node 0
-        is the root (its own parent, label the blank), every other node n
-        is one distinct non-empty prefix, the prefix of node ``parent[n]``
-        followed by label ``label[n]``, and sequence h ends on node
-        ``ends[h]``, as :func:`prefix_trie` returns them. Nothing is
-        validated, and the arrays are only read."""
-        lattice = cls.__new__(cls)
-        lattice._init_trie(parent, label, ends, num_symbols)
-        return lattice
-
-    def _init_trie(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int):
-        """The shared constructor."""
+    def __init__(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int):
         # Each node's depth by pointer jumping: depth[n] counts the labels
         # from node up[n] down to node n, and up[n] climbs to the root in
         # about log2(U) rounds.
@@ -161,7 +153,7 @@ class ForwardLattice:
         while up.any():
             depth, up = depth + depth[up], up[up]
         self.num_symbols = num_symbols
-        self._parent, self._label, self._ends = parent, label, ends
+        self._parent, self._ends = parent, ends
         up = parent[1:]
         num_cells = 2 * len(parent) - 1
         # Cell symbols: the start blank, then each node's label and blank.
@@ -234,8 +226,8 @@ class CtcForwardScorer(ForwardLattice):
     ``finalize`` return that sequence's values."""
 
     def __init__(self, labels: Iterable[int], num_symbols: int):
-        self.labels = validate_labels(labels, num_symbols)
-        super().__init__([self.labels], num_symbols)
+        self.labels = tuple(labels)
+        super().__init__(*prefix_trie([self.labels], num_symbols), num_symbols)
 
     def state(self) -> np.ndarray:
         return super().state(0)
@@ -253,11 +245,6 @@ def _advanced(lattice: ForwardLattice, rows: np.ndarray) -> ForwardLattice:
     return lattice
 
 
-def forward_lattice(post: Posteriorgram, sequences: Iterable[Iterable[int]]) -> ForwardLattice:
-    """A :class:`ForwardLattice` of ``sequences`` advanced over every row of ``post``."""
-    return _advanced(ForwardLattice(sequences, post.num_symbols), post.rows)
-
-
 def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
     """Log probability that the audio's alignment collapses to ``labels``.
 
@@ -265,7 +252,8 @@ def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
     alignment exists, e.g. when the sequence (with the blanks required
     between repeated labels) is longer than the audio.
     """
-    return float(forward_lattice(post, [labels]).finalize()[0])
+    lattice = ForwardLattice(*prefix_trie([labels], post.num_symbols), post.num_symbols)
+    return float(_advanced(lattice, post.rows).finalize()[0])
 
 
 def nbest_sort_key(entry: ScoredSequence):
@@ -422,9 +410,7 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         frontier = frontier[~in_trie[frontier]]
     renumber = np.cumsum(in_trie) - 1
     trie_labels = np.array(table_label, dtype=np.intp)[in_trie]
-    lattice = ForwardLattice.from_trie(
-        renumber[parents[in_trie]], trie_labels, renumber[nodes], num_symbols
-    )
+    lattice = ForwardLattice(renumber[parents[in_trie]], trie_labels, renumber[nodes], num_symbols)
     logprobs = _advanced(lattice, post.rows).finalize().tolist()
     results = [
         ScoredSequence(_prefix(table_parent, table_label, node), lp)
@@ -433,22 +419,3 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     ]
     results.sort(key=nbest_sort_key)
     return results
-
-
-def greedy_decode(post: Posteriorgram) -> LabelSequence:
-    """Argmax label per frame, then collapse. Equivalent to beam width 1 on
-    peaky posteriorgrams."""
-    path = post.rows.argmax(axis=1) if post.num_frames else np.zeros(0, dtype=int)
-    return collapse_alignment(path)
-
-
-def collapse_alignment(path: Iterable[int]) -> LabelSequence:
-    """Merge adjacent repeats, then drop blanks."""
-    out = []
-    prev = None
-    for sym in path:
-        sym = int(sym)
-        if sym != prev and sym != BLANK_INDEX:
-            out.append(sym)
-        prev = sym
-    return tuple(out)

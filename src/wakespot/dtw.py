@@ -45,15 +45,6 @@ from .label_model import Posteriorgram
 SMOOTHING = 1e-5  # lambda in the posterior distance
 
 
-def frame_distance_post(p: np.ndarray, q: np.ndarray) -> float:
-    """Smoothed dot-product distance between two posterior rows."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError(f"distributions must share one shape, got {p.shape} and {q.shape}")
-    return float(_post_distance_matrix(p[None, :], q[None, :])[0, 0])
-
-
 def _post_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances between every row of ``a`` and every row of ``b``."""
     k = a.shape[1]

@@ -16,11 +16,14 @@ score is their confidence-weighted sum, weight times log probability
 summed in model order by :func:`aggregate`. It is the only aggregation,
 and batch scoring and the streaming detector share it.
 
-:class:`StreamingDetector` is the online twin of :func:`featurize` and
-:func:`score`: it VAD-classifies each 10 ms window as it arrives and
+:class:`StreamingDetector` is the online counterpart of :func:`featurize`
+and :func:`score`: it VAD-classifies each 10 ms window as it arrives and
 sends a segment's stacked frames through the batch kernels (front end,
 GRU and lattice) a block at a time, so each segment's score is the batch
-score of its audio span, bit for bit.
+score of its audio span, bit for bit. The two agree on a recording only
+when it holds one VAD segment: :func:`featurize` trims a recording to one
+span, from its first segment to its last, while the detector scores each
+segment on its own (ROADMAP item 2).
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -111,7 +114,7 @@ class WakewordModel:
 
     def _lattice(self) -> ForwardLattice:
         """A fresh forward lattice over the hypotheses, in model order."""
-        return ForwardLattice.from_trie(*self._trie, self.alphabet.size)
+        return ForwardLattice(*self._trie, self.alphabet.size)
 
 
 def learn(
@@ -292,13 +295,15 @@ def featurize(
     vad: VadConfig,
     weights: GruWeights | None = None,
 ) -> list[FeatureSequence] | list[Posteriorgram]:
-    """Detector input of each recording in batch; :class:`StreamingDetector` is its twin.
+    """Detector input of each recording in batch.
 
     Each recording is trimmed by ``vad`` to the span from its first to its
     last utterance (kept whole, with a logged warning that gives its
     position in ``recordings``, when the VAD finds no speech). Returns the
     100 Hz filterbank frames of each trimmed recording when ``weights`` is
     None, else the label model's posteriorgrams of their stacked 50 Hz frames.
+    :class:`StreamingDetector` scores each VAD segment on its own instead,
+    so the two agree only on a recording with one segment (ROADMAP item 2).
     """
     features = []
     for i, audio in enumerate(recordings):

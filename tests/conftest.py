@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from wakespot.ctc import NEG_INF, ScoredSequence, forward_lattice, nbest_sort_key
+from wakespot.ctc import NEG_INF, ScoredSequence, forward_logprob, nbest_sort_key
 from wakespot.label_model import LabelAlphabet, Posteriorgram
 
 
@@ -62,8 +62,9 @@ def _scalar_logaddexp(a: float, b: float) -> float:
 def reference_beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """Test oracle for ``ctc.beam_search``: the plain prefix beam search over
     a dict of prefix -> (blank mass, non-blank mass), merging one candidate
-    at a time and ranking every candidate with the full sort key. Survivors
-    are rescored exactly as in the library."""
+    at a time and ranking every candidate with the full sort key. Each survivor
+    is rescored alone with ``forward_logprob``, which the library's one
+    shared lattice equals bit for bit."""
     assert beam_width >= 1
     num_symbols = post.num_symbols
     beams = {(): (0.0, NEG_INF)}
@@ -97,11 +98,8 @@ def reference_beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSe
         )
         beams = {prefix: (masses[0], masses[1]) for prefix, masses in ranked[:beam_width]}
 
-    prefixes = list(beams)
-    logprobs = forward_lattice(post, prefixes).finalize().tolist()
-    results = [
-        ScoredSequence(prefix, lp) for prefix, lp in zip(prefixes, logprobs) if lp > NEG_INF
-    ]
+    scored = [ScoredSequence(prefix, forward_logprob(post, prefix)) for prefix in beams]
+    results = [entry for entry in scored if entry.logprob > NEG_INF]
     results.sort(key=nbest_sort_key)
     return results
 

@@ -17,7 +17,7 @@ from wakespot import synth
 from wakespot.audio import AudioBuffer, FeatureSequence, extract_fbank, stack_frames, write_wav
 from wakespot.cli import EXIT_OK, main
 from wakespot.ctc import NEG_INF, CtcForwardScorer, beam_search, forward_logprob
-from wakespot.dtw import dtw_cost, frame_distance_post
+from wakespot.dtw import dtw_cost
 from wakespot.evaluation import HarnessParams, compute_roc, run_harness
 from wakespot.label_model import gru_step, init_state, run, random_weights, save_weights
 from wakespot.vad import VadConfig, segment, span_samples
@@ -35,7 +35,7 @@ from conftest import (
     make_alphabet,
     random_posteriorgram,
 )
-from test_dtw import exhaustive_dtw_cost, fbank_seq
+from test_dtw import exhaustive_dtw_cost, fbank_seq, frame_distance_post
 from test_evaluation import mann_whitney_auc
 
 ORDERING_SEED = 1337

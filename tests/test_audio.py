@@ -31,10 +31,6 @@ def tone(freq=440.0, seconds=1.0, amp=8000.0):
 
 
 class TestAudioBuffer:
-    def test_rejects_wrong_rate(self):
-        with pytest.raises(AudioError):
-            AudioBuffer(np.zeros(1000, dtype=np.int16), sample_rate=8000)
-
     def test_rejects_stereo(self):
         with pytest.raises(AudioError):
             AudioBuffer(np.zeros((100, 2), dtype=np.int16))

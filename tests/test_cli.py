@@ -331,8 +331,8 @@ def test_enroll_prints_each_degenerate_note_once(world, tmp_path, caplog):
         ("enroll", ["--beam-width", "0", "--num-hypotheses", "0"]),
         ("enroll", ["--num-hypotheses", "-1"]),
         ("enroll", ["--vad-min-speech", "0"]),
-        ("listen", ["--chunk-samples", "0"]),
-        ("listen", ["--chunk-samples", "-5"]),
+        ("listen", ["--vad-min-speech", "0"]),
+        ("listen", ["--vad-min-speech", "-5"]),
         ("eval", ["--beam-width", "0"]),
         ("gen-episodes", ["--count", "0"]),
     ],

@@ -10,12 +10,11 @@ from wakespot.ctc import (
     NEG_INF,
     CtcForwardScorer,
     ForwardLattice,
+    _advanced,
     beam_search,
-    collapse_alignment,
-    forward_lattice,
     forward_logprob,
-    greedy_decode,
     nbest_sort_key,
+    prefix_trie,
     validate_labels,
 )
 from wakespot.label_model import Posteriorgram
@@ -23,6 +22,7 @@ from wakespot.label_model import Posteriorgram
 from conftest import (
     brute_force_logprob,
     brute_force_sequence_probs,
+    collapse,
     make_alphabet,
     random_posteriorgram,
     reference_beam_search,
@@ -62,6 +62,10 @@ class TestForwardBasics:
             forward_logprob(post, (0,))
         with pytest.raises(ValueError):
             forward_logprob(post, (2,))
+        with pytest.raises(ValueError):
+            CtcForwardScorer((0,), 2)
+        with pytest.raises(ValueError):
+            CtcForwardScorer((2,), 2)
 
 
 class TestForwardOracle:
@@ -273,7 +277,7 @@ class TestBeamSearch:
                 rows[t, rng.integers(0, num_symbols)] = 0.99
             rows /= rows.sum(axis=1, keepdims=True)
             post = post_from_rows(rows)
-            assert beam_search(post, 1)[0].labels == greedy_decode(post)
+            assert beam_search(post, 1)[0].labels == collapse(rows.argmax(axis=1).tolist())
 
     def test_beam_width_validated(self):
         post = post_from_rows([[1.0, 0.0]])
@@ -344,11 +348,6 @@ def test_beam_search_equals_reference_on_real_supports(weights_name):
 
 
 class TestCollapse:
-    def test_merges_then_strips(self):
-        assert collapse_alignment([1, 1, 0, 1, 2, 2]) == (1, 1, 2)
-        assert collapse_alignment([0, 0, 0]) == ()
-        assert collapse_alignment([]) == ()
-
     def test_validate_labels(self):
         assert validate_labels([1, 2], 3) == (1, 2)
         with pytest.raises(ValueError):
@@ -425,7 +424,7 @@ def ragged_lattice_cases(draw):
 @given(ragged_lattice_cases())
 def test_lattice_entries_equal_single_sequence_scoring_property(case):
     post, sequences = case
-    lattice = ForwardLattice(sequences, post.num_symbols)
+    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
     for row in post.rows:
         lattice.step(row)
     got = lattice.finalize().tolist()
@@ -464,7 +463,7 @@ def shared_prefix_cases(draw):
 @given(shared_prefix_cases())
 def test_shared_prefix_cells_equal_single_sequence_scoring_property(case):
     post, sequences = case
-    lattice = ForwardLattice(sequences, post.num_symbols)
+    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
     alone = [CtcForwardScorer(labels, post.num_symbols) for labels in sequences]
     prefixes = {labels[:u] for labels in sequences for u in range(1, len(labels) + 1)}
     assert lattice.num_lattice_cells == 2 * len(prefixes) + 1
@@ -507,8 +506,9 @@ def batch_lattice_cases(draw):
 @given(batch_lattice_cases())
 def test_batch_lattice_equals_stepping_every_row_property(case):
     post, sequences = case
-    batch = forward_lattice(post, sequences)
-    stepped = ForwardLattice(sequences, post.num_symbols)
+    trie = prefix_trie(sequences, post.num_symbols)
+    batch = _advanced(ForwardLattice(*trie, post.num_symbols), post.rows)
+    stepped = ForwardLattice(*trie, post.num_symbols)
     for row in post.rows:
         stepped.step(row)
     assert batch.finalize().tobytes() == stepped.finalize().tobytes()  # bitwise
@@ -526,7 +526,7 @@ def test_batch_lattice_equals_stepping_every_row_property(case):
 def test_lattice_from_a_prefix_table_equals_lattice_from_sequences_property(case):
     post, sequences = case
     # Number the prefix table breadth first, shorter prefixes first, unlike
-    # the trie that ForwardLattice builds in insertion order.
+    # the trie that prefix_trie builds in insertion order.
     prefixes = sorted(
         {labels[:u] for labels in sequences for u in range(len(labels) + 1)},
         key=lambda labels: (len(labels), labels),
@@ -535,8 +535,8 @@ def test_lattice_from_a_prefix_table_equals_lattice_from_sequences_property(case
     parent = np.array([node[labels[:-1]] if labels else 0 for labels in prefixes])
     label = np.array([labels[-1] if labels else 0 for labels in prefixes])
     ends = np.array([node[labels] for labels in sequences], dtype=np.intp)
-    from_table = ForwardLattice.from_trie(parent, label, ends, post.num_symbols)
-    from_sequences = ForwardLattice(sequences, post.num_symbols)
+    from_table = ForwardLattice(parent, label, ends, post.num_symbols)
+    from_sequences = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
     assert from_table.num_lattice_cells == from_sequences.num_lattice_cells
     assert from_table.num_state_cells == from_sequences.num_state_cells
     for row in [None, *post.rows]:

@@ -15,10 +15,10 @@ from wakespot.dtw import (
     dtw_detect,
     dtw_detect_all,
     dtw_score,
-    frame_distance_post,
 )
+from wakespot.label_model import Posteriorgram
 
-from conftest import random_posteriorgram, reference_dtw_cost
+from conftest import make_alphabet, random_posteriorgram, reference_dtw_cost
 
 
 def fbank_seq(rows):
@@ -26,6 +26,16 @@ def fbank_seq(rows):
     padded = np.zeros((rows.shape[0], 41))
     padded[:, : rows.shape[1]] = rows
     return FeatureSequence(padded, 100)
+
+
+def frame_distance_post(p, q) -> float:
+    """The posterior distance of two rows: the DTW cost of their one-frame
+    posteriorgrams, whose one alignment path is the start cell."""
+    p, q = (np.asarray(row, dtype=np.float64) for row in (p, q))
+    return dtw_cost(
+        Posteriorgram(p[None, :], make_alphabet(p.size - 1)),
+        Posteriorgram(q[None, :], make_alphabet(q.size - 1)),
+    )
 
 
 def exhaustive_dtw_cost(distances):

@@ -1,9 +1,15 @@
-"""No module imports a name that it never reads.
+"""No module imports a name that it never reads, and no private helper of
+the package goes unread.
 
-No linter runs on this repository, so this scan stands in for pyflakes'
-F401 over the package, the tests and the tools. A package ``__init__.py``
-imports names to export them, so it is exempt, as is any import line
-marked ``# noqa: F401``.
+No linter runs on this repository, so the first scan stands in for
+pyflakes' F401 over the package, the tests and the tools. A package
+``__init__.py`` imports names to export them, so it is exempt, as is any
+import line marked ``# noqa: F401``.
+
+The second scan looks for dead code that the first cannot see: a
+module-level or class-level ``_name`` (dunders excepted) of
+``src/wakespot`` that no module of the package reads, as a name or as an
+attribute.
 """
 
 import ast
@@ -11,6 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SCANNED = ("src/wakespot", "tests", "tools")
+PACKAGE = ROOT / "src" / "wakespot"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,3 +71,74 @@ def test_unused_imports_are_found_and_marked_ones_are_kept():
         "    return os.path.join(read_wav(x))\n"
     )
     assert unused_imports(source) == ["itertools", "write_wav", "math"]
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """Every name read as a plain name or as an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each ``_name`` (dunders excepted) that a module body or a class body
+    defines, by ``def``, ``class`` or assignment, with its line."""
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found = []
+    for statement in (statement for body in bodies for statement in body):
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [statement.name]
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+            targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [
+            (statement.lineno, name)
+            for name in names
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+        ]
+    return found
+
+
+def unread_private_names(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The private names each module defines and no module in ``sources``
+    reads, in source order; modules with none are left out."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = {
+        name: [private for _, private in sorted(_private_definitions(tree)) if private not in read]
+        for name, tree in trees.items()
+    }
+    return {name: names for name, names in unread.items() if names}
+
+
+def test_no_private_name_of_the_package_goes_unread():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= 10
+    assert unread_private_names(sources) == {}
+
+
+def test_unread_private_names_are_found_and_read_ones_are_kept():
+    module = (
+        "_USED = 1\n"
+        "_UNREAD, __version__ = 2, '0'\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "def _dead():\n"
+        "    _local = 3\n"
+        "class _Box:\n"
+        "    _slot: int = 0\n"
+        "    def _method(self):\n"
+        "        return self._slot\n"
+        "    def _orphan(self):\n"
+        "        pass\n"
+    )
+    user = "from m import _Box, _helper\n_Box()._method()\n_helper()\n"
+    assert unread_private_names({"m.py": module, "user.py": user}) == {
+        "m.py": ["_UNREAD", "_dead", "_orphan"]
+    }
