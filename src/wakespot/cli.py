@@ -3,13 +3,10 @@
 Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
 0 success, 1 usage error, 2 data or I/O error, 3 internal error.
 
-Recordings become detector input through :func:`wakeword.featurize`.
-``enroll``, ``score``, ``baseline`` and ``eval`` use the VAD-trimmed speech
-of each recording, from its first VAD segment to its last, and ``listen``
-feeds its stream in 10 ms chunks and scores each VAD segment on its own. A
-threshold read off ``score`` carries over to ``listen`` only for a
-recording with one VAD segment: with two utterances, ``score`` scores both
-as one span and ``listen`` fires or not on each (ROADMAP item 2).
+Recordings become detector input through :func:`wakeword.featurize`, cut
+into VAD segments as ``listen`` cuts its stream. A recording scores as its
+best segment, so ``score`` prints the highest score ``listen`` gives the
+same file, and a support enrolls from its longest segment.
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -30,7 +27,7 @@ import sys
 
 from . import evaluation, synth
 from .audio import HOP_SAMPLES, read_wav
-from .dtw import dtw_detect
+from .dtw import dtw_detect_segments
 from .errors import WakespotError
 from .label_model import load_weights, save_weights
 from .vad import VadConfig
@@ -43,6 +40,7 @@ from .wakeword import (
     hypothesis_logprobs,
     learn,
     load_model,
+    longest_segments,
     save_model,
 )
 
@@ -167,7 +165,8 @@ def cmd_enroll(args) -> int:
     if args.num_hypotheses > args.beam_width:
         raise UsageError("--num-hypotheses cannot exceed --beam-width")
     weights = load_weights(args.weights)
-    posts = featurize([read_wav(w) for w in args.wavs], _vad_config(args), weights)
+    segments = featurize([read_wav(w) for w in args.wavs], _vad_config(args), weights)
+    posts = longest_segments(segments)
     model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
     save_model(args.out, model)
     for i in range(len(posts)):
@@ -182,8 +181,9 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
-    post = featurize([read_wav(args.wav)], _vad_config(args), weights)[0]
-    logprobs = hypothesis_logprobs(model, post)
+    [segments] = featurize([read_wav(args.wav)], _vad_config(args), weights)
+    scored = [hypothesis_logprobs(model, post) for post in segments]
+    logprobs = max(scored, key=lambda lp: aggregate(model, lp))  # the best segment's
     for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
         print(_hypothesis_line(model.alphabet, hyp, lp))
     print(f"score {aggregate(model, logprobs)}")
@@ -219,7 +219,7 @@ def cmd_baseline(args) -> int:
         weights = load_weights(args.weights)
     wavs = [*args.supports, args.test]
     *supports, test = featurize([read_wav(p) for p in wavs], _vad_config(args), weights)
-    print(f"score {dtw_detect(supports, test)}")
+    print(f"score {dtw_detect_segments(longest_segments(supports), [test])[0]}")
     return EXIT_OK
 
 

@@ -32,7 +32,8 @@ kept operand, sign of zero included, is the one a cell-by-cell loop keeps.
 Each cell's cost is then the same IEEE sum as in that loop. Matching
 scores all tests of an episode against one support in one wavefront
 (``dtw_detect_all``); ``dtw_score`` and ``dtw_detect`` are its one-pair
-and one-test cases.
+and one-test cases, and ``dtw_detect_segments`` its case of tests cut
+into VAD segments, each scored as its best segment.
 """
 
 from __future__ import annotations
@@ -186,3 +187,9 @@ def dtw_detect_all(supports, tests) -> list[float]:
 def dtw_detect(supports, test) -> float:
     """Detection score against enrollment recordings: the best over them."""
     return dtw_detect_all(supports, [test])[0]
+
+
+def dtw_detect_segments(supports, tests) -> list[float]:
+    """As ``dtw_detect_all``, for tests given as their segments: each scores as its best."""
+    scores = iter(dtw_detect_all(supports, [seq for segments in tests for seq in segments]))
+    return [max(next(scores) for _ in segments) for segments in tests]

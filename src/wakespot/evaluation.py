@@ -11,8 +11,9 @@ Mann-Whitney statistic with ties counted half.
 The harness enrolls each detector on the supports, scores every test, and
 reports overall metrics plus splits by negative tag and speaker match.
 Every recording becomes detector input through :func:`wakeword.featurize`,
-the one recipe (VAD trim, filterbank, and for all detectors but
+the one recipe (VAD segments, filterbank, and for all detectors but
 ``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
+A support enrolls from its longest segment and a test scores as its best.
 Each detector makes one ``featurize`` call per episode, over its supports
 and tests together (``query_by_string``, which enrolls from the target
 labels, passes only the tests).
@@ -28,13 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .audio import AudioBuffer, read_wav, write_wav
-from .dtw import dtw_detect_all
+from .dtw import dtw_detect_segments
 from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
 from .vad import VadConfig
 from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES
-from .wakeword import featurize, learn, model_from_labels, score
+from .wakeword import featurize, learn, longest_segments, model_from_labels, score
 
 logger = logging.getLogger(__name__)
 
@@ -181,9 +182,9 @@ class HarnessReport:
 def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
     weights = None if detector in WEIGHTLESS_DETECTORS else params.weights
     recordings = [*episode.support, *(t.audio for t in episode.tests)]
-    sequences = featurize(recordings, params.vad, weights)
+    segments = featurize(recordings, params.vad, weights)
     supports = len(episode.support)
-    return dtw_detect_all(sequences[:supports], sequences[supports:])
+    return dtw_detect_segments(longest_segments(segments[:supports]), segments[supports:])
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
@@ -191,13 +192,14 @@ def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
     if detector == "query_by_string":
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
         model = model_from_labels(symbols, params.weights.alphabet)
-        posts = featurize(tests, params.vad, params.weights)
+        segments = featurize(tests, params.vad, params.weights)
     else:
-        posts = featurize([*episode.support, *tests], params.vad, params.weights)
+        segments = featurize([*episode.support, *tests], params.vad, params.weights)
         supports = len(episode.support)
-        model = learn(posts[:supports], params.beam_width, params.num_hypotheses)
-        posts = posts[supports:]
-    return [score(model, post) for post in posts]
+        posts = longest_segments(segments[:supports])
+        model = learn(posts, params.beam_width, params.num_hypotheses)
+        segments = segments[supports:]
+    return [max(score(model, post) for post in test) for test in segments]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

@@ -122,10 +122,9 @@ def span_samples(span: tuple[int, int]) -> tuple[int, int]:
 
 
 def trim_to_speech(config: VadConfig, audio: AudioBuffer) -> tuple[AudioBuffer, bool]:
-    """Trim to the span from the first to the last detected utterance.
-
-    Returns (audio, trimmed). When no speech is found the input is returned
-    unchanged with ``trimmed`` False, so callers can warn rather than fail.
+    """Trim to the span from the first to the last detected utterance; the
+    benchmark's enrollment uses it, and no command does. Returns (audio,
+    trimmed): the input unchanged and False when the VAD finds no speech.
     """
     spans = segment(config, audio)
     if not spans:

@@ -20,10 +20,10 @@ and batch scoring and the streaming detector share it.
 and :func:`score`: it VAD-classifies each 10 ms window as it arrives and
 sends a segment's stacked frames through the batch kernels (front end,
 GRU and lattice) a block at a time, so each segment's score is the batch
-score of its audio span, bit for bit. The two agree on a recording only
-when it holds one VAD segment: :func:`featurize` trims a recording to one
-span, from its first segment to its last, while the detector scores each
-segment on its own (ROADMAP item 2).
+score of its audio span, bit for bit. :func:`featurize` cuts a recording
+into the same VAD segments, so a recording scores as its best segment,
+the highest event the detector gives on it, and a training recording
+enrolls from its longest segment (:func:`longest_segments`).
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -58,7 +58,7 @@ from .ctc import ForwardLattice, _advanced, beam_search, prefix_trie, validate_l
 from .errors import FileFormatError, NonFiniteError
 from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
 from .label_model import _run_from, init_state, run
-from .vad import Vad, VadConfig, span_samples, trim_to_speech
+from .vad import Vad, VadConfig, segment, span_samples
 
 logger = logging.getLogger(__name__)
 
@@ -294,30 +294,41 @@ def featurize(
     recordings: Sequence[AudioBuffer],
     vad: VadConfig,
     weights: GruWeights | None = None,
-) -> list[FeatureSequence] | list[Posteriorgram]:
-    """Detector input of each recording in batch.
-
-    Each recording is trimmed by ``vad`` to the span from its first to its
-    last utterance (kept whole, with a logged warning that gives its
-    position in ``recordings``, when the VAD finds no speech). Returns the
-    100 Hz filterbank frames of each trimmed recording when ``weights`` is
-    None, else the label model's posteriorgrams of their stacked 50 Hz frames.
-    :class:`StreamingDetector` scores each VAD segment on its own instead,
-    so the two agree only on a recording with one segment (ROADMAP item 2).
-    """
+) -> list[list[FeatureSequence]] | list[list[Posteriorgram]]:
+    """Detector input of each recording in batch, one entry per ``vad``
+    segment, each featurized on its own samples as :class:`StreamingDetector`
+    scores it. A recording without speech is kept whole as its one segment,
+    with a logged warning that gives its position in ``recordings``. Returns
+    the 100 Hz filterbank frames of each segment when ``weights`` is None,
+    else the label model's posteriorgrams of their stacked 50 Hz frames."""
     features = []
     for i, audio in enumerate(recordings):
-        audio, found = trim_to_speech(vad, audio)
-        if not found:
+        pieces = [AudioBuffer(audio.samples[slice(*span_samples(s))]) for s in segment(vad, audio)]
+        if not pieces:
             logger.warning(
                 "no speech found by VAD in recording %d of %d; using the whole recording",
-                i + 1,
-                len(recordings),
+                i + 1, len(recordings),
             )
-        features.append(extract_fbank(audio))
+            pieces = [audio]
+        features.append([extract_fbank(piece) for piece in pieces])
     if weights is None:
         return features
-    return [run(weights, stack_frames(f)) for f in features]
+    return [[run(weights, stack_frames(f)) for f in segments] for segments in features]
+
+
+def longest_segments(recordings: Sequence[Sequence]) -> list:
+    """The longest segment of each recording's :func:`featurize` output (the
+    first of equals), the one a training recording enrolls from. A
+    recording with more than one segment is logged as a warning."""
+    longest = []
+    for i, segments in enumerate(recordings):
+        if len(segments) > 1:
+            logger.warning(
+                "recording %d of %d has %d VAD segments; enrolling from the longest",
+                i + 1, len(recordings), len(segments),
+            )
+        longest.append(max(segments, key=lambda seq: seq.num_frames))
+    return longest
 
 
 @dataclass(frozen=True)

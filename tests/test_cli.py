@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,8 +178,8 @@ def test_missing_wav_is_a_data_error(world, tmp_path):
 def baseline_detect(world, weights=None) -> float:
     """The harness's DTW detection score of the probe against the enrollment WAVs."""
     wavs = [*world["wavs"], world["probe"]]
-    *supports, test = featurize([read_wav(w) for w in wavs], VadConfig(), weights)
-    return dtw_detect(supports, test)
+    *supports, [test] = featurize([read_wav(w) for w in wavs], VadConfig(), weights)
+    return dtw_detect([support for [support] in supports], test)
 
 
 def test_baseline_fbank(world, capsys):
@@ -524,3 +526,56 @@ def test_baseline_has_one_dtw_rule_and_no_flags_to_change_it(tmp_path, capsys, f
     wavs = [str(tmp_path / f"missing-{i}.wav") for i in range(4)]  # unread: flags come first
     assert main(["baseline", *wavs, "--space", "fbank", *flag.split()]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_utterance_wavs(world):
+    """The probe and the distractor joined by 0.5 s of silence, in both orders."""
+    from wakespot.audio import AudioBuffer
+
+    probe, distractor = (read_wav(world[key]).samples for key in ("probe", "distractor"))
+    gap = np.zeros(8000, dtype=np.int16)
+    paths = {}
+    for order, parts in (("keyword_first", (probe, gap, distractor)),
+                         ("keyword_last", (distractor, gap, probe))):
+        paths[order] = world["root"] / f"{order}.wav"
+        write_wav(paths[order], AudioBuffer(np.concatenate(parts)))
+    return paths
+
+
+@pytest.mark.parametrize("order, keyword_event", [("keyword_first", 0), ("keyword_last", 1)])
+def test_score_of_two_utterances_is_the_best_listen_event(
+    world, two_utterance_wavs, tmp_path, capsys, order, keyword_event
+):
+    """``score`` prints the highest ``listen`` event and the hypothesis
+    lines of its segment: the output of scoring that segment cut out."""
+    from wakespot.audio import AudioBuffer
+    from wakespot.vad import span_samples
+
+    model = str(tmp_path / "word.model")
+    weights = ["--weights", str(world["weights"])]
+    _enroll(world, model)
+    wav = two_utterance_wavs[order]
+    capsys.readouterr()
+    assert main(["score", model, str(wav), *weights]) == EXIT_OK
+    score_out = capsys.readouterr().out
+    assert main(["listen", model, str(wav), *weights, "--threshold", "-inf"]) == EXIT_OK
+    events = re.findall(r"score=(\S+) frames=\[(\d+),(\d+)\)", capsys.readouterr().out)
+    assert len(events) == 2
+    best = max(events, key=lambda event: float(event[0]))
+    assert best == events[keyword_event]
+    assert f"{_last_score(score_out):.4f}" == best[0]
+    lo, hi = span_samples((int(best[1]), int(best[2])))
+    write_wav(tmp_path / "best.wav", AudioBuffer(read_wav(wav).samples[lo:hi]))
+    assert main(["score", model, str(tmp_path / "best.wav"), *weights]) == EXIT_OK
+    assert capsys.readouterr().out == score_out
+
+
+def test_enroll_names_a_support_with_two_segments(world, two_utterance_wavs, tmp_path, caplog):
+    wavs = [world["wavs"][0], two_utterance_wavs["keyword_last"], world["wavs"][2]]
+    args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
+    with caplog.at_level("WARNING", logger="wakespot"):
+        assert main([*args, "--beam-width", "20", "--num-hypotheses", "3"]) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records] == [
+        "recording 2 of 3 has 2 VAD segments; enrolling from the longest"
+    ]

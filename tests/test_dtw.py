@@ -275,6 +275,6 @@ def real_episodes(oracle_model):
     for episode in generate_synthetic_episodes(7, 5):
         recordings = [*episode.support, *(t.audio for t in episode.tests)]
         for space, weights in (("fbank", None), ("posteriorgram", oracle_model)):
-            seqs = featurize(recordings, VadConfig(), weights)
+            seqs = [seq for [seq] in featurize(recordings, VadConfig(), weights)]
             out[space].append((seqs[:3], seqs[3:]))
     return out

@@ -21,9 +21,11 @@ from wakespot.audio import (
     stack_frames,
 )
 from wakespot.ctc import NEG_INF, forward_logprob
+from wakespot.dtw import dtw_detect
 from wakespot.errors import AudioError, FileFormatError, NonFiniteError
+from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, _dtw_scores
 from wakespot.label_model import Posteriorgram, random_weights, run
-from wakespot.vad import VadConfig, classify_frames, segment, span_samples, trim_to_speech
+from wakespot.vad import VadConfig, classify_frames, segment, span_samples
 from wakespot.wakeword import (
     _BLOCK_PAIRS,
     Hypothesis,
@@ -434,17 +436,19 @@ class TestFeaturize:
         rng = np.random.default_rng(9)
         speaker = synth.Speaker(pitch=1.0, rate=1.0, gain_db=0.0)
         audio = synth.render_utterance((2, 5, 9), speaker, rng, synth.EpisodeConfig.clean())
-        trimmed, found = trim_to_speech(VadConfig(), audio)
-        assert found and len(trimmed.samples) < len(audio.samples)
-        [fbank] = featurize([audio], VadConfig())
+        [span] = segment(VadConfig(), audio)
+        lo, hi = span_samples(span)
+        trimmed = AudioBuffer(audio.samples[lo:hi])
+        assert len(trimmed.samples) < len(audio.samples)
+        [[fbank]] = featurize([audio], VadConfig())
         assert fbank.frames.tobytes() == extract_fbank(trimmed).frames.tobytes()
-        [post] = featurize([audio], VadConfig(), weights)
+        [[post]] = featurize([audio], VadConfig(), weights)
         assert post.rows.tobytes() == run(weights, stack_frames(fbank)).rows.tobytes()
 
     def test_no_speech_keeps_the_whole_recording_and_warns(self, caplog):
         audio = AudioBuffer(np.zeros(4000, dtype=np.int16))
         with caplog.at_level("WARNING", logger="wakespot"):
-            [fbank] = featurize([audio], VadConfig())
+            [[fbank]] = featurize([audio], VadConfig())
         assert fbank.num_frames == extract_fbank(audio).num_frames
         assert [r.getMessage() for r in caplog.records] == [
             "no speech found by VAD in recording 1 of 1; using the whole recording"
@@ -457,7 +461,7 @@ class TestFeaturize:
         silence = AudioBuffer(np.zeros(4000, dtype=np.int16))
         with caplog.at_level("WARNING", logger="wakespot"):
             fbanks = featurize([speech, silence, speech, silence], VadConfig())
-        assert [f.num_frames for f in fbanks[1::2]] == 2 * [extract_fbank(silence).num_frames]
+        assert [f.num_frames for [f] in fbanks[1::2]] == 2 * [extract_fbank(silence).num_frames]
         assert [r.getMessage() for r in caplog.records] == [
             f"no speech found by VAD in recording {i} of 4; using the whole recording" for i in (2, 4)
         ]
@@ -763,3 +767,76 @@ def test_a_call_that_returns_an_event_runs_no_gru(config, monkeypatch):
     blocks = [len(args[1]) for args in calls]
     # with no hangover every loud frame flushes, so each block is one pair
     assert blocks and max(blocks) == (_BLOCK_PAIRS if config.hangover_frames else 1)
+
+
+CONTRACT_KEYWORD = (2, 5, 9, 12)
+CONTRACT_VADS = (VadConfig(), VadConfig(hangover_frames=3))
+
+
+@cache
+def contract_episode():
+    """Oracle weights and three clean keyword supports, as an episode whose
+    tests the contract test replaces."""
+    rng = np.random.default_rng(23)
+    speaker = synth.Speaker(pitch=1.0, rate=1.0, gain_db=0.0)
+    supports = tuple(
+        synth.render_utterance(CONTRACT_KEYWORD, speaker, rng, synth.EpisodeConfig.clean())
+        for _ in range(3)
+    )
+    placeholder = TestRecording(supports[0], "positive", "confusing", "same")
+    return synth.oracle_weights(), Episode("contract", CONTRACT_KEYWORD, supports, (placeholder,))
+
+
+@st.composite
+def segmented_streams(draw):
+    """1-3 rendered utterances, the keyword or other words, apart by
+    silences longer than the VAD hangover, some with a 50 ms burst; and the
+    VAD config. Under the 3-frame hangover ``min_speech_frames`` drops the
+    burst; under the default one it is a segment of its own."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    config = draw(st.sampled_from(CONTRACT_VADS))
+    word = st.sampled_from([CONTRACT_KEYWORD, (1, 4, 8), (3, 7, 11)])
+    words = draw(st.lists(word, min_size=1, max_size=3))
+    speaker = synth.Speaker(pitch=draw(st.floats(0.95, 1.05)), rate=1.0, gain_db=0.0)
+    gap = lambda: np.zeros(draw(st.integers(config.hangover_frames + 5, 50)) * HOP_SAMPLES, np.int16)
+    parts = [gap()]
+    for word in words:
+        parts += [synth.render_utterance(word, speaker, rng).samples, gap()]
+    has_burst = draw(st.booleans())
+    if has_burst:  # after any gap, followed by another
+        at = 2 * draw(st.integers(0, len(words))) + 1
+        parts[at:at] = [burst(3, rng), gap()]  # 50 ms, at most 3 windows loud
+    return AudioBuffer(np.concatenate(parts)), config, has_burst
+
+
+@settings(max_examples=15, deadline=None)
+@given(segmented_streams())
+def test_batch_scores_a_recording_as_its_best_streaming_segment(case):
+    """Every command's rule: a recording has as many ``featurize`` segments
+    as ``listen`` has events at -inf, ``donut`` and ``query_by_string``
+    score it as the highest event, bit for bit, and the DTW baselines as
+    the best ``dtw_detect`` of its segments."""
+    stream, config, has_burst = case
+    weights, episode = contract_episode()
+    episode = replace(episode, tests=(replace(episode.tests[0], audio=stream),))
+    params = HarnessParams(weights, beam_width=20, num_hypotheses=3, vad=config)
+    samples = stream.samples
+    chunks = [samples[i : i + HOP_SAMPLES] for i in range(0, len(samples), HOP_SAMPLES)]
+    [segments] = featurize([stream], config, weights)
+    posts = wakeword.longest_segments(featurize(episode.support, config, weights))
+    symbols = [weights.alphabet.symbol_of(i) for i in CONTRACT_KEYWORD]
+    for detector, model in (
+        ("donut", learn(posts, 20, 3)),
+        ("query_by_string", model_from_labels(symbols, weights.alphabet)),
+    ):
+        report = detect_stream(model, weights, chunks, -math.inf, config)
+        assert len(segments) == len(report.events) == report.stats.segments_scored
+        if has_burst and config.hangover_frames == 3:
+            assert report.stats.segments_discarded >= 1
+        [value] = _ctc_scores(detector, episode, params)
+        assert value.hex() == max(e.score for e in report.events).hex()
+    for detector, space in (("dtw_post", weights), ("dtw_fbank", None)):
+        supports = wakeword.longest_segments(featurize(episode.support, config, space))
+        [test] = featurize([stream], config, space)
+        [value] = _dtw_scores(detector, episode, params)
+        assert value.hex() == max(dtw_detect(supports, seq) for seq in test).hex()

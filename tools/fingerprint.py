@@ -11,12 +11,14 @@ It prints one JSON object with a digest for each family:
   seed=0)``;
 - ``posteriorgrams_oracle``, ``posteriorgrams_random_3x96``: every
   ``featurize`` posteriorgram of the ``fewshot`` benchmark's episodes (seed
-  1, 24 episodes), supports and tests, under each set of weights;
+  1, 24 episodes), supports and tests, under each set of weights, the
+  segments of each recording flattened in order;
 - ``beams_oracle``, ``beams_random_3x96``: ``beam_search(post, 100)`` on
-  each episode's supports, as labels and ``logprob.hex()``;
-- ``scores_random_3x96``: ``wakeword.score`` of each episode's tests
-  against a model learned (beam 100, N = 10) from its support
-  posteriorgrams under the 3x96 weights;
+  each episode's supports (the longest segment of each), as labels and
+  ``logprob.hex()``;
+- ``scores_random_3x96``: the best segment's ``wakeword.score`` of each
+  episode's tests against a model learned (beam 100, N = 10) from its
+  support posteriorgrams under the 3x96 weights;
 - ``streaming_oracle``: the events and counters of ``detect_stream`` with
   the oracle weights, a model learned from the first episode's supports and
   threshold -inf, fed in 10 ms chunks the recordings of the first two
@@ -51,7 +53,7 @@ from wakespot.ctc import beam_search  # noqa: E402
 from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
 from wakespot.vad import VadConfig  # noqa: E402
-from wakespot.wakeword import detect_stream, featurize, learn, score  # noqa: E402
+from wakespot.wakeword import detect_stream, featurize, learn, longest_segments, score  # noqa: E402
 
 FEWSHOT_SEED = 1
 FEWSHOT_EPISODES = 24
@@ -133,14 +135,15 @@ def main() -> None:
         posts, beams, scores = [], [], []
         for episode in episodes:
             recordings = [*episode.support, *(t.audio for t in episode.tests)]
-            episode_posts = featurize(recordings, VadConfig(), weights)
-            posts += [(p.rows.shape, p.rows.tobytes()) for p in episode_posts]
-            supports = episode_posts[: len(episode.support)]
+            segments = featurize(recordings, VadConfig(), weights)
+            posts += [(p.rows.shape, p.rows.tobytes()) for segs in segments for p in segs]
+            supports = longest_segments(segments[: len(episode.support)])
             for post in supports:
                 beams.append([(e.labels, e.logprob.hex()) for e in beam_search(post, BEAM_WIDTH)])
             if name == "random_3x96":
                 model = learn(supports, BEAM_WIDTH, NUM_HYPOTHESES)
-                scores.append([score(model, p).hex() for p in episode_posts[len(supports) :]])
+                tests = segments[len(supports) :]
+                scores.append([max(score(model, p) for p in segs).hex() for segs in tests])
                 models_3x96.append(model)
         out[f"posteriorgrams_{name}"] = digest(chunk for pair in posts for chunk in pair)
         out[f"beams_{name}"] = digest(beams)
@@ -148,7 +151,9 @@ def main() -> None:
     oracle_weights = all_weights["oracle"]
     stream = stream_of(episodes[:STREAM_EPISODES])
     oracle_model = learn(
-        featurize(episodes[0].support, VadConfig(), oracle_weights), BEAM_WIDTH, NUM_HYPOTHESES
+        longest_segments(featurize(episodes[0].support, VadConfig(), oracle_weights)),
+        BEAM_WIDTH,
+        NUM_HYPOTHESES,
     )
     out["streaming_oracle"] = streaming_digest(oracle_model, oracle_weights, stream)
     out["streaming_random_3x96_noisy"] = streaming_digest(
