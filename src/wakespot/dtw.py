@@ -22,18 +22,31 @@ of its scores against the enrollment recordings. Ties between predecessors
 prefer diagonal, then query-advance, then test-advance, which makes the
 reported path length deterministic.
 
-The DP runs as one wavefront over a batch of distance matrices: cell
-(i, j) depends only on cells of anti-diagonals i + j - 1 and i + j - 2, so
-each step computes a whole anti-diagonal of every matrix in a few numpy
-operations. The tie rule is kept exactly: the diagonal predecessor is
-taken first and replaced only by a strictly smaller up, then a strictly
-smaller left value, chosen with ``np.where`` (not ``np.minimum``) so the
-kept operand, sign of zero included, is the one a cell-by-cell loop keeps.
-Each cell's cost is then the same IEEE sum as in that loop. Matching
-scores all tests of an episode against one support in one wavefront
-(``dtw_detect_all``); ``dtw_score`` and ``dtw_detect`` are its one-pair
-and one-test cases, and ``dtw_detect_segments`` its case of tests cut
-into VAD segments, each scored as its best segment.
+The DP runs as one wavefront per ``dtw_detect_all`` call over all P
+(support, test) pairs: cell (i, j) depends only on anti-diagonals
+i + j - 1 and i + j - 2, so each step computes one anti-diagonal of every
+pair in a few numpy operations. Pair p = s * T + t keeps query row i in
+lane (i + 1) * P + p: a cell's diagonal and up predecessors sit P lanes
+back, and lanes 0..P-1 are a +inf row above row 0. A step computes only
+the band of rows that meet its diagonal, reading distances straight from
+one buffer of all support frames (stacked) against all test frames (side
+by side). Lanes past a pair's end (i >= n or j >= m) compute on whatever
+in-bounds distance they read, but no real cell reads them: its
+predecessors are cells of its own pair with a smaller i or j, or +inf
+cells, namely the row above row 0 and the j = -1 cells. Cell (i, -1) lies
+on diagonal i - 1, one row below its band, and row i is first written on
+diagonal i, so it still holds its initial +inf. A step reads one row above
+its band, which both earlier bands reach. Each pair's cost is read at its
+last cell, on diagonal n + m - 2.
+
+The tie rule is kept exactly: the diagonal predecessor is taken first
+and replaced only by a strictly smaller up, then a strictly smaller left
+value, chosen with ``np.where`` (not ``np.minimum``) so the kept operand,
+sign of zero included, is the one a cell-by-cell loop keeps. Each cell's
+cost is then the same IEEE sum as in that loop. ``dtw_cost``,
+``dtw_score`` and ``dtw_detect`` are the one-pair and one-test cases, and
+``dtw_detect_segments`` the case of tests cut into VAD segments, each
+scored as its best segment.
 """
 
 from __future__ import annotations
@@ -76,78 +89,83 @@ def _frames_and_space(sequences) -> tuple[list[np.ndarray], bool]:
     raise TypeError(f"DTW compares FeatureSequences or Posteriorgrams, not a mix; got {kinds}")
 
 
-def _distance_matrices(a: np.ndarray, tests: list[np.ndarray], post: bool) -> list:
-    """Frame distances between the query ``a`` and each test (posteriorgram rows if ``post``)."""
-    for b in tests:
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            raise ValueError("DTW requires non-empty sequences")
-        if a.shape[1] != b.shape[1]:
-            raise ValueError(f"frame dims differ: {a.shape[1]} vs {b.shape[1]}")
-    if post:
-        return [_post_distance_matrix(a, b) for b in tests]
-    # entries do not depend on their neighbours, so one matrix against every
-    # test frame, split per test, holds the same values
-    splits = np.cumsum([b.shape[0] for b in tests[:-1]], dtype=np.int64)
-    return np.split(_fbank_distance_matrix(a, np.concatenate(tests)), splits, axis=1)
+def _distance_buffer(supports: list[np.ndarray], tests: list[np.ndarray], post: bool) -> np.ndarray:
+    """Frame distances of the stacked support frames (rows) against the
+    test frames side by side (columns); posteriorgram rows if ``post``."""
+    frames = (*supports, *tests)
+    if any(len(f) == 0 for f in frames):
+        raise ValueError("DTW requires non-empty sequences")
+    dims = {f.shape[1] for f in frames}
+    if len(dims) > 1:
+        raise ValueError(f"frame dims differ: {sorted(dims)}")
+    if not post:
+        # each row is computed on its own, so stacking changes no value
+        return _fbank_distance_matrix(np.concatenate(supports), np.concatenate(tests))
+    rows, cols = np.cumsum([0, *map(len, supports)]), np.cumsum([0, *map(len, tests)])
+    out = np.empty((rows[-1], cols[-1]))
+    for a, r0, r1 in zip(supports, rows, rows[1:]):
+        for b, c0, c1 in zip(tests, cols, cols[1:]):
+            out[r0:r1, c0:c1] = _post_distance_matrix(a, b)
+    return out
 
 
-def _dtw_costs(distance_matrices) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal alignment cost and that path's length for every matrix.
-
-    Anti-diagonal k of all P matrices is one flat array of P blocks of
-    ``rows + 1`` cells: cell (i, k - i) of matrix p sits at
-    ``p * (rows + 1) + i + 1``. The first cell of each block and every cell
-    outside a matrix hold +inf, so they never win a strict ``<``.
-    """
-    num_pairs = len(distance_matrices)
+def _dtw_costs(distances: np.ndarray, rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal alignment cost and that path's length of every (support,
+    test) pair, support-major, where ``distances`` stacks supports of
+    ``rows`` frames against tests of ``cols`` frames side by side."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    num_pairs = rows.size * cols.size
     costs = np.empty(num_pairs)
     lengths = np.empty(num_pairs, dtype=np.int64)
     if not num_pairs:
         return costs, lengths
-    shapes = np.array([d.shape for d in distance_matrices], dtype=np.int64)
-    width = int(shapes[:, 0].max()) + 1
-    ends = shapes.sum(axis=1) - 2  # the diagonal of each matrix's last cell
-    last_cells = np.arange(num_pairs) * width + shapes[:, 0]  # row n - 1 of each block
-    skew = np.full((int(ends.max()) + 1, num_pairs * width), np.inf)
-    for p, d in enumerate(distance_matrices):
-        i, j = np.indices(d.shape)
-        skew[i + j, p * width + i + 1] = d
+    stride = distances.shape[1]
+    flat = distances.ravel()
+    # cell (i, j) of pair p is flat[starts[p] + i * stride + j]; on diagonal
+    # k, with j = k - i, that is offsets[i * P + p] + k
+    starts = ((np.cumsum(rows) - rows)[:, None] * stride + (np.cumsum(cols) - cols)).ravel()
+    rows_max, cols_max = int(rows.max()), int(cols.max())
+    offsets = (np.arange(rows_max)[:, None] * (stride - 1) + starts).ravel()
+    n, m = np.repeat(rows, cols.size), np.tile(cols, rows.size)
+    last_lanes = n * num_pairs + np.arange(num_pairs)  # lane of row n - 1
     finished: dict[int, list[int]] = {}
-    for p, k in enumerate(ends.tolist()):
+    for p, k in enumerate((n + m - 2).tolist()):
         finished.setdefault(k, []).append(p)
 
     def collect(k, cost, length):
         done = finished.get(k)
         if done:
-            costs[done] = cost[last_cells[done]]
-            lengths[done] = length[last_cells[done]]
+            costs[done] = cost[last_lanes[done]]
+            lengths[done] = length[last_lanes[done]]
 
-    before = np.full(num_pairs * width, np.inf)  # diagonal k - 2
-    before_len = np.zeros(num_pairs * width, dtype=np.int64)
-    last = before.copy()  # diagonal k - 1; diagonal 0 is the start cell alone
-    last[1::width] = skew[0, 1::width]
+    lanes = (rows_max + 1) * num_pairs
+    before = np.full(lanes, np.inf)  # diagonal k - 2
+    before_len = np.zeros(lanes, dtype=np.int64)
+    last = before.copy()  # diagonal k - 1; diagonal 0 is the start cells alone
+    last[num_pairs : 2 * num_pairs] = flat[starts]
     last_len = np.ones_like(before_len)
     collect(0, last, last_len)
-    for k in range(1, len(skew)):
-        # predecessors of cell c: diagonal (c - 1 on k - 2), up (c - 1 on
-        # k - 1), left (c on k - 1); strict < in that order, choosing with
-        # np.where so the winning operand (sign of zero included) is kept.
-        # A block's first cell reads the previous block's last, but adding
-        # its +inf distance keeps it +inf.
-        best, steps = before[:-1], before_len[:-1]
-        take = last[:-1] < best
-        best = np.where(take, last[:-1], best)
-        steps = np.where(take, last_len[:-1], steps)
-        take = last[1:] < best
-        best = np.where(take, last[1:], best)
-        steps = np.where(take, last_len[1:], steps)
-        before, before_len = last, last_len
-        last = np.empty_like(before)
-        last[0] = np.inf
-        np.add(best, skew[k, 1:], out=last[1:])
-        last_len = np.empty_like(before_len)
-        last_len[0] = 0
-        np.add(steps, 1, out=last_len[1:])
+    for k in range(1, rows_max + cols_max - 1):
+        # the band (rows max(0, k - cols_max + 1)..min(k, rows_max - 1)) is
+        # lanes lo + P : hi + P; its diagonal and up predecessors are lanes
+        # lo:hi of k - 2 and k - 1, its left ones the band's lanes of k - 1.
+        # Strict < in that order, choosing with np.where so the winning
+        # operand (sign of zero included) is kept
+        lo = max(0, k - cols_max + 1) * num_pairs
+        hi = (min(k, rows_max - 1) + 1) * num_pairs
+        dist = np.take(flat, np.add(offsets[lo:hi], k), mode="clip")
+        best, steps = before[lo:hi], before_len[lo:hi]
+        take = last[lo:hi] < best
+        best = np.where(take, last[lo:hi], best)
+        steps = np.where(take, last_len[lo:hi], steps)
+        band = slice(lo + num_pairs, hi + num_pairs)
+        take = last[band] < best
+        best = np.where(take, last[band], best)
+        steps = np.where(take, last_len[band], steps)
+        np.add(best, dist, out=before[band])
+        np.add(steps, 1, out=before_len[band])
+        before, last = last, before
+        before_len, last_len = last_len, before_len
         collect(k, last, last_len)
     return costs, lengths
 
@@ -156,7 +174,7 @@ def dtw_cost(query, test) -> float:
     """Minimal alignment cost between two sequences: the sum of frame
     distances over the best path."""
     (query, test), post = _frames_and_space([query, test])
-    costs, _ = _dtw_costs(_distance_matrices(query, [test], post))
+    costs, _ = _dtw_costs(_distance_buffer([query], [test], post), [len(query)], [len(test)])
     return float(costs[0])
 
 
@@ -168,8 +186,8 @@ def dtw_score(query, test) -> float:
 def dtw_detect_all(supports, tests) -> list[float]:
     """Detection score of every test against the enrollment recordings.
 
-    Each support is aligned with all tests in one batched wavefront; the
-    scores equal ``[dtw_detect(supports, t) for t in tests]``.
+    Every (support, test) pair is aligned in one wavefront; the scores
+    equal ``[dtw_detect(supports, t) for t in tests]``.
     """
     if not supports:
         raise ValueError("need at least one support sequence")
@@ -177,10 +195,9 @@ def dtw_detect_all(supports, tests) -> list[float]:
     supports, tests = frames[: len(supports)], frames[len(supports) :]
     if not tests:
         return []
-    per_support = []
-    for support in supports:
-        costs, lengths = _dtw_costs(_distance_matrices(support, tests, post))
-        per_support.append((-costs / lengths).tolist())
+    rows, cols = [len(a) for a in supports], [len(b) for b in tests]
+    costs, lengths = _dtw_costs(_distance_buffer(supports, tests, post), rows, cols)
+    per_support = (-costs / lengths).reshape(len(rows), len(cols)).tolist()
     return [max(scores) for scores in zip(*per_support)]
 
 
@@ -190,6 +207,7 @@ def dtw_detect(supports, test) -> float:
 
 
 def dtw_detect_segments(supports, tests) -> list[float]:
-    """As ``dtw_detect_all``, for tests given as their segments: each scores as its best."""
+    """As ``dtw_detect_all``, for tests given as their segments: each scores
+    as its best. All segments of all tests share one wavefront."""
     scores = iter(dtw_detect_all(supports, [seq for segments in tests for seq in segments]))
     return [max(next(scores) for _ in segments) for segments in tests]

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from wakespot.audio import FeatureSequence
 from wakespot.dtw import (
-    _distance_matrices,
+    _distance_buffer,
     _dtw_costs,
     _frames_and_space,
     dtw_cost,
@@ -207,47 +208,73 @@ def bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-def assert_costs_equal_reference(matrices):
-    costs, lengths = _dtw_costs(matrices)
+def assert_costs_equal_reference(distances, rows, cols):
+    """Every (support, test) block of ``distances``, support-major, against
+    the cell-by-cell oracle: cost bits and path length."""
+    costs, lengths = _dtw_costs(distances, rows, cols)
+    row_edges, col_edges = np.cumsum([0, *rows]), np.cumsum([0, *cols])
+    want = [
+        reference_dtw_cost(distances[r0:r1, c0:c1])
+        for r0, r1 in zip(row_edges, row_edges[1:])
+        for c0, c1 in zip(col_edges, col_edges[1:])
+    ]
     got = list(zip(map(bits, costs.tolist()), lengths.tolist()))
-    want = [(bits(cost), length) for cost, length in map(reference_dtw_cost, matrices)]
-    assert got == want
+    assert got == [(bits(cost), length) for cost, length in want]
 
 
 @st.composite
-def ragged_distance_batches(draw):
-    """1-6 matrices of 1-12 by 1-12 quantized distances: equal path sums
-    force ties, and signed zeros show which operand a tie kept."""
-    values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 0.1, 0.2, 0.3])
-    matrices = []
-    for _ in range(draw(st.integers(1, 6))):
-        n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-        matrices.append(np.array(draw(st.lists(values, min_size=n * m, max_size=n * m))).reshape(n, m))
-    return matrices
+def distance_grids(draw):
+    """1-4 supports of 1-12 rows against 1-5 tests of 1-12 columns, the
+    whole buffer filled with quantized distances: equal path sums force
+    ties, signed zeros show which operand a tie kept, and lanes past a
+    pair's end read a neighbour's real values."""
+    values = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0])
+    rows = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    cols = draw(st.lists(st.integers(1, 12), min_size=1, max_size=5))
+    size = sum(rows) * sum(cols)
+    grid = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    return grid.reshape(sum(rows), sum(cols)), rows, cols
 
 
 class TestWavefront:
     @settings(max_examples=300, deadline=None)
-    @given(ragged_distance_batches())
-    def test_costs_and_path_lengths_equal_reference_property(self, matrices):
-        assert_costs_equal_reference(matrices)
+    @given(distance_grids())
+    def test_every_pair_equals_reference_property(self, grid):
+        assert_costs_equal_reference(*grid)
 
     def test_signed_zero_ties_keep_the_diagonal(self):
         # every path costs zero; the diagonal carries -0.0 and must win the ties
         matrix = np.array([[-0.0, 0.0], [0.0, -0.0]])
-        costs, lengths = _dtw_costs([matrix])
+        costs, lengths = _dtw_costs(matrix, [2], [2])
         assert bits(costs[0]) == bits(-0.0) and lengths[0] == 2
 
     def test_empty_batch(self):
-        costs, lengths = _dtw_costs([])
+        costs, lengths = _dtw_costs(np.empty((0, 0)), [], [])
         assert costs.shape == lengths.shape == (0,)
 
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
     def test_equals_reference_on_real_supports(self, real_episodes, space):
         for supports, tests in real_episodes[space]:
-            frames, post = _frames_and_space(tests)
-            for query in _frames_and_space(supports)[0]:
-                assert_costs_equal_reference(_distance_matrices(query, frames, post))
+            frames, post = _frames_and_space([*supports, *tests])
+            queries, frames = frames[: len(supports)], frames[len(supports) :]
+            distances = _distance_buffer(queries, frames, post)
+            assert_costs_equal_reference(distances, list(map(len, queries)), list(map(len, frames)))
+
+    @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
+    def test_peak_memory_stays_near_the_distance_buffer(self, real_episodes, space):
+        # the one distance buffer is the only large allocation: no skewed or
+        # padded copy of it
+        for supports, tests in real_episodes[space]:
+            frames, _ = _frames_and_space([*supports, *tests])
+            rows = sum(map(len, frames[: len(supports)]))
+            buffer_bytes = rows * sum(map(len, frames[len(supports) :])) * 8
+            tracemalloc.start()
+            try:
+                dtw_detect_all(supports, tests)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.5 * buffer_bytes, (peak, buffer_bytes)
 
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
     def test_detect_all_equals_detect_per_test(self, real_episodes, space):

@@ -19,6 +19,11 @@ It prints one JSON object with a digest for each family:
 - ``scores_random_3x96``: the best segment's ``wakeword.score`` of each
   episode's tests against a model learned (beam 100, N = 10) from its
   support posteriorgrams under the 3x96 weights;
+- ``scores_dtw_fbank``, ``scores_dtw_post``: the ``dtw_detect_segments``
+  scores of each episode's tests against its supports (the longest segment
+  of each), as the harness's ``dtw_fbank`` and ``dtw_post`` detectors
+  compute them: on filterbank frames, and on posteriorgrams under the
+  oracle weights;
 - ``streaming_oracle``: the events and counters of ``detect_stream`` with
   the oracle weights, a model learned from the first episode's supports and
   threshold -inf, fed in 10 ms chunks the recordings of the first two
@@ -50,6 +55,7 @@ import numpy as np  # noqa: E402
 from wakespot import synth  # noqa: E402
 from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE  # noqa: E402
 from wakespot.ctc import beam_search  # noqa: E402
+from wakespot.dtw import dtw_detect_segments  # noqa: E402
 from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
 from wakespot.vad import VadConfig  # noqa: E402
@@ -122,6 +128,12 @@ def streaming_digest(model, weights, stream) -> str:
     )
 
 
+def dtw_scores(segments, supports: int) -> list[str]:
+    """The DTW detection scores of an episode's tests, as ``evaluation._dtw_scores``."""
+    scores = dtw_detect_segments(longest_segments(segments[:supports]), segments[supports:])
+    return [value.hex() for value in scores]
+
+
 def main() -> None:
     all_weights = {
         "oracle": synth.oracle_weights(),
@@ -130,6 +142,10 @@ def main() -> None:
     episodes = synth.generate_synthetic_episodes(FEWSHOT_SEED, FEWSHOT_EPISODES)
     out = {}
     models_3x96 = []
+    dtw = {"fbank": [], "post": []}
+    for episode in episodes:
+        recordings = [*episode.support, *(t.audio for t in episode.tests)]
+        dtw["fbank"].append(dtw_scores(featurize(recordings, VadConfig()), len(episode.support)))
     for name, weights in all_weights.items():
         out[f"weights_{name}"] = weight_file_digest(weights)
         posts, beams, scores = [], [], []
@@ -138,6 +154,8 @@ def main() -> None:
             segments = featurize(recordings, VadConfig(), weights)
             posts += [(p.rows.shape, p.rows.tobytes()) for segs in segments for p in segs]
             supports = longest_segments(segments[: len(episode.support)])
+            if name == "oracle":
+                dtw["post"].append(dtw_scores(segments, len(supports)))
             for post in supports:
                 beams.append([(e.labels, e.logprob.hex()) for e in beam_search(post, BEAM_WIDTH)])
             if name == "random_3x96":
@@ -148,6 +166,8 @@ def main() -> None:
         out[f"posteriorgrams_{name}"] = digest(chunk for pair in posts for chunk in pair)
         out[f"beams_{name}"] = digest(beams)
     out["scores_random_3x96"] = digest(scores)
+    for space, space_scores in dtw.items():
+        out[f"scores_dtw_{space}"] = digest(space_scores)
     oracle_weights = all_weights["oracle"]
     stream = stream_of(episodes[:STREAM_EPISODES])
     oracle_model = learn(
