@@ -4,8 +4,7 @@ The front end is a fixed fixture contract so that features and
 posteriorgrams are reproducible bit-for-bit across machines:
 
 * input: 16 kHz mono PCM16 WAV only
-* 25 ms Hamming window, 10 ms hop (400 / 160 samples); :func:`hop_windows`
-  is the one framing of that grid, for the filterbank and the VAD alike
+* 25 ms Hamming window, 10 ms hop (400 / 160 samples)
 * pre-emphasis 0.97 on the waveform, first sample kept as-is
 * 512-point FFT, power spectrum ``|X|^2``
 * 41 triangular filters on the HTK Mel scale spanning 0..8000 Hz
@@ -15,9 +14,15 @@ posteriorgrams are reproducible bit-for-bit across machines:
 Frame stacking concatenates consecutive frame pairs so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 
-The streaming step :func:`frame_fbank` is the batch kernel of
-:func:`extract_fbank` applied to one window or a small stack of them, so
-its output is the matching batch rows bit for bit.
+One kernel computes the features of every window in a contiguous span of
+``400 + 160 * (n - 1)`` samples: pre-emphasis once on the span's waveform
+(given the sample before it), then the n hop-grid windows of the result
+through the Hamming window, FFT, filterbank and log. :func:`extract_fbank`
+runs it on a whole recording, and the streaming step :func:`frame_fbank` on
+a shorter span: the detector's stacked pair, a 560-sample slice of its
+buffer. An emphasized sample depends only on its sample and the one before,
+and a window's features only on its own emphasized samples, so
+:func:`frame_fbank` gives the matching batch rows bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AudioError
 
@@ -171,50 +175,58 @@ def num_feature_frames(num_samples: int) -> int:
     return 1 + (num_samples - WINDOW_SAMPLES) // HOP_SAMPLES
 
 
-def _fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
-    """Log-Mel features of float64 windows (last axis); ``prev`` is the
-    sample before each window: a float for one window, a vector for a stack.
+def _fbank(span: np.ndarray, prev: float) -> np.ndarray:
+    """Log-Mel features of the n windows on the hop grid of the contiguous
+    float64 ``span`` of ``400 + 160 * (n - 1)`` samples; ``prev`` is the
+    sample before it (0.0 at the start of a recording or segment).
+
+    Pre-emphasis runs once on the waveform, ``e[k] = x[k] - 0.97 * x[k-1]``
+    with the product rounded before the difference. The windows of ``e``
+    are Hamming-weighted into a zero-padded ``(n, 512)`` array for the FFT.
     Each spectrum meets the filterbank in its own vector-matrix product: a
     matrix-matrix product over all frames rounds differently in the last bits.
     """
-    emphasized = np.empty_like(windows)  # pre-emphasis in one buffer: one copy of a stack
-    emphasized[..., 0] = prev
-    emphasized[..., 1:] = windows[..., :-1]
+    emphasized = np.empty_like(span)
+    emphasized[0] = prev
+    emphasized[1:] = span[:-1]
     emphasized *= PREEMPHASIS
-    np.subtract(windows, emphasized, out=emphasized)
-    power = np.abs(np.fft.rfft(emphasized * _HAMMING, FFT_SIZE)) ** 2
-    energies = np.matmul(power[..., None, :], _FILTERS.T)[..., 0, :]
-    return np.log(np.maximum(energies, ENERGY_FLOOR))
+    np.subtract(span, emphasized, out=emphasized)
+    n = 1 + (len(span) - WINDOW_SAMPLES) // HOP_SAMPLES
+    # the hop-grid windows, a strided view of the buffer; building it with
+    # sliding_window_view takes longer than a pair's whole FFT call
+    step = emphasized.itemsize
+    strides = (HOP_SAMPLES * step, step)
+    windows = np.ndarray((n, WINDOW_SAMPLES), emphasized.dtype, emphasized, 0, strides)
+    padded = np.zeros((n, FFT_SIZE))
+    np.multiply(windows, _HAMMING, out=padded[:, :WINDOW_SAMPLES])
+    power = np.abs(np.fft.rfft(padded))
+    np.square(power, out=power)  # in place; the bits of ** 2
+    energies = np.matmul(power[:, None, :], _FILTERS.T)[:, 0, :]
+    np.maximum(energies, ENERGY_FLOOR, out=energies)
+    return np.log(energies, out=energies)
 
 
-def frame_fbank(windows: np.ndarray, prev: np.ndarray | float) -> np.ndarray:
-    """Features of one 400-sample window, or of a ``(n, 400)`` stack of
-    windows: the matching rows of :func:`extract_fbank`.
+def frame_fbank(span: np.ndarray, prev: float) -> np.ndarray:
+    """Features of the windows on the hop grid of ``span``, ``400 + 160 * k``
+    consecutive samples: the ``k + 1`` matching rows of :func:`extract_fbank`.
 
-    ``prev`` is the waveform sample immediately before each window (0.0 at
-    the very start), used by the pre-emphasis filter: a float for one
-    window, one sample per window for a stack. The streaming detector
-    passes the two windows of a stacked pair in one call.
+    ``prev`` is the waveform sample immediately before the span (0.0 at the
+    very start), used by the pre-emphasis filter. The streaming detector
+    passes a stacked pair's 560 samples in one call.
     """
-    w = np.asarray(windows, dtype=np.float64)
-    if w.ndim not in (1, 2) or w.shape[-1] != WINDOW_SAMPLES:
-        raise ValueError(f"windows must have {WINDOW_SAMPLES} samples each, got {w.shape}")
-    return _fbank(w, prev)
-
-
-def hop_windows(x: np.ndarray) -> np.ndarray:
-    """The 400-sample windows of ``x`` on the 160-sample hop grid: a
-    read-only (T, 400) view, T = :func:`num_feature_frames` of ``len(x)``."""
-    return sliding_window_view(x, WINDOW_SAMPLES)[::HOP_SAMPLES]
+    x = np.ascontiguousarray(span, dtype=np.float64)
+    if x.ndim != 1 or x.size < WINDOW_SAMPLES or (x.size - WINDOW_SAMPLES) % HOP_SAMPLES:
+        raise ValueError(
+            f"a span must hold {WINDOW_SAMPLES} + {HOP_SAMPLES}k samples, got shape {x.shape}"
+        )
+    return _fbank(x, prev)
 
 
 def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     """Convert audio to T x 41 log-Mel energies at 100 Hz."""
-    x = audio.samples.astype(np.float64)
-    prev = np.zeros(num_feature_frames(len(x)))
-    windows = hop_windows(x)
-    prev[1:] = windows[:-1, HOP_SAMPLES - 1]  # the sample before each later window
-    return FeatureSequence(_fbank(windows, prev), BASE_FRAME_RATE)
+    n = num_feature_frames(len(audio.samples))
+    span = audio.samples[: WINDOW_SAMPLES + HOP_SAMPLES * (n - 1)].astype(np.float64)
+    return FeatureSequence(_fbank(span, 0.0), BASE_FRAME_RATE)
 
 
 def stack_frames(features: FeatureSequence) -> FeatureSequence:

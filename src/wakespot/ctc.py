@@ -238,10 +238,11 @@ class CtcForwardScorer(ForwardLattice):
 
 def _advanced(lattice: ForwardLattice, rows: np.ndarray) -> ForwardLattice:
     """``lattice`` advanced over every posterior row of the ``(T, K)``
-    array ``rows``, each row logged once: batch scoring on a whole
-    posteriorgram, the streaming detector on a block of rows."""
-    for logs in _log_rows(rows):
-        lattice._advance(logs[lattice._symbols])
+    array ``rows``, logged and gathered into cell order in one call each:
+    batch scoring on a whole posteriorgram, the streaming detector on a
+    block of rows."""
+    for cell_logs in _log_rows(rows)[:, lattice._symbols]:
+        lattice._advance(cell_logs)
     return lattice
 
 

@@ -5,9 +5,25 @@ RMS level in dBFS reaches the threshold; the decision is then held high for
 ``hangover_frames`` further frames. Utterance spans are maximal runs of
 speech-classified frames of at least ``min_speech_frames``.
 
-The streaming level :func:`frame_dbfs` is the batch kernel of
-:func:`classify_frames` (the mean square of each window) applied to one
-window, so streaming and batch decisions agree bit for bit.
+A window's level is ``10 log10(S / 400 / 2**30)`` dBFS, where S is the sum
+of its 400 squared integer samples, computed exactly on both paths:
+
+* Samples are integers with ``|x| <= 2**15``, so a square is at most
+  ``2**30`` and every partial sum of a window's squares is an integer below
+  ``400 * 2**30 < 2**39``. Integers below ``2**53`` are exact in float64,
+  so the streaming :func:`frame_dbfs` gets S from one float64 dot product of
+  the window with itself, in whatever order the dot product sums.
+* The batch :func:`classify_frames` takes each window's S as the difference
+  of two entries of an int64 running sum of squares, exact while the total
+  stays below ``2**63`` (recordings under ``2**33`` samples), and converts
+  it to float64, also exactly.
+
+Both then divide S by 400, one rounding, and by ``2**30``, which is exact
+because the quotient is far above the subnormal range. So streaming and
+batch decisions agree bit for bit by construction, without sharing the
+summation. They are also the bits of the earlier float formula
+``sum((x / 2**15)**2) / 400``: its sum is exactly ``S * 2**-30``, and
+dividing by 400 rounds the same value at a scale a power of two apart.
 """
 
 from __future__ import annotations
@@ -17,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, hop_windows
+from .audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, num_feature_frames
 
 FULL_SCALE = 32768.0
-_BLOCK_FRAMES = 1024  # bounds the squared window copy classify_frames makes on long audio
+_FULL_SCALE_POWER = FULL_SCALE * FULL_SCALE  # 2**30, exact
 
 
 @dataclass(frozen=True)
@@ -38,20 +54,18 @@ class VadConfig:
             raise ValueError("min_speech_frames must be >= 1")
 
 
-def _mean_square(x: np.ndarray) -> np.ndarray:
-    """Mean square of each window (last axis) of samples scaled to full scale 1."""
-    return np.add.reduce(x * x, axis=-1) / x.shape[-1]  # np.mean's steps, without its wrapper
-
-
 def frame_dbfs(frame: np.ndarray) -> float:
-    """RMS level of a window relative to int16 full scale; -inf for silence."""
-    return _dbfs(float(_mean_square(np.asarray(frame, dtype=np.float64) / FULL_SCALE)))
+    """RMS level of a window of integer samples relative to int16 full
+    scale; -inf for silence."""
+    x = np.asarray(frame, dtype=np.float64)
+    return _dbfs(float(np.dot(x, x)), x.size)
 
 
-def _dbfs(mean_square: float) -> float:
-    if mean_square <= 0.0:
+def _dbfs(sum_of_squares: float, count: int) -> float:
+    """Level of ``count`` samples whose squares sum to ``sum_of_squares``."""
+    if sum_of_squares <= 0.0:
         return float("-inf")
-    return 10.0 * math.log10(mean_square)
+    return 10.0 * math.log10(sum_of_squares / count / _FULL_SCALE_POWER)
 
 
 class Vad:
@@ -86,16 +100,16 @@ class Vad:
 def classify_frames(config: VadConfig, audio: AudioBuffer) -> list[bool]:
     """Per-frame speech decisions (hangover applied) on the hop grid; equal
     to stepping ``Vad(config).classify_frame`` over the windows."""
-    x = np.asarray(audio.samples, dtype=np.float64) / FULL_SCALE
-    if len(x) < WINDOW_SAMPLES:
+    if len(audio.samples) < WINDOW_SAMPLES:
         return []
-    windows = hop_windows(x)
+    squares = audio.samples.astype(np.int64)
+    np.multiply(squares, squares, out=squares)
+    running = np.zeros(len(squares) + 1, dtype=np.int64)  # running[k]: sum of squares[:k]
+    np.cumsum(squares, out=running[1:])
+    starts = np.arange(num_feature_frames(len(squares))) * HOP_SAMPLES
+    sums = (running[starts + WINDOW_SAMPLES] - running[starts]).astype(np.float64)
     detector = Vad(config)
-    decisions = []
-    for start in range(0, len(windows), _BLOCK_FRAMES):
-        for mean_square in _mean_square(windows[start : start + _BLOCK_FRAMES]).tolist():
-            decisions.append(detector._decide(_dbfs(mean_square)))
-    return decisions
+    return [detector._decide(_dbfs(s, WINDOW_SAMPLES)) for s in sums.tolist()]
 
 
 def segment(config: VadConfig, audio: AudioBuffer) -> list[tuple[int, int]]:

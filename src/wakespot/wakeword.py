@@ -18,12 +18,13 @@ and batch scoring and the streaming detector share it.
 
 :class:`StreamingDetector` is the online counterpart of :func:`featurize`
 and :func:`score`: it VAD-classifies each 10 ms window as it arrives and
-sends a segment's stacked frames through the batch kernels (front end,
-GRU and lattice) a block at a time, so each segment's score is the batch
-score of its audio span, bit for bit. :func:`featurize` cuts a recording
-into the same VAD segments, so a recording scores as its best segment,
-the highest event the detector gives on it, and a training recording
-enrolls from its longest segment (:func:`longest_segments`).
+runs a segment through the batch kernels. The front end runs once per
+stacked pair, on the pair's 560-sample slice of the detector's buffer; the
+GRU and the lattice run once per block of pairs. So each segment's score is
+the batch score of its audio span, bit for bit. :func:`featurize` cuts a
+recording into the same VAD segments, so a recording scores as its best
+segment, the highest event the detector gives on it, and a training
+recording enrolls from its longest segment (:func:`longest_segments`).
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -370,9 +371,10 @@ class StreamingDetector:
     Audio arrives in arbitrary-size chunks. Windows on the 10 ms hop grid
     are VAD-classified one at a time. Within a speech segment they are
     taken in pairs: when a pair's second window arrives, one
-    :func:`frame_fbank` call turns both windows into the pair's stacked
-    frame (pre-emphasis restarts at the segment boundary, matching batch
-    extraction on the segment's samples), which joins a pending block.
+    :func:`frame_fbank` call on the pair's 560 samples, a slice of the
+    buffer, turns both windows into the pair's stacked frame (pre-emphasis
+    restarts at the segment boundary, matching batch extraction on the
+    segment's samples), which joins a pending block.
     A block runs once through the label model's GRU kernel, from the
     segment's carried state, and once through the forward lattice over all
     hypotheses, by the advance that batch scoring uses. That happens when
@@ -437,8 +439,7 @@ class StreamingDetector:
         ):
             self.stats.malformed_chunks += 1
             return []
-        arr = arr.astype(np.float64)
-        self._buffer = np.concatenate([self._buffer, arr])
+        self._buffer = np.concatenate([self._buffer, arr], dtype=np.float64)
         events = []
         while True:
             start = self._next_frame * HOP_SAMPLES - self._buffer_start
@@ -478,10 +479,7 @@ class StreamingDetector:
             first = start - HOP_SAMPLES
             # pre-emphasis restarts at the segment boundary
             prev = 0.0 if frame_index - 1 == self._segment_start else buffer[first - 1]
-            windows = np.concatenate(
-                [buffer[first : first + WINDOW_SAMPLES], buffer[start : start + WINDOW_SAMPLES]]
-            ).reshape(2, WINDOW_SAMPLES)
-            features = frame_fbank(windows, np.array([prev, buffer[start - 1]]))
+            features = frame_fbank(buffer[first : start + WINDOW_SAMPLES], prev)
             self._block[self._block_pairs] = features.reshape(STACKED_DIM)
             self._block_pairs += 1
         if self._block_pairs == _BLOCK_PAIRS or not self.vad.hangover_left:

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from wakespot.audio import AudioBuffer
 from wakespot.ctc import NEG_INF, ScoredSequence, forward_logprob, nbest_sort_key
 from wakespot.label_model import LabelAlphabet, Posteriorgram
 
@@ -142,3 +144,20 @@ def reference_dtw_cost(distances: np.ndarray) -> tuple[float, int]:
         prev_cost, cost_row = cost_row, prev_cost
         prev_len, len_row = len_row, prev_len
     return prev_cost[m - 1], prev_len[m - 1]
+
+
+@st.composite
+def edge_audio(draw):
+    """int16 audio of at least one window built from runs of exact zeros,
+    of full scale (+32767 and -32768) and of noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    runs = {
+        "zero": lambda n: np.zeros(n, dtype=np.int16),
+        "max": lambda n: np.full(n, 32767, dtype=np.int16),
+        "min": lambda n: np.full(n, -32768, dtype=np.int16),
+        "noise": lambda n: rng.integers(-32768, 32768, size=n).astype(np.int16),
+    }
+    kinds = draw(st.lists(st.sampled_from(sorted(runs)), min_size=1, max_size=8))
+    parts = [runs[kind](draw(st.integers(1, 1200))) for kind in kinds]
+    parts.append(np.zeros(max(0, 400 - sum(map(len, parts))), dtype=np.int16))
+    return AudioBuffer(np.concatenate(parts))

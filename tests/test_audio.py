@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wakespot.audio import (
     BASE_FRAME_RATE,
@@ -23,6 +22,8 @@ from wakespot.audio import (
     write_wav,
 )
 from wakespot.errors import AudioError
+
+from conftest import edge_audio
 
 
 def tone(freq=440.0, seconds=1.0, amp=8000.0):
@@ -100,49 +101,38 @@ class TestExtractFbank:
             start = 160 * t
             prev = x[start - 1] if start else 0.0
             single = frame_fbank(x[start : start + 400], prev)
-            assert np.array_equal(single, feats[t]), f"frame {t}"
+            assert np.array_equal(single, feats[t : t + 1]), f"frame {t}"
 
-
-    def test_a_stack_of_windows_gives_the_batch_rows(self):
-        # the streaming detector's call: a stacked pair's two windows at once
+    def test_a_pair_span_gives_the_batch_rows(self):
+        # the streaming detector's call: a stacked pair's 560 samples at once
         rng = np.random.default_rng(10)
         audio = AudioBuffer(rng.integers(-3000, 3000, size=4000).astype(np.int16))
         feats = extract_fbank(audio).frames
         x = audio.samples.astype(np.float64)
         for t in range(feats.shape[0] - 1):
-            starts = (160 * t, 160 * (t + 1))
-            windows = np.stack([x[s : s + 400] for s in starts])
-            prev = np.array([x[s - 1] if s else 0.0 for s in starts])
-            assert np.array_equal(frame_fbank(windows, prev), feats[t : t + 2]), f"frames {t}, {t + 1}"
-        with pytest.raises(ValueError, match="400 samples"):
-            frame_fbank(np.zeros((2, 399)), np.zeros(2))
+            start = 160 * t
+            prev = x[start - 1] if start else 0.0
+            pair = frame_fbank(x[start : start + 560], prev)
+            assert np.array_equal(pair, feats[t : t + 2]), f"frames {t}, {t + 1}"
 
-@st.composite
-def edge_audio(draw):
-    """int16 audio of at least one window built from runs of exact zeros,
-    of full scale (+32767 and -32768) and of noise."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    runs = {
-        "zero": lambda n: np.zeros(n, dtype=np.int16),
-        "max": lambda n: np.full(n, 32767, dtype=np.int16),
-        "min": lambda n: np.full(n, -32768, dtype=np.int16),
-        "noise": lambda n: rng.integers(-32768, 32768, size=n).astype(np.int16),
-    }
-    kinds = draw(st.lists(st.sampled_from(sorted(runs)), min_size=1, max_size=8))
-    parts = [runs[kind](draw(st.integers(1, 1200))) for kind in kinds]
-    parts.append(np.zeros(max(0, 400 - sum(map(len, parts))), dtype=np.int16))
-    return AudioBuffer(np.concatenate(parts))
+    @pytest.mark.parametrize("shape", [(0,), (399,), (401,), (559,), (561,), (2, 400)])
+    def test_a_span_off_the_hop_grid_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="400 \\+ 160k samples"):
+            frame_fbank(np.zeros(shape), 0.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(edge_audio())
 def test_extract_fbank_rows_equal_frame_fbank_on_silence_and_full_scale(audio):
+    # spans of one to three windows starting at every hop of the grid
     feats = extract_fbank(audio).frames
     x = audio.samples.astype(np.float64)
     for t in range(feats.shape[0]):
         start = 160 * t
         prev = x[start - 1] if start else 0.0
-        assert np.array_equal(frame_fbank(x[start : start + 400], prev), feats[t]), f"frame {t}"
+        for n in range(1, min(3, feats.shape[0] - t) + 1):
+            rows = frame_fbank(x[start : start + 400 + 160 * (n - 1)], prev)
+            assert np.array_equal(rows, feats[t : t + n]), f"frames {t}..{t + n - 1}"
 
 
 class TestStackFrames:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from wakespot.audio import AudioBuffer, HOP_SAMPLES, WINDOW_SAMPLES
 from wakespot.vad import Vad, VadConfig, classify_frames, frame_dbfs, segment, span_samples, trim_to_speech
 
+from conftest import edge_audio
+
 
 def silence(n):
     return np.zeros(n, dtype=np.int16)
@@ -49,6 +51,9 @@ class TestClassifyFrame:
 
     def test_dbfs_of_silence_is_minus_inf(self):
         assert frame_dbfs(silence(WINDOW_SAMPLES)) == float("-inf")
+
+    def test_dbfs_of_full_negative_scale_is_zero(self):
+        assert frame_dbfs(np.full(WINDOW_SAMPLES, -32768, dtype=np.int16)) == 0.0
 
     def test_hangover_keeps_decision_high(self):
         detector = Vad(VadConfig(hangover_frames=3))
@@ -176,3 +181,17 @@ def test_frames_on_the_threshold_are_speech():
     audio = AudioBuffer(np.concatenate([window, np.full(WINDOW_SAMPLES, level - 1, dtype=np.int16)]))
     decisions = classify_frames(config, audio)
     assert decisions[0] and not decisions[-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_audio(), st.integers(0, 2))
+def test_decisions_agree_with_every_frame_level_as_the_threshold(audio, hangover):
+    # With a frame's own level as the threshold, that frame is speech only
+    # if batch and streaming compute its level to the last bit.
+    x = audio.samples
+    windows = [x[s : s + WINDOW_SAMPLES] for s in range(0, len(x) - WINDOW_SAMPLES + 1, HOP_SAMPLES)]
+    for level in sorted({frame_dbfs(w) for w in windows}):
+        config = VadConfig(energy_threshold_db=level, hangover_frames=hangover)
+        detector = Vad(config)
+        expected = [detector.classify_frame(w) for w in windows]
+        assert classify_frames(config, audio) == expected, f"threshold {level!r}"

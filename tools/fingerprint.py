@@ -24,6 +24,8 @@ It prints one JSON object with a digest for each family:
   of each), as the harness's ``dtw_fbank`` and ``dtw_post`` detectors
   compute them: on filterbank frames, and on posteriorgrams under the
   oracle weights;
+- ``vad_levels``: ``frame_dbfs`` as ``float.hex`` of every window on the
+  hop grid of each of those episodes' recordings, supports and tests;
 - ``streaming_oracle``: the events and counters of ``detect_stream`` with
   the oracle weights, a model learned from the first episode's supports and
   threshold -inf, fed in 10 ms chunks the recordings of the first two
@@ -53,12 +55,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from wakespot import synth  # noqa: E402
-from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE  # noqa: E402
+from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES  # noqa: E402
 from wakespot.ctc import beam_search  # noqa: E402
 from wakespot.dtw import dtw_detect_segments  # noqa: E402
 from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
-from wakespot.vad import VadConfig  # noqa: E402
+from wakespot.vad import VadConfig, frame_dbfs  # noqa: E402
 from wakespot.wakeword import detect_stream, featurize, learn, longest_segments, score  # noqa: E402
 
 FEWSHOT_SEED = 1
@@ -128,6 +130,12 @@ def streaming_digest(model, weights, stream) -> str:
     )
 
 
+def vad_levels(samples: np.ndarray) -> list[str]:
+    """The level of each hop-grid window of ``samples``, as ``float.hex``."""
+    starts = range(0, len(samples) - WINDOW_SAMPLES + 1, HOP_SAMPLES)
+    return [frame_dbfs(samples[s : s + WINDOW_SAMPLES]).hex() for s in starts]
+
+
 def dtw_scores(segments, supports: int) -> list[str]:
     """The DTW detection scores of an episode's tests, as ``evaluation._dtw_scores``."""
     scores = dtw_detect_segments(longest_segments(segments[:supports]), segments[supports:])
@@ -143,9 +151,11 @@ def main() -> None:
     out = {}
     models_3x96 = []
     dtw = {"fbank": [], "post": []}
+    levels = []
     for episode in episodes:
         recordings = [*episode.support, *(t.audio for t in episode.tests)]
         dtw["fbank"].append(dtw_scores(featurize(recordings, VadConfig()), len(episode.support)))
+        levels += [vad_levels(audio.samples) for audio in recordings]
     for name, weights in all_weights.items():
         out[f"weights_{name}"] = weight_file_digest(weights)
         posts, beams, scores = [], [], []
@@ -168,6 +178,7 @@ def main() -> None:
     out["scores_random_3x96"] = digest(scores)
     for space, space_scores in dtw.items():
         out[f"scores_dtw_{space}"] = digest(space_scores)
+    out["vad_levels"] = digest(levels)
     oracle_weights = all_weights["oracle"]
     stream = stream_of(episodes[:STREAM_EPISODES])
     oracle_model = learn(
