@@ -6,7 +6,8 @@ Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
 Recordings become detector input through :func:`wakeword.featurize`, cut
 into VAD segments as ``listen`` cuts its stream. A recording scores as its
 best segment, so ``score`` prints the highest score ``listen`` gives the
-same file, and a support enrolls from its longest segment.
+same file (-inf without speech, where ``listen`` gives no event), and a
+support enrolls from its longest segment (a data error without speech).
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -183,10 +184,10 @@ def cmd_score(args) -> int:
     model = load_model(args.model, weights.alphabet)
     [segments] = featurize([read_wav(args.wav)], _vad_config(args), weights)
     scored = [hypothesis_logprobs(model, post) for post in segments]
-    logprobs = max(scored, key=lambda lp: aggregate(model, lp))  # the best segment's
-    for hyp, lp in zip(model.hypotheses, logprobs.tolist()):
+    best = max(scored, key=lambda lp: aggregate(model, lp), default=None)  # the best segment's
+    for hyp, lp in zip(model.hypotheses, [] if best is None else best.tolist()):
         print(_hypothesis_line(model.alphabet, hyp, lp))
-    print(f"score {aggregate(model, logprobs)}")
+    print(f"score {-math.inf if best is None else aggregate(model, best)}")  # no speech: -inf
     return EXIT_OK
 
 

@@ -208,6 +208,6 @@ def dtw_detect(supports, test) -> float:
 
 def dtw_detect_segments(supports, tests) -> list[float]:
     """As ``dtw_detect_all``, for tests given as their segments: each scores
-    as its best. All segments of all tests share one wavefront."""
+    as its best, -inf if it has none. All segments share one wavefront."""
     scores = iter(dtw_detect_all(supports, [seq for segments in tests for seq in segments]))
-    return [max(next(scores) for _ in segments) for segments in tests]
+    return [max((next(scores) for _ in segments), default=-np.inf) for segments in tests]

@@ -14,6 +14,8 @@ Every recording becomes detector input through :func:`wakeword.featurize`,
 the one recipe (VAD segments, filterbank, and for all detectors but
 ``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
 A support enrolls from its longest segment and a test scores as its best.
+A test without speech scores -inf, as ``listen`` gives it no event, and a
+support without speech skips its episode with a warning naming its position.
 Each detector makes one ``featurize`` call per episode, over its supports
 and tests together (``query_by_string``, which enrolls from the target
 labels, passes only the tests).
@@ -199,7 +201,7 @@ def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
         posts = longest_segments(segments[:supports])
         model = learn(posts, params.beam_width, params.num_hypotheses)
         segments = segments[supports:]
-    return [max(score(model, post) for post in test) for test in segments]
+    return [max((score(model, post) for post in test), default=-np.inf) for test in segments]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

@@ -298,20 +298,13 @@ def featurize(
 ) -> list[list[FeatureSequence]] | list[list[Posteriorgram]]:
     """Detector input of each recording in batch, one entry per ``vad``
     segment, each featurized on its own samples as :class:`StreamingDetector`
-    scores it. A recording without speech is kept whole as its one segment,
-    with a logged warning that gives its position in ``recordings``. Returns
-    the 100 Hz filterbank frames of each segment when ``weights`` is None,
-    else the label model's posteriorgrams of their stacked 50 Hz frames."""
+    scores it; none for a recording without speech, which it gives no event.
+    Returns the 100 Hz filterbank frames of each segment when ``weights`` is
+    None, else the label model's posteriorgrams of their stacked 50 Hz frames."""
     features = []
-    for i, audio in enumerate(recordings):
-        pieces = [AudioBuffer(audio.samples[slice(*span_samples(s))]) for s in segment(vad, audio)]
-        if not pieces:
-            logger.warning(
-                "no speech found by VAD in recording %d of %d; using the whole recording",
-                i + 1, len(recordings),
-            )
-            pieces = [audio]
-        features.append([extract_fbank(piece) for piece in pieces])
+    for audio in recordings:
+        spans = [span_samples(s) for s in segment(vad, audio)]
+        features.append([extract_fbank(AudioBuffer(audio.samples[lo:hi])) for lo, hi in spans])
     if weights is None:
         return features
     return [[run(weights, stack_frames(f)) for f in segments] for segments in features]
@@ -320,7 +313,11 @@ def featurize(
 def longest_segments(recordings: Sequence[Sequence]) -> list:
     """The longest segment of each recording's :func:`featurize` output (the
     first of equals), the one a training recording enrolls from. A
-    recording with more than one segment is logged as a warning."""
+    recording with more than one segment is logged as a warning; one
+    without speech is a ``ValueError`` that names each such position."""
+    silent = [str(i + 1) for i, segments in enumerate(recordings) if not segments]
+    if silent:
+        raise ValueError(f"no speech found by VAD in recording {', '.join(silent)} of {len(recordings)}")
     longest = []
     for i, segments in enumerate(recordings):
         if len(segments) > 1:

@@ -309,17 +309,37 @@ def test_score_equals_the_streaming_event_bit_for_bit(world, tmp_path, capsys, w
     assert [event.score for event in report.events] == [batch]
 
 
+def test_a_recording_without_speech_scores_minus_inf_as_listen_gives_no_event(world, tmp_path, capsys):
+    model_path = tmp_path / "word.model"
+    _enroll(world, model_path)
+    weights = ["--weights", str(world["weights"])]
+    silence, supports = str(world["silence"]), [str(w) for w in world["wavs"]]
+    for args in (
+        ["score", str(model_path), silence, *weights],
+        ["baseline", *supports, silence, *weights],
+        ["baseline", *supports, silence, "--space", "fbank"],
+    ):
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out == "score -inf\n"
+    assert main(["listen", str(model_path), silence, *weights, "--threshold", "-inf"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(" events=0\n")
+    assert main(["baseline", supports[0], silence, supports[2], supports[0], "--space", "fbank"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: no speech found by VAD in recording 2 of 3\n"
+
+
 def test_enroll_prints_each_degenerate_note_once(world, tmp_path, caplog):
     from wakespot.audio import AudioBuffer
 
     rng = np.random.default_rng(3)
     wavs = []
-    for i in range(3):  # white noise at -60 dBFS: no speech, and only blanks from the GRU
+    # white noise at -60 dBFS: speech to a -70 dB VAD, and only blanks from the GRU
+    for i in range(3):
         wavs.append(tmp_path / f"noise_{i}.wav")
         write_wav(wavs[-1], AudioBuffer(np.round(rng.normal(0.0, 32.768, 16000)).astype(np.int16)))
     args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
     with caplog.at_level("WARNING", logger="wakespot"):
-        assert main([*args, "--num-hypotheses", "1"]) == EXIT_OK
+        assert main([*args, "--num-hypotheses", "1", "--vad-threshold-db", "-70"]) == EXIT_OK
     assert [r.getMessage() for r in caplog.records if "empty sequence" in r.getMessage()] == [
         f"training example {i} of 3: decoder produced only the empty sequence; "
         "the model may be degenerate"
@@ -383,7 +403,7 @@ def test_zero_vad_hangover_is_accepted(world, capsys):
     assert capsys.readouterr().out.startswith("score ")
 
 
-def test_enroll_names_each_recording_without_speech(world, tmp_path, caplog):
+def test_enroll_names_each_recording_without_speech(world, tmp_path, capsys):
     from wakespot.audio import AudioBuffer
 
     rng = np.random.default_rng(3)
@@ -392,12 +412,9 @@ def test_enroll_names_each_recording_without_speech(world, tmp_path, caplog):
         wavs.append(tmp_path / f"noise_{i}.wav")
         write_wav(wavs[-1], AudioBuffer(np.round(rng.normal(0.0, 32.768, 16000)).astype(np.int16)))
     args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
-    with caplog.at_level("WARNING", logger="wakespot"):
-        assert main([*args, "--num-hypotheses", "1"]) == EXIT_OK
-    assert [r.getMessage() for r in caplog.records if "no speech" in r.getMessage()] == [
-        f"no speech found by VAD in recording {i} of 3; using the whole recording"
-        for i in (1, 2, 3)
-    ]
+    assert main([*args, "--num-hypotheses", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: no speech found by VAD in recording 1, 2, 3 of 3\n"
+    assert not (tmp_path / "m.model").exists()
 
 
 def _last_score(out: str) -> float:

@@ -15,6 +15,7 @@ from wakespot.dtw import (
     dtw_cost,
     dtw_detect,
     dtw_detect_all,
+    dtw_detect_segments,
     dtw_score,
 )
 from wakespot.label_model import Posteriorgram
@@ -288,6 +289,16 @@ class TestWavefront:
         assert dtw_detect_all([seq], []) == []
         with pytest.raises(ValueError):
             dtw_detect_all([], [seq])
+
+    def test_detect_segments_scores_a_test_without_segments_minus_inf_in_place(self):
+        rng = np.random.default_rng(5)
+        supports = [fbank_seq(rng.normal(size=(n, 41))) for n in (4, 6)]
+        first = [fbank_seq(rng.normal(size=(n, 41))) for n in (3, 5)]
+        last = [fbank_seq(rng.normal(size=(7, 41)))]
+        got = dtw_detect_segments(supports, [first, [], last])
+        want = [max(dtw_detect(supports, seq) for seq in first), -math.inf, dtw_detect(supports, last[0])]
+        assert list(map(bits, got)) == list(map(bits, want))
+        assert dtw_detect_segments(supports, [[], []]) == [-math.inf, -math.inf]
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wakespot import synth
+from wakespot.audio import AudioBuffer
 from wakespot.evaluation import (
     Episode,
     HarnessParams,
@@ -220,6 +222,32 @@ class TestHarness:
         for detector in ("dtw_fbank", "dtw_post"):
             report = run_harness(detector, episodes, params)
             assert 0.0 <= report.overall.eer <= 1.0
+
+    @pytest.mark.parametrize("detector", ["donut", "query_by_string", "dtw_fbank", "dtw_post"])
+    def test_a_silent_test_scores_minus_inf(self, small_world, detector):
+        episodes, params = small_world
+        episode = episodes[0]
+        at = next(j for j, t in enumerate(episode.tests) if not t.is_positive)
+        tests = list(episode.tests)
+        tests[at] = replace(tests[at], audio=AudioBuffer(np.zeros(16000, np.int16)))
+        want = [r.score for r in run_harness(detector, [episode], params).records]
+        got = [r.score for r in run_harness(detector, [replace(episode, tests=tuple(tests))], params).records]
+        want[at] = -math.inf
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("detector", ["donut", "dtw_fbank", "dtw_post"])
+    def test_an_episode_with_a_silent_support_is_skipped(self, small_world, detector, caplog):
+        episodes, params = small_world
+        silent = AudioBuffer(np.zeros(16000, np.int16))
+        support = (episodes[0].support[0], silent, episodes[0].support[2])
+        broken = replace(episodes[0], support=support)
+        with caplog.at_level("WARNING", logger="wakespot"):
+            report = run_harness(detector, [broken, *episodes[1:]], params)
+        assert report.episodes_skipped == 1 and report.episodes_evaluated == len(episodes) - 1
+        assert len(report.records) == sum(len(ep.tests) for ep in episodes[1:])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping episode {broken.episode_id}: no speech found by VAD in recording 2 of 3"
+        ]
 
 
 class TestManifests:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wakespot import synth, wakeword
@@ -445,26 +445,22 @@ class TestFeaturize:
         [[post]] = featurize([audio], VadConfig(), weights)
         assert post.rows.tobytes() == run(weights, stack_frames(fbank)).rows.tobytes()
 
-    def test_no_speech_keeps_the_whole_recording_and_warns(self, caplog):
+    def test_no_speech_gives_no_segments_and_no_warning(self, caplog):
         audio = AudioBuffer(np.zeros(4000, dtype=np.int16))
         with caplog.at_level("WARNING", logger="wakespot"):
-            [[fbank]] = featurize([audio], VadConfig())
-        assert fbank.num_frames == extract_fbank(audio).num_frames
-        assert [r.getMessage() for r in caplog.records] == [
-            "no speech found by VAD in recording 1 of 1; using the whole recording"
-        ]
+            assert featurize([audio], VadConfig()) == [[]]
+            assert featurize([audio], VadConfig(), synth.oracle_weights()) == [[]]
+        assert caplog.records == []
 
-    def test_no_speech_warning_gives_the_position_in_the_call(self, caplog):
+    def test_no_speech_error_names_each_position_in_the_call(self):
         speech = synth.render_utterance(
             (2, 5, 9), synth.Speaker(1.0, 1.0, 0.0), np.random.default_rng(9), synth.EpisodeConfig.clean()
         )
         silence = AudioBuffer(np.zeros(4000, dtype=np.int16))
-        with caplog.at_level("WARNING", logger="wakespot"):
-            fbanks = featurize([speech, silence, speech, silence], VadConfig())
-        assert [f.num_frames for [f] in fbanks[1::2]] == 2 * [extract_fbank(silence).num_frames]
-        assert [r.getMessage() for r in caplog.records] == [
-            f"no speech found by VAD in recording {i} of 4; using the whole recording" for i in (2, 4)
-        ]
+        fbanks = featurize([speech, silence, speech, silence], VadConfig())
+        assert [len(segments) for segments in fbanks] == [1, 0, 1, 0]
+        with pytest.raises(ValueError, match=r"^no speech found by VAD in recording 2, 4 of 4$"):
+            wakeword.longest_segments(fbanks)
 
 
 class TestStreamingDetector:
@@ -789,14 +785,15 @@ def contract_episode():
 
 @st.composite
 def segmented_streams(draw):
-    """1-3 rendered utterances, the keyword or other words, apart by
+    """0-3 rendered utterances, the keyword or other words, apart by
     silences longer than the VAD hangover, some with a 50 ms burst; and the
     VAD config. Under the 3-frame hangover ``min_speech_frames`` drops the
-    burst; under the default one it is a segment of its own."""
+    burst; under the default one it is a segment of its own. Without words
+    a stream is silence alone, or silence and the burst."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     config = draw(st.sampled_from(CONTRACT_VADS))
     word = st.sampled_from([CONTRACT_KEYWORD, (1, 4, 8), (3, 7, 11)])
-    words = draw(st.lists(word, min_size=1, max_size=3))
+    words = draw(st.lists(word, min_size=0, max_size=3))
     speaker = synth.Speaker(pitch=draw(st.floats(0.95, 1.05)), rate=1.0, gain_db=0.0)
     gap = lambda: np.zeros(draw(st.integers(config.hangover_frames + 5, 50)) * HOP_SAMPLES, np.int16)
     parts = [gap()]
@@ -811,11 +808,13 @@ def segmented_streams(draw):
 
 @settings(max_examples=15, deadline=None)
 @given(segmented_streams())
+@example((AudioBuffer(np.zeros(16000, np.int16)), VadConfig(), False))
 def test_batch_scores_a_recording_as_its_best_streaming_segment(case):
     """Every command's rule: a recording has as many ``featurize`` segments
     as ``listen`` has events at -inf, ``donut`` and ``query_by_string``
     score it as the highest event, bit for bit, and the DTW baselines as
-    the best ``dtw_detect`` of its segments."""
+    the best ``dtw_detect`` of its segments. Without an event, as for
+    silence, every detector scores it -inf."""
     stream, config, has_burst = case
     weights, episode = contract_episode()
     episode = replace(episode, tests=(replace(episode.tests[0], audio=stream),))
@@ -834,9 +833,9 @@ def test_batch_scores_a_recording_as_its_best_streaming_segment(case):
         if has_burst and config.hangover_frames == 3:
             assert report.stats.segments_discarded >= 1
         [value] = _ctc_scores(detector, episode, params)
-        assert value.hex() == max(e.score for e in report.events).hex()
+        assert value.hex() == max((e.score for e in report.events), default=-math.inf).hex()
     for detector, space in (("dtw_post", weights), ("dtw_fbank", None)):
         supports = wakeword.longest_segments(featurize(episode.support, config, space))
         [test] = featurize([stream], config, space)
         [value] = _dtw_scores(detector, episode, params)
-        assert value.hex() == max(dtw_detect(supports, seq) for seq in test).hex()
+        assert value.hex() == max((dtw_detect(supports, seq) for seq in test), default=-math.inf).hex()
