@@ -8,6 +8,8 @@ into VAD segments as ``listen`` cuts its stream. A recording scores as its
 best segment, so ``score`` prints the highest score ``listen`` gives the
 same file (-inf without speech, where ``listen`` gives no event), and a
 support enrolls from its longest segment (a data error without speech).
+``eval`` with ``--weights`` requires the manifest's alphabet to be the
+weights' alphabet, as a model file must be (a data error otherwise).
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -29,7 +31,7 @@ import sys
 from . import evaluation, synth
 from .audio import HOP_SAMPLES, read_wav
 from .dtw import dtw_detect_segments
-from .errors import WakespotError
+from .errors import FileFormatError, WakespotError
 from .label_model import load_weights, save_weights
 from .vad import VadConfig
 from .wakeword import (
@@ -230,8 +232,12 @@ def cmd_eval(args) -> int:
     weightless = args.detector in evaluation.WEIGHTLESS_DETECTORS
     if not weightless and not args.weights:
         raise UsageError(f"--detector {args.detector} requires --weights")
-    _, episodes = evaluation.read_episodes(args.manifest)
+    alphabet, episodes = evaluation.read_episodes(args.manifest)
     weights = None if weightless else load_weights(args.weights)
+    if weights is not None and weights.alphabet != alphabet:
+        raise FileFormatError(
+            f"{args.manifest}: manifest alphabet differs from the alphabet of weights {args.weights}"
+        )
     params = evaluation.HarnessParams(
         weights=weights,
         beam_width=args.beam_width,

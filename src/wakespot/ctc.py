@@ -25,21 +25,22 @@ and ``step`` feeds one row to the same advance.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
-top ``beam_width`` prefixes survive each timestep. Its state is one
-prefix table, where each prefix the search has kept is a node (its parent
-node and last label, with a child map so that a prefix found again gets
-its old node), plus arrays over the surviving nodes (blank mass, non-blank
-mass, last label and parent node). So each posterior row advances every
-(beam x symbol) candidate in one set of array operations, and the survivor
-index of a beam's parent is one gather. Tuples are built only for
-candidates tied at the pruning cutoff and for the returned entries. The
-survivors are rescored with the exact forward algorithm before they are
-returned, on one lattice built from their ancestors in the table, so the
-reported log probability of every entry is the true sequence probability
-even when pruning discarded some of its alignment mass mid-search. No language model
-or lexicon is involved. Ties, both at the pruning cutoff and in the
-returned list, are ordered shorter sequence first, then lexicographically
-by label indices.
+top ``beam_width`` prefixes survive each timestep. Its state is one prefix
+table, where each prefix the search has kept is a node (its parent node
+and last label, with a child map so that a prefix found again gets its old
+node), plus arrays over the surviving nodes (blank mass, non-blank mass,
+last label and parent node). So each posterior row advances every (beam x
+symbol) candidate in one set of array operations, on one (B, K) matrix
+whose column 0 is the beam itself and column c its extension by label c,
+and the survivor index of a beam's parent is one gather. Tuples are built
+only for candidates tied at the pruning cutoff and for the returned
+entries. The survivors are rescored with the exact forward algorithm
+before they are returned, on one lattice built from their ancestors in the
+table, so the reported log probability of every entry is the true sequence
+probability even when pruning discarded some of its alignment mass
+mid-search. No language model or lexicon is involved. Ties, both at the
+pruning cutoff and in the returned list, are ordered shorter sequence
+first, then lexicographically by label indices.
 """
 
 from __future__ import annotations
@@ -270,19 +271,6 @@ def _prefix(parent: list[int], label: list[int], node: int) -> LabelSequence:
     return tuple(reversed(labels))
 
 
-def _candidate(
-    parent: list[int], label: list[int], nodes: np.ndarray, k: int, num_labels: int
-) -> LabelSequence:
-    """Candidate ``k`` of a beam-search row over the survivors ``nodes``:
-    beam k for k < B, otherwise the extension of beam (k - B) // (K-1) by
-    label (k - B) % (K-1) + 1."""
-    num_beams = nodes.size
-    if k < num_beams:
-        return _prefix(parent, label, int(nodes[k]))
-    beam, column = divmod(k - num_beams, num_labels)
-    return _prefix(parent, label, int(nodes[beam])) + (column + 1,)
-
-
 def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     """N-best label sequences by CTC prefix beam search.
 
@@ -297,11 +285,14 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     is not a survivor, so the survivor index of each beam's parent is one
     gather, also for a parent that was pruned and later found again.
 
-    Each posterior row makes one blank/stay update of the B beams and one
-    (B, K-1) matrix of extensions. An extension that already is a surviving
-    beam is folded into that beam's non-blank mass and masked out of the
-    matrix. Every merged mass has at most two terms, so the result does not
-    depend on the order of merging.
+    Each posterior row makes one (B, K) matrix of candidates: column 0 of
+    row b is beam b itself (blank and stay mass), and column c is beam b
+    extended by label c, so candidate k is ``beam, column = divmod(k, K)``.
+    Only the empty prefix ends in blank, and its label mass is always
+    -inf, so the stay and repeat updates through ``last`` are exact for
+    every beam. An extension that already is a surviving beam is folded
+    into that beam's label mass and masked out. Every merged mass has at
+    most two terms, so the result does not depend on the order of merging.
 
     The ``beam_width`` candidates with the largest total mass survive each
     row, chosen with ``np.partition``. Only candidates that tie exactly at
@@ -317,7 +308,6 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
     num_symbols = post.num_symbols
-    num_labels = num_symbols - 1
     table_parent, table_label = [0], [BLANK_INDEX]
     child: dict[int, int] = {}  # parent node * K + label -> node
     # Survivor index of each node; the extra last entry stays -1, so the
@@ -331,73 +321,68 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
     # math.log per entry: np.log on an array may round some entries differently.
     logrows = [[math.log(p) if p > 0.0 else NEG_INF for p in row] for row in post.rows.tolist()]
     for logrow in np.array(logrows).reshape(post.rows.shape):
-        num_beams = nodes.size
         parent = position[parent_node]  # each beam's parent's survivor index, or -1
         total = np.logaddexp(p_blank, p_nonblank)
-        runs = (last != BLANK_INDEX).nonzero()[0]
-        run_label = last[runs]
         # Emit a blank: the prefix is unchanged and now ends in blank.
         new_blank = total + logrow[BLANK_INDEX]
         # Extend the current run of the final label: unchanged prefix.
-        new_nonblank = np.full(num_beams, NEG_INF)
-        new_nonblank[runs] = p_nonblank[runs] + logrow[run_label]
-        # Candidates: the B beams, then the (B, K-1) extension cells row by
-        # row. Append label c (column c - 1). A repeated label needs a
-        # separating blank, so only blank-ending mass can start a new run of it.
-        candidates = np.empty(num_beams * num_symbols)
-        extend = candidates[num_beams:].reshape(num_beams, num_labels)
-        np.add(total[:, None], logrow[1:], out=extend)
-        extend[runs, run_label - 1] = p_blank[runs] + logrow[run_label]
+        new_nonblank = p_nonblank + logrow[last]
+        # Column c appends label c. A repeated label needs a separating blank,
+        # so only blank-ending mass can start a new run of it.
+        candidates = total[:, None] + logrow
+        candidates[np.arange(nodes.size), last] = p_blank + logrow[last]
         # An extension that already is a surviving beam merges into it.
         children = (parent >= 0).nonzero()[0]
-        folded = (parent[children], last[children] - 1)
-        new_nonblank[children] = np.logaddexp(new_nonblank[children], extend[folded])
-        extend[folded] = NEG_INF
+        folded = (parent[children], last[children])
+        new_nonblank[children] = np.logaddexp(new_nonblank[children], candidates[folded])
+        candidates[folded] = NEG_INF
+        # Column 0, written last: the beam itself.
+        np.logaddexp(new_blank, new_nonblank, out=candidates[:, 0])
 
-        # Only a beam has blank mass; an extension's total is its label mass,
-        # as logaddexp(-inf, x) == x exactly.
-        np.logaddexp(new_blank, new_nonblank, out=candidates[:num_beams])
-        survivors = (candidates > NEG_INF).nonzero()[0]
+        flat = candidates.ravel()
+        survivors = (flat > NEG_INF).nonzero()[0]
         if survivors.size > beam_width:
-            kth = candidates.size - beam_width
-            cutoff = np.partition(candidates, kth)[kth]
-            above = (candidates > cutoff).nonzero()[0]
-            tied = (candidates == cutoff).nonzero()[0].tolist()
+            kth = flat.size - beam_width
+            cutoff = np.partition(flat, kth)[kth]
+            above = (flat > cutoff).nonzero()[0]
+            tied = (flat == cutoff).nonzero()[0].tolist()
             need = beam_width - above.size
             if need < len(tied):
-                seqs = {
-                    k: _candidate(table_parent, table_label, nodes, k, num_labels) for k in tied
-                }
+                seqs = {}
+                for k in tied:
+                    beam, column = divmod(k, num_symbols)
+                    seq = _prefix(table_parent, table_label, int(nodes[beam]))
+                    seqs[k] = seq + (column,) if column else seq
                 tied = sorted(tied, key=lambda k: (len(seqs[k]), seqs[k]))[:need]
             survivors = np.concatenate([above, np.array(tied, dtype=np.intp)])
 
-        # Survivors in candidate order: kept beams first, then extensions.
-        survivors.sort()
-        num_kept = int(np.searchsorted(survivors, num_beams))
-        kept = survivors[:num_kept]
-        owner, column = np.divmod(survivors[num_kept:] - num_beams, num_labels)
-        owner_node, ext_label = nodes[owner], column + 1
-        extended = []
-        for node, y in zip(owner_node.tolist(), ext_label.tolist()):
-            key = node * num_symbols + y
-            found = child.get(key)
-            if found is None:
-                found = child[key] = len(table_parent)
-                table_parent.append(node)
-                table_label.append(y)
-            extended.append(found)
+        # A kept beam (column 0) keeps its node; an extension takes its node
+        # in the table, new or found again.
+        beam, column = np.divmod(survivors, num_symbols)
+        kept = column == 0
+        owner = nodes[beam]
+        found = []
+        for node, y in zip(owner.tolist(), column.tolist()):
+            if y:
+                key = node * num_symbols + y
+                extended = child.get(key)
+                if extended is None:
+                    extended = child[key] = len(table_parent)
+                    table_parent.append(node)
+                    table_label.append(y)
+                node = extended
+            found.append(node)
         position[nodes] = -1
         if len(table_parent) >= position.size:
             grown = np.full(2 * len(table_parent) + 1, -1, dtype=np.intp)
             grown[: position.size - 1] = position[:-1]
             position = grown
-        parent_node = np.concatenate([parent_node[kept], owner_node])
-        nodes = np.concatenate([nodes[kept], np.array(extended, dtype=np.intp)])
+        nodes = np.array(found, dtype=np.intp)
         position[nodes] = np.arange(nodes.size)
-        p_blank = np.concatenate([new_blank[kept], np.full(owner.size, NEG_INF)])
-        p_nonblank = candidates[survivors]
-        p_nonblank[:num_kept] = new_nonblank[kept]
-        last = np.concatenate([last[kept], ext_label])
+        parent_node = np.where(kept, parent_node[beam], owner)
+        p_blank = np.where(kept, new_blank[beam], NEG_INF)
+        p_nonblank = np.where(kept, new_nonblank[beam], flat[survivors])
+        last = np.where(kept, last[beam], column)
 
     # The rescoring trie: the survivors and their ancestors in the table,
     # renumbered in table order; the root stays node 0.

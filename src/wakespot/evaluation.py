@@ -313,7 +313,9 @@ def write_episodes(directory, episodes: Sequence[Episode], alphabet: LabelAlphab
 
 
 def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
-    """Read a manifest and its WAVs; a malformed line raises FileFormatError naming it."""
+    """Read a manifest and its WAVs; a malformed or out-of-order line (a
+    second alphabet line, a repeated episode id, a support or test line
+    before the first episode line) raises FileFormatError naming it."""
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     lines = manifest_path.read_text(encoding="utf-8").splitlines()
@@ -322,6 +324,7 @@ def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
     alphabet: LabelAlphabet | None = None
     episodes: list[Episode] = []
     current = None  # (line, episode id, target labels) of the episode being read
+    episode_ids: set[str] = set()
     supports: list[AudioBuffer] = []
     tests: list[TestRecording] = []
 
@@ -340,15 +343,22 @@ def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
         kind, *args = line.split()
         try:
             if kind == "alphabet":
+                if alphabet is not None:
+                    raise FileFormatError(f"{where}: second alphabet line")
                 alphabet = LabelAlphabet(tuple(args))
             elif kind == "episode":
                 if alphabet is None:
                     raise FileFormatError(f"{where}: alphabet line must precede episodes")
                 if len(args) < 2 or args[1] != "target":
                     raise FileFormatError(f"{where}: bad episode line {line!r}")
+                if args[0] in episode_ids:
+                    raise FileFormatError(f"{where}: repeated episode id {args[0]!r}")
+                episode_ids.add(args[0])
                 flush()
                 current = (where, args[0], tuple(alphabet.index_of(s) for s in args[2:]))
                 supports, tests = [], []
+            elif kind in ("support", "test") and current is None:
+                raise FileFormatError(f"{where}: {kind} line before the first episode line")
             elif kind == "support" and len(args) == 1:
                 supports.append(read_wav(base / args[0]))
             elif kind == "test" and len(args) == 4:

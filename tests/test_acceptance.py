@@ -239,11 +239,11 @@ def test_criterion_07_detector_ordering(ordering_reports):
 
 def test_criterion_08_hypothesis_count_trend(oracle_model):
     configs = {"n10": (100, 10), "n1": (100, 1), "greedy": (1, 1)}
+    suites = [synth.generate_synthetic_episodes(seed=seed, count=TREND_EPISODES) for seed in TREND_SEEDS]
     means = {}
     for name, (beam_width, kept) in configs.items():
         total = 0.0
-        for seed in TREND_SEEDS:
-            episodes = synth.generate_synthetic_episodes(seed=seed, count=TREND_EPISODES)
+        for episodes in suites:
             params = HarnessParams(weights=oracle_model, beam_width=beam_width, num_hypotheses=kept)
             total += run_harness("donut", episodes, params).overall.eer
         means[name] = total / len(TREND_SEEDS)

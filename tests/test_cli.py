@@ -287,6 +287,29 @@ def test_eval_dtw_fbank_needs_no_weights(world, tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_eval_rejects_weights_of_another_alphabet(tmp_path, capsys):
+    suite, weights = tmp_path / "suite", tmp_path / "oracle.bin"
+    args = ["gen-episodes", "--out", str(suite), "--count", "2", "--seed", "1"]
+    assert main([*args, "--weights-out", str(weights)]) == EXIT_OK
+    lines = (suite / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    reversed_alphabet = suite / "reversed.txt"  # the same WAVs, the labels in reverse order
+    reversed_alphabet.write_text(
+        "\n".join(
+            " ".join(["alphabet", *reversed(l.split()[1:])]) if l.startswith("alphabet") else l
+            for l in lines
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    capsys.readouterr()
+    for detector in ("query_by_string", "donut", "dtw_post"):
+        args = ["eval", "--manifest", str(reversed_alphabet), "--detector", detector]
+        assert main([*args, "--weights", str(weights)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(reversed_alphabet) in captured.err and str(weights) in captured.err
+
+
 def _enroll(world, model_path):
     args = ["enroll", str(model_path), *[str(w) for w in world["wavs"]]]
     args += ["--weights", str(world["weights"]), "--beam-width", "20", "--num-hypotheses", "3"]

@@ -331,8 +331,9 @@ def exact(entries):
     return [(e.labels, e.logprob.hex()) for e in entries]
 
 
+@pytest.mark.parametrize("width", [1, 10, 100])
 @pytest.mark.parametrize("weights_name", ["oracle", "random_3x96"])
-def test_beam_search_equals_reference_on_real_supports(weights_name):
+def test_beam_search_equals_reference_on_real_supports(weights_name, width):
     from wakespot import synth
     from wakespot.audio import extract_fbank, stack_frames
     from wakespot.label_model import random_weights, run
@@ -344,7 +345,7 @@ def test_beam_search_equals_reference_on_real_supports(weights_name):
     for episode in synth.generate_synthetic_episodes(7, 5):
         for audio in episode.support:
             post = run(weights, stack_frames(extract_fbank(audio)))
-            assert exact(beam_search(post, 100)) == exact(reference_beam_search(post, 100))
+            assert exact(beam_search(post, width)) == exact(reference_beam_search(post, width))
 
 
 class TestCollapse:

@@ -250,6 +250,15 @@ class TestHarness:
         ]
 
 
+def _alphabet_line(lines):
+    return next(l for l in lines if l.startswith("alphabet"))
+
+
+def _before_first_episode(lines, extra):
+    first = next(n for n, l in enumerate(lines) if l.startswith("episode"))
+    return lines[:first] + extra + lines[first:]
+
+
 class TestManifests:
     def test_round_trip(self, tmp_path):
         episodes = synth.generate_synthetic_episodes(seed=3, count=2)
@@ -285,9 +294,13 @@ class TestManifests:
             lambda lines: [l for l in lines if not l.startswith("test")],
             lambda lines: [l.replace(" positive ", " positiv ") for l in lines],
             lambda lines: [(l + " " + l.split()[1] if l.startswith("alphabet") else l) for l in lines],
+            lambda lines: _before_first_episode(lines, [l for l in lines if l.startswith("support")][:1]),
+            lambda lines: lines + [" ".join(["alphabet", *reversed(_alphabet_line(lines).split()[1:])])],
+            lambda lines: lines + [l for l in lines if l.startswith(("episode", "support", "test"))],
         ],
         ids=["support_without_path", "unknown_target_symbol", "two_supports", "no_tests",
-             "bad_polarity", "duplicate_label"],
+             "bad_polarity", "duplicate_label", "support_before_episode", "second_alphabet",
+             "repeated_episode_id"],
     )
     def test_malformed_line_is_file_format_error(self, suite, edit):
         lines = suite.read_text(encoding="utf-8").splitlines()
