@@ -4,10 +4,12 @@ Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
 0 success, 1 usage error, 2 data or I/O error, 3 internal error.
 
 Recordings become detector input through :func:`wakeword.featurize`, cut
-into VAD segments as ``listen`` cuts its stream. A recording scores as its
-best segment, so ``score`` prints the highest score ``listen`` gives the
-same file (-inf without speech, where ``listen`` gives no event), and a
-support enrolls from its longest segment (a data error without speech).
+into VAD segments as ``listen`` cuts its stream. ``score`` prints the
+:func:`wakeword.score_segments` result, where the rule lives that a
+recording scores as its best segment: each hypothesis's log probability on
+that segment, then the highest score ``listen`` gives the same file (-inf
+without speech, where ``listen`` gives no event). A support enrolls from
+its longest segment (a data error without speech).
 ``eval`` with ``--weights`` requires the manifest's alphabet to be the
 weights' alphabet, as a model file must be (a data error otherwise).
 
@@ -37,14 +39,13 @@ from .vad import VadConfig
 from .wakeword import (
     DEFAULT_BEAM_WIDTH,
     DEFAULT_NUM_HYPOTHESES,
-    aggregate,
     detect_stream,
     featurize,
-    hypothesis_logprobs,
     learn,
     load_model,
     longest_segments,
     save_model,
+    score_segments,
 )
 
 EXIT_OK = 0
@@ -185,11 +186,10 @@ def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
     [segments] = featurize([read_wav(args.wav)], _vad_config(args), weights)
-    scored = [hypothesis_logprobs(model, post) for post in segments]
-    best = max(scored, key=lambda lp: aggregate(model, lp), default=None)  # the best segment's
-    for hyp, lp in zip(model.hypotheses, [] if best is None else best.tolist()):
+    result = score_segments(model, segments)
+    for hyp, lp in zip(model.hypotheses, result.logprobs):  # none without speech
         print(_hypothesis_line(model.alphabet, hyp, lp))
-    print(f"score {-math.inf if best is None else aggregate(model, best)}")  # no speech: -inf
+    print(f"score {result.score}")
     return EXIT_OK
 
 

@@ -46,7 +46,9 @@ sign of zero included, is the one a cell-by-cell loop keeps. Each cell's
 cost is then the same IEEE sum as in that loop. ``dtw_cost``,
 ``dtw_score`` and ``dtw_detect`` are the one-pair and one-test cases, and
 ``dtw_detect_segments`` the case of tests cut into VAD segments, each
-scored as its best segment.
+scored as its best segment. A test without frames, such as the
+posteriorgram of a one-window segment (it has no stacked frame), scores
+-inf and joins no wavefront.
 """
 
 from __future__ import annotations
@@ -187,18 +189,24 @@ def dtw_detect_all(supports, tests) -> list[float]:
     """Detection score of every test against the enrollment recordings.
 
     Every (support, test) pair is aligned in one wavefront; the scores
-    equal ``[dtw_detect(supports, t) for t in tests]``.
+    equal ``[dtw_detect(supports, t) for t in tests]``. A test without
+    frames scores -inf, as the CTC detectors score it; a support without
+    frames is a ``ValueError``.
     """
     if not supports:
         raise ValueError("need at least one support sequence")
     frames, post = _frames_and_space([*supports, *tests])
     supports, tests = frames[: len(supports)], frames[len(supports) :]
-    if not tests:
-        return []
-    rows, cols = [len(a) for a in supports], [len(b) for b in tests]
-    costs, lengths = _dtw_costs(_distance_buffer(supports, tests, post), rows, cols)
+    if any(len(a) == 0 for a in supports):
+        raise ValueError("DTW requires non-empty support sequences")
+    scored = [b for b in tests if len(b)]
+    if not scored:
+        return [-np.inf] * len(tests)
+    rows, cols = [len(a) for a in supports], [len(b) for b in scored]
+    costs, lengths = _dtw_costs(_distance_buffer(supports, scored, post), rows, cols)
     per_support = (-costs / lengths).reshape(len(rows), len(cols)).tolist()
-    return [max(scores) for scores in zip(*per_support)]
+    best = (max(scores) for scores in zip(*per_support))
+    return [next(best) if len(b) else -np.inf for b in tests]
 
 
 def dtw_detect(supports, test) -> float:

@@ -13,9 +13,12 @@ reports overall metrics plus splits by negative tag and speaker match.
 Every recording becomes detector input through :func:`wakeword.featurize`,
 the one recipe (VAD segments, filterbank, and for all detectors but
 ``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
-A support enrolls from its longest segment and a test scores as its best.
-A test without speech scores -inf, as ``listen`` gives it no event, and a
-support without speech skips its episode with a warning naming its position.
+A support enrolls from its longest segment and a test scores as its best:
+:func:`wakeword.score_segments` applies that rule for ``donut`` and
+``query_by_string``, and :func:`dtw.dtw_detect_segments` for the DTW
+baselines. A test without speech scores -inf, as ``listen`` gives it no
+event, and a support without speech skips its episode with a warning
+naming its position.
 Each detector makes one ``featurize`` call per episode, over its supports
 and tests together (``query_by_string``, which enrolls from the target
 labels, passes only the tests).
@@ -37,7 +40,7 @@ from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
 from .vad import VadConfig
 from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES
-from .wakeword import featurize, learn, longest_segments, model_from_labels, score
+from .wakeword import featurize, learn, longest_segments, model_from_labels, score_segments
 
 logger = logging.getLogger(__name__)
 
@@ -201,7 +204,7 @@ def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[
         posts = longest_segments(segments[:supports])
         model = learn(posts, params.beam_width, params.num_hypotheses)
         segments = segments[supports:]
-    return [max((score(model, post) for post in test), default=-np.inf) for test in segments]
+    return [score_segments(model, test).score for test in segments]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:

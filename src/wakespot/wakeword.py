@@ -9,22 +9,27 @@ weight ``w = -1 / log p`` is derived from its log probability by
 so a near-certain hypothesis cannot produce an unbounded weight); it is
 never stored.
 
-Detection computes the forward log probability of every hypothesis on the
-test posteriorgram, all hypotheses in one forward lattice. A model builds
-its hypotheses' prefix trie once and starts each lattice from it. The
-score is their confidence-weighted sum, weight times log probability
-summed in model order by :func:`aggregate`. It is the only aggregation,
-and batch scoring and the streaming detector share it.
+Detection computes the forward log probability of every hypothesis on a
+segment's posteriorgram, all hypotheses in one forward lattice. A model
+builds its hypotheses' prefix trie once and starts each lattice from it.
+The segment's score is their confidence-weighted sum, weight times log
+probability summed in model order by :func:`aggregate`. It is the only
+aggregation, and batch scoring and the streaming detector share it.
+:func:`score_segments`, the one batch score path, holds the rule that a
+recording scores as its best :func:`featurize` segment, and returns the
+:class:`ScoreResult` that explains the score; :func:`score` and
+:func:`score_with_stats` are its views of one segment.
 
 :class:`StreamingDetector` is the online counterpart of :func:`featurize`
-and :func:`score`: it VAD-classifies each 10 ms window as it arrives and
-runs a segment through the batch kernels. The front end runs once per
-stacked pair, on the pair's 560-sample slice of the detector's buffer; the
-GRU and the lattice run once per block of pairs. So each segment's score is
-the batch score of its audio span, bit for bit. :func:`featurize` cuts a
-recording into the same VAD segments, so a recording scores as its best
-segment, the highest event the detector gives on it, and a training
-recording enrolls from its longest segment (:func:`longest_segments`).
+and :func:`score_segments`: it VAD-classifies each 10 ms window as it
+arrives and runs a segment through the batch kernels. The front end runs
+once per stacked pair, on the pair's 560-sample slice of the detector's
+buffer; the GRU and the lattice run once per block of pairs. So each
+segment's score is the batch score of its audio span, bit for bit.
+:func:`featurize` cuts a recording into the same VAD segments, so a
+recording's score is the highest event the detector gives on it, and a
+training recording enrolls from its longest segment
+(:func:`longest_segments`).
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -176,44 +181,60 @@ def aggregate(model: WakewordModel, logprobs: np.ndarray) -> float:
     return total
 
 
-def _scored_lattice(model: WakewordModel, post: Posteriorgram) -> ForwardLattice:
-    if post.alphabet != model.alphabet:
-        raise ValueError("posteriorgram alphabet does not match the wakeword model")
-    return _advanced(model._lattice(), post.rows)
-
-
-def hypothesis_logprobs(model: WakewordModel, post: Posteriorgram) -> np.ndarray:
-    """Forward log probability of each hypothesis on ``post``, in model order."""
-    return _scored_lattice(model, post).finalize()
-
-
-def score(model: WakewordModel, post: Posteriorgram) -> float:
-    """Confidence-weighted sum of the hypotheses' forward log probabilities on ``post``.
-
-    A hypothesis with no valid alignment contributes -inf, which makes the
-    whole score -inf; such audio simply fails any finite threshold.
-    """
-    return aggregate(model, hypothesis_logprobs(model, post))
-
-
 @dataclass(frozen=True)
-class ScoreStats:
+class ScoreResult:
+    """A recording's score and what produced it: the best segment's
+    confidence-weighted sum, each hypothesis's forward log probability on
+    that segment, and the work and memory counters of its lattice."""
+
+    score: float  # -inf for a recording without segments
+    logprobs: tuple[float, ...]  # one per hypothesis, in model order; none without segments
     hypotheses: int
     cell_updates: int  # forward-state cells written across all hypotheses
     state_cells: int  # total live forward-state cells (2U+1 per hypothesis)
     lattice_cells: int  # cells the prefix-trie lattice holds (2 per distinct prefix + 1)
 
 
-def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, ScoreStats]:
-    """As :func:`score`, also reporting work and memory counters."""
-    lattice = _scored_lattice(model, post)
-    stats = ScoreStats(
-        hypotheses=len(model.hypotheses),
-        cell_updates=lattice.cell_updates,
-        state_cells=lattice.num_state_cells,
-        lattice_cells=lattice.num_lattice_cells,
-    )
-    return aggregate(model, lattice.finalize()), stats
+def score_segments(model: WakewordModel, segments: Sequence[Posteriorgram]) -> ScoreResult:
+    """Score a recording given as its :func:`featurize` segments.
+
+    The recording scores as its best segment, the first of equals, which is
+    the highest event :class:`StreamingDetector` gives it. Each segment runs
+    through one forward lattice over all hypotheses, whose log probabilities
+    :func:`aggregate` sums. A recording without segments has no speech: it
+    scores -inf, with no log probabilities and zero counters. A hypothesis
+    with no valid alignment contributes -inf, which makes the segment's
+    score -inf; such audio simply fails any finite threshold.
+    """
+    results = []
+    for post in segments:
+        if post.alphabet != model.alphabet:
+            raise ValueError("posteriorgram alphabet does not match the wakeword model")
+        lattice = _advanced(model._lattice(), post.rows)
+        logprobs = lattice.finalize()
+        results.append(
+            ScoreResult(
+                score=aggregate(model, logprobs),
+                logprobs=tuple(logprobs.tolist()),
+                hypotheses=len(model.hypotheses),
+                cell_updates=lattice.cell_updates,
+                state_cells=lattice.num_state_cells,
+                lattice_cells=lattice.num_lattice_cells,
+            )
+        )
+    no_speech = ScoreResult(-math.inf, (), 0, 0, 0, 0)
+    return max(results, key=lambda result: result.score, default=no_speech)
+
+
+def score(model: WakewordModel, post: Posteriorgram) -> float:
+    """The :func:`score_segments` score of one segment, ``post``."""
+    return score_segments(model, [post]).score
+
+
+def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, ScoreResult]:
+    """As :func:`score`, also returning the result that holds the counters."""
+    result = score_segments(model, [post])
+    return result.score, result
 
 
 def save_model(path, model: WakewordModel) -> None:

@@ -351,6 +351,34 @@ def test_a_recording_without_speech_scores_minus_inf_as_listen_gives_no_event(wo
     assert capsys.readouterr().err == "error: no speech found by VAD in recording 2 of 3\n"
 
 
+def test_a_one_window_segment_scores_minus_inf_in_every_command(world, tmp_path, capsys):
+    """A click in the last window alone, kept by ``--vad-min-speech 1``, is a
+    segment of one window: one filterbank frame and no stacked frame, so its
+    posteriorgram is empty. Every detector but ``dtw_fbank`` scores it
+    -inf, and ``listen`` gives it one event at -inf."""
+    from wakespot.audio import AudioBuffer
+
+    samples = np.zeros(16000, dtype=np.int16)
+    samples[15760:15920] = 20000
+    click = tmp_path / "click.wav"
+    write_wav(click, AudioBuffer(samples))
+    model_path = tmp_path / "word.model"
+    _enroll(world, model_path)
+    weights = ["--weights", str(world["weights"])]
+    supports = [str(w) for w in world["wavs"]]
+    vad = ["--vad-min-speech", "1"]
+    capsys.readouterr()
+    assert main(["baseline", *supports, str(click), *weights, *vad]) == EXIT_OK
+    assert capsys.readouterr().out == "score -inf\n"
+    assert main(["score", str(model_path), str(click), *weights, *vad]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\nscore -inf\n")
+    assert main(["listen", str(model_path), str(click), *weights, "--threshold", "-inf", *vad]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "score=-inf frames=[97,98)" in out and out.endswith(" events=1\n")
+    assert main(["baseline", *supports, str(click), "--space", "fbank", *vad]) == EXIT_OK
+    assert _last_score(capsys.readouterr().out) > -np.inf
+
+
 def test_enroll_prints_each_degenerate_note_once(world, tmp_path, caplog):
     from wakespot.audio import AudioBuffer
 

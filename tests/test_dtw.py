@@ -300,6 +300,28 @@ class TestWavefront:
         assert list(map(bits, got)) == list(map(bits, want))
         assert dtw_detect_segments(supports, [[], []]) == [-math.inf, -math.inf]
 
+    def test_a_test_without_frames_scores_minus_inf(self):
+        # the posteriorgram of a one-window VAD segment has no stacked frame
+        rng = np.random.default_rng(6)
+        supports = [random_posteriorgram(rng, n, 4) for n in (4, 6)]
+        empty, short, long = (random_posteriorgram(rng, n, 4) for n in (0, 3, 5))
+        got = dtw_detect_all(supports, [empty, short, empty, long])
+        want = [-math.inf, dtw_detect(supports, short), -math.inf, dtw_detect(supports, long)]
+        assert list(map(bits, got)) == list(map(bits, want))
+        assert dtw_detect_all(supports, [empty]) == [-math.inf]
+        assert dtw_detect(supports, empty) == -math.inf
+        got = dtw_detect_segments(supports, [[empty], [empty, short], []])
+        assert list(map(bits, got)) == list(map(bits, [-math.inf, want[1], -math.inf]))
+        fbank_empty = fbank_seq(np.zeros((0, 41)))
+        assert dtw_detect_all([fbank_seq(rng.normal(size=(3, 41)))], [fbank_empty]) == [-math.inf]
+
+    def test_a_support_without_frames_is_an_error(self):
+        rng = np.random.default_rng(7)
+        empty, test = random_posteriorgram(rng, 0, 4), random_posteriorgram(rng, 3, 4)
+        for tests in ([test], [empty], []):
+            with pytest.raises(ValueError, match="non-empty support"):
+                dtw_detect_all([random_posteriorgram(rng, 2, 4), empty], tests)
+
 
 @pytest.fixture(scope="module")
 def real_episodes(oracle_model):

@@ -284,6 +284,38 @@ def test_identical_hypotheses_share_lattice_cells():
     assert value == score(model, post)
 
 
+@st.composite
+def segmented_recordings(draw):
+    """A model of 1-4 hypotheses of up to 4 labels, and 0-4 segments of up
+    to 6 frames, some repeated. Short segments give many -inf ties whose
+    log probabilities differ, so the first of equals is told apart."""
+    alphabet = make_alphabet(3)
+    labels = st.lists(st.integers(1, alphabet.size - 1), max_size=4).map(tuple)
+    hyps = draw(st.lists(st.tuples(labels, st.floats(-20.0, -0.5)), min_size=1, max_size=4))
+    model = model_with([Hypothesis(*hyp) for hyp in hyps], alphabet)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_posteriorgram(rng, n, alphabet.size) for n in draw(st.lists(st.integers(0, 6), max_size=4))]
+    picks = draw(st.lists(st.integers(0, 3), max_size=4)) if pool else []
+    return model, [pool[i % len(pool)] for i in picks] or pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(segmented_recordings())
+def test_score_segments_is_the_first_best_segment_property(case):
+    model, segments = case
+    result = wakeword.score_segments(model, segments)
+    counters = (result.hypotheses, result.cell_updates, result.state_cells, result.lattice_cells)
+    if not segments:
+        assert result.score == -math.inf and result.logprobs == () and counters == (0, 0, 0, 0)
+        return
+    scores = [score(model, post) for post in segments]
+    assert result.score.hex() == max(scores).hex()
+    best = segments[scores.index(max(scores))]
+    assert result.logprobs == tuple(forward_logprob(best, hyp.labels) for hyp in model.hypotheses)
+    _, stats = score_with_stats(model, best)
+    assert counters == (stats.hypotheses, stats.cell_updates, stats.state_cells, stats.lattice_cells)
+
+
 class TestModelFiles:
     def test_round_trip(self, tmp_path):
         alphabet = make_alphabet(4)

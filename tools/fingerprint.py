@@ -16,9 +16,9 @@ It prints one JSON object with a digest for each family:
 - ``beams_oracle``, ``beams_random_3x96``: ``beam_search(post, 100)`` on
   each episode's supports (the longest segment of each), as labels and
   ``logprob.hex()``;
-- ``scores_random_3x96``: the best segment's ``wakeword.score`` of each
-  episode's tests against a model learned (beam 100, N = 10) from its
-  support posteriorgrams under the 3x96 weights;
+- ``scores_random_3x96``: the ``wakeword.score_segments`` score (the best
+  segment's) of each episode's tests against a model learned (beam 100,
+  N = 10) from its support posteriorgrams under the 3x96 weights;
 - ``scores_dtw_fbank``, ``scores_dtw_post``: the ``dtw_detect_segments``
   scores of each episode's tests against its supports (the longest segment
   of each), as the harness's ``dtw_fbank`` and ``dtw_post`` detectors
@@ -38,7 +38,9 @@ It prints one JSON object with a digest for each family:
   acceptance suite's detector-ordering and hypothesis-count runs.
 
 Two checkouts print the same JSON when these numbers agree bit for bit.
-Takes about 45 s on 2 vCPUs.
+Takes 28-32 s on 2 vCPUs (three runs, alternating with a version that
+generated each trend seed's episodes once per beam configuration, which
+took 30-35 s).
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ from wakespot.dtw import dtw_detect_segments  # noqa: E402
 from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
 from wakespot.vad import VadConfig, frame_dbfs  # noqa: E402
-from wakespot.wakeword import detect_stream, featurize, learn, longest_segments, score  # noqa: E402
+from wakespot.wakeword import detect_stream, featurize, learn, longest_segments  # noqa: E402
+from wakespot.wakeword import score_segments  # noqa: E402
 
 FEWSHOT_SEED = 1
 FEWSHOT_EPISODES = 24
@@ -171,7 +174,7 @@ def main() -> None:
             if name == "random_3x96":
                 model = learn(supports, BEAM_WIDTH, NUM_HYPOTHESES)
                 tests = segments[len(supports) :]
-                scores.append([max(score(model, p) for p in segs).hex() for segs in tests])
+                scores.append([score_segments(model, segs).score.hex() for segs in tests])
                 models_3x96.append(model)
         out[f"posteriorgrams_{name}"] = digest(chunk for pair in posts for chunk in pair)
         out[f"beams_{name}"] = digest(beams)
@@ -199,10 +202,10 @@ def main() -> None:
         for chunk in report_chunks(run_harness(detector, ordering, oracle))
     )
     trend = []
+    suites = [synth.generate_synthetic_episodes(seed, TREND_EPISODES) for seed in TREND_SEEDS]
     for beam_width, kept in TREND_CONFIGS:
         params = HarnessParams(oracle.weights, beam_width=beam_width, num_hypotheses=kept)
-        for seed in TREND_SEEDS:
-            suite = synth.generate_synthetic_episodes(seed, TREND_EPISODES)
+        for suite in suites:
             trend += report_chunks(run_harness("donut", suite, params))
     out["criterion_08"] = digest(trend)
     print(json.dumps(out, indent=2))
