@@ -72,10 +72,10 @@ class AudioBuffer:
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """A T x d matrix of log-Mel features at 100 Hz (d=41) or 50 Hz (d=82)."""
+    """A T x d matrix of log-Mel features: d=41 frames at 100 Hz, or d=82
+    stacked frames at 50 Hz. The width alone fixes the rate."""
 
     frames: np.ndarray
-    frame_rate: int
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)
@@ -84,14 +84,12 @@ class FeatureSequence:
             raise ValueError(f"frames must be 2-D, got shape {frames.shape}")
         if not np.all(np.isfinite(frames)):
             raise ValueError("feature values must be finite")
-        pairing = {BASE_FRAME_RATE: BASE_DIM, STACKED_FRAME_RATE: STACKED_DIM}
-        if self.frame_rate not in pairing:
-            raise ValueError(f"frame rate must be one of {sorted(pairing)}, got {self.frame_rate}")
-        if frames.shape[1] != pairing[self.frame_rate]:
-            raise ValueError(
-                f"{self.frame_rate} Hz features must have dim {pairing[self.frame_rate]}, "
-                f"got {frames.shape[1]}"
-            )
+        if frames.shape[1] not in (BASE_DIM, STACKED_DIM):
+            raise ValueError(f"features must have dim {BASE_DIM} or {STACKED_DIM}, got {frames.shape[1]}")
+
+    @property
+    def frame_rate(self) -> int:
+        return BASE_FRAME_RATE if self.dim == BASE_DIM else STACKED_FRAME_RATE
 
     @property
     def num_frames(self) -> int:
@@ -226,15 +224,15 @@ def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     """Convert audio to T x 41 log-Mel energies at 100 Hz."""
     n = num_feature_frames(len(audio.samples))
     span = audio.samples[: WINDOW_SAMPLES + HOP_SAMPLES * (n - 1)].astype(np.float64)
-    return FeatureSequence(_fbank(span, 0.0), BASE_FRAME_RATE)
+    return FeatureSequence(_fbank(span, 0.0))
 
 
 def stack_frames(features: FeatureSequence) -> FeatureSequence:
     """Concatenate frame pairs (2k, 2k+1); halves the rate from 100 to 50 Hz."""
-    if features.frame_rate != BASE_FRAME_RATE or features.dim != BASE_DIM:
+    if features.dim != BASE_DIM:
         raise ValueError("stack_frames expects unstacked 100 Hz / 41-dim features")
     pairs = features.num_frames // 2
     stacked = np.concatenate(
         [features.frames[0 : 2 * pairs : 2], features.frames[1 : 2 * pairs : 2]], axis=1
     )
-    return FeatureSequence(stacked, STACKED_FRAME_RATE)
+    return FeatureSequence(stacked)

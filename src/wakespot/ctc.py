@@ -128,10 +128,10 @@ class ForwardLattice:
     sentinel cell that stays -inf. ``step`` ingests one posterior row;
     ``finalize`` may be called at any time and does not disturb the state.
 
-    ``num_state_cells`` and ``cell_updates`` count the 2U+1 cells of each
-    sequence as if it were scored alone; ``num_lattice_cells`` counts the
-    cells the trie holds: two per node plus the start blank, not the
-    sentinel.
+    ``num_lattice_cells`` counts the cells the trie holds: two per node
+    plus the start blank, not the sentinel. The lattice keeps no other
+    counter: what scoring each sequence alone would cost follows from the
+    sequences and the row count (``wakeword.score_segments`` derives it).
 
     The lattice starts in a start cell: before any row, position 0 holds
     log 1 = 0.0 and the others -inf (``state(h)`` reads so, and ``finalize``
@@ -147,12 +147,6 @@ class ForwardLattice:
     """
 
     def __init__(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int):
-        # Each node's depth by pointer jumping: depth[n] counts the labels
-        # from node up[n] down to node n, and up[n] climbs to the root in
-        # about log2(U) rounds.
-        depth, up = (np.arange(len(parent)) != 0).astype(np.intp), parent
-        while up.any():
-            depth, up = depth + depth[up], up[up]
         self.num_symbols = num_symbols
         self._parent, self._ends = parent, ends
         up = parent[1:]
@@ -171,12 +165,6 @@ class ForwardLattice:
         self._alpha = np.full(num_cells + 1, NEG_INF)
         self._alpha[0] = 0.0  # the start cell
         self.num_lattice_cells = num_cells
-        self.num_state_cells = 2 * int(depth[ends].sum()) + len(ends)
-        self.steps = 0
-
-    @property
-    def cell_updates(self) -> int:
-        return self.steps * self.num_state_cells
 
     def state(self, h: int) -> np.ndarray:
         """Log forward probabilities of sequence ``h``'s 2U+1 positions."""
@@ -210,7 +198,6 @@ class ForwardLattice:
         np.logaddexp(cells[0::2], prev[self._skip_from], out=cells[0::2])
         alpha[:-1] += cell_logs
         self._alpha = alpha
-        self.steps += 1
 
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""

@@ -164,6 +164,12 @@ class HarnessParams:
     num_hypotheses: int = DEFAULT_NUM_HYPOTHESES
     vad: VadConfig = VadConfig()
 
+    def __post_init__(self):
+        if not 1 <= self.num_hypotheses <= self.beam_width:
+            raise ValueError(
+                f"need 1 <= kept hypotheses ({self.num_hypotheses}) <= beam width ({self.beam_width})"
+            )
+
 
 @dataclass(frozen=True)
 class ScoreRecord:

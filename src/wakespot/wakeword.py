@@ -17,8 +17,8 @@ probability summed in model order by :func:`aggregate`. It is the only
 aggregation, and batch scoring and the streaming detector share it.
 :func:`score_segments`, the one batch score path, holds the rule that a
 recording scores as its best :func:`featurize` segment, and returns the
-:class:`ScoreResult` that explains the score; :func:`score` and
-:func:`score_with_stats` are its views of one segment.
+:class:`ScoreResult` that explains the score; :func:`score` is its view
+of one segment.
 
 :class:`StreamingDetector` is the online counterpart of :func:`featurize`
 and :func:`score_segments`: it VAD-classifies each 10 ms window as it
@@ -185,14 +185,18 @@ def aggregate(model: WakewordModel, logprobs: np.ndarray) -> float:
 class ScoreResult:
     """A recording's score and what produced it: the best segment's
     confidence-weighted sum, each hypothesis's forward log probability on
-    that segment, and the work and memory counters of its lattice."""
+    that segment, and the counters of scoring it, which
+    :func:`score_segments` derives from the model and the segment's rows."""
 
     score: float  # -inf for a recording without segments
     logprobs: tuple[float, ...]  # one per hypothesis, in model order; none without segments
-    hypotheses: int
-    cell_updates: int  # forward-state cells written across all hypotheses
+    cell_updates: int  # forward-state cells written across all hypotheses: rows x state_cells
     state_cells: int  # total live forward-state cells (2U+1 per hypothesis)
     lattice_cells: int  # cells the prefix-trie lattice holds (2 per distinct prefix + 1)
+
+    @property
+    def hypotheses(self) -> int:
+        return len(self.logprobs)
 
 
 def score_segments(model: WakewordModel, segments: Sequence[Posteriorgram]) -> ScoreResult:
@@ -201,11 +205,15 @@ def score_segments(model: WakewordModel, segments: Sequence[Posteriorgram]) -> S
     The recording scores as its best segment, the first of equals, which is
     the highest event :class:`StreamingDetector` gives it. Each segment runs
     through one forward lattice over all hypotheses, whose log probabilities
-    :func:`aggregate` sums. A recording without segments has no speech: it
-    scores -inf, with no log probabilities and zero counters. A hypothesis
-    with no valid alignment contributes -inf, which makes the segment's
-    score -inf; such audio simply fails any finite threshold.
+    :func:`aggregate` sums. ``state_cells`` is 2U+1 summed over the model's
+    hypotheses, as if each were scored alone, ``cell_updates`` the segment's
+    rows times that, and ``lattice_cells`` what the shared lattice holds. A
+    recording without segments has no speech: it scores -inf, with no log
+    probabilities and zero counters. A hypothesis with no valid alignment
+    contributes -inf, which makes the segment's score -inf; such audio
+    simply fails any finite threshold.
     """
+    state_cells = sum(2 * len(hyp.labels) + 1 for hyp in model.hypotheses)
     results = []
     for post in segments:
         if post.alphabet != model.alphabet:
@@ -216,25 +224,18 @@ def score_segments(model: WakewordModel, segments: Sequence[Posteriorgram]) -> S
             ScoreResult(
                 score=aggregate(model, logprobs),
                 logprobs=tuple(logprobs.tolist()),
-                hypotheses=len(model.hypotheses),
-                cell_updates=lattice.cell_updates,
-                state_cells=lattice.num_state_cells,
+                cell_updates=post.num_frames * state_cells,
+                state_cells=state_cells,
                 lattice_cells=lattice.num_lattice_cells,
             )
         )
-    no_speech = ScoreResult(-math.inf, (), 0, 0, 0, 0)
+    no_speech = ScoreResult(-math.inf, (), 0, 0, 0)
     return max(results, key=lambda result: result.score, default=no_speech)
 
 
 def score(model: WakewordModel, post: Posteriorgram) -> float:
     """The :func:`score_segments` score of one segment, ``post``."""
     return score_segments(model, [post]).score
-
-
-def score_with_stats(model: WakewordModel, post: Posteriorgram) -> tuple[float, ScoreResult]:
-    """As :func:`score`, also returning the result that holds the counters."""
-    result = score_segments(model, [post])
-    return result.score, result
 
 
 def save_model(path, model: WakewordModel) -> None:
@@ -352,10 +353,14 @@ def longest_segments(recordings: Sequence[Sequence]) -> list:
 
 @dataclass(frozen=True)
 class DetectionEvent:
-    time: float  # seconds from stream start, at the segment close
     score: float
     start_frame: int
     end_frame: int  # exclusive, on the stream's 10 ms frame grid
+
+    @property
+    def time(self) -> float:
+        """Seconds from stream start to the segment close, the end of its last window."""
+        return span_samples((self.start_frame, self.end_frame))[1] / SAMPLE_RATE
 
 
 @dataclass
@@ -423,6 +428,10 @@ class StreamingDetector:
     ):
         if model.alphabet != weights.alphabet:
             raise ValueError("model and label-model alphabets differ")
+        if weights.input_dim != STACKED_DIM:
+            raise ValueError(
+                f"weights.input_dim {weights.input_dim} does not match STACKED_DIM {STACKED_DIM}"
+            )
         if math.isnan(threshold):
             raise ValueError("detection threshold may not be nan")
         self.model = model
@@ -525,13 +534,7 @@ class StreamingDetector:
             self.stats.segments_scored += 1
             value = aggregate(self.model, self._lattice.finalize())
             if value >= self.threshold:
-                _, end_sample = span_samples((start, end_frame))
-                event = DetectionEvent(
-                    time=end_sample / SAMPLE_RATE,
-                    score=value,
-                    start_frame=start,
-                    end_frame=end_frame,
-                )
+                event = DetectionEvent(score=value, start_frame=start, end_frame=end_frame)
         else:
             self.stats.segments_discarded += 1
         self._lattice = None

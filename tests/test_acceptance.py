@@ -26,7 +26,7 @@ from wakespot.wakeword import (
     WakewordModel,
     detect_stream,
     score,
-    score_with_stats,
+    score_segments,
     weight_from_logprob,
 )
 
@@ -102,7 +102,7 @@ def test_criterion_03_streaming_equals_batch():
     frames = rng.normal(size=(49, 82))
     for num_layers in (1, 2, 3):
         weights = random_weights(alphabet, num_layers, seed=77)
-        batch = run(weights, FeatureSequence(frames, 50)).rows
+        batch = run(weights, FeatureSequence(frames)).rows
         state = init_state(weights)
         for t in range(frames.shape[0]):
             row, state = gru_step(weights, state, frames[t])
@@ -268,17 +268,17 @@ def test_criterion_09_complexity_contract():
     post = random_posteriorgram(rng, 40, alphabet.size)
     longer_post = random_posteriorgram(rng, 80, alphabet.size)
 
-    _, stats_n = score_with_stats(model_of(5, 4), post)
-    _, stats_2n = score_with_stats(model_of(10, 4), post)
+    stats_n = score_segments(model_of(5, 4), [post])
+    stats_2n = score_segments(model_of(10, 4), [post])
     assert stats_2n.cell_updates / stats_n.cell_updates <= 2.2
 
-    _, stats_u = score_with_stats(model_of(5, 4), post)
-    _, stats_2u = score_with_stats(model_of(5, 8), post)
+    stats_u = score_segments(model_of(5, 4), [post])
+    stats_2u = score_segments(model_of(5, 8), [post])
     assert stats_2u.cell_updates / stats_u.cell_updates <= 2.2
 
     # forward-state memory is (2U+1) cells per hypothesis, independent of T
-    _, stats_t = score_with_stats(model_of(5, 4), post)
-    _, stats_2t = score_with_stats(model_of(5, 4), longer_post)
+    stats_t = score_segments(model_of(5, 4), [post])
+    stats_2t = score_segments(model_of(5, 4), [longer_post])
     assert stats_t.state_cells == stats_2t.state_cells == 5 * (2 * 4 + 1)
     assert stats_2t.cell_updates == 2 * stats_t.cell_updates
     _verdict(9, "scoring cost scales linearly in N, U, T; state is O(NU)")

@@ -167,19 +167,18 @@ class TestStackFrames:
 
 
 class TestFeatureSequenceInvariants:
-    def test_rate_dim_pairing_enforced(self):
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((5, 82)), 100)
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((5, 41)), 50)
-        with pytest.raises(ValueError):
-            FeatureSequence(np.zeros((5, 41)), 60)
+    def test_width_fixes_the_rate(self):
+        assert FeatureSequence(np.zeros((5, 41))).frame_rate == 100
+        assert FeatureSequence(np.zeros((5, 82))).frame_rate == 50
+        for width in (0, 40, 42, 60, 81, 83):
+            with pytest.raises(ValueError):
+                FeatureSequence(np.zeros((5, width)))
 
     def test_non_finite_rejected(self):
         frames = np.zeros((2, 41))
         frames[1, 3] = np.nan
         with pytest.raises(ValueError):
-            FeatureSequence(frames, 100)
+            FeatureSequence(frames)
 
 
 class TestMelFilterbank:

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,6 +315,23 @@ def _enroll(world, model_path):
     args = ["enroll", str(model_path), *[str(w) for w in world["wavs"]]]
     args += ["--weights", str(world["weights"]), "--beam-width", "20", "--num-hypotheses", "3"]
     assert main(args) == EXIT_OK
+
+
+def test_listen_refuses_weights_of_another_input_dim(world, tmp_path, capsys):
+    """41-input weights load, but the streaming detector feeds 82-wide
+    stacked frames: a data error naming both widths, before any audio."""
+    model_path = tmp_path / "word.model"
+    _enroll(world, model_path)
+    weights = load_weights(world["weights"])
+    first = weights.layers[0]
+    narrow = replace(weights, layers=(replace(first, w=first.w[:, :, :41]), *weights.layers[1:]))
+    save_weights(tmp_path / "narrow.bin", narrow)
+    capsys.readouterr()
+    args = ["listen", str(model_path), str(world["probe"]), "--weights", str(tmp_path / "narrow.bin")]
+    assert main([*args, "--threshold", "-inf"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "weights.input_dim 41" in captured.err and "STACKED_DIM 82" in captured.err
 
 
 @pytest.mark.parametrize("wav", ["probe", "distractor"])

@@ -27,7 +27,7 @@ def fbank_seq(rows):
     rows = np.asarray(rows, dtype=np.float64)
     padded = np.zeros((rows.shape[0], 41))
     padded[:, : rows.shape[1]] = rows
-    return FeatureSequence(padded, 100)
+    return FeatureSequence(padded)
 
 
 def frame_distance_post(p, q) -> float:

@@ -189,6 +189,12 @@ class TestHarness:
         with pytest.raises(ValueError):
             run_harness("donut", [], params)
 
+    @pytest.mark.parametrize("beam_width, num_hypotheses", [(5, 10), (0, 10), (0, 0), (5, 0)])
+    def test_beam_settings_checked_when_built(self, beam_width, num_hypotheses):
+        with pytest.raises(ValueError) as raised:
+            HarnessParams(beam_width=beam_width, num_hypotheses=num_hypotheses)
+        assert f"({num_hypotheses})" in str(raised.value) and f"({beam_width})" in str(raised.value)
+
     def test_weights_required(self, small_world):
         episodes, _ = small_world
         with pytest.raises(ValueError):

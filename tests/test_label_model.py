@@ -29,7 +29,7 @@ from conftest import make_alphabet
 
 
 def stacked_features(rng, frames=8):
-    return FeatureSequence(rng.normal(0.0, 1.0, size=(frames, 82)), 50)
+    return FeatureSequence(rng.normal(0.0, 1.0, size=(frames, 82)))
 
 
 class TestLabelAlphabet:
@@ -89,7 +89,7 @@ class TestRun:
 
     def test_dim_mismatch_rejected(self):
         weights = random_weights(make_alphabet(3), seed=1)
-        bad = FeatureSequence(np.zeros((4, 41)), 100)
+        bad = FeatureSequence(np.zeros((4, 41)))
         with pytest.raises(ValueError):
             run(weights, bad)
 
@@ -99,7 +99,7 @@ class TestRun:
         features = stacked_features(rng, 10)
         full = run(weights, features).rows
         for t in (1, 4, 7):
-            prefix = FeatureSequence(features.frames[:t], 50)
+            prefix = FeatureSequence(features.frames[:t])
             assert np.allclose(run(weights, prefix).rows, full[:t], atol=1e-9)
 
     def test_oracle_weights_decode_one_hot_patterns(self):
@@ -120,7 +120,7 @@ class TestRun:
         frames = np.zeros((4, 82))
         for t in range(4):
             frames[t, t] = 1.0
-        post = run(oracle, FeatureSequence(frames, 50))
+        post = run(oracle, FeatureSequence(frames))
         assert list(post.rows.argmax(axis=1)) == [1, 2, 3, 4]
 
 
@@ -157,7 +157,7 @@ def recordings(draw):
     start = draw(st.integers(0, len(pool) - 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return FeatureSequence(
-        pool[start : start + length] + rng.normal(0.0, 0.5, size=(length, pool.shape[1])), 50
+        pool[start : start + length] + rng.normal(0.0, 0.5, size=(length, pool.shape[1]))
     )
 
 
@@ -165,8 +165,8 @@ class TestRunEqualsSteps:
     @pytest.mark.parametrize("name", ["oracle", "random_3x96", "random_3x96_biased"])
     @settings(max_examples=60, deadline=None)
     @given(features=recordings())
-    @example(features=FeatureSequence(np.zeros((7, 82)), 50))
-    @example(features=FeatureSequence(np.zeros((0, 82)), 50))
+    @example(features=FeatureSequence(np.zeros((7, 82))))
+    @example(features=FeatureSequence(np.zeros((0, 82))))
     def test_run_equals_gru_step_loop_bit_for_bit_property(self, name, features):
         weights = named_weights(name)
         post = run(weights, features)
@@ -230,8 +230,7 @@ class TestStackedGates:
         weights = GruWeights(
             tuple(layers), rng.normal(size=(6, hidden)), rng.normal(size=6), alphabet
         )
-        frame_rate = 50 if input_dim == 82 else 100
-        features = FeatureSequence(rng.normal(0.0, 2.0, size=(frames, input_dim)), frame_rate)
+        features = FeatureSequence(rng.normal(0.0, 2.0, size=(frames, input_dim)))
         want = per_gate_rows(weights, features.frames)
         assert np.array_equal(run(weights, features).rows, want)
         state = init_state(weights)

@@ -38,7 +38,7 @@ from wakespot.wakeword import (
     model_from_labels,
     save_model,
     score,
-    score_with_stats,
+    score_segments,
     weight_from_logprob,
 )
 
@@ -250,8 +250,8 @@ class TestScoreStats:
             Hypothesis(labels=(3,), enroll_logprob=-2.0),
         ]
         model = model_with(hyps, alphabet)
-        value, stats = score_with_stats(model, post)
-        assert value == pytest.approx(score(model, post), abs=1e-12)
+        stats = score_segments(model, [post])
+        assert stats.score == pytest.approx(score(model, post), abs=1e-12)
         assert stats.hypotheses == 2
         assert stats.state_cells == (2 * 2 + 1) + (2 * 1 + 1)
         assert stats.cell_updates == 10 * stats.state_cells
@@ -265,10 +265,10 @@ class TestScoreStats:
             Hypothesis(labels=(1, 2, 3, 1, 2, 3, 1, 2), enroll_logprob=-4.0),
         ]
         model = model_with(hyps, alphabet)
-        value, stats = score_with_stats(model, post)
+        stats = score_segments(model, [post])
         assert stats.state_cells == 3 + 17  # not 2 * 17
         assert stats.cell_updates == 12 * (3 + 17)
-        assert value == score(model, post)
+        assert stats.score == score(model, post)
 
 
 def test_identical_hypotheses_share_lattice_cells():
@@ -277,11 +277,11 @@ def test_identical_hypotheses_share_lattice_cells():
     post = random_posteriorgram(rng, 8, alphabet.size)
     hyps = [Hypothesis(labels=(1, 2, 3, 4), enroll_logprob=-5.0) for _ in range(5)]
     model = model_with(hyps, alphabet)
-    value, stats = score_with_stats(model, post)
+    stats = score_segments(model, [post])
     assert stats.state_cells == 45  # 5 * (2 * 4 + 1), as if scored one by one
     assert stats.lattice_cells == 9  # one path of 4 prefixes: 2 * 4 + 1
     assert stats.cell_updates == 8 * 45
-    assert value == score(model, post)
+    assert stats.score == score(model, post)
 
 
 @st.composite
@@ -312,7 +312,7 @@ def test_score_segments_is_the_first_best_segment_property(case):
     assert result.score.hex() == max(scores).hex()
     best = segments[scores.index(max(scores))]
     assert result.logprobs == tuple(forward_logprob(best, hyp.labels) for hyp in model.hypotheses)
-    _, stats = score_with_stats(model, best)
+    stats = score_segments(model, [best])
     assert counters == (stats.hypotheses, stats.cell_updates, stats.state_cells, stats.lattice_cells)
 
 
@@ -515,6 +515,13 @@ class TestStreamingDetector:
         weights, model, *_ = enrolled_fixture()
         with pytest.raises(ValueError, match="nan"):
             StreamingDetector(model, weights, threshold=math.nan)
+
+    def test_weights_it_cannot_feed_rejected(self):
+        weights, model, *_ = enrolled_fixture()
+        first = weights.layers[0]
+        narrow = replace(weights, layers=(replace(first, w=first.w[:, :, :41]), *weights.layers[1:]))
+        with pytest.raises(ValueError, match="weights.input_dim 41 .* STACKED_DIM 82"):
+            StreamingDetector(model, narrow, threshold=0.0)
 
     def test_single_phrase_gives_single_event(self):
         weights, model, target, speaker, cfg, rng = enrolled_fixture(2)
