@@ -8,8 +8,9 @@ into VAD segments as ``listen`` cuts its stream. ``score`` prints the
 :func:`wakeword.score_segments` result, where the rule lives that a
 recording scores as its best segment: each hypothesis's log probability on
 that segment, then the highest score ``listen`` gives the same file (-inf
-without speech, where ``listen`` gives no event). A support enrolls from
-its longest segment (a data error without speech).
+without speech, where ``listen`` gives no event). ``enroll`` and ``baseline``
+run the harness's :func:`evaluation.enroll` and :func:`evaluation.dtw_scores`:
+a support enrolls from its longest segment (a data error without speech).
 ``eval`` with ``--weights`` requires the manifest's alphabet to be the
 weights' alphabet, as a model file must be (a data error otherwise).
 
@@ -29,10 +30,10 @@ import logging
 import math
 import re
 import sys
+from dataclasses import replace
 
 from . import evaluation, synth
 from .audio import HOP_SAMPLES, read_wav
-from .dtw import dtw_detect_segments
 from .errors import FileFormatError, WakespotError
 from .label_model import load_weights, save_weights
 from .vad import VadConfig
@@ -41,9 +42,7 @@ from .wakeword import (
     DEFAULT_NUM_HYPOTHESES,
     detect_stream,
     featurize,
-    learn,
     load_model,
-    longest_segments,
     save_model,
     score_segments,
 )
@@ -103,6 +102,14 @@ def _vad_config(args) -> VadConfig:
         hangover_frames=args.vad_hangover,
         min_speech_frames=args.vad_min_speech,
     )
+
+
+def _harness_params(args) -> evaluation.HarnessParams:
+    """The beam and VAD settings of ``enroll`` and ``eval``, without weights."""
+    try:
+        return evaluation.HarnessParams(None, args.beam_width, args.num_hypotheses, _vad_config(args))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,14 +173,10 @@ def _hypothesis_line(alphabet, hyp, logprob: float) -> str:
 
 
 def cmd_enroll(args) -> int:
-    if args.num_hypotheses > args.beam_width:
-        raise UsageError("--num-hypotheses cannot exceed --beam-width")
-    weights = load_weights(args.weights)
-    segments = featurize([read_wav(w) for w in args.wavs], _vad_config(args), weights)
-    posts = longest_segments(segments)
-    model = learn(posts, args.beam_width, args.num_hypotheses, threshold=args.threshold)
+    params = replace(_harness_params(args), weights=load_weights(args.weights))
+    model = evaluation.enroll([read_wav(w) for w in args.wavs], params, args.threshold)
     save_model(args.out, model)
-    for i in range(len(posts)):
+    for i in range(len(args.wavs)):
         print(f"example {i + 1}:")
         for hyp in model.hypotheses:
             if hyp.example == i:
@@ -215,20 +218,18 @@ def cmd_listen(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    weights = None
-    if args.space == "post":
-        if not args.weights:
-            raise UsageError("--space post requires --weights")
-        weights = load_weights(args.weights)
-    wavs = [*args.supports, args.test]
-    *supports, test = featurize([read_wav(p) for p in wavs], _vad_config(args), weights)
-    print(f"score {dtw_detect_segments(longest_segments(supports), [test])[0]}")
+    if args.space == "post" and not args.weights:
+        raise UsageError("--space post requires --weights")
+    weights = load_weights(args.weights) if args.space == "post" else None
+    params = evaluation.HarnessParams(weights=weights, vad=_vad_config(args))
+    supports = [read_wav(p) for p in args.supports]
+    [score] = evaluation.dtw_scores(f"dtw_{args.space}", supports, [read_wav(args.test)], params)
+    print(f"score {score}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    if args.num_hypotheses > args.beam_width:
-        raise UsageError("--num-hypotheses cannot exceed --beam-width")
+    params = _harness_params(args)
     weightless = args.detector in evaluation.WEIGHTLESS_DETECTORS
     if not weightless and not args.weights:
         raise UsageError(f"--detector {args.detector} requires --weights")
@@ -238,13 +239,7 @@ def cmd_eval(args) -> int:
         raise FileFormatError(
             f"{args.manifest}: manifest alphabet differs from the alphabet of weights {args.weights}"
         )
-    params = evaluation.HarnessParams(
-        weights=weights,
-        beam_width=args.beam_width,
-        num_hypotheses=args.num_hypotheses,
-        vad=_vad_config(args),
-    )
-    report = evaluation.run_harness(args.detector, episodes, params)
+    report = evaluation.run_harness(args.detector, episodes, replace(params, weights=weights))
     text = evaluation.format_report(report)
     print(text)
     if args.report:

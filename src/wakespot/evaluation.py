@@ -10,18 +10,15 @@ Mann-Whitney statistic with ties counted half.
 
 The harness enrolls each detector on the supports, scores every test, and
 reports overall metrics plus splits by negative tag and speaker match.
-Every recording becomes detector input through :func:`wakeword.featurize`,
-the one recipe (VAD segments, filterbank, and for all detectors but
-``dtw_fbank`` frame stacking and the label model) that the CLI uses too.
-A support enrolls from its longest segment and a test scores as its best:
-:func:`wakeword.score_segments` applies that rule for ``donut`` and
-``query_by_string``, and :func:`dtw.dtw_detect_segments` for the DTW
-baselines. A test without speech scores -inf, as ``listen`` gives it no
-event, and a support without speech skips its episode with a warning
-naming its position.
-Each detector makes one ``featurize`` call per episode, over its supports
-and tests together (``query_by_string``, which enrolls from the target
-labels, passes only the tests).
+Every recording becomes detector input through :func:`wakeword.featurize`
+(VAD segments, filterbank, and for all detectors but ``dtw_fbank`` frame
+stacking and the label model), supports and tests in separate calls with
+the same bits as one call. A support enrolls from its longest segment and a
+test scores as its best: :func:`enroll` and :func:`wakeword.score_segments`
+for ``donut``, :func:`dtw_scores` for the DTW baselines, the recipes that
+``wakespot enroll`` and ``baseline`` run too. A test without speech scores
+-inf, as ``listen`` gives it no event, and a support without speech skips
+its episode with a warning naming its position.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
 from .vad import VadConfig
-from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES
+from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES, WakewordModel, check_beam_settings
 from .wakeword import featurize, learn, longest_segments, model_from_labels, score_segments
 
 logger = logging.getLogger(__name__)
@@ -165,10 +162,7 @@ class HarnessParams:
     vad: VadConfig = VadConfig()
 
     def __post_init__(self):
-        if not 1 <= self.num_hypotheses <= self.beam_width:
-            raise ValueError(
-                f"need 1 <= kept hypotheses ({self.num_hypotheses}) <= beam width ({self.beam_width})"
-            )
+        check_beam_settings(self.beam_width, self.num_hypotheses)
 
 
 @dataclass(frozen=True)
@@ -190,32 +184,42 @@ class HarnessReport:
     episodes_skipped: int
 
 
-def _dtw_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+def enroll(
+    supports: Sequence[AudioBuffer], params: HarnessParams, threshold: float | None = None
+) -> WakewordModel:
+    """The ``donut`` model of ``supports``: each enrolls from its longest
+    :func:`wakeword.featurize` segment under ``params``."""
+    posts = longest_segments(featurize(supports, params.vad, params.weights))
+    return learn(posts, params.beam_width, params.num_hypotheses, threshold)
+
+
+def dtw_scores(
+    detector: str,
+    supports: Sequence[AudioBuffer],
+    tests: Sequence[AudioBuffer],
+    params: HarnessParams,
+) -> list[float]:
+    """The DTW baseline ``detector``'s score of each test against ``supports``."""
     weights = None if detector in WEIGHTLESS_DETECTORS else params.weights
-    recordings = [*episode.support, *(t.audio for t in episode.tests)]
-    segments = featurize(recordings, params.vad, weights)
-    supports = len(episode.support)
-    return dtw_detect_segments(longest_segments(segments[:supports]), segments[supports:])
+    enrolled = longest_segments(featurize(supports, params.vad, weights))
+    return dtw_detect_segments(enrolled, featurize(tests, params.vad, weights))
 
 
 def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
-    tests = [t.audio for t in episode.tests]
     if detector == "query_by_string":
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
         model = model_from_labels(symbols, params.weights.alphabet)
-        segments = featurize(tests, params.vad, params.weights)
     else:
-        segments = featurize([*episode.support, *tests], params.vad, params.weights)
-        supports = len(episode.support)
-        posts = longest_segments(segments[:supports])
-        model = learn(posts, params.beam_width, params.num_hypotheses)
-        segments = segments[supports:]
+        model = enroll(episode.support, params)
+    segments = featurize([t.audio for t in episode.tests], params.vad, params.weights)
     return [score_segments(model, test).score for test in segments]
 
 
 def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:
-    family = _dtw_scores if detector.startswith("dtw_") else _ctc_scores
-    scores = family(detector, episode, params)
+    if detector.startswith("dtw_"):
+        scores = dtw_scores(detector, episode.support, [t.audio for t in episode.tests], params)
+    else:
+        scores = _ctc_scores(detector, episode, params)
     return [
         ScoreRecord(
             episode_id=episode.episode_id,

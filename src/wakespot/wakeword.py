@@ -123,6 +123,12 @@ class WakewordModel:
         return ForwardLattice(*self._trie, self.alphabet.size)
 
 
+def check_beam_settings(beam_width: int, num_hypotheses: int) -> None:
+    """Refuse to keep no hypothesis per example, or more than the beam holds."""
+    if not 1 <= num_hypotheses <= beam_width:
+        raise ValueError(f"need 1 <= kept hypotheses ({num_hypotheses}) <= beam width ({beam_width})")
+
+
 def learn(
     posteriorgrams: Sequence[Posteriorgram],
     beam_width: int = DEFAULT_BEAM_WIDTH,
@@ -132,14 +138,9 @@ def learn(
     """Build a wakeword model from training posteriorgrams (three in the
     standard enrollment flow). A recording whose hypotheses are all the
     empty sequence is logged as a warning."""
+    check_beam_settings(beam_width, num_hypotheses)
     if not posteriorgrams:
         raise ValueError("enrollment needs at least one posteriorgram")
-    if num_hypotheses < 1:
-        raise ValueError("must keep at least one hypothesis per example")
-    if num_hypotheses > beam_width:
-        raise ValueError(
-            f"kept hypotheses ({num_hypotheses}) cannot exceed beam width ({beam_width})"
-        )
     alphabet = posteriorgrams[0].alphabet
     hypotheses: list[Hypothesis] = []
     for i, post in enumerate(posteriorgrams):

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wakespot import synth
+from wakespot import evaluation, synth
 from wakespot.audio import read_wav, write_wav
 from wakespot.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wakespot.dtw import dtw_detect
-from wakespot.label_model import load_weights, save_weights
+from wakespot.evaluation import HarnessParams
+from wakespot.label_model import Posteriorgram, load_weights, save_weights
 from wakespot.vad import VadConfig
-from wakespot.wakeword import featurize
+from wakespot.wakeword import featurize, learn, load_model
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +220,54 @@ def test_baseline_post(world, capsys):
     assert code == EXIT_OK
     weights = load_weights(world["weights"])
     assert capsys.readouterr().out == f"score {baseline_detect(world, weights)}\n"
+
+
+@pytest.mark.parametrize("space", ["fbank", "post"])
+def test_baseline_prints_the_harness_dtw_score(world, capsys, space):
+    weights = ["--weights", str(world["weights"])] if space == "post" else []
+    wavs = [str(w) for w in world["wavs"]]
+    assert main(["baseline", *wavs, str(world["probe"]), "--space", space, *weights]) == EXIT_OK
+    params = HarnessParams(load_weights(world["weights"]))  # dtw_fbank ignores the weights
+    supports = [read_wav(w) for w in world["wavs"]]
+    [score] = evaluation.dtw_scores(f"dtw_{space}", supports, [read_wav(world["probe"])], params)
+    assert capsys.readouterr().out == f"score {score!r}\n"
+
+
+def test_enroll_writes_the_harness_model(world, tmp_path):
+    model_path = tmp_path / "word.model"
+    args = ["enroll", str(model_path), *map(str, world["wavs"]), "--weights", str(world["weights"])]
+    flags = ["--beam-width", "20", "--num-hypotheses", "3", "--threshold", "-12.5"]
+    assert main([*args, *flags]) == EXIT_OK
+    weights = load_weights(world["weights"])
+    params = HarnessParams(weights, beam_width=20, num_hypotheses=3)
+    expected = evaluation.enroll([read_wav(w) for w in world["wavs"]], params, threshold=-12.5)
+    loaded = load_model(model_path, weights.alphabet)
+    assert loaded.hypotheses == expected.hypotheses and len(expected.hypotheses) >= 3
+    assert loaded.threshold == expected.threshold == -12.5
+    assert loaded == expected
+
+
+def test_beam_settings_refused_alike(tmp_path, capsys):
+    """``learn``, ``HarnessParams`` and the CLI refuse more kept hypotheses
+    than the beam width with one message; the CLI refuses them as a usage
+    error before it reads a file, so paths that do not exist do not matter."""
+    alphabet = synth.synth_alphabet()
+    post = Posteriorgram(np.full((4, alphabet.size), 1.0 / alphabet.size), alphabet)
+    with pytest.raises(ValueError) as from_learn:
+        learn([post], beam_width=2, num_hypotheses=5)
+    with pytest.raises(ValueError) as from_params:
+        HarnessParams(beam_width=2, num_hypotheses=5)
+    message = str(from_learn.value)
+    assert message == str(from_params.value)
+    assert "(5)" in message and "(2)" in message
+    missing = str(tmp_path / "missing")
+    for argv in (
+        ["enroll", str(tmp_path / "m.model"), missing, missing, missing, "--weights", missing],
+        ["eval", "--manifest", missing, "--detector", "donut", "--weights", missing],
+    ):
+        assert main([*argv, "--beam-width", "2", "--num-hypotheses", "5"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "m.model").exists()
 
 
 def test_gen_episodes_and_eval(world, tmp_path, capsys):

@@ -23,7 +23,7 @@ from wakespot.audio import (
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.dtw import dtw_detect
 from wakespot.errors import AudioError, FileFormatError, NonFiniteError
-from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, _dtw_scores
+from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, dtw_scores
 from wakespot.label_model import Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples
 from wakespot.wakeword import (
@@ -876,5 +876,5 @@ def test_batch_scores_a_recording_as_its_best_streaming_segment(case):
     for detector, space in (("dtw_post", weights), ("dtw_fbank", None)):
         supports = wakeword.longest_segments(featurize(episode.support, config, space))
         [test] = featurize([stream], config, space)
-        [value] = _dtw_scores(detector, episode, params)
+        [value] = dtw_scores(detector, episode.support, [stream], params)
         assert value.hex() == max((dtw_detect(supports, seq) for seq in test), default=-math.inf).hex()

@@ -19,11 +19,10 @@ It prints one JSON object with a digest for each family:
 - ``scores_random_3x96``: the ``wakeword.score_segments`` score (the best
   segment's) of each episode's tests against a model learned (beam 100,
   N = 10) from its support posteriorgrams under the 3x96 weights;
-- ``scores_dtw_fbank``, ``scores_dtw_post``: the ``dtw_detect_segments``
-  scores of each episode's tests against its supports (the longest segment
-  of each), as the harness's ``dtw_fbank`` and ``dtw_post`` detectors
-  compute them: on filterbank frames, and on posteriorgrams under the
-  oracle weights;
+- ``scores_dtw_fbank``, ``scores_dtw_post``: the ``evaluation.dtw_scores``
+  of each episode's tests against its supports (the longest segment of
+  each) for the harness's ``dtw_fbank`` and ``dtw_post`` detectors: on
+  filterbank frames, and on posteriorgrams under the oracle weights;
 - ``vad_levels``: ``frame_dbfs`` as ``float.hex`` of every window on the
   hop grid of each of those episodes' recordings, supports and tests;
 - ``streaming_oracle``: the events and counters of ``detect_stream`` with
@@ -38,9 +37,9 @@ It prints one JSON object with a digest for each family:
   acceptance suite's detector-ordering and hypothesis-count runs.
 
 Two checkouts print the same JSON when these numbers agree bit for bit.
-Takes 28-32 s on 2 vCPUs (three runs, alternating with a version that
-generated each trend seed's episodes once per beam configuration, which
-took 30-35 s).
+Takes 22-26 s on 2 vCPUs (three runs, alternating with a version that
+featurized each episode once for ``dtw_post`` and ``posteriorgrams_oracle``
+together, which took 21-25 s).
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ import numpy as np  # noqa: E402
 from wakespot import synth  # noqa: E402
 from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES  # noqa: E402
 from wakespot.ctc import beam_search  # noqa: E402
-from wakespot.dtw import dtw_detect_segments  # noqa: E402
-from wakespot.evaluation import HarnessParams, run_harness  # noqa: E402
+from wakespot.evaluation import HarnessParams, dtw_scores, enroll, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
 from wakespot.vad import VadConfig, frame_dbfs  # noqa: E402
 from wakespot.wakeword import detect_stream, featurize, learn, longest_segments  # noqa: E402
@@ -139,26 +137,23 @@ def vad_levels(samples: np.ndarray) -> list[str]:
     return [frame_dbfs(samples[s : s + WINDOW_SAMPLES]).hex() for s in starts]
 
 
-def dtw_scores(segments, supports: int) -> list[str]:
-    """The DTW detection scores of an episode's tests, as ``evaluation._dtw_scores``."""
-    scores = dtw_detect_segments(longest_segments(segments[:supports]), segments[supports:])
-    return [value.hex() for value in scores]
-
-
 def main() -> None:
     all_weights = {
         "oracle": synth.oracle_weights(),
         "random_3x96": random_weights(synth.synth_alphabet(), 3, 96, seed=0),
     }
+    oracle = HarnessParams(weights=all_weights["oracle"])
     episodes = synth.generate_synthetic_episodes(FEWSHOT_SEED, FEWSHOT_EPISODES)
     out = {}
     models_3x96 = []
     dtw = {"fbank": [], "post": []}
     levels = []
     for episode in episodes:
-        recordings = [*episode.support, *(t.audio for t in episode.tests)]
-        dtw["fbank"].append(dtw_scores(featurize(recordings, VadConfig()), len(episode.support)))
-        levels += [vad_levels(audio.samples) for audio in recordings]
+        tests = [t.audio for t in episode.tests]
+        for space, space_scores in dtw.items():
+            values = dtw_scores(f"dtw_{space}", episode.support, tests, oracle)
+            space_scores.append([value.hex() for value in values])
+        levels += [vad_levels(audio.samples) for audio in [*episode.support, *tests]]
     for name, weights in all_weights.items():
         out[f"weights_{name}"] = weight_file_digest(weights)
         posts, beams, scores = [], [], []
@@ -167,8 +162,6 @@ def main() -> None:
             segments = featurize(recordings, VadConfig(), weights)
             posts += [(p.rows.shape, p.rows.tobytes()) for segs in segments for p in segs]
             supports = longest_segments(segments[: len(episode.support)])
-            if name == "oracle":
-                dtw["post"].append(dtw_scores(segments, len(supports)))
             for post in supports:
                 beams.append([(e.labels, e.logprob.hex()) for e in beam_search(post, BEAM_WIDTH)])
             if name == "random_3x96":
@@ -182,19 +175,13 @@ def main() -> None:
     for space, space_scores in dtw.items():
         out[f"scores_dtw_{space}"] = digest(space_scores)
     out["vad_levels"] = digest(levels)
-    oracle_weights = all_weights["oracle"]
     stream = stream_of(episodes[:STREAM_EPISODES])
-    oracle_model = learn(
-        longest_segments(featurize(episodes[0].support, VadConfig(), oracle_weights)),
-        BEAM_WIDTH,
-        NUM_HYPOTHESES,
-    )
-    out["streaming_oracle"] = streaming_digest(oracle_model, oracle_weights, stream)
+    oracle_model = enroll(episodes[0].support, HarnessParams(oracle.weights, BEAM_WIDTH, NUM_HYPOTHESES))
+    out["streaming_oracle"] = streaming_digest(oracle_model, oracle.weights, stream)
     out["streaming_random_3x96_noisy"] = streaming_digest(
         models_3x96[0], all_weights["random_3x96"], noisy(stream)
     )
 
-    oracle = HarnessParams(weights=oracle_weights)
     ordering = synth.generate_synthetic_episodes(ORDERING_SEED, ORDERING_EPISODES)
     out["criterion_07"] = digest(
         chunk
