@@ -22,14 +22,7 @@ from .ctc import (
     forward_logprob,
 )
 from .dtw import dtw_cost, dtw_detect, dtw_detect_all, dtw_score
-from .errors import (
-    AudioError,
-    DimensionError,
-    FileFormatError,
-    NonFiniteError,
-    UnknownVersionError,
-    WakespotError,
-)
+from .errors import AudioError, FileFormatError, WakespotError
 from .evaluation import (
     Episode,
     HarnessParams,

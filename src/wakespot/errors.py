@@ -10,16 +10,5 @@ class AudioError(WakespotError):
 
 
 class FileFormatError(WakespotError):
-    """A serialized artifact could not be parsed or failed validation."""
+    """A file could not be read back; the message starts with its path."""
 
-
-class UnknownVersionError(FileFormatError):
-    """Unrecognized magic bytes or unsupported file version."""
-
-
-class DimensionError(FileFormatError):
-    """Stored shapes are inconsistent with the header or the alphabet."""
-
-
-class NonFiniteError(FileFormatError):
-    """Stored values contain NaNs or infinities."""

@@ -82,6 +82,12 @@ class Episode:
     tests: tuple[TestRecording, ...]
 
     def __post_init__(self):
+        # one manifest token and one path component, so write_episodes can write it back
+        token = isinstance(self.episode_id, str) and self.episode_id.split() == [self.episode_id]
+        if not token or "/" in self.episode_id or self.episode_id in (".", ".."):
+            raise ValueError(
+                f"episode id {self.episode_id!r} must be a file name without whitespace"
+            )
         if len(self.support) != 3:
             raise ValueError("an episode has exactly three support recordings")
         if not self.tests:

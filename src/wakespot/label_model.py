@@ -48,7 +48,9 @@ layer's parts hold Wz Wr Wh Uz Ur Uh bz br bh in that order. The
 per-layer order is the layer table ``_LAYER_FIELDS`` (the fields of
 :class:`GruLayer`), and ``_layer_shapes`` gives the shapes. The loader
 reads the file once and checks every size the file claims against the
-bytes left before it slices.
+bytes left before it slices. :class:`GruWeights` checks the shapes and
+values, as it does for weights built in memory, and the loader reports its
+``ValueError`` as a :class:`FileFormatError` naming the file.
 
 No trained weights ship with the repo; tests and demos use zero weights,
 seeded random weights, or the constructed model from :mod:`wakespot.synth`.
@@ -66,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .audio import STACKED_DIM, FeatureSequence
-from .errors import DimensionError, FileFormatError, NonFiniteError, UnknownVersionError
+from .errors import FileFormatError
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +150,8 @@ def _layer_shapes(num_layers: int, hidden: int, input_dim: int):
 
 @dataclass(frozen=True)
 class GruWeights:
-    """Checked when built: every shape agrees and every value is finite."""
+    """Checked when built: every shape agrees and every value is finite, or
+    a ``ValueError``."""
 
     layers: tuple[GruLayer, ...]
     w_out: np.ndarray
@@ -157,29 +160,27 @@ class GruWeights:
 
     def __post_init__(self):
         if not self.layers:
-            raise DimensionError("weights must have at least one layer")
+            raise ValueError("weights must have at least one layer")
         hidden = self.hidden_size
         if hidden < 1:
-            raise DimensionError("hidden size must be positive")
+            raise ValueError("hidden size must be positive")
         shapes = _layer_shapes(self.num_layers, hidden, self.input_dim)
         for i, (layer, layer_shapes) in enumerate(zip(self.layers, shapes)):
             arrays = [getattr(layer, name) for name in _LAYER_FIELDS]
             for name, array, shape in zip(_LAYER_FIELDS, arrays, layer_shapes):
                 if array.shape != shape:
-                    raise DimensionError(
-                        f"layer {i}: {name} has shape {array.shape}, expected {shape}"
-                    )
+                    raise ValueError(f"layer {i}: {name} has shape {array.shape}, expected {shape}")
             for name, array in zip(_LAYER_FIELDS, arrays):
                 if not np.all(np.isfinite(array)):
-                    raise NonFiniteError(f"layer {i}: {name} contains non-finite values")
+                    raise ValueError(f"layer {i}: {name} contains non-finite values")
         if self.w_out.shape != (self.num_symbols, hidden):
-            raise DimensionError(f"output projection must be (K, {hidden})")
+            raise ValueError(f"output projection must be (K, {hidden})")
         if self.b_out.shape != (self.num_symbols,):
-            raise DimensionError("output bias must be a length-K vector")
+            raise ValueError("output bias must be a length-K vector")
         if not (np.all(np.isfinite(self.w_out)) and np.all(np.isfinite(self.b_out))):
-            raise NonFiniteError("output projection contains non-finite values")
+            raise ValueError("output projection contains non-finite values")
         if self.num_symbols != self.alphabet.size:
-            raise DimensionError(
+            raise ValueError(
                 f"output dim {self.num_symbols} does not match alphabet size {self.alphabet.size}"
             )
 
@@ -454,28 +455,29 @@ def save_weights(path, weights: GruWeights) -> None:
 
 
 def load_weights(path) -> GruWeights:
-    """Load and validate a weight file; logs the parameter count. A short
-    header, another magic or another version raise
-    :class:`UnknownVersionError`; a part that runs past the end, or bytes
-    after the alphabet, :class:`DimensionError`."""
+    """Load a weight file; logs the parameter count. Every failure is a
+    :class:`FileFormatError` whose message starts with ``path``: a short
+    header, another magic or version, a part that runs past the end, bytes
+    after the alphabet, a bad alphabet, or weights that :class:`GruWeights`
+    refuses."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _WEIGHTS_HEADER.size:
-        raise UnknownVersionError(f"{path}: truncated weight header")
+        raise FileFormatError(f"{path}: truncated weight header")
     magic, version, num_layers, hidden, input_dim, num_symbols = _WEIGHTS_HEADER.unpack_from(data)
     if magic != _WEIGHTS_MAGIC:
-        raise UnknownVersionError(f"{path}: not a weight file (magic {magic!r})")
+        raise FileFormatError(f"{path}: not a weight file (magic {magic!r})")
     if version != _FORMAT_VERSION:
-        raise UnknownVersionError(f"{path}: unsupported weight version {version}")
+        raise FileFormatError(f"{path}: unsupported weight version {version}")
     if hidden < 1:  # each layer then takes at least 24 bytes, so num_layers is bounded
-        raise DimensionError(f"{path}: hidden size must be positive")
+        raise FileFormatError(f"{path}: hidden size must be positive")
     pos = _WEIGHTS_HEADER.size
 
     def take(size: int) -> bytes:
         nonlocal pos
         left = len(data) - pos
         if size > left:
-            raise DimensionError(f"{path}: truncated file ({size} bytes claimed, {left} left)")
+            raise FileFormatError(f"{path}: truncated file ({size} bytes claimed, {left} left)")
         pos += size
         return data[pos - size : pos]
 
@@ -504,8 +506,11 @@ def load_weights(path) -> GruWeights:
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad alphabet ({exc})") from exc
     if pos != len(data):
-        raise DimensionError(f"{path}: trailing bytes after the alphabet")
-    weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
+        raise FileFormatError(f"{path}: trailing bytes after the alphabet")
+    try:
+        weights = GruWeights(tuple(layers), w_out, b_out, alphabet)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     logger.info(
         "loaded GRU weights from %s: %d layers x %d hidden, input %d, K=%d, %d parameters",
         path,

@@ -11,7 +11,8 @@ never stored.
 
 Detection computes the forward log probability of every hypothesis on a
 segment's posteriorgram, all hypotheses in one forward lattice. A model
-builds its hypotheses' prefix trie once and starts each lattice from it.
+builds its hypotheses' prefix trie when it is built, which checks their
+labels, and starts each lattice from it.
 The segment's score is their confidence-weighted sum, weight times log
 probability summed in model order by :func:`aggregate`. It is the only
 aggregation, and batch scoring and the streaming detector share it.
@@ -53,16 +54,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .audio import HOP_SAMPLES, SAMPLE_RATE, STACKED_DIM, WINDOW_SAMPLES, AudioBuffer
 from .audio import FeatureSequence, extract_fbank, frame_fbank, stack_frames
-from .ctc import ForwardLattice, _advanced, beam_search, prefix_trie, validate_labels
-from .errors import FileFormatError, NonFiniteError
-from .label_model import BLANK_INDEX, GruWeights, LabelAlphabet, Posteriorgram
+from .ctc import ForwardLattice, _advanced, beam_search, prefix_trie
+from .errors import FileFormatError
+from .label_model import GruWeights, LabelAlphabet, Posteriorgram
 from .label_model import _run_from, init_state, run
 from .vad import Vad, VadConfig, segment, span_samples
 
@@ -93,6 +93,8 @@ class Hypothesis:
     def __post_init__(self):
         if not math.isfinite(self.enroll_logprob):
             raise ValueError("hypothesis enrollment log probability must be finite")
+        if self.example < -1:
+            raise ValueError(f"hypothesis example index must be -1 or more, got {self.example}")
         object.__setattr__(self, "weight", weight_from_logprob(self.enroll_logprob))
 
 
@@ -101,22 +103,20 @@ class WakewordModel:
     hypotheses: tuple[Hypothesis, ...]
     alphabet: LabelAlphabet
     threshold: float | None = None
+    # the prefix trie of the hypotheses, built with the model, which checks
+    # their labels against the alphabet: the read-only (parent, label, ends)
+    # arrays that every lattice scoring the model is built on
+    _trie: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hypotheses:
             raise ValueError("a wakeword model needs at least one hypothesis")
         if self.threshold is not None and math.isnan(self.threshold):
             raise ValueError("a wakeword model's threshold may not be nan")
-
-    @cached_property
-    def _trie(self) -> tuple[np.ndarray, ...]:
-        """The prefix trie of the hypotheses, their labels checked against
-        the alphabet once: the read-only ``(parent, label, ends)`` arrays
-        that every lattice scoring the model is built on."""
         trie = prefix_trie([hyp.labels for hyp in self.hypotheses], self.alphabet.size)
         for array in trie:
             array.setflags(write=False)
-        return trie
+        object.__setattr__(self, "_trie", trie)
 
     def _lattice(self) -> ForwardLattice:
         """A fresh forward lattice over the hypotheses, in model order."""
@@ -165,7 +165,6 @@ def model_from_labels(symbols: Iterable[str], alphabet: LabelAlphabet) -> Wakewo
     """Query-by-string model: a single provided sequence with enrollment
     log probability -1, which gives it weight 1."""
     labels = tuple(alphabet.index_of(s) for s in symbols)
-    validate_labels(labels, alphabet.size)
     return WakewordModel((Hypothesis(labels, -1.0),), alphabet)
 
 
@@ -255,9 +254,10 @@ def save_model(path, model: WakewordModel) -> None:
 def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
     """Read a model file (version 3) written for ``alphabet``.
 
-    Raises :class:`FileFormatError` for any malformed field, and its
-    subclass :class:`NonFiniteError` for a NaN threshold or a non-finite
-    enrollment log probability.
+    The loader parses: any failure is a :class:`FileFormatError` whose
+    message starts with ``path``. The model's values are checked by
+    :class:`Hypothesis` and :class:`WakewordModel`, whose ``ValueError``
+    it reports that way.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -284,34 +284,27 @@ def load_model(path, alphabet: LabelAlphabet) -> WakewordModel:
 
     def label_index(symbol):
         try:
-            index = alphabet.index_of(symbol)
+            return alphabet.index_of(symbol)
         except KeyError:
             raise FileFormatError(f"{path}: unknown label {symbol!r}") from None
-        if index == BLANK_INDEX:
-            raise FileFormatError(f"{path}: hypotheses may not contain the blank")
-        return index
 
     digest = header_value(lines[1], "alphabet-sha256")
     if digest != alphabet.content_hash():
         raise FileFormatError(f"{path}: model was built for a different alphabet")
     raw_threshold = header_value(lines[2], "threshold")
     threshold = None if raw_threshold == "unset" else number(raw_threshold, float, "threshold")
-    if threshold is not None and math.isnan(threshold):
-        raise NonFiniteError(f"{path}: threshold is nan")
-    hypotheses = []
+    parsed = []
     for line in lines[3:]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise FileFormatError(f"{path}: bad hypothesis line {line!r}")
         labels = tuple(label_index(s) for s in fields[0].split())
         enroll_logprob = number(fields[1], float, "enrollment log-prob")
-        if not math.isfinite(enroll_logprob):
-            raise NonFiniteError(f"{path}: enrollment log-prob is {enroll_logprob!r}")
-        example = number(fields[2], int, "example index")
-        if example < -1:
-            raise FileFormatError(f"{path}: bad example index {example}")
-        hypotheses.append(Hypothesis(labels, enroll_logprob, example))
-    return WakewordModel(tuple(hypotheses), alphabet, threshold)
+        parsed.append((labels, enroll_logprob, number(fields[2], int, "example index")))
+    try:
+        return WakewordModel(tuple(Hypothesis(*row) for row in parsed), alphabet, threshold)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def featurize(

@@ -117,6 +117,20 @@ class TestRecordingValidation:
         with pytest.raises(ValueError):
             Episode("e", (1,), (audio, audio), (test,))
 
+    @pytest.mark.parametrize("episode_id", ["my word", "", "a/b", ".", "..", "tab\tid"])
+    def test_episode_id_must_be_one_file_name(self, tmp_path, episode_id):
+        # write_episodes names a directory and a manifest token after the id,
+        # so an id it could not write back is refused when built
+        audio = synth.render_utterance(
+            (1,), synth.Speaker(1.0, 1.0, 0.0), np.random.default_rng(0), synth.EpisodeConfig.clean()
+        )
+        test = TestRecording(audio, "positive", "non_confusing", "same")
+        with pytest.raises(ValueError, match="episode id"):
+            Episode(episode_id, (1,), (audio, audio, audio), (test,))
+        good = Episode("my-word_2.v1", (1,), (audio, audio, audio), (test,))
+        manifest = write_episodes(tmp_path / "suite", [good], synth.synth_alphabet())
+        assert [episode.episode_id for episode in read_episodes(manifest)[1]] == ["my-word_2.v1"]
+
 
 class TestSyntheticEpisodes:
     def test_deterministic_by_seed(self):
@@ -303,10 +317,11 @@ class TestManifests:
             lambda lines: _before_first_episode(lines, [l for l in lines if l.startswith("support")][:1]),
             lambda lines: lines + [" ".join(["alphabet", *reversed(_alphabet_line(lines).split()[1:])])],
             lambda lines: lines + [l for l in lines if l.startswith(("episode", "support", "test"))],
+            lambda lines: [(l.replace(l.split()[1], ".", 1) if l.startswith("episode") else l) for l in lines],
         ],
         ids=["support_without_path", "unknown_target_symbol", "two_supports", "no_tests",
              "bad_polarity", "duplicate_label", "support_before_episode", "second_alphabet",
-             "repeated_episode_id"],
+             "repeated_episode_id", "dot_episode_id"],
     )
     def test_malformed_line_is_file_format_error(self, suite, edit):
         lines = suite.read_text(encoding="utf-8").splitlines()

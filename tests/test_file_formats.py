@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from wakespot.errors import DimensionError, FileFormatError, NonFiniteError, WakespotError
+from wakespot.errors import FileFormatError
 from wakespot.label_model import (
     GruLayer,
     GruWeights,
@@ -86,13 +86,13 @@ class TestHostileHeaders:
         # size must be checked against the file, not handed to a read
         path = tmp_path / "w.bin"
         path.write_bytes(struct.pack("<4sIIIII", b"WSGW", 1, 1, 2**31, 2**31, 3))
-        with pytest.raises(DimensionError):
+        with pytest.raises(FileFormatError):
             load_weights(path)
 
     def test_many_layers_of_zero_width_are_refused(self, tmp_path):
         path = tmp_path / "w.bin"
         path.write_bytes(struct.pack("<4sIIIII", b"WSGW", 1, 2**32 - 1, 0, 0, 1))
-        with pytest.raises(DimensionError):
+        with pytest.raises(FileFormatError):
             load_weights(path)
 
     def test_non_utf8_label_is_file_format_error(self, tmp_path):
@@ -105,15 +105,17 @@ class TestHostileHeaders:
         with pytest.raises(FileFormatError):
             load_weights(path)
 
-    def test_signalling_nan_weight_is_non_finite_error(self, tmp_path):
-        # the cast to float64 must not warn before the finiteness check
+    def test_signalling_nan_weight_error_names_the_file(self, tmp_path):
+        # the cast to float64 must not warn before GruWeights refuses the
+        # value, and the loader must name the file in that refusal
         path = tmp_path / "w.bin"
         save_weights(path, ramp_weights(1, 2, 3, ("a",)))
         data = bytearray(path.read_bytes())
         data[24:28] = struct.pack("<I", 0x7F800001)  # layer 0's first w value
         path.write_bytes(bytes(data))
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(FileFormatError, match="non-finite") as refused:
             load_weights(path)
+        assert str(refused.value).startswith(f"{path}: ")
 
 
 def alphabet_size(labels):
@@ -161,7 +163,7 @@ def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
         path.write_bytes(variant)
         try:
             loader(path)
-        except WakespotError:
-            pass
+        except FileFormatError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped for {variant!r}: {exc}")

@@ -22,7 +22,7 @@ from wakespot.audio import (
 )
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.dtw import dtw_detect
-from wakespot.errors import AudioError, FileFormatError, NonFiniteError
+from wakespot.errors import AudioError, FileFormatError
 from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, dtw_scores
 from wakespot.label_model import Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples
@@ -85,6 +85,12 @@ class TestWeightConversion:
     def test_hypothesis_rejects_non_finite_logprob(self, logprob):
         with pytest.raises(ValueError, match="finite"):
             Hypothesis(labels=(1,), enroll_logprob=logprob)
+
+    def test_hypothesis_rejects_an_example_below_minus_one(self):
+        for example in (-1, 0, 2):
+            assert Hypothesis(labels=(1,), enroll_logprob=-1.0, example=example).example == example
+        with pytest.raises(ValueError, match="example index"):
+            Hypothesis(labels=(1,), enroll_logprob=-1.0, example=-2)
 
 
 class TestLearn:
@@ -342,6 +348,18 @@ class TestModelFiles:
         for threshold in (-math.inf, math.inf):
             assert replace(model, threshold=threshold).threshold == threshold
 
+    @pytest.mark.parametrize(
+        "labels, message", [((1, 0), "blank"), ((3,), "out of range")], ids=["blank", "out_of_range"]
+    )
+    def test_a_label_the_file_cannot_hold_is_refused_when_built(self, labels, message):
+        # with K = 3, save_model would write the blank as <b>, which
+        # load_model refuses, and has no symbol for label 3
+        alphabet = make_alphabet(2)
+        with pytest.raises(ValueError, match=message):
+            WakewordModel((Hypothesis(labels, enroll_logprob=-1.0),), alphabet)
+        with pytest.raises(ValueError, match="blank"):
+            model_from_labels(["L0", "<b>"], alphabet)
+
     def test_file_is_human_readable(self, tmp_path):
         alphabet = make_alphabet(3)
         model = model_with([Hypothesis(labels=(1, 2), enroll_logprob=-2.0)], alphabet)
@@ -384,14 +402,14 @@ class TestModelFiles:
         "old, new, error",
         [
             ("threshold -7.5", "threshold high", FileFormatError),
-            ("threshold -7.5", "threshold nan", NonFiniteError),
+            ("threshold -7.5", "threshold nan", FileFormatError),
             ("wakespot-model 3", "wakespot-model 2", FileFormatError),
             ("wakespot-model 3", "wakespot-model 1", FileFormatError),
             ("L0 L1\t", "L0 Lx\t", FileFormatError),  # unknown symbol
             ("L0 L1\t", "L0 <b>\t", FileFormatError),  # the blank is not a label
-            ("\t-2.0\t", "\tnan\t", NonFiniteError),  # enrollment log-prob
-            ("\t-2.0\t", "\tinf\t", NonFiniteError),
-            ("\t-2.0\t", "\t-inf\t", NonFiniteError),
+            ("\t-2.0\t", "\tnan\t", FileFormatError),  # enrollment log-prob
+            ("\t-2.0\t", "\tinf\t", FileFormatError),
+            ("\t-2.0\t", "\t-inf\t", FileFormatError),
             ("\t-2.0\t", "\tlow\t", FileFormatError),
             ("\t-2.0\t1\n", "\t-2.0\tone\n", FileFormatError),  # example index
             ("\t-2.0\t1\n", "\t-2.0\t-2\n", FileFormatError),
