@@ -121,6 +121,23 @@ def test_enroll_score_listen_round_trip(world, tmp_path, capsys):
     assert "events=0" in silent_out and "gru_frames=0" in silent_out
 
 
+def test_enroll_usage_error_when_n_exceeds_beam(world, tmp_path):
+    code = main(
+        [
+            "enroll",
+            str(tmp_path / "m.model"),
+            *[str(w) for w in world["wavs"]],
+            "--weights",
+            str(world["weights"]),
+            "--beam-width",
+            "2",
+            "--num-hypotheses",
+            "5",
+        ]
+    )
+    assert code == EXIT_USAGE
+
+
 def test_omitted_options_take_the_library_defaults():
     import inspect
 
@@ -167,11 +184,42 @@ def baseline_detect(world, weights=None) -> float:
     return dtw_detect([support for [support] in supports], test)
 
 
+def test_baseline_fbank(world, capsys):
+    code = main(
+        [
+            "baseline",
+            *[str(w) for w in world["wavs"]],
+            str(world["probe"]),
+            "--space",
+            "fbank",
+        ]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"score {baseline_detect(world)}\n"
+
+
 def test_baseline_post_requires_weights(world):
     code = main(
         ["baseline", *[str(w) for w in world["wavs"]], str(world["probe"]), "--space", "post"]
     )
     assert code == EXIT_USAGE
+
+
+def test_baseline_post(world, capsys):
+    code = main(
+        [
+            "baseline",
+            *[str(w) for w in world["wavs"]],
+            str(world["probe"]),
+            "--space",
+            "post",
+            "--weights",
+            str(world["weights"]),
+        ]
+    )
+    assert code == EXIT_OK
+    weights = load_weights(world["weights"])
+    assert capsys.readouterr().out == f"score {baseline_detect(world, weights)}\n"
 
 
 @pytest.mark.parametrize("space", ["fbank", "post"])
@@ -182,9 +230,7 @@ def test_baseline_prints_the_harness_dtw_score(world, capsys, space):
     params = HarnessParams(load_weights(world["weights"]))  # dtw_fbank ignores the weights
     supports = [read_wav(w) for w in world["wavs"]]
     [score] = evaluation.dtw_scores(f"dtw_{space}", supports, [read_wav(world["probe"])], params)
-    # the hand-built featurize + dtw_detect reference checks both
-    reference = baseline_detect(world, params.weights if space == "post" else None)
-    assert capsys.readouterr().out == f"score {score!r}\n" == f"score {reference!r}\n"
+    assert capsys.readouterr().out == f"score {score!r}\n"
 
 
 def test_enroll_writes_the_harness_model(world, tmp_path):
@@ -201,11 +247,10 @@ def test_enroll_writes_the_harness_model(world, tmp_path):
     assert loaded == expected
 
 
-def test_beam_settings_refused_alike(world, tmp_path, capsys):
+def test_beam_settings_refused_alike(tmp_path, capsys):
     """``learn``, ``HarnessParams`` and the CLI refuse more kept hypotheses
     than the beam width with one message; the CLI refuses them as a usage
-    error before it reads a file, so paths that do not exist do not matter,
-    and real ones are not written."""
+    error before it reads a file, so paths that do not exist do not matter."""
     alphabet = synth.synth_alphabet()
     post = Posteriorgram(np.full((4, alphabet.size), 1.0 / alphabet.size), alphabet)
     with pytest.raises(ValueError) as from_learn:
@@ -216,10 +261,8 @@ def test_beam_settings_refused_alike(world, tmp_path, capsys):
     assert message == str(from_params.value)
     assert "(5)" in message and "(2)" in message
     missing = str(tmp_path / "missing")
-    wavs = [str(w) for w in world["wavs"]]
     for argv in (
         ["enroll", str(tmp_path / "m.model"), missing, missing, missing, "--weights", missing],
-        ["enroll", str(tmp_path / "m.model"), *wavs, "--weights", str(world["weights"])],
         ["eval", "--manifest", missing, "--detector", "donut", "--weights", missing],
     ):
         assert main([*argv, "--beam-width", "2", "--num-hypotheses", "5"]) == EXIT_USAGE
