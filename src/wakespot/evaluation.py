@@ -8,8 +8,9 @@ between the bracketing sweep points and the AUC is the trapezoidal area
 under (false-accept rate, true-positive rate), which matches the
 Mann-Whitney statistic with ties counted half.
 
-The harness enrolls each detector on the supports, scores every test, and
-reports overall metrics plus splits by negative tag and speaker match.
+The harness enrolls each detector on the supports and scores every test. A
+report is its score records: the overall metrics and the splits by negative
+tag and speaker match are derived from them on first read.
 Every recording becomes detector input through :func:`wakeword.featurize`
 (VAD segments, filterbank, and for all detectors but ``dtw_fbank`` frame
 stacking and the label model), supports and tests in separate calls with
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +46,8 @@ logger = logging.getLogger(__name__)
 POLARITIES = ("positive", "negative")
 TAGS = ("confusing", "non_confusing")
 SPEAKER_MATCHES = ("same", "different")
+# a report's splits: the negatives of a tag, of a speaker match, or of both
+SPLITS = (*TAGS, *SPEAKER_MATCHES, *(f"{tag}/{match}" for tag in TAGS for match in SPEAKER_MATCHES))
 
 DETECTORS = ("donut", "query_by_string", "dtw_fbank", "dtw_post")
 WEIGHTLESS_DETECTORS = ("dtw_fbank",)  # every other detector runs the label model
@@ -141,22 +145,18 @@ def compute_roc(scores: Sequence[tuple[float, bool]]) -> RocMetrics:
     for a, b in zip(points, points[1:]):
         auc += (b.far - a.far) * ((1.0 - a.frr) + (1.0 - b.frr)) / 2.0
 
-    eer = None
+    # frr - far falls from 1 at the first point to -1 at the last, so the
+    # EER lies between the last point above zero and the first one that is not
     for a, b in zip(points, points[1:]):
         d0 = a.frr - a.far
         d1 = b.frr - b.far
-        if d0 == 0.0:
-            eer = a.far
-            break
         if d1 == 0.0:
             eer = b.far
             break
-        if d0 > 0.0 > d1:
+        if d1 < 0.0:
             t = d0 / (d0 - d1)
             eer = a.far + t * (b.far - a.far)
             break
-    if eer is None:  # curve starts below zero only if far >= frr at the first point
-        eer = points[0].far
     return RocMetrics(points=tuple(points), eer=float(eer), auc=float(auc))
 
 
@@ -180,14 +180,34 @@ class ScoreRecord:
     speaker_match: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarnessReport:
+    """A report is its score records: :attr:`overall` and :attr:`splits`
+    are derived from them on first read, so they cannot disagree. Records
+    without a positive or without a negative raise :func:`compute_roc`'s
+    ``ValueError`` there."""
+
     detector: str
-    overall: RocMetrics
-    splits: dict[str, RocMetrics]
     records: tuple[ScoreRecord, ...]
     episodes_evaluated: int
     episodes_skipped: int
+
+    @cached_property
+    def overall(self) -> RocMetrics:
+        return compute_roc([(r.score, r.is_positive) for r in self.records])
+
+    @cached_property
+    def splits(self) -> dict[str, RocMetrics]:
+        """Every positive against the negatives of each split in
+        :data:`SPLITS` that has any, in that order."""
+        self.overall  # noqa: B018 - what overall refuses, the splits refuse first
+        negatives: dict[str, list] = {name: [] for name in SPLITS}
+        for r in self.records:
+            if not r.is_positive:
+                for name in (r.tag, r.speaker_match, f"{r.tag}/{r.speaker_match}"):
+                    negatives[name].append((r.score, False))
+        positives = [(r.score, True) for r in self.records if r.is_positive]
+        return {name: compute_roc(positives + group) for name, group in negatives.items() if group}
 
 
 def enroll(
@@ -241,7 +261,7 @@ def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> li
 def run_harness(
     detector: str, episodes: Sequence[Episode], params: HarnessParams | None = None
 ) -> HarnessReport:
-    """Enroll and score every episode, pooling scores into ROC metrics."""
+    """Enroll and score every episode into one record per test."""
     params = params or HarnessParams()
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}; choose from {DETECTORS}")
@@ -259,34 +279,7 @@ def run_harness(
             logger.warning("skipping episode %s: %s", episode.episode_id, exc)
     if not records:
         raise ValueError("every episode failed enrollment")
-    overall = compute_roc([(r.score, r.is_positive) for r in records])
-    positives = [r for r in records if r.is_positive]
-    splits: dict[str, RocMetrics] = {}
-
-    def add_split(name, negatives):
-        if negatives:
-            pooled = [(r.score, True) for r in positives] + [(r.score, False) for r in negatives]
-            splits[name] = compute_roc(pooled)
-
-    negatives = [r for r in records if not r.is_positive]
-    for tag in TAGS:
-        add_split(tag, [r for r in negatives if r.tag == tag])
-    for match in SPEAKER_MATCHES:
-        add_split(match, [r for r in negatives if r.speaker_match == match])
-    for tag in TAGS:
-        for match in SPEAKER_MATCHES:
-            add_split(
-                f"{tag}/{match}",
-                [r for r in negatives if r.tag == tag and r.speaker_match == match],
-            )
-    return HarnessReport(
-        detector=detector,
-        overall=overall,
-        splits=splits,
-        records=tuple(records),
-        episodes_evaluated=len(episodes) - skipped,
-        episodes_skipped=skipped,
-    )
+    return HarnessReport(detector, tuple(records), len(episodes) - skipped, skipped)
 
 
 def format_report(report: HarnessReport) -> str:

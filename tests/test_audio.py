@@ -174,6 +174,10 @@ class TestFeatureSequenceInvariants:
             with pytest.raises(ValueError):
                 FeatureSequence(np.zeros((5, width)))
 
+    def test_one_dimensional_frames_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            FeatureSequence(np.zeros(41))
+
     def test_non_finite_rejected(self):
         frames = np.zeros((2, 41))
         frames[1, 3] = np.nan

@@ -337,6 +337,22 @@ def test_eval_dtw_fbank_needs_no_weights(world, tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_eval_of_a_manifest_without_negatives_is_a_data_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    assert main(["gen-episodes", "--out", str(suite), "--count", "1", "--seed", "9"]) == EXIT_OK
+    lines = (suite / "manifest.txt").read_text(encoding="utf-8").splitlines()
+    positives = suite / "positives.txt"
+    positives.write_text("\n".join(l for l in lines if " negative " not in l) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    report, roc = tmp_path / "report.txt", tmp_path / "roc.csv"
+    args = ["eval", "--manifest", str(positives), "--detector", "dtw_fbank"]
+    assert main([*args, "--report", str(report), "--roc-points", str(roc)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least one positive and one negative score\n"
+    assert not report.exists() and not roc.exists()
+
+
 def test_eval_rejects_weights_of_another_alphabet(tmp_path, capsys):
     suite, weights = tmp_path / "suite", tmp_path / "oracle.bin"
     args = ["gen-episodes", "--out", str(suite), "--count", "2", "--seed", "1"]

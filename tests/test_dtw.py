@@ -175,6 +175,10 @@ class TestDtwScore:
         feats = fbank_seq(np.zeros((0, 41)))
         with pytest.raises(ValueError):
             dtw_score(feats, feats)
+        one = fbank_seq(np.zeros((1, 41)))
+        for query, test in ((feats, one), (one, feats)):
+            with pytest.raises(ValueError, match="non-empty"):
+                dtw_cost(query, test)
 
     def test_path_normalization_divides_by_path_cells(self):
         rng = np.random.default_rng(11)

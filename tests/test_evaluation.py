@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from wakespot.audio import AudioBuffer
 from wakespot.evaluation import (
     Episode,
     HarnessParams,
+    HarnessReport,
     TestRecording,
     compute_roc,
     format_report,
@@ -58,6 +59,10 @@ class TestComputeRoc:
             compute_roc([(0.5, True), (0.2, True)])
         with pytest.raises(ValueError):
             compute_roc([])
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            compute_roc([(0.9, True), (math.nan, True), (0.1, False)])
 
     def test_auc_equals_mann_whitney_with_ties(self):
         rng = np.random.default_rng(42)
@@ -255,6 +260,47 @@ class TestHarness:
         want[at] = -math.inf
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
+    def test_a_report_derives_its_metrics_from_its_records(self, small_world):
+        episodes, params = small_world
+        report = run_harness("dtw_fbank", episodes, params)
+        assert [f.name for f in fields(HarnessReport)] == [
+            "detector", "records", "episodes_evaluated", "episodes_skipped"
+        ]
+        names = ["confusing", "non_confusing", "same", "different", "confusing/same",
+                 "confusing/different", "non_confusing/same", "non_confusing/different"]
+        for n in (len(episodes[0].tests), len(report.records) - 5):
+            # a stored metric would be the full report's, not the cut one's
+            cut = replace(report, records=report.records[:n])
+            positives = [(r.score, True) for r in cut.records if r.is_positive]
+            splits = {}
+            for name in names:
+                negatives = [
+                    (r.score, False)
+                    for r in cut.records
+                    if not r.is_positive
+                    and name in (r.tag, r.speaker_match, f"{r.tag}/{r.speaker_match}")
+                ]
+                if negatives:
+                    splits[name] = compute_roc(positives + negatives)
+            assert cut.overall == compute_roc([(r.score, r.is_positive) for r in cut.records])
+            assert list(cut.splits.items()) == list(splits.items())
+
+    @pytest.mark.parametrize("polarity", [True, False])
+    def test_records_of_one_class_are_refused_when_read(self, small_world, polarity):
+        episodes, params = small_world
+        report = run_harness("dtw_fbank", episodes[:1], params)
+        one_class = tuple(r for r in report.records if r.is_positive == polarity)
+        for metrics in ("overall", "splits"):
+            with pytest.raises(ValueError, match="at least one positive and one negative"):
+                getattr(replace(report, records=one_class), metrics)
+
+    def test_every_episode_failing_enrollment_is_refused(self, small_world):
+        episodes, params = small_world
+        silent = AudioBuffer(np.zeros(16000, np.int16))
+        broken = [replace(e, support=(silent, *e.support[1:])) for e in episodes[:2]]
+        with pytest.raises(ValueError, match="every episode failed enrollment"):
+            run_harness("dtw_fbank", broken, params)
+
     @pytest.mark.parametrize("detector", ["donut", "dtw_fbank", "dtw_post"])
     def test_an_episode_with_a_silent_support_is_skipped(self, small_world, detector, caplog):
         episodes, params = small_world
@@ -318,10 +364,11 @@ class TestManifests:
             lambda lines: lines + [" ".join(["alphabet", *reversed(_alphabet_line(lines).split()[1:])])],
             lambda lines: lines + [l for l in lines if l.startswith(("episode", "support", "test"))],
             lambda lines: [(l.replace(l.split()[1], ".", 1) if l.startswith("episode") else l) for l in lines],
+            lambda lines: [l for l in lines if not l.startswith("alphabet")] + [_alphabet_line(lines)],
         ],
         ids=["support_without_path", "unknown_target_symbol", "two_supports", "no_tests",
              "bad_polarity", "duplicate_label", "support_before_episode", "second_alphabet",
-             "repeated_episode_id", "dot_episode_id"],
+             "repeated_episode_id", "dot_episode_id", "episode_before_alphabet"],
     )
     def test_malformed_line_is_file_format_error(self, suite, edit):
         lines = suite.read_text(encoding="utf-8").splitlines()
@@ -329,6 +376,18 @@ class TestManifests:
         bad.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         with pytest.raises(FileFormatError, match="line [0-9]+"):
             read_episodes(bad)
+
+    def test_blank_and_comment_lines_are_skipped(self, suite):
+        lines = suite.read_text(encoding="utf-8").splitlines()
+        spaced = suite.with_name("spaced_manifest.txt")
+        lines = [lines[0], "", "# a comment", *lines[1:3], "  ", *lines[3:]]
+        spaced.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        alphabet, episodes = read_episodes(spaced)
+        want_alphabet, want = read_episodes(suite)
+        assert alphabet == want_alphabet
+        assert [(e.episode_id, e.target_labels, len(e.tests)) for e in episodes] == [
+            (e.episode_id, e.target_labels, len(e.tests)) for e in want
+        ]
 
     def test_truncated_manifest_loads_or_raises_file_format_error(self, suite):
         data = suite.read_bytes()

@@ -8,6 +8,7 @@ division, so they round the same everywhere.
 
 import hashlib
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -126,12 +127,17 @@ FUZZ_LABELS = ("a", "bc")
 
 
 def small_file(name, path):
-    """Write a small valid file; returns its loader and the (start, stop)
-    byte spans of its header and alphabet (all of it for the text model)."""
+    """Write a small valid file; returns its loader, the (start, stop) byte
+    spans of its header and alphabet (all of it for the text model), and
+    those of each float32 part of the weights (none for the model)."""
     if name == "weights":
-        save_weights(path, ramp_weights(2, 2, 3, FUZZ_LABELS))
+        weights = ramp_weights(2, 2, 3, FUZZ_LABELS)
+        save_weights(path, weights)
         size = path.stat().st_size
-        return load_weights, [(0, 24), (size - alphabet_size(FUZZ_LABELS), size)]
+        arrays = [getattr(layer, f.name) for layer in weights.layers for f in fields(layer)]
+        ends = 24 + 4 * np.cumsum([a.size for a in [*arrays, weights.w_out, weights.b_out]])
+        parts = list(zip([24, *ends[:-1].tolist()], ends.tolist()))
+        return load_weights, [(0, 24), (size - alphabet_size(FUZZ_LABELS), size)], parts
     alphabet = LabelAlphabet(FUZZ_LABELS)
     model = WakewordModel(
         hypotheses=(
@@ -142,13 +148,13 @@ def small_file(name, path):
         threshold=0.125,
     )
     save_model(path, model)
-    return (lambda p: load_model(p, alphabet)), [(0, path.stat().st_size)]
+    return (lambda p: load_model(p, alphabet)), [(0, path.stat().st_size)], []
 
 
 @pytest.mark.parametrize("name", ["weights", "model"])
 def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
     path = tmp_path / name
-    loader, spans = small_file(name, path)
+    loader, spans, parts = small_file(name, path)
     loader(path)
     data = path.read_bytes()
     rng = np.random.default_rng(2024)
@@ -167,3 +173,14 @@ def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
             assert str(exc).startswith(f"{path}: "), exc
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped for {variant!r}: {exc}")
+    # all 8 exponent bits of one value of each weight part set: an inf or a
+    # NaN, which GruWeights refuses and the loader reports with the path
+    for start, stop in parts:
+        at = start + 4 * int(rng.integers(0, (stop - start) // 4))
+        (bits,) = struct.unpack_from("<I", data, at)
+        non_finite = bytearray(data)
+        struct.pack_into("<I", non_finite, at, bits | 0x7F800000)
+        path.write_bytes(bytes(non_finite))
+        with pytest.raises(FileFormatError, match="non-finite") as refused:
+            loader(path)
+        assert str(refused.value).startswith(f"{path}: ")

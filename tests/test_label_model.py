@@ -60,6 +60,12 @@ class TestLabelAlphabet:
         with pytest.raises(ValueError):
             LabelAlphabet(labels)
 
+    def test_symbol_of_out_of_range(self):
+        alphabet = LabelAlphabet(("AA", "IY"))
+        for index in (3, -1):
+            with pytest.raises(IndexError, match="out of range for K=3"):
+                alphabet.symbol_of(index)
+
     def test_hash_changes_with_content(self):
         assert LabelAlphabet(("A", "B")).content_hash() != LabelAlphabet(("A", "C")).content_hash()
 
@@ -92,6 +98,11 @@ class TestRun:
         bad = FeatureSequence(np.zeros((4, 41)))
         with pytest.raises(ValueError):
             run(weights, bad)
+
+    def test_gru_step_frame_width_mismatch_rejected(self):
+        weights = random_weights(make_alphabet(3), seed=1)
+        with pytest.raises(ValueError, match="frame dim"):
+            gru_step(weights, init_state(weights), np.zeros(41))
 
     def test_causality(self):
         rng = np.random.default_rng(3)
@@ -377,6 +388,22 @@ class TestWeightFiles:
         with pytest.raises(ValueError):
             zero_weights(make_alphabet(3), 1, 0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(layers=()), "at least one layer"),
+            (dict(w_out=np.zeros((5, 3))), "output projection must be"),
+            (dict(b_out=np.zeros(4)), "output bias"),
+            (dict(w_out=np.full((5, 4), np.inf)), "output projection contains non-finite"),
+            (dict(b_out=np.r_[0.0, np.nan, 0.0, 0.0, 0.0]), "output projection contains non-finite"),
+        ],
+        ids=["no_layers", "w_out_shape", "b_out_shape", "w_out_inf", "b_out_nan"],
+    )
+    def test_bad_layers_or_output_projection_refused(self, change, message):
+        good = zero_weights(make_alphabet(4), 1, 4)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(good, **change)
+
     def test_output_dim_alphabet_mismatch(self):
         alphabet = make_alphabet(3)
         good = zero_weights(alphabet, 1, 4)
@@ -411,6 +438,10 @@ class TestPosteriorgram:
         alphabet = make_alphabet(2)
         with pytest.raises(ValueError, match="2-D"):
             Posteriorgram(np.full((2, 2, 3), 1.0 / 3.0), alphabet)
+
+    def test_rows_of_another_width_are_refused(self):
+        with pytest.raises(ValueError, match="width 4 does not match alphabet K=3"):
+            Posteriorgram(np.full((2, 4), 0.25), make_alphabet(2))
 
     def test_flat_rows_are_reshaped(self):
         alphabet = make_alphabet(2)

@@ -24,7 +24,7 @@ from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.dtw import dtw_detect
 from wakespot.errors import AudioError, FileFormatError
 from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, dtw_scores
-from wakespot.label_model import Posteriorgram, random_weights, run
+from wakespot.label_model import LabelAlphabet, Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples
 from wakespot.wakeword import (
     _BLOCK_PAIRS,
@@ -134,6 +134,16 @@ class TestLearn:
         post = peaky_posteriorgram((1,), alphabet)
         with pytest.raises(ValueError):
             learn([post], beam_width=2, num_hypotheses=3)
+
+    def test_no_posteriorgrams_rejected(self):
+        with pytest.raises(ValueError, match="at least one posteriorgram"):
+            learn([], beam_width=2, num_hypotheses=1)
+
+    def test_posteriorgrams_of_two_alphabets_rejected(self):
+        word = peaky_posteriorgram((1,), LabelAlphabet(("a", "b")))
+        other = peaky_posteriorgram((1,), LabelAlphabet(("c", "d")))
+        with pytest.raises(ValueError, match="different alphabets"):
+            learn([word, other], beam_width=2, num_hypotheses=1)
 
     def test_empty_posteriorgram_rejected(self):
         alphabet = make_alphabet(2)
@@ -534,6 +544,12 @@ class TestStreamingDetector:
         with pytest.raises(ValueError, match="nan"):
             StreamingDetector(model, weights, threshold=math.nan)
 
+    def test_model_of_another_alphabet_rejected(self):
+        weights, *_ = enrolled_fixture()
+        other = model_from_labels(["L1"], make_alphabet(3))
+        with pytest.raises(ValueError, match="alphabets differ"):
+            StreamingDetector(other, weights, threshold=0.0)
+
     def test_weights_it_cannot_feed_rejected(self):
         weights, model, *_ = enrolled_fixture()
         first = weights.layers[0]
@@ -589,6 +605,15 @@ class TestStreamingDetector:
         assert detector.process(np.full(4000, 100 + 5j)) == []
         assert detector.process(np.full(4000, 0.5)) == []  # no PCM sample is fractional
         assert detector.stats.malformed_chunks == 5
+
+    def test_an_empty_chunk_changes_nothing(self):
+        weights, model, target, speaker, cfg, rng = enrolled_fixture(5)
+        detector = StreamingDetector(model, weights, threshold=-math.inf)
+        detector.process(synth.render_utterance(target, speaker, rng, cfg).samples[:8000])
+        before = replace(detector.stats)
+        for empty in ([], np.zeros(0), np.zeros(0, dtype=np.int16)):
+            assert detector.process(empty) == []
+        assert detector.stats == before and before.frames_processed > 0
 
     @pytest.mark.parametrize(
         "chunk",
