@@ -21,7 +21,7 @@ from .ctc import (
     beam_search,
     forward_logprob,
 )
-from .dtw import dtw_cost, dtw_detect, dtw_detect_all, dtw_score
+from .dtw import dtw_cost, dtw_detect, dtw_detect_segments, dtw_score
 from .errors import AudioError, FileFormatError, WakespotError
 from .evaluation import (
     Episode,

@@ -4,15 +4,17 @@ Commands: enroll, score, listen, baseline, eval, gen-episodes. Exit codes:
 0 success, 1 usage error, 2 data or I/O error, 3 internal error.
 
 Recordings become detector input through :func:`wakeword.featurize`, cut
-into VAD segments as ``listen`` cuts its stream. ``score`` prints the
-:func:`wakeword.score_segments` result, where the rule lives that a
-recording scores as its best segment: each hypothesis's log probability on
-that segment, then the highest score ``listen`` gives the same file (-inf
-without speech, where ``listen`` gives no event). ``enroll`` and ``baseline``
-run the harness's :func:`evaluation.enroll` and :func:`evaluation.dtw_scores`:
-a support enrolls from its longest segment (a data error without speech).
+into VAD segments as ``listen`` cuts its stream. ``enroll``, ``score`` and
+``baseline`` run the harness's three recipes, :func:`evaluation.enroll`,
+:func:`evaluation.ctc_scores` and :func:`evaluation.dtw_scores`: a support
+enrolls from its longest segment (a data error without speech), and a
+recording scores as its best segment. ``score`` prints each hypothesis's log
+probability on that segment, then the highest score ``listen`` gives the
+same file (-inf without speech, where ``listen`` gives no event).
 ``eval`` with ``--weights`` requires the manifest's alphabet to be the
-weights' alphabet, as a model file must be (a data error otherwise).
+weights' alphabet, as a model file must be (a data error otherwise). Every
+command refuses weights whose input width is not that of the stacked frames
+it feeds them (a data error).
 
 ``enroll --threshold`` stores a threshold in the model file, and ``listen``
 fires on a segment whose score reaches it; ``listen --threshold`` overrides
@@ -37,15 +39,7 @@ from .audio import HOP_SAMPLES, read_wav
 from .errors import FileFormatError, WakespotError
 from .label_model import load_weights, save_weights
 from .vad import VadConfig
-from .wakeword import (
-    DEFAULT_BEAM_WIDTH,
-    DEFAULT_NUM_HYPOTHESES,
-    detect_stream,
-    featurize,
-    load_model,
-    save_model,
-    score_segments,
-)
+from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES, detect_stream, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,8 +182,8 @@ def cmd_enroll(args) -> int:
 def cmd_score(args) -> int:
     weights = load_weights(args.weights)
     model = load_model(args.model, weights.alphabet)
-    [segments] = featurize([read_wav(args.wav)], _vad_config(args), weights)
-    result = score_segments(model, segments)
+    params = evaluation.HarnessParams(weights=weights, vad=_vad_config(args))
+    [result] = evaluation.ctc_scores(model, [read_wav(args.wav)], params)
     for hyp, lp in zip(model.hypotheses, result.logprobs):  # none without speech
         print(_hypothesis_line(model.alphabet, hyp, lp))
     print(f"score {result.score}")

@@ -22,16 +22,16 @@ of its scores against the enrollment recordings. Ties between predecessors
 prefer diagonal, then query-advance, then test-advance, which makes the
 reported path length deterministic.
 
-The DP runs as one wavefront per ``dtw_detect_all`` call over all P
-(support, test) pairs: cell (i, j) depends only on anti-diagonals
+The DP runs as one wavefront per ``dtw_detect_segments`` call over all P
+(support, segment) pairs: cell (i, j) depends only on anti-diagonals
 i + j - 1 and i + j - 2, so each step computes one anti-diagonal of every
 pair in a few numpy operations. Pair p = s * T + t keeps query row i in
 lane (i + 1) * P + p: a cell's diagonal and up predecessors sit P lanes
 back, and lanes 0..P-1 are a +inf row above row 0. A step computes only
 the band of rows that meet its diagonal, reading distances straight from
-one buffer of all support frames (stacked) against all test frames (side
-by side). Lanes past a pair's end (i >= n or j >= m) compute on whatever
-in-bounds distance they read, but no real cell reads them: its
+one buffer of all support frames (stacked) against all segment frames
+(side by side). Lanes past a pair's end (i >= n or j >= m) compute on
+whatever in-bounds distance they read, but no real cell reads them: its
 predecessors are cells of its own pair with a smaller i or j, or +inf
 cells, namely the row above row 0 and the j = -1 cells. Cell (i, -1) lies
 on diagonal i - 1, one row below its band, and row i is first written on
@@ -43,12 +43,12 @@ The tie rule is kept exactly: the diagonal predecessor is taken first
 and replaced only by a strictly smaller up, then a strictly smaller left
 value, chosen with ``np.where`` (not ``np.minimum``) so the kept operand,
 sign of zero included, is the one a cell-by-cell loop keeps. Each cell's
-cost is then the same IEEE sum as in that loop. ``dtw_cost``,
-``dtw_score`` and ``dtw_detect`` are the one-pair and one-test cases, and
-``dtw_detect_segments`` the case of tests cut into VAD segments, each
-scored as its best segment. A test without frames, such as the
-posteriorgram of a one-window segment (it has no stacked frame), scores
--inf and joins no wavefront.
+cost is then the same IEEE sum as in that loop. ``dtw_detect_segments``
+scores tests cut into VAD segments, each as its best segment; ``dtw_cost``
+is the one-pair DP, and ``dtw_score`` and ``dtw_detect`` are the cases of
+one pair and of one single-segment test. A segment without frames, such
+as the posteriorgram of a one-window segment (it has no stacked frame),
+scores -inf and joins no wavefront.
 """
 
 from __future__ import annotations
@@ -182,40 +182,35 @@ def dtw_cost(query, test) -> float:
 
 def dtw_score(query, test) -> float:
     """Similarity score between two sequences; higher means more similar."""
-    return dtw_detect_all([query], [test])[0]
-
-
-def dtw_detect_all(supports, tests) -> list[float]:
-    """Detection score of every test against the enrollment recordings.
-
-    Every (support, test) pair is aligned in one wavefront; the scores
-    equal ``[dtw_detect(supports, t) for t in tests]``. A test without
-    frames scores -inf, as the CTC detectors score it; a support without
-    frames is a ``ValueError``.
-    """
-    if not supports:
-        raise ValueError("need at least one support sequence")
-    frames, post = _frames_and_space([*supports, *tests])
-    supports, tests = frames[: len(supports)], frames[len(supports) :]
-    if any(len(a) == 0 for a in supports):
-        raise ValueError("DTW requires non-empty support sequences")
-    scored = [b for b in tests if len(b)]
-    if not scored:
-        return [-np.inf] * len(tests)
-    rows, cols = [len(a) for a in supports], [len(b) for b in scored]
-    costs, lengths = _dtw_costs(_distance_buffer(supports, scored, post), rows, cols)
-    per_support = (-costs / lengths).reshape(len(rows), len(cols)).tolist()
-    best = (max(scores) for scores in zip(*per_support))
-    return [next(best) if len(b) else -np.inf for b in tests]
+    return dtw_detect_segments([query], [[test]])[0]
 
 
 def dtw_detect(supports, test) -> float:
     """Detection score against enrollment recordings: the best over them."""
-    return dtw_detect_all(supports, [test])[0]
+    return dtw_detect_segments(supports, [[test]])[0]
 
 
 def dtw_detect_segments(supports, tests) -> list[float]:
-    """As ``dtw_detect_all``, for tests given as their segments: each scores
-    as its best, -inf if it has none. All segments share one wavefront."""
-    scores = iter(dtw_detect_all(supports, [seq for segments in tests for seq in segments]))
-    return [max((next(scores) for _ in segments), default=-np.inf) for segments in tests]
+    """Detection score of every test, given as its segments, against the
+    enrollment recordings: its best segment's best score over them.
+
+    Every (support, segment) pair is aligned in one wavefront. A test
+    without a segment that has frames scores -inf, as the CTC detectors
+    score it; a support without frames is a ``ValueError``.
+    """
+    if not supports:
+        raise ValueError("need at least one support sequence")
+    segments = [seq for test in tests for seq in test]
+    frames, post = _frames_and_space([*supports, *segments])
+    supports, segments = frames[: len(supports)], frames[len(supports) :]
+    if any(len(a) == 0 for a in supports):
+        raise ValueError("DTW requires non-empty support sequences")
+    scored = [b for b in segments if len(b)]
+    best = iter(())
+    if scored:
+        rows, cols = [len(a) for a in supports], [len(b) for b in scored]
+        costs, lengths = _dtw_costs(_distance_buffer(supports, scored, post), rows, cols)
+        per_support = (-costs / lengths).reshape(len(rows), len(cols)).tolist()
+        best = (max(scores) for scores in zip(*per_support))
+    per_segment = iter([next(best) if len(b) else -np.inf for b in segments])
+    return [max((next(per_segment) for _ in test), default=-np.inf) for test in tests]

@@ -15,11 +15,13 @@ Every recording becomes detector input through :func:`wakeword.featurize`
 (VAD segments, filterbank, and for all detectors but ``dtw_fbank`` frame
 stacking and the label model), supports and tests in separate calls with
 the same bits as one call. A support enrolls from its longest segment and a
-test scores as its best: :func:`enroll` and :func:`wakeword.score_segments`
-for ``donut``, :func:`dtw_scores` for the DTW baselines, the recipes that
-``wakespot enroll`` and ``baseline`` run too. A test without speech scores
--inf, as ``listen`` gives it no event, and a support without speech skips
-its episode with a warning naming its position.
+test scores as its best. Three recipes hold those rules, and the harness and
+every command run them: :func:`enroll` (``donut``, ``wakespot enroll``),
+:func:`ctc_scores` (``donut`` and ``query_by_string``, ``wakespot score``)
+and :func:`dtw_scores` (the DTW baselines, ``wakespot baseline``). A test
+without speech scores -inf, as ``listen`` gives it no event, and a support
+without speech skips its episode with a warning naming its position.
+:class:`HarnessParams` refuses weights that cannot take stacked frames.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from .errors import FileFormatError, WakespotError
 from .label_model import GruWeights, LabelAlphabet
 from .label_model import run  # noqa: F401 - perfbench's tracer test looks label_model.run up here
 from .vad import VadConfig
-from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES, WakewordModel, check_beam_settings
-from .wakeword import featurize, learn, longest_segments, model_from_labels, score_segments
+from .wakeword import DEFAULT_BEAM_WIDTH, DEFAULT_NUM_HYPOTHESES, ScoreResult, WakewordModel
+from .wakeword import check_beam_settings, check_input_dim, featurize, learn, longest_segments
+from .wakeword import model_from_labels, score_segments
 
 logger = logging.getLogger(__name__)
 
@@ -169,6 +172,8 @@ class HarnessParams:
 
     def __post_init__(self):
         check_beam_settings(self.beam_width, self.num_hypotheses)
+        if self.weights is not None:
+            check_input_dim(self.weights)
 
 
 @dataclass(frozen=True)
@@ -231,31 +236,24 @@ def dtw_scores(
     return dtw_detect_segments(enrolled, featurize(tests, params.vad, weights))
 
 
-def _ctc_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+def ctc_scores(
+    model: WakewordModel, tests: Sequence[AudioBuffer], params: HarnessParams
+) -> list[ScoreResult]:
+    """The :func:`wakeword.score_segments` result of each test under
+    ``model``, for ``donut`` and ``query_by_string``."""
+    return [score_segments(model, segments) for segments in featurize(tests, params.vad, params.weights)]
+
+
+def _episode_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
+    tests = [t.audio for t in episode.tests]
+    if detector.startswith("dtw_"):
+        return dtw_scores(detector, episode.support, tests, params)
     if detector == "query_by_string":
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
         model = model_from_labels(symbols, params.weights.alphabet)
     else:
         model = enroll(episode.support, params)
-    segments = featurize([t.audio for t in episode.tests], params.vad, params.weights)
-    return [score_segments(model, test).score for test in segments]
-
-
-def _score_episode(detector: str, episode: Episode, params: HarnessParams) -> list[ScoreRecord]:
-    if detector.startswith("dtw_"):
-        scores = dtw_scores(detector, episode.support, [t.audio for t in episode.tests], params)
-    else:
-        scores = _ctc_scores(detector, episode, params)
-    return [
-        ScoreRecord(
-            episode_id=episode.episode_id,
-            score=value,
-            is_positive=test.is_positive,
-            tag=test.tag,
-            speaker_match=test.speaker_match,
-        )
-        for value, test in zip(scores, episode.tests)
-    ]
+    return [result.score for result in ctc_scores(model, tests, params)]
 
 
 def run_harness(
@@ -273,10 +271,13 @@ def run_harness(
     skipped = 0
     for episode in episodes:
         try:
-            records.extend(_score_episode(detector, episode, params))
+            scores = _episode_scores(detector, episode, params)
         except (WakespotError, ValueError) as exc:
             skipped += 1
             logger.warning("skipping episode %s: %s", episode.episode_id, exc)
+            continue
+        records += [ScoreRecord(episode.episode_id, value, t.is_positive, t.tag, t.speaker_match)
+                    for value, t in zip(scores, episode.tests)]
     if not records:
         raise ValueError("every episode failed enrollment")
     return HarnessReport(detector, tuple(records), len(episodes) - skipped, skipped)

@@ -129,6 +129,13 @@ def check_beam_settings(beam_width: int, num_hypotheses: int) -> None:
         raise ValueError(f"need 1 <= kept hypotheses ({num_hypotheses}) <= beam width ({beam_width})")
 
 
+def check_input_dim(weights: GruWeights) -> None:
+    """Refuse label-model weights that cannot take the stacked frames every
+    detector feeds them."""
+    if weights.input_dim != STACKED_DIM:
+        raise ValueError(f"weights.input_dim {weights.input_dim} does not match STACKED_DIM {STACKED_DIM}")
+
+
 def learn(
     posteriorgrams: Sequence[Posteriorgram],
     beam_width: int = DEFAULT_BEAM_WIDTH,
@@ -422,10 +429,7 @@ class StreamingDetector:
     ):
         if model.alphabet != weights.alphabet:
             raise ValueError("model and label-model alphabets differ")
-        if weights.input_dim != STACKED_DIM:
-            raise ValueError(
-                f"weights.input_dim {weights.input_dim} does not match STACKED_DIM {STACKED_DIM}"
-            )
+        check_input_dim(weights)
         if math.isnan(threshold):
             raise ValueError("detection threshold may not be nan")
         self.model = model

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from wakespot.audio import AudioBuffer
 from wakespot.ctc import NEG_INF, ScoredSequence, forward_logprob, nbest_sort_key
-from wakespot.label_model import LabelAlphabet, Posteriorgram
+from wakespot.label_model import GruWeights, LabelAlphabet, Posteriorgram
 
 
 def make_alphabet(num_labels: int) -> LabelAlphabet:
@@ -104,6 +105,13 @@ def reference_beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSe
     results = [entry for entry in scored if entry.logprob > NEG_INF]
     results.sort(key=nbest_sort_key)
     return results
+
+
+def narrow_weights(weights: GruWeights) -> GruWeights:
+    """``weights`` with a first layer of 41 inputs, not the 82 of a stacked
+    frame: they load, but no detector can feed them."""
+    first = weights.layers[0]
+    return replace(weights, layers=(replace(first, w=first.w[:, :, :41]), *weights.layers[1:]))
 
 
 @pytest.fixture(scope="session")

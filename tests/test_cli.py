@@ -1,5 +1,4 @@
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from wakespot.evaluation import HarnessParams
 from wakespot.label_model import Posteriorgram, load_weights, save_weights
 from wakespot.vad import VadConfig
 from wakespot.wakeword import featurize, learn, load_model
+
+from conftest import narrow_weights
 
 
 @pytest.fixture(scope="module")
@@ -387,16 +388,57 @@ def test_listen_refuses_weights_of_another_input_dim(world, tmp_path, capsys):
     stacked frames: a data error naming both widths, before any audio."""
     model_path = tmp_path / "word.model"
     _enroll(world, model_path)
-    weights = load_weights(world["weights"])
-    first = weights.layers[0]
-    narrow = replace(weights, layers=(replace(first, w=first.w[:, :, :41]), *weights.layers[1:]))
-    save_weights(tmp_path / "narrow.bin", narrow)
+    save_weights(tmp_path / "narrow.bin", narrow_weights(load_weights(world["weights"])))
     capsys.readouterr()
     args = ["listen", str(model_path), str(world["probe"]), "--weights", str(tmp_path / "narrow.bin")]
     assert main([*args, "--threshold", "-inf"]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "weights.input_dim 41" in captured.err and "STACKED_DIM 82" in captured.err
+
+
+def test_every_command_refuses_weights_it_cannot_feed(world, tmp_path, capsys):
+    """``score``, ``enroll``, ``baseline --space post`` and ``eval`` refuse
+    41-input weights with the streaming detector's one message, a data
+    error, before they write a file or score an episode."""
+    model_path, refused_model = tmp_path / "word.model", tmp_path / "refused.model"
+    _enroll(world, model_path)
+    narrow = tmp_path / "narrow.bin"
+    save_weights(narrow, narrow_weights(load_weights(world["weights"])))
+    manifest = tmp_path / "suite" / "manifest.txt"
+    assert main(["gen-episodes", "--out", str(manifest.parent), "--count", "1", "--seed", "9"]) == EXIT_OK
+    wavs = [str(w) for w in world["wavs"]]
+    commands = [
+        ["score", str(model_path), str(world["probe"])],
+        ["enroll", str(refused_model), *wavs],
+        ["baseline", *wavs, str(world["probe"]), "--space", "post"],
+        *(["eval", "--manifest", str(manifest), "--detector", d] for d in ("donut", "dtw_post")),
+    ]
+    capsys.readouterr()
+    for args in commands:
+        assert main([*args, "--weights", str(narrow)]) == EXIT_DATA, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weights.input_dim 41 does not match STACKED_DIM 82\n", args
+    assert not refused_model.exists()
+
+
+@pytest.mark.parametrize("wav", ["probe", "distractor", "silence"])
+def test_score_prints_the_harness_donut_result(world, tmp_path, capsys, wav):
+    model_path = tmp_path / "word.model"
+    _enroll(world, model_path)
+    capsys.readouterr()
+    assert main(["score", str(model_path), str(world[wav]), "--weights", str(world["weights"])]) == EXIT_OK
+    weights = load_weights(world["weights"])
+    model = load_model(model_path, weights.alphabet)
+    [result] = evaluation.ctc_scores(model, [read_wav(world[wav])], HarnessParams(weights))
+    lines = [
+        f"  {' '.join(map(weights.alphabet.symbol_of, hyp.labels)) or '(empty)'}"
+        f"  logp={logprob:.4f}  w={hyp.weight:.6f}"
+        for hyp, logprob in zip(model.hypotheses, result.logprobs)
+    ]
+    assert len(lines) == (0 if wav == "silence" else len(model.hypotheses))
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in [*lines, f"score {result.score!r}"])
 
 
 @pytest.mark.parametrize("wav", ["probe", "distractor"])

@@ -14,7 +14,6 @@ from wakespot.dtw import (
     _frames_and_space,
     dtw_cost,
     dtw_detect,
-    dtw_detect_all,
     dtw_detect_segments,
     dtw_score,
 )
@@ -169,7 +168,7 @@ class TestDtwScore:
         with pytest.raises(TypeError):
             dtw_score(feats, post)
         with pytest.raises(TypeError):
-            dtw_detect_all([feats], [feats, post])
+            dtw_detect_segments([feats], [[feats], [post]])
 
     def test_empty_rejected(self):
         feats = fbank_seq(np.zeros((0, 41)))
@@ -275,7 +274,7 @@ class TestWavefront:
             buffer_bytes = rows * sum(map(len, frames[len(supports) :])) * 8
             tracemalloc.start()
             try:
-                dtw_detect_all(supports, tests)
+                dtw_detect_segments(supports, [[t] for t in tests])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -284,15 +283,15 @@ class TestWavefront:
     @pytest.mark.parametrize("space", ["fbank", "posteriorgram"])
     def test_detect_all_equals_detect_per_test(self, real_episodes, space):
         for supports, tests in real_episodes[space]:
-            got = dtw_detect_all(supports, tests)
+            got = dtw_detect_segments(supports, [[t] for t in tests])
             want = [dtw_detect(supports, test) for test in tests]
             assert list(map(bits, got)) == list(map(bits, want))
 
     def test_detect_all_without_tests(self):
         seq = fbank_seq(np.ones((2, 41)))
-        assert dtw_detect_all([seq], []) == []
+        assert dtw_detect_segments([seq], []) == []
         with pytest.raises(ValueError):
-            dtw_detect_all([], [seq])
+            dtw_detect_segments([], [[seq]])
 
     def test_detect_segments_scores_a_test_without_segments_minus_inf_in_place(self):
         rng = np.random.default_rng(5)
@@ -309,22 +308,23 @@ class TestWavefront:
         rng = np.random.default_rng(6)
         supports = [random_posteriorgram(rng, n, 4) for n in (4, 6)]
         empty, short, long = (random_posteriorgram(rng, n, 4) for n in (0, 3, 5))
-        got = dtw_detect_all(supports, [empty, short, empty, long])
+        got = dtw_detect_segments(supports, [[empty], [short], [empty], [long]])
         want = [-math.inf, dtw_detect(supports, short), -math.inf, dtw_detect(supports, long)]
         assert list(map(bits, got)) == list(map(bits, want))
-        assert dtw_detect_all(supports, [empty]) == [-math.inf]
+        assert dtw_detect_segments(supports, [[empty]]) == [-math.inf]
         assert dtw_detect(supports, empty) == -math.inf
         got = dtw_detect_segments(supports, [[empty], [empty, short], []])
         assert list(map(bits, got)) == list(map(bits, [-math.inf, want[1], -math.inf]))
         fbank_empty = fbank_seq(np.zeros((0, 41)))
-        assert dtw_detect_all([fbank_seq(rng.normal(size=(3, 41)))], [fbank_empty]) == [-math.inf]
+        fbank_support = fbank_seq(rng.normal(size=(3, 41)))
+        assert dtw_detect_segments([fbank_support], [[fbank_empty]]) == [-math.inf]
 
     def test_a_support_without_frames_is_an_error(self):
         rng = np.random.default_rng(7)
         empty, test = random_posteriorgram(rng, 0, 4), random_posteriorgram(rng, 3, 4)
         for tests in ([test], [empty], []):
             with pytest.raises(ValueError, match="non-empty support"):
-                dtw_detect_all([random_posteriorgram(rng, 2, 4), empty], tests)
+                dtw_detect_segments([random_posteriorgram(rng, 2, 4), empty], [[t] for t in tests])
 
 
 @pytest.fixture(scope="module")

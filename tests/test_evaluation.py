@@ -20,6 +20,8 @@ from wakespot.evaluation import (
 )
 from wakespot.errors import FileFormatError
 
+from conftest import narrow_weights
+
 
 def mann_whitney_auc(scores):
     """Probability a random positive outranks a random negative, ties half."""
@@ -214,6 +216,10 @@ class TestHarness:
             HarnessParams(beam_width=beam_width, num_hypotheses=num_hypotheses)
         assert f"({num_hypotheses})" in str(raised.value) and f"({beam_width})" in str(raised.value)
 
+    def test_weights_it_cannot_feed_refused_when_built(self, oracle_model):
+        with pytest.raises(ValueError, match="^weights.input_dim 41 does not match STACKED_DIM 82$"):
+            HarnessParams(weights=narrow_weights(oracle_model))
+
     def test_weights_required(self, small_world):
         episodes, _ = small_world
         with pytest.raises(ValueError):
@@ -391,8 +397,9 @@ class TestManifests:
 
     def test_truncated_manifest_loads_or_raises_file_format_error(self, suite):
         data = suite.read_bytes()
-        cut = suite.with_name("cut_manifest.txt")
         for n in range(len(data)):
+            # a new file each: rewriting one costs far more than writing one
+            cut = suite.with_name(f"cut_manifest-{n}.txt")
             cut.write_bytes(data[:n])
             try:
                 read_episodes(cut)

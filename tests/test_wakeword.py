@@ -23,7 +23,7 @@ from wakespot.audio import (
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.dtw import dtw_detect
 from wakespot.errors import AudioError, FileFormatError
-from wakespot.evaluation import Episode, HarnessParams, TestRecording, _ctc_scores, dtw_scores
+from wakespot.evaluation import Episode, HarnessParams, TestRecording, _episode_scores, dtw_scores
 from wakespot.label_model import LabelAlphabet, Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples
 from wakespot.wakeword import (
@@ -42,7 +42,7 @@ from wakespot.wakeword import (
     weight_from_logprob,
 )
 
-from conftest import make_alphabet, random_posteriorgram
+from conftest import make_alphabet, narrow_weights, random_posteriorgram
 
 
 def model_with(hypotheses, alphabet):
@@ -552,10 +552,8 @@ class TestStreamingDetector:
 
     def test_weights_it_cannot_feed_rejected(self):
         weights, model, *_ = enrolled_fixture()
-        first = weights.layers[0]
-        narrow = replace(weights, layers=(replace(first, w=first.w[:, :, :41]), *weights.layers[1:]))
         with pytest.raises(ValueError, match="weights.input_dim 41 .* STACKED_DIM 82"):
-            StreamingDetector(model, narrow, threshold=0.0)
+            StreamingDetector(model, narrow_weights(weights), threshold=0.0)
 
     def test_single_phrase_gives_single_event(self):
         weights, model, target, speaker, cfg, rng = enrolled_fixture(2)
@@ -914,7 +912,7 @@ def test_batch_scores_a_recording_as_its_best_streaming_segment(case):
         assert len(segments) == len(report.events) == report.stats.segments_scored
         if has_burst and config.hangover_frames == 3:
             assert report.stats.segments_discarded >= 1
-        [value] = _ctc_scores(detector, episode, params)
+        [value] = _episode_scores(detector, episode, params)
         assert value.hex() == max((e.score for e in report.events), default=-math.inf).hex()
     for detector, space in (("dtw_post", weights), ("dtw_fbank", None)):
         supports = wakeword.longest_segments(featurize(episode.support, config, space))
