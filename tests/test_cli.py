@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +322,7 @@ def test_gen_episodes_and_eval(world, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "overall eer" in out
     assert report_path.read_text().startswith("detector donut")
+    assert report_path.read_bytes() == out.encode("utf-8")
     assert roc_path.read_text().startswith("threshold,far,frr")
 
 
@@ -394,7 +399,7 @@ def test_listen_refuses_weights_of_another_input_dim(world, tmp_path, capsys):
     assert main([*args, "--threshold", "-inf"]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "weights.input_dim 41" in captured.err and "STACKED_DIM 82" in captured.err
+    assert captured.err == "error: weights.input_dim 41 does not match STACKED_DIM 82\n"
 
 
 def test_every_command_refuses_weights_it_cannot_feed(world, tmp_path, capsys):
@@ -421,6 +426,30 @@ def test_every_command_refuses_weights_it_cannot_feed(world, tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == "error: weights.input_dim 41 does not match STACKED_DIM 82\n", args
     assert not refused_model.exists()
+
+
+@pytest.mark.parametrize("damaged", ["model-v2", "weights-cut"])
+def test_score_refuses_a_damaged_file_and_names_it(world, tmp_path, capsys, damaged):
+    """``enroll`` writes version-3 models: a version-2 model is a data error,
+    as is a weight file cut to 30 bytes, inside its first part. Either error
+    names the file."""
+    model_path, weights_path = tmp_path / "word.model", world["weights"]
+    _enroll(world, model_path)
+    text = model_path.read_text(encoding="utf-8")
+    assert text.startswith("wakespot-model 3\n")
+    if damaged == "model-v2":
+        model_path = tmp_path / "v2.model"
+        model_path.write_text(text.replace("wakespot-model 3", "wakespot-model 2", 1), encoding="utf-8")
+        message = f"{model_path}: bad header line 'wakespot-model 2'"
+    else:
+        weights_path = tmp_path / "cut.bin"
+        weights_path.write_bytes(world["weights"].read_bytes()[:30])
+        message = f"{weights_path}: truncated file (80688 bytes claimed, 6 left)"
+    capsys.readouterr()
+    assert main(["score", str(model_path), str(world["probe"]), "--weights", str(weights_path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("wav", ["probe", "distractor", "silence"])
@@ -772,3 +801,21 @@ def test_enroll_names_a_support_with_two_segments(world, two_utterance_wavs, tmp
     assert [r.getMessage() for r in caplog.records] == [
         "recording 2 of 3 has 2 VAD segments; enrolling from the longest"
     ]
+
+
+def test_a_process_of_its_own_prints_log_warnings_as_the_cli_does(world, two_utterance_wavs, tmp_path):
+    """Under pytest the root logger already has a handler, so ``main``'s
+    ``logging.basicConfig`` changes nothing; ``python -m wakespot.cli``
+    shows the text a user sees, and runs the module's ``__main__`` guard."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    wavs = [world["wavs"][0], two_utterance_wavs["keyword_last"], world["wavs"][2]]
+    args = ["enroll", str(tmp_path / "m.model"), *map(str, wavs), "--weights", str(world["weights"])]
+    done = subprocess.run(
+        [sys.executable, "-m", "wakespot.cli", *args, "--beam-width", "20", "--num-hypotheses", "3"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stderr == "warning: recording 2 of 3 has 2 VAD segments; enrolling from the longest\n"
