@@ -15,14 +15,15 @@ Frame stacking concatenates consecutive frame pairs so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 
 One kernel computes the features of every window in a contiguous span of
-``400 + 160 * (n - 1)`` samples: pre-emphasis once on the span's waveform
-(given the sample before it), then the n hop-grid windows of the result
-through the Hamming window, FFT, filterbank and log. :func:`extract_fbank`
-runs it on a whole recording, and the streaming step :func:`frame_fbank` on
-a shorter span: the detector's stacked pair, a 560-sample slice of its
-buffer. An emphasized sample depends only on its sample and the one before,
-and a window's features only on its own emphasized samples, so
-:func:`frame_fbank` gives the matching batch rows bit for bit.
+``400 + 160 * (n - 1)`` int16 or float64 samples: pre-emphasis once on the
+span's waveform (given the sample before it), then the n :func:`hop_windows`
+of the result through the Hamming window, FFT, filterbank and log.
+:func:`extract_fbank` runs it on a whole recording, and the streaming step
+:func:`frame_fbank` on a shorter span: the detector's stacked pair, a
+560-sample slice of its buffer. An emphasized sample depends only on its
+sample and the one before, and a window's features only on its own
+emphasized samples, so :func:`frame_fbank` gives the matching batch rows
+bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class AudioBuffer:
             if samples.size and (samples.min() < -32768 or samples.max() > 32767):
                 raise AudioError("integer samples exceed the int16 range")
             samples = samples.astype(np.int16)
-        object.__setattr__(self, "samples", samples)
+        # C order, so that hop_windows can view one channel of a stereo array too
+        object.__setattr__(self, "samples", np.ascontiguousarray(samples))
 
 
 @dataclass(frozen=True)
@@ -173,29 +175,34 @@ def num_feature_frames(num_samples: int) -> int:
     return 1 + (num_samples - WINDOW_SAMPLES) // HOP_SAMPLES
 
 
+def hop_windows(samples: np.ndarray) -> np.ndarray:
+    """The windows on the hop grid of C-contiguous 1-D ``samples`` (at least
+    400) as rows of a strided view; sliding_window_view takes longer than a
+    pair's whole FFT call."""
+    n = 1 + (len(samples) - WINDOW_SAMPLES) // HOP_SAMPLES
+    step = samples.itemsize
+    return np.ndarray((n, WINDOW_SAMPLES), samples.dtype, samples, 0, (HOP_SAMPLES * step, step))
+
+
 def _fbank(span: np.ndarray, prev: float) -> np.ndarray:
     """Log-Mel features of the n windows on the hop grid of the contiguous
-    float64 ``span`` of ``400 + 160 * (n - 1)`` samples; ``prev`` is the
-    sample before it (0.0 at the start of a recording or segment).
+    ``span`` of ``400 + 160 * (n - 1)`` int16 or float64 samples; ``prev`` is
+    the sample before it (0.0 at the start of a recording or segment).
 
     Pre-emphasis runs once on the waveform, ``e[k] = x[k] - 0.97 * x[k-1]``
-    with the product rounded before the difference. The windows of ``e``
-    are Hamming-weighted into a zero-padded ``(n, 512)`` array for the FFT.
-    Each spectrum meets the filterbank in its own vector-matrix product: a
-    matrix-matrix product over all frames rounds differently in the last bits.
+    in float64 (exact for int16 x) with the product rounded before the
+    difference. The windows of ``e`` are Hamming-weighted into a zero-padded
+    ``(n, 512)`` array for the FFT. Each spectrum meets the filterbank in its
+    own vector-matrix product: a matrix-matrix product over all frames rounds
+    differently in the last bits.
     """
-    emphasized = np.empty_like(span)
+    emphasized = np.empty(len(span))
     emphasized[0] = prev
     emphasized[1:] = span[:-1]
     emphasized *= PREEMPHASIS
     np.subtract(span, emphasized, out=emphasized)
-    n = 1 + (len(span) - WINDOW_SAMPLES) // HOP_SAMPLES
-    # the hop-grid windows, a strided view of the buffer; building it with
-    # sliding_window_view takes longer than a pair's whole FFT call
-    step = emphasized.itemsize
-    strides = (HOP_SAMPLES * step, step)
-    windows = np.ndarray((n, WINDOW_SAMPLES), emphasized.dtype, emphasized, 0, strides)
-    padded = np.zeros((n, FFT_SIZE))
+    windows = hop_windows(emphasized)
+    padded = np.zeros((len(windows), FFT_SIZE))
     np.multiply(windows, _HAMMING, out=padded[:, :WINDOW_SAMPLES])
     power = np.abs(np.fft.rfft(padded))
     np.square(power, out=power)  # in place; the bits of ** 2
@@ -223,8 +230,7 @@ def frame_fbank(span: np.ndarray, prev: float) -> np.ndarray:
 def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     """Convert audio to T x 41 log-Mel energies at 100 Hz."""
     n = num_feature_frames(len(audio.samples))
-    span = audio.samples[: WINDOW_SAMPLES + HOP_SAMPLES * (n - 1)].astype(np.float64)
-    return FeatureSequence(_fbank(span, 0.0))
+    return FeatureSequence(_fbank(audio.samples[: WINDOW_SAMPLES + HOP_SAMPLES * (n - 1)], 0.0))
 
 
 def stack_frames(features: FeatureSequence) -> FeatureSequence:

@@ -21,7 +21,9 @@ every command run them: :func:`enroll` (``donut``, ``wakespot enroll``),
 and :func:`dtw_scores` (the DTW baselines, ``wakespot baseline``). A test
 without speech scores -inf, as ``listen`` gives it no event, and a support
 without speech skips its episode with a warning naming its position.
-:class:`HarnessParams` refuses weights that cannot take stacked frames.
+:class:`HarnessParams` refuses weights that cannot take stacked frames. A
+recipe that lacks the weights it needs raises a ``ValueError`` naming it,
+and :func:`dtw_scores` one naming a detector that is not DTW.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ SPEAKER_MATCHES = ("same", "different")
 SPLITS = (*TAGS, *SPEAKER_MATCHES, *(f"{tag}/{match}" for tag in TAGS for match in SPEAKER_MATCHES))
 
 DETECTORS = ("donut", "query_by_string", "dtw_fbank", "dtw_post")
+DTW_DETECTORS = ("dtw_fbank", "dtw_post")
 WEIGHTLESS_DETECTORS = ("dtw_fbank",)  # every other detector runs the label model
 
 _MANIFEST_HEADER = "# wakespot episodes v1"
@@ -220,7 +223,7 @@ def enroll(
 ) -> WakewordModel:
     """The ``donut`` model of ``supports``: each enrolls from its longest
     :func:`wakeword.featurize` segment under ``params``."""
-    posts = longest_segments(featurize(supports, params.vad, params.weights))
+    posts = longest_segments(featurize(supports, params.vad, _weights("enroll", params)))
     return learn(posts, params.beam_width, params.num_hypotheses, threshold)
 
 
@@ -231,7 +234,9 @@ def dtw_scores(
     params: HarnessParams,
 ) -> list[float]:
     """The DTW baseline ``detector``'s score of each test against ``supports``."""
-    weights = None if detector in WEIGHTLESS_DETECTORS else params.weights
+    if detector not in DTW_DETECTORS:
+        raise ValueError(f"{detector!r} is not a DTW detector; choose from {DTW_DETECTORS}")
+    weights = None if detector in WEIGHTLESS_DETECTORS else _weights(f"detector {detector!r}", params)
     enrolled = longest_segments(featurize(supports, params.vad, weights))
     return dtw_detect_segments(enrolled, featurize(tests, params.vad, weights))
 
@@ -241,12 +246,20 @@ def ctc_scores(
 ) -> list[ScoreResult]:
     """The :func:`wakeword.score_segments` result of each test under
     ``model``, for ``donut`` and ``query_by_string``."""
-    return [score_segments(model, segments) for segments in featurize(tests, params.vad, params.weights)]
+    posts = featurize(tests, params.vad, _weights("ctc_scores", params))
+    return [score_segments(model, segments) for segments in posts]
+
+
+def _weights(user: str, params: HarnessParams) -> GruWeights:
+    """``params.weights``; a ``ValueError`` naming ``user`` when there are none."""
+    if params.weights is None:
+        raise ValueError(f"{user} needs label-model weights")
+    return params.weights
 
 
 def _episode_scores(detector: str, episode: Episode, params: HarnessParams) -> list[float]:
     tests = [t.audio for t in episode.tests]
-    if detector.startswith("dtw_"):
+    if detector in DTW_DETECTORS:
         return dtw_scores(detector, episode.support, tests, params)
     if detector == "query_by_string":
         symbols = [params.weights.alphabet.symbol_of(i) for i in episode.target_labels]
@@ -265,8 +278,8 @@ def run_harness(
         raise ValueError(f"unknown detector {detector!r}; choose from {DETECTORS}")
     if not episodes:
         raise ValueError("no episodes to evaluate")
-    if detector not in WEIGHTLESS_DETECTORS and params.weights is None:
-        raise ValueError(f"detector {detector!r} needs label-model weights")
+    if detector not in WEIGHTLESS_DETECTORS:
+        _weights(f"detector {detector!r}", params)
     records: list[ScoreRecord] = []
     skipped = 0
     for episode in episodes:

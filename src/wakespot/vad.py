@@ -6,24 +6,19 @@ RMS level in dBFS reaches the threshold; the decision is then held high for
 speech-classified frames of at least ``min_speech_frames``.
 
 A window's level is ``10 log10(S / 400 / 2**30)`` dBFS, where S is the sum
-of its 400 squared integer samples, computed exactly on both paths:
-
-* Samples are integers with ``|x| <= 2**15``, so a square is at most
-  ``2**30`` and every partial sum of a window's squares is an integer below
-  ``400 * 2**30 < 2**39``. Integers below ``2**53`` are exact in float64,
-  so the streaming :func:`frame_dbfs` gets S from one float64 dot product of
-  the window with itself, in whatever order the dot product sums.
-* The batch :func:`classify_frames` takes each window's S as the difference
-  of two entries of an int64 running sum of squares, exact while the total
-  stays below ``2**63`` (recordings under ``2**33`` samples), and converts
-  it to float64, also exactly.
-
-Both then divide S by 400, one rounding, and by ``2**30``, which is exact
-because the quotient is far above the subnormal range. So streaming and
-batch decisions agree bit for bit by construction, without sharing the
-summation. They are also the bits of the earlier float formula
-``sum((x / 2**15)**2) / 400``: its sum is exactly ``S * 2**-30``, and
-dividing by 400 rounds the same value at a scale a power of two apart.
+of its 400 squared integer samples. Samples are integers with
+``|x| <= 2**15``, so a square is at most ``2**30`` and every partial sum of
+a window's squares is an integer below ``400 * 2**30 < 2**39``. Integers
+below ``2**53`` are exact in float64, so a float64 dot product of a window
+with itself gives S exactly, in whatever order it sums: the streaming
+:func:`frame_dbfs` takes it of one window, and the batch
+:func:`classify_frames` of every :func:`audio.hop_windows` row of the int16
+samples at once. Both then divide S by 400, one rounding, and by ``2**30``,
+which is exact because the quotient is far above the subnormal range. So
+streaming and batch decisions agree bit for bit. They are also the bits of
+the earlier float formula ``sum((x / 2**15)**2) / 400``: its sum is exactly
+``S * 2**-30``, and dividing by 400 rounds the same value at a scale a power
+of two apart.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, num_feature_frames
+from .audio import HOP_SAMPLES, WINDOW_SAMPLES, AudioBuffer, hop_windows
 
 FULL_SCALE = 32768.0
 _FULL_SCALE_POWER = FULL_SCALE * FULL_SCALE  # 2**30, exact
@@ -102,12 +97,8 @@ def classify_frames(config: VadConfig, audio: AudioBuffer) -> list[bool]:
     to stepping ``Vad(config).classify_frame`` over the windows."""
     if len(audio.samples) < WINDOW_SAMPLES:
         return []
-    squares = audio.samples.astype(np.int64)
-    np.multiply(squares, squares, out=squares)
-    running = np.zeros(len(squares) + 1, dtype=np.int64)  # running[k]: sum of squares[:k]
-    np.cumsum(squares, out=running[1:])
-    starts = np.arange(num_feature_frames(len(squares))) * HOP_SAMPLES
-    sums = (running[starts + WINDOW_SAMPLES] - running[starts]).astype(np.float64)
+    windows = hop_windows(audio.samples)
+    sums = np.einsum("ij,ij->i", windows, windows, dtype=np.float64)
     detector = Vad(config)
     return [detector._decide(_dbfs(s, WINDOW_SAMPLES)) for s in sums.tolist()]
 

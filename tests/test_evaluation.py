@@ -12,6 +12,9 @@ from wakespot.evaluation import (
     HarnessReport,
     TestRecording,
     compute_roc,
+    ctc_scores,
+    dtw_scores,
+    enroll,
     format_report,
     read_episodes,
     run_harness,
@@ -19,6 +22,7 @@ from wakespot.evaluation import (
     write_episodes,
 )
 from wakespot.errors import FileFormatError
+from wakespot.wakeword import model_from_labels
 
 from conftest import narrow_weights
 
@@ -224,6 +228,30 @@ class TestHarness:
         episodes, _ = small_world
         with pytest.raises(ValueError):
             run_harness("donut", episodes, HarnessParams(weights=None))
+
+    def test_dtw_scores_refuses_a_detector_that_is_not_dtw(self, small_world):
+        episodes, params = small_world
+        tests = [t.audio for t in episodes[0].tests]
+        with pytest.raises(ValueError, match="^'donut' is not a DTW detector"):
+            dtw_scores("donut", episodes[0].support, tests, params)
+
+    def test_dtw_scores_refuses_dtw_post_without_weights(self, small_world):
+        episodes, _ = small_world
+        tests = [t.audio for t in episodes[0].tests]
+        with pytest.raises(ValueError, match="^detector 'dtw_post' needs label-model weights$"):
+            dtw_scores("dtw_post", episodes[0].support, tests, HarnessParams())
+
+    def test_enroll_refuses_to_run_without_weights(self, small_world):
+        episodes, _ = small_world
+        with pytest.raises(ValueError, match="^enroll needs label-model weights$"):
+            enroll(episodes[0].support, HarnessParams())
+
+    def test_ctc_scores_refuses_to_run_without_weights(self, small_world):
+        episodes, params = small_world
+        alphabet = params.weights.alphabet
+        model = model_from_labels([alphabet.symbol_of(i) for i in episodes[0].target_labels], alphabet)
+        with pytest.raises(ValueError, match="^ctc_scores needs label-model weights$"):
+            ctc_scores(model, [t.audio for t in episodes[0].tests], HarnessParams())
 
     def test_donut_report_structure(self, small_world):
         episodes, params = small_world

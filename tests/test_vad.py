@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakespot.audio import AudioBuffer, HOP_SAMPLES, WINDOW_SAMPLES
+from wakespot.audio import AudioBuffer, HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES
 from wakespot.vad import Vad, VadConfig, classify_frames, frame_dbfs, segment, span_samples, trim_to_speech
 
 from conftest import edge_audio
@@ -195,3 +197,16 @@ def test_decisions_agree_with_every_frame_level_as_the_threshold(audio, hangover
         detector = Vad(config)
         expected = [detector.classify_frame(w) for w in windows]
         assert classify_frames(config, audio) == expected, f"threshold {level!r}"
+
+
+def test_batch_scratch_memory_does_not_grow_with_the_recording():
+    # the decisions and one float64 energy per 160-sample hop: about 0.3 bytes a sample
+    noise = np.random.default_rng(0).integers(-32768, 32768, 60 * SAMPLE_RATE, dtype=np.int16)
+    audio = AudioBuffer(noise)
+    tracemalloc.start()
+    try:
+        classify_frames(VadConfig(), audio)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(noise) < 1.0, f"{peak / len(noise):.2f} bytes per sample"

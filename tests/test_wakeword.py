@@ -522,6 +522,19 @@ class TestFeaturize:
         with pytest.raises(ValueError, match=r"^no speech found by VAD in recording 2, 4 of 4$"):
             wakeword.longest_segments(fbanks)
 
+    def test_one_channel_of_a_stereo_array_frames_like_its_contiguous_copy(self, oracle_model):
+        speech = synth.render_utterance(
+            (2, 5, 9), synth.Speaker(1.0, 1.0, 0.0), np.random.default_rng(9), synth.EpisodeConfig.clean()
+        ).samples
+        stereo = np.stack([speech, speech[::-1]], axis=1)
+        strided, copy = AudioBuffer(stereo[:, 0]), AudioBuffer(stereo[:, 0].copy())
+        assert segment(VadConfig(), strided) == segment(VadConfig(), copy) != []
+        assert extract_fbank(strided).frames.tobytes() == extract_fbank(copy).frames.tobytes()
+        [fbanks, fbanks_of_copy] = featurize([strided, copy], VadConfig())
+        assert [f.frames.tobytes() for f in fbanks] == [f.frames.tobytes() for f in fbanks_of_copy]
+        [posts, posts_of_copy] = featurize([strided, copy], VadConfig(), oracle_model)
+        assert [p.rows.tobytes() for p in posts] == [p.rows.tobytes() for p in posts_of_copy]
+
 
 class TestStreamingDetector:
     def test_silence_never_touches_label_model(self):

@@ -54,7 +54,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from wakespot import synth  # noqa: E402
-from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE, WINDOW_SAMPLES  # noqa: E402
+from wakespot.audio import HOP_SAMPLES, SAMPLE_RATE, hop_windows  # noqa: E402
 from wakespot.ctc import beam_search  # noqa: E402
 from wakespot.evaluation import HarnessParams, dtw_scores, enroll, run_harness  # noqa: E402
 from wakespot.label_model import random_weights, save_weights  # noqa: E402
@@ -131,8 +131,7 @@ def streaming_digest(model, weights, stream) -> str:
 
 def vad_levels(samples: np.ndarray) -> list[str]:
     """The level of each hop-grid window of ``samples``, as ``float.hex``."""
-    starts = range(0, len(samples) - WINDOW_SAMPLES + 1, HOP_SAMPLES)
-    return [frame_dbfs(samples[s : s + WINDOW_SAMPLES]).hex() for s in starts]
+    return [frame_dbfs(window).hex() for window in hop_windows(samples)]
 
 
 def main() -> None:
