@@ -22,7 +22,7 @@ from .ctc import (
     forward_logprob,
 )
 from .dtw import dtw_cost, dtw_detect, dtw_detect_segments, dtw_score
-from .errors import AudioError, FileFormatError, WakespotError
+from .errors import FileFormatError, WakespotError
 from .evaluation import (
     Episode,
     HarnessParams,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioError
+from .errors import FileFormatError
 
 SAMPLE_RATE = 16000
 WINDOW_SAMPLES = 400  # 25 ms
@@ -52,24 +52,31 @@ STACKED_FRAME_RATE = 50
 STACKED_DIM = 2 * NUM_FILTERS
 
 
+def pcm16(samples) -> np.ndarray:
+    """``samples`` as int16, by the one rule for what a sample is: an integer
+    in the int16 range, in a 1-D array. Anything else, a whole-number float
+    or a bool too, raises ``ValueError``; an int16 array comes back as is."""
+    samples = np.asarray(samples)
+    if samples.ndim != 1:
+        raise ValueError(f"audio must be mono 1-D, got shape {samples.shape}")
+    if samples.dtype == np.int16:
+        return samples
+    if not np.issubdtype(samples.dtype, np.integer):
+        raise ValueError(f"audio samples must be integer PCM, got {samples.dtype}")
+    if samples.size and (samples.min() < -32768 or samples.max() > 32767):
+        raise ValueError("integer samples exceed the int16 range")
+    return samples.astype(np.int16)
+
+
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono 16 kHz PCM16 audio."""
+    """Mono 16 kHz PCM16 audio; :func:`pcm16` decides what a sample is."""
 
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.ndim != 1:
-            raise AudioError(f"audio must be mono 1-D, got shape {samples.shape}")
-        if samples.dtype != np.int16:
-            if not np.issubdtype(samples.dtype, np.integer):
-                raise AudioError(f"audio samples must be integer PCM, got {samples.dtype}")
-            if samples.size and (samples.min() < -32768 or samples.max() > 32767):
-                raise AudioError("integer samples exceed the int16 range")
-            samples = samples.astype(np.int16)
         # C order, so that hop_windows can view one channel of a stereo array too
-        object.__setattr__(self, "samples", np.ascontiguousarray(samples))
+        object.__setattr__(self, "samples", np.ascontiguousarray(pcm16(self.samples)))
 
 
 @dataclass(frozen=True)
@@ -107,19 +114,19 @@ def read_wav(path) -> AudioBuffer:
     try:
         with wave.open(str(path), "rb") as wav:
             if wav.getcomptype() != "NONE":
-                raise AudioError(f"{path}: compressed WAV not supported")
+                raise FileFormatError(f"{path}: compressed WAV not supported")
             if wav.getsampwidth() != 2:
-                raise AudioError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
+                raise FileFormatError(f"{path}: expected 16-bit PCM, got {8 * wav.getsampwidth()}-bit")
             if wav.getnchannels() != 1:
-                raise AudioError(f"{path}: expected mono, got {wav.getnchannels()} channels")
+                raise FileFormatError(f"{path}: expected mono, got {wav.getnchannels()} channels")
             if wav.getframerate() != SAMPLE_RATE:
-                raise AudioError(f"{path}: expected {SAMPLE_RATE} Hz, got {wav.getframerate()}")
+                raise FileFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {wav.getframerate()}")
             expected = 2 * wav.getnframes()
             raw = wav.readframes(wav.getnframes())
     except (wave.Error, EOFError, RuntimeError) as exc:  # how the wave module meets corrupt chunks
-        raise AudioError(f"{path}: not a readable WAV file ({exc})") from exc
+        raise FileFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     if len(raw) != expected:  # readframes returns what is there, even a cut on a sample boundary
-        raise AudioError(f"{path}: WAV data holds {len(raw)} bytes, its header says {expected}")
+        raise FileFormatError(f"{path}: WAV data holds {len(raw)} bytes, its header says {expected}")
     samples = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(samples)
 
@@ -169,7 +176,7 @@ _HAMMING = np.hamming(WINDOW_SAMPLES)
 def num_feature_frames(num_samples: int) -> int:
     """Frame count for an S-sample input: 1 + floor((S - 400) / 160)."""
     if num_samples < WINDOW_SAMPLES:
-        raise AudioError(
+        raise ValueError(
             f"audio too short: {num_samples} samples, need at least {WINDOW_SAMPLES}"
         )
     return 1 + (num_samples - WINDOW_SAMPLES) // HOP_SAMPLES

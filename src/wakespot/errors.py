@@ -1,14 +1,11 @@
-"""Exception types shared across the package."""
+"""The package's two exception types. A value that the type built from it
+refuses raises ``ValueError`` instead."""
 
 
 class WakespotError(Exception):
     """Base class for package-specific errors."""
 
 
-class AudioError(WakespotError):
-    """Unusable audio input: wrong container, wrong rate, or too short."""
-
-
 class FileFormatError(WakespotError):
-    """A file could not be read back; the message starts with its path."""
-
+    """A WAV, weight, model or manifest file could not be read; the message
+    starts with its path."""

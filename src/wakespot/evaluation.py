@@ -391,7 +391,7 @@ def read_episodes(manifest_path) -> tuple[LabelAlphabet, list[Episode]]:
                 tests.append(TestRecording(read_wav(base / args[0]), *args[1:]))
             else:
                 raise FileFormatError(f"{where}: bad manifest line {line!r}")
-        except (KeyError, ValueError) as exc:  # read_wav raises AudioError or OSError
+        except (KeyError, ValueError) as exc:  # read_wav's own errors pass: they name the WAV
             raise FileFormatError(f"{where}: {exc} in {line!r}") from exc
     flush()
     if alphabet is None:

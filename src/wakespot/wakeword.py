@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .audio import HOP_SAMPLES, SAMPLE_RATE, STACKED_DIM, WINDOW_SAMPLES, AudioBuffer
-from .audio import FeatureSequence, extract_fbank, frame_fbank, stack_frames
+from .audio import FeatureSequence, extract_fbank, frame_fbank, pcm16, stack_frames
 from .ctc import ForwardLattice, _advanced, beam_search, prefix_trie
 from .errors import FileFormatError
 from .label_model import GruWeights, LabelAlphabet, Posteriorgram
@@ -447,24 +447,18 @@ class StreamingDetector:
         self._lattice: ForwardLattice | None = None
 
     def process(self, chunk) -> list[DetectionEvent]:
-        """Feed a chunk of samples; returns any events it completed."""
-        arr = np.asarray(chunk)
-        if arr.ndim != 1 or arr.dtype.kind not in "iuf":  # real-valued samples only
+        """Feed a chunk of samples; returns any events it completed. An empty
+        1-D chunk is a no-op; one that :func:`pcm16` refuses, as ``AudioBuffer``
+        would, is counted in ``stats.malformed_chunks`` and changes nothing."""
+        try:
+            arr = np.asarray(chunk)  # a ragged list raises here
+            if arr.shape == (0,):
+                return []
+            samples = pcm16(arr)
+        except ValueError:
             self.stats.malformed_chunks += 1
             return []
-        if arr.size == 0:
-            return []
-        # Samples must be whole numbers in the int16 range, as AudioBuffer
-        # requires; a NaN fails every comparison. Only a float chunk can
-        # hold a fraction.
-        if arr.dtype != np.int16 and not (
-            arr.min() >= -32768
-            and arr.max() <= 32767
-            and (arr.dtype.kind != "f" or np.array_equal(arr, np.trunc(arr)))
-        ):
-            self.stats.malformed_chunks += 1
-            return []
-        self._buffer = np.concatenate([self._buffer, arr], dtype=np.float64)
+        self._buffer = np.concatenate([self._buffer, samples], dtype=np.float64)
         events = []
         while True:
             start = self._next_frame * HOP_SAMPLES - self._buffer_start

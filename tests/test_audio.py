@@ -21,7 +21,7 @@ from wakespot.audio import (
     stack_frames,
     write_wav,
 )
-from wakespot.errors import AudioError
+from wakespot.errors import FileFormatError
 
 from conftest import edge_audio
 
@@ -33,11 +33,11 @@ def tone(freq=440.0, seconds=1.0, amp=8000.0):
 
 class TestAudioBuffer:
     def test_rejects_stereo(self):
-        with pytest.raises(AudioError):
+        with pytest.raises(ValueError):
             AudioBuffer(np.zeros((100, 2), dtype=np.int16))
 
     def test_rejects_floats(self):
-        with pytest.raises(AudioError):
+        with pytest.raises(ValueError):
             AudioBuffer(np.zeros(100, dtype=np.float64))
 
     def test_accepts_plain_ints(self):
@@ -53,7 +53,7 @@ class TestFrameCount:
         assert num_feature_frames(400) == 1
 
     def test_too_short_is_an_error(self):
-        with pytest.raises(AudioError, match="too short"):
+        with pytest.raises(ValueError, match="too short"):
             num_feature_frames(399)
 
     @pytest.mark.parametrize("n", [400, 401, 559, 560, 561, 4000, 16000])
@@ -72,7 +72,7 @@ class TestExtractFbank:
         assert np.all(feats.frames == LOG_FLOOR)
 
     def test_too_short_error(self):
-        with pytest.raises(AudioError, match="too short"):
+        with pytest.raises(ValueError, match="too short"):
             extract_fbank(AudioBuffer(np.zeros(399, dtype=np.int16)))
 
     def test_doubling_amplitude_shifts_by_log4(self):
@@ -222,7 +222,7 @@ class TestWavRoundTrip:
             fh.setsampwidth(2)
             fh.setframerate(8000)
             fh.writeframes(b"\x00\x00" * 100)
-        with pytest.raises(AudioError):
+        with pytest.raises(FileFormatError):
             read_wav(path)
 
     def test_rejects_stereo(self, tmp_path):
@@ -234,13 +234,13 @@ class TestWavRoundTrip:
             fh.setsampwidth(2)
             fh.setframerate(16000)
             fh.writeframes(b"\x00\x00\x00\x00" * 100)
-        with pytest.raises(AudioError):
+        with pytest.raises(FileFormatError):
             read_wav(path)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "not.wav"
         path.write_bytes(b"hello world, definitely not RIFF")
-        with pytest.raises(AudioError):
+        with pytest.raises(FileFormatError):
             read_wav(path)
 
 
@@ -250,7 +250,7 @@ class TestWavRoundTrip:
         data = path.read_bytes()
         assert len(data) == 244
         path.write_bytes(data[:242])  # 99 whole samples left of the 100 the header claims
-        with pytest.raises(AudioError):
+        with pytest.raises(FileFormatError):
             read_wav(path)
 
     def test_truncations_and_header_bit_flips_load_or_raise_audio_error(self, tmp_path):
@@ -270,5 +270,5 @@ class TestWavRoundTrip:
             variant_path.write_bytes(variant)
             try:
                 read_wav(variant_path)
-            except AudioError:
+            except FileFormatError:
                 pass

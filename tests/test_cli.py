@@ -428,12 +428,12 @@ def test_every_command_refuses_weights_it_cannot_feed(world, tmp_path, capsys):
     assert not refused_model.exists()
 
 
-@pytest.mark.parametrize("damaged", ["model-v2", "weights-cut"])
+@pytest.mark.parametrize("damaged", ["model-v2", "weights-cut", "wav-cut"])
 def test_score_refuses_a_damaged_file_and_names_it(world, tmp_path, capsys, damaged):
     """``enroll`` writes version-3 models: a version-2 model is a data error,
-    as is a weight file cut to 30 bytes, inside its first part. Either error
-    names the file."""
-    model_path, weights_path = tmp_path / "word.model", world["weights"]
+    as is a weight file cut to 30 bytes, inside its first part, and a probe
+    WAV cut inside its data on a sample boundary. Each error names the file."""
+    model_path, weights_path, wav_path = tmp_path / "word.model", world["weights"], world["probe"]
     _enroll(world, model_path)
     text = model_path.read_text(encoding="utf-8")
     assert text.startswith("wakespot-model 3\n")
@@ -441,12 +441,20 @@ def test_score_refuses_a_damaged_file_and_names_it(world, tmp_path, capsys, dama
         model_path = tmp_path / "v2.model"
         model_path.write_text(text.replace("wakespot-model 3", "wakespot-model 2", 1), encoding="utf-8")
         message = f"{model_path}: bad header line 'wakespot-model 2'"
-    else:
+    elif damaged == "weights-cut":
         weights_path = tmp_path / "cut.bin"
         weights_path.write_bytes(world["weights"].read_bytes()[:30])
         message = f"{weights_path}: truncated file (80688 bytes claimed, 6 left)"
+    else:
+        data = world["probe"].read_bytes()
+        assert data[36:40] == b"data"  # the 44-byte header that write_wav writes
+        claimed = int.from_bytes(data[40:44], "little")
+        held = claimed // 4 * 2
+        wav_path = tmp_path / "cut.wav"
+        wav_path.write_bytes(data[: 44 + held])
+        message = f"{wav_path}: WAV data holds {held} bytes, its header says {claimed}"
     capsys.readouterr()
-    assert main(["score", str(model_path), str(world["probe"]), "--weights", str(weights_path)]) == EXIT_DATA
+    assert main(["score", str(model_path), str(wav_path), "--weights", str(weights_path)]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

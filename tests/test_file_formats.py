@@ -1,5 +1,5 @@
 """The weight and model files: byte-stable writers, bounds-checked
-loaders, fuzzing.
+loaders, fuzzing; the WAV reader joins the fuzzing.
 
 The digests pin the bytes of weight files to those of the format as first
 published. Their inputs are built from integer arithmetic and one
@@ -13,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wakespot.audio import AudioBuffer, read_wav, write_wav
 from wakespot.errors import FileFormatError
 from wakespot.label_model import (
     GruLayer,
@@ -128,8 +129,12 @@ FUZZ_LABELS = ("a", "bc")
 
 def small_file(name, path):
     """Write a small valid file; returns its loader, the (start, stop) byte
-    spans of its header and alphabet (all of it for the text model), and
-    those of each float32 part of the weights (none for the model)."""
+    spans of its header and alphabet (all of it for the text model, the
+    44-byte header of the WAV), and those of each float32 part of the
+    weights (none for the model and the WAV)."""
+    if name == "wav":
+        write_wav(path, AudioBuffer(np.arange(-50, 50, dtype=np.int16)))
+        return read_wav, [(0, 44)], []
     if name == "weights":
         weights = ramp_weights(2, 2, 3, FUZZ_LABELS)
         save_weights(path, weights)
@@ -151,7 +156,7 @@ def small_file(name, path):
     return (lambda p: load_model(p, alphabet)), [(0, path.stat().st_size)], []
 
 
-@pytest.mark.parametrize("name", ["weights", "model"])
+@pytest.mark.parametrize("name", ["weights", "model", "wav"])
 def test_truncations_and_bit_flips_raise_only_package_errors(tmp_path, name):
     path = tmp_path / name
     loader, spans, parts = small_file(name, path)

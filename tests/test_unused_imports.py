@@ -10,6 +10,12 @@ The second scan looks for dead code that the first cannot see: a
 module-level or class-level ``_name`` (dunders excepted) of
 ``src/wakespot`` that no module of the package reads, as a name or as an
 attribute.
+
+The third scan looks for public code that only the tests, the tools or the
+benchmark reach: a module-level function or class of ``src/wakespot``, or
+a public method of one of its classes, that no module of the package but
+``__init__.py`` reads. Each one that stays lists its reason in
+``PUBLIC_BUT_UNREAD``.
 """
 
 import ast
@@ -142,3 +148,84 @@ def test_unread_private_names_are_found_and_read_ones_are_kept():
     assert unread_private_names({"m.py": module, "user.py": user}) == {
         "m.py": ["_UNREAD", "_dead", "_orphan"]
     }
+
+
+# Public names that no package module reads, each with the reason it stays.
+PUBLIC_BUT_UNREAD = {
+    "audio.FeatureSequence.frame_rate": "a public property of the feature type",
+    "cli._Parser.error": "argparse calls it on a usage error",
+    "ctc.CtcForwardScorer": "perfbench wraps it; tests check the lattice against it",
+    "ctc.forward_logprob": "perfbench wraps it; the one-sequence score criteria 1, 2, 4 and 6 compare",
+    "dtw.dtw_cost": "tests use it as the reference DTW cost",
+    "dtw.dtw_detect": "perfbench wraps it",
+    "dtw.dtw_score": "perfbench wraps it",
+    "label_model.gru_step": "perfbench wraps it; tests check run against it",
+    "label_model.random_weights": "tools, tests and perfbench build weights with it",
+    "label_model.zero_weights": "tests build weights with it",
+    "vad.trim_to_speech": "perfbench wraps it",
+}
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
+    """Each public module-level function or class, and each public method of
+    a module-level class, as ``name`` or ``Class.name``, with its line."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for statement in tree.body:
+        if isinstance(statement, (*functions, ast.ClassDef)) and not statement.name.startswith("_"):
+            found.append((statement.lineno, statement.name))
+        if isinstance(statement, ast.ClassDef):
+            found += [
+                (method.lineno, f"{statement.name}.{method.name}")
+                for method in statement.body
+                if isinstance(method, functions) and not method.name.startswith("_")
+            ]
+    return found
+
+
+def unread_public_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each public definition that no module in
+    ``sources`` reads, by its last part, as a name or as an attribute."""
+    trees = {name.removesuffix(".py"): ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(_names_read, trees.values()))
+    return [
+        f"{module}.{public}"
+        for module, tree in trees.items()
+        for _, public in sorted(_public_definitions(tree))
+        if public.rsplit(".", 1)[-1] not in read
+    ]
+
+
+def test_no_public_name_of_the_package_goes_unread_unless_listed():
+    sources = {
+        path.name: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert len(sources) >= 10
+    assert sorted(unread_public_names(sources)) == sorted(PUBLIC_BUT_UNREAD)
+
+
+def test_unread_public_names_are_found_and_read_ones_are_kept():
+    module = (
+        "def used():\n"
+        "    return 1\n"
+        "def orphan():\n"
+        "    return used()\n"
+        "class Box:\n"
+        "    def method(self):\n"
+        "        pass\n"
+        "    def lonely(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def spare(self):\n"
+        "        pass\n"
+        "def _helper():\n"
+        "    pass\n"
+    )
+    user = "from m import Box\nBox().method()\n"
+    assert unread_public_names({"m.py": module, "user.py": user}) == [
+        "m.orphan", "m.Box.lonely", "m._Hidden.spare"
+    ]

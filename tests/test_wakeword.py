@@ -22,7 +22,7 @@ from wakespot.audio import (
 )
 from wakespot.ctc import NEG_INF, forward_logprob
 from wakespot.dtw import dtw_detect
-from wakespot.errors import AudioError, FileFormatError
+from wakespot.errors import FileFormatError
 from wakespot.evaluation import Episode, HarnessParams, TestRecording, _episode_scores, dtw_scores
 from wakespot.label_model import LabelAlphabet, Posteriorgram, random_weights, run
 from wakespot.vad import VadConfig, classify_frames, segment, span_samples
@@ -634,6 +634,9 @@ class TestStreamingDetector:
             np.full(4000, 1e9),
             np.full(4000, 65535, dtype=np.uint16),
             np.r_[np.zeros(3999), np.inf],
+            np.array([-32768.0, 32767.0] * 2000),  # whole numbers, but floats
+            np.array([1.0, 2.0]),
+            np.ones(4000, dtype=bool),
         ],
     )
     def test_samples_outside_the_int16_range_are_malformed(self, chunk):
@@ -643,15 +646,21 @@ class TestStreamingDetector:
         assert detector.finish() == []
         assert detector.stats.malformed_chunks == 1
         assert detector.stats.frames_processed == 0
-        if np.issubdtype(chunk.dtype, np.integer):  # the batch rule, for comparison
-            with pytest.raises(AudioError, match="int16 range"):
-                AudioBuffer(chunk)
+        with pytest.raises(ValueError, match="int16 range|integer PCM"):  # the batch rule
+            AudioBuffer(chunk)
+
+    def test_a_ragged_chunk_is_malformed_as_audio_buffer_refuses_it(self):
+        weights, model, *_ = enrolled_fixture(5)
+        detector = StreamingDetector(model, weights, threshold=-math.inf)
+        assert detector.process([[1], [1, 2]]) == []
+        assert detector.stats.malformed_chunks == 1
+        with pytest.raises(ValueError):
+            AudioBuffer([[1], [1, 2]])
 
     def test_samples_at_the_int16_limits_are_accepted(self):
         weights, model, *_ = enrolled_fixture(5)
         detector = StreamingDetector(model, weights, threshold=-math.inf)
         detector.process(np.array([-32768, 32767] * 2000, dtype=np.int32))
-        detector.process(np.array([-32768.0, 32767.0] * 2000))
         assert detector.stats.malformed_chunks == 0
         assert detector.stats.frames_processed > 0
 
