@@ -11,19 +11,19 @@ posteriorgrams are reproducible bit-for-bit across machines:
 * natural log, filterbank energies floored at 1e-10
 * no per-utterance mean or variance normalization (keeps streaming causal)
 
-Frame stacking concatenates consecutive frame pairs so downstream recurrent
+Frame stacking lays frames 2k and 2k+1 side by side as row k, a row-major
+reshape that the streaming detector also writes, so downstream recurrent
 models run at 50 Hz instead of 100 Hz; a trailing unpaired frame is dropped.
 
-One kernel computes the features of every window in a contiguous span of
-``400 + 160 * (n - 1)`` int16 or float64 samples: pre-emphasis once on the
-span's waveform (given the sample before it), then the n :func:`hop_windows`
-of the result through the Hamming window, FFT, filterbank and log.
-:func:`extract_fbank` runs it on a whole recording, and the streaming step
-:func:`frame_fbank` on a shorter span: the detector's stacked pair, a
-560-sample slice of its buffer. An emphasized sample depends only on its
-sample and the one before, and a window's features only on its own
-emphasized samples, so :func:`frame_fbank` gives the matching batch rows
-bit for bit.
+One kernel computes the features of every whole window on the hop grid of a
+contiguous span of int16 or float64 samples: pre-emphasis once on the
+span's waveform (given the sample before it), then its :func:`hop_windows`
+through the Hamming window, FFT, filterbank and log. :func:`extract_fbank`
+runs it on a whole recording, and the streaming step :func:`frame_fbank`
+on a shorter span: the detector's stacked pair, a 560-sample slice of its
+buffer. An emphasized sample depends only on its sample and the one
+before, and a window's features only on its own emphasized samples, so
+:func:`frame_fbank` gives the matching batch rows bit for bit.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ LOG_FLOOR = float(np.log(ENERGY_FLOOR))
 MEL_LOW_HZ = 0.0
 MEL_HIGH_HZ = 8000.0
 
-BASE_FRAME_RATE = 100
 BASE_DIM = NUM_FILTERS
-STACKED_FRAME_RATE = 50
 STACKED_DIM = 2 * NUM_FILTERS
 
 
@@ -95,10 +93,6 @@ class FeatureSequence:
             raise ValueError("feature values must be finite")
         if frames.shape[1] not in (BASE_DIM, STACKED_DIM):
             raise ValueError(f"features must have dim {BASE_DIM} or {STACKED_DIM}, got {frames.shape[1]}")
-
-    @property
-    def frame_rate(self) -> int:
-        return BASE_FRAME_RATE if self.dim == BASE_DIM else STACKED_FRAME_RATE
 
     @property
     def num_frames(self) -> int:
@@ -192,9 +186,10 @@ def hop_windows(samples: np.ndarray) -> np.ndarray:
 
 
 def _fbank(span: np.ndarray, prev: float) -> np.ndarray:
-    """Log-Mel features of the n windows on the hop grid of the contiguous
-    ``span`` of ``400 + 160 * (n - 1)`` int16 or float64 samples; ``prev`` is
-    the sample before it (0.0 at the start of a recording or segment).
+    """Log-Mel features of the whole windows on the hop grid of the
+    contiguous ``span`` of at least 400 int16 or float64 samples (samples
+    after the last whole window are ignored); ``prev`` is the sample before
+    it (0.0 at the start of a recording or segment).
 
     Pre-emphasis runs once on the waveform, ``e[k] = x[k] - 0.97 * x[k-1]``
     in float64 (exact for int16 x) with the product rounded before the
@@ -236,16 +231,15 @@ def frame_fbank(span: np.ndarray, prev: float) -> np.ndarray:
 
 def extract_fbank(audio: AudioBuffer) -> FeatureSequence:
     """Convert audio to T x 41 log-Mel energies at 100 Hz."""
-    n = num_feature_frames(len(audio.samples))
-    return FeatureSequence(_fbank(audio.samples[: WINDOW_SAMPLES + HOP_SAMPLES * (n - 1)], 0.0))
+    num_feature_frames(len(audio.samples))  # refuses a recording shorter than a window
+    return FeatureSequence(_fbank(audio.samples, 0.0))
 
 
 def stack_frames(features: FeatureSequence) -> FeatureSequence:
-    """Concatenate frame pairs (2k, 2k+1); halves the rate from 100 to 50 Hz."""
+    """Row k is frame 2k followed by frame 2k+1, halving the rate from 100 to
+    50 Hz: a reshape of the leading whole pairs, so a view of the input's
+    frames when they are C-contiguous."""
     if features.dim != BASE_DIM:
         raise ValueError("stack_frames expects unstacked 100 Hz / 41-dim features")
     pairs = features.num_frames // 2
-    stacked = np.concatenate(
-        [features.frames[0 : 2 * pairs : 2], features.frames[1 : 2 * pairs : 2]], axis=1
-    )
-    return FeatureSequence(stacked)
+    return FeatureSequence(features.frames[: 2 * pairs].reshape(pairs, STACKED_DIM))

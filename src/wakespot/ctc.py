@@ -359,11 +359,9 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
                     table_label.append(y)
                 node = extended
             found.append(node)
-        position[nodes] = -1
+        position[nodes] = -1  # every entry again, so a larger map starts fresh
         if len(table_parent) >= position.size:
-            grown = np.full(2 * len(table_parent) + 1, -1, dtype=np.intp)
-            grown[: position.size - 1] = position[:-1]
-            position = grown
+            position = np.full(2 * len(table_parent) + 1, -1, dtype=np.intp)
         nodes = np.array(found, dtype=np.intp)
         position[nodes] = np.arange(nodes.size)
         parent_node = np.where(kept, parent_node[beam], owner)

@@ -49,6 +49,12 @@ is the one-pair DP, and ``dtw_score`` and ``dtw_detect`` are the cases of
 one pair and of one single-segment test. A segment without frames, such
 as the posteriorgram of a one-window segment (it has no stacked frame),
 scores -inf and joins no wavefront.
+
+Memory: a ``dtw_detect_segments`` call holds the one float64 distance
+buffer of (sum of support frames) x (sum of scored-segment frames) cells,
+8 bytes a cell, and lane arrays of (longest support + 1) x P entries. So a
+call's memory grows with its test frames; on the ``fewshot`` benchmark
+this buffer sets the harness pass's peak.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from wakespot.audio import (
-    BASE_FRAME_RATE,
     FFT_SIZE,
     LOG_FLOOR,
     NUM_FILTERS,
@@ -65,7 +64,6 @@ class TestExtractFbank:
     def test_shape_and_rate(self):
         feats = extract_fbank(tone())
         assert feats.frames.shape == (98, 41)
-        assert feats.frame_rate == BASE_FRAME_RATE
 
     def test_all_zero_audio_hits_log_floor(self):
         feats = extract_fbank(AudioBuffer(np.zeros(1600, dtype=np.int16)))
@@ -115,6 +113,14 @@ class TestExtractFbank:
             pair = frame_fbank(x[start : start + 560], prev)
             assert np.array_equal(pair, feats[t : t + 2]), f"frames {t}, {t + 1}"
 
+    @pytest.mark.parametrize("extra", [0, 1, 80, 159])
+    def test_samples_after_the_last_whole_window_change_nothing(self, extra):
+        rng = np.random.default_rng(11)
+        whole = rng.integers(-3000, 3000, size=400 + 160 * 20).astype(np.int16)
+        longer = np.concatenate([whole, rng.integers(-3000, 3000, size=extra).astype(np.int16)])
+        expected = extract_fbank(AudioBuffer(whole)).frames
+        assert np.array_equal(extract_fbank(AudioBuffer(longer)).frames, expected)
+
     @pytest.mark.parametrize("shape", [(0,), (399,), (401,), (559,), (561,), (2, 400)])
     def test_a_span_off_the_hop_grid_is_rejected(self, shape):
         with pytest.raises(ValueError, match="400 \\+ 160k samples"):
@@ -139,7 +145,6 @@ class TestStackFrames:
     def test_even_count(self):
         stacked = stack_frames(extract_fbank(tone()))  # 98 -> 49
         assert stacked.frames.shape == (49, 82)
-        assert stacked.frame_rate == 50
 
     def test_odd_count_drops_last(self):
         audio = AudioBuffer(np.zeros(400 + 160 * 98, dtype=np.int16))  # 99 frames
@@ -160,6 +165,15 @@ class TestStackFrames:
             np.sort(stacked.frames.ravel()), np.sort(feats.frames[: 2 * pairs].ravel())
         )
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 40])
+    def test_row_k_is_frames_2k_and_2k_plus_1_in_place(self, count):
+        # the layout the streaming detector writes for each pair, as a view
+        feats = FeatureSequence(np.random.default_rng(count).normal(size=(count, 41)))
+        stacked = stack_frames(feats).frames
+        assert np.array_equal(stacked, feats.frames[: 2 * (count // 2)].reshape(count // 2, 82))
+        if count >= 2:
+            assert np.shares_memory(stacked, feats.frames)
+
     def test_double_stacking_rejected(self):
         stacked = stack_frames(extract_fbank(tone()))
         with pytest.raises(ValueError):
@@ -168,8 +182,6 @@ class TestStackFrames:
 
 class TestFeatureSequenceInvariants:
     def test_width_fixes_the_rate(self):
-        assert FeatureSequence(np.zeros((5, 41))).frame_rate == 100
-        assert FeatureSequence(np.zeros((5, 82))).frame_rate == 50
         for width in (0, 40, 42, 60, 81, 83):
             with pytest.raises(ValueError):
                 FeatureSequence(np.zeros((5, width)))

@@ -152,7 +152,6 @@ def test_unread_private_names_are_found_and_read_ones_are_kept():
 
 # Public names that no package module reads, each with the reason it stays.
 PUBLIC_BUT_UNREAD = {
-    "audio.FeatureSequence.frame_rate": "a public property of the feature type",
     "cli._Parser.error": "argparse calls it on a usage error",
     "ctc.CtcForwardScorer": "perfbench wraps it; tests check the lattice against it",
     "ctc.forward_logprob": "perfbench wraps it; the one-sequence score criteria 1, 2, 4 and 6 compare",
