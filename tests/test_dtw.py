@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wakespot.audio import FeatureSequence
+from wakespot.audio import FeatureSequence, stack_frames
 from wakespot.dtw import (
+    SMOOTHING,
     _distance_buffer,
     _dtw_costs,
     _frames_and_space,
@@ -116,6 +117,12 @@ class TestDtwScore:
         seq = fbank_seq(rng.normal(size=(6, 41)))
         assert dtw_cost(seq, seq) == dtw_score(seq, seq) == 0.0
 
+    def test_identical_stacked_fbank_sequences_score_zero(self):
+        rng = np.random.default_rng(15)
+        seq = stack_frames(FeatureSequence(rng.normal(size=(12, 41))))
+        assert seq.dim == 82
+        assert dtw_cost(seq, seq) == dtw_score(seq, seq) == 0.0
+
     def test_single_frame_query_forces_path(self):
         rng = np.random.default_rng(6)
         q = rng.normal(size=(1, 41))
@@ -206,6 +213,59 @@ class TestDtwDetect:
         test = fbank_seq(rng.normal(size=(5, 41)))
         base = dtw_detect(supports, test)
         assert dtw_detect(supports[::-1], test) == pytest.approx(base, abs=1e-12)
+
+
+def broadcast_distances(supports, tests):
+    """The l2 distance buffer from numpy's own sum of the broadcast squared
+    differences."""
+    diff = np.concatenate(supports)[:, None, :] - np.concatenate(tests)[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def scaled_frames(rng, lengths, dim):
+    # channel scales over six decades, so a different summation order
+    # shows in the last bits
+    scales = 10.0 ** rng.uniform(-3, 3, size=dim)
+    return [rng.normal(size=(n, dim)) * scales for n in lengths]
+
+
+class TestDistanceBuffer:
+    @pytest.mark.parametrize("dim", [41, 82])
+    @pytest.mark.parametrize(
+        "rows, cols", [([1], [1]), ([3], [7]), ([4, 1, 6], [5, 2, 9, 1]), ([2, 11], [13, 3, 8])]
+    )
+    def test_fbank_buffer_equals_numpy_sum_bit_for_bit(self, dim, rows, cols):
+        rng = np.random.default_rng([dim, *rows, *cols])
+        supports, tests = scaled_frames(rng, rows, dim), scaled_frames(rng, cols, dim)
+        got = _distance_buffer(supports, tests, post=False)
+        assert got.tobytes() == broadcast_distances(supports, tests).tobytes()
+
+    def test_fbank_buffer_of_non_contiguous_frames(self):
+        rng = np.random.default_rng(17)
+        base = rng.normal(size=(30, 41))
+        views = {
+            41: [base[::2], np.asfortranarray(base[:9]), base[3:20:3]],
+            82: [stack_frames(FeatureSequence(base)).frames, stack_frames(FeatureSequence(base)).frames[::2]],
+        }
+        for dim, frames in views.items():
+            seqs = [FeatureSequence(f) for f in frames]
+            assert all(seq.dim == dim for seq in seqs)
+            assert not all(seq.frames.flags.c_contiguous for seq in seqs)
+            frames, post = _frames_and_space(seqs)
+            for supports, tests in ((frames[:1], frames[1:]), (frames[1:], frames)):
+                got = _distance_buffer(supports, tests, post)
+                assert got.tobytes() == broadcast_distances(supports, tests).tobytes()
+
+    def test_posterior_buffer_is_each_pairs_product_of_smoothed_rows(self):
+        rng = np.random.default_rng(18)
+        supports = [random_posteriorgram(rng, n, 5).rows for n in (3, 5)]
+        tests = [random_posteriorgram(rng, n, 5).rows for n in (2, 6, 1)]
+
+        def smooth(rows):
+            return SMOOTHING / 5 + (1.0 - SMOOTHING) * rows
+
+        want = np.block([[-np.log(smooth(a) @ smooth(b).T) for b in tests] for a in supports])
+        assert _distance_buffer(supports, tests, post=True).tobytes() == want.tobytes()
 
 
 def bits(value: float) -> bytes:
