@@ -13,15 +13,15 @@ checks the labels; the beam search builds them from its prefix table). The
 forward cells of positions 0..2u depend only on the first u labels, so
 sequences that share a prefix share those cells: the lattice holds one
 label cell and one blank cell per distinct non-empty prefix, plus the
-start blank, and its memory is independent of the audio length. Each
-posterior row is logged once (batch scoring logs the whole posteriorgram
-in one call) and advances every cell in one set of array operations, which
-apply to each cell the operations, in the order, that scoring its sequence
-alone would, so each sequence's result is bit-identical to scoring it
-alone (:func:`forward_logprob` and :class:`CtcForwardScorer` are the
-one-sequence case). Batch scoring runs one loop over a posteriorgram's
-rows; the streaming detector runs the same loop over each block of rows,
-and ``step`` feeds one row to the same advance.
+start blank, and its memory is independent of the audio length. Rows
+enter a lattice only through :meth:`ForwardLattice.advance`, a ``(T, K)``
+block logged in one call, and each row advances every cell in one set of
+array operations, which apply to each cell the operations, in the order,
+that scoring its sequence alone would, so each sequence's result is
+bit-identical to scoring it alone. Batch scoring advances over a whole
+posteriorgram, the streaming detector over each block of rows. The
+one-sequence case is :func:`forward_logprob`, and the one-row case
+:meth:`CtcForwardScorer.step`, kept for the tests and perfbench.
 
 The N-best decoder is a prefix beam search: candidate prefixes are merged
 by collapsed identity with separate blank / non-blank path masses, and the
@@ -118,15 +118,16 @@ class ForwardLattice:
     it is allowed when the parent is not the root and its label differs.
 
     The cells of positions 0..2u of a sequence depend only on its first u
-    labels, and ``step`` updates each node from its own and its parent's
-    cells with the operations, in the order, that the same positions of
-    one sequence alone would see (an advance from the parent's blank, a
-    skip from the parent's label, then the row). Leaving out a transition
-    that cannot occur is adding -inf, and ``logaddexp(x, -inf) == x``
-    exactly, so every cell, and every sequence's score, is bit-identical to
-    scoring the sequence alone. A skip that cannot occur reads a trailing
-    sentinel cell that stays -inf. ``step`` ingests one posterior row;
-    ``finalize`` may be called at any time and does not disturb the state.
+    labels, and each row that :meth:`advance`, the one way rows enter,
+    takes updates each node from its own and its parent's cells with the
+    operations, in the order, that the same positions of one sequence alone
+    would see (an advance from the parent's blank, a skip from the parent's
+    label, then the row). Leaving out a transition that cannot occur is
+    adding -inf, and ``logaddexp(x, -inf) == x`` exactly, so every cell, and
+    every sequence's score, is bit-identical to scoring the sequence alone.
+    A skip that cannot occur reads a trailing sentinel cell that stays
+    -inf. ``finalize`` may be called at any time and does not disturb the
+    state.
 
     ``num_lattice_cells`` counts the cells the trie holds: two per node
     plus the start blank, not the sentinel. The lattice keeps no other
@@ -146,8 +147,7 @@ class ForwardLattice:
     arrays are only read.
     """
 
-    def __init__(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray, num_symbols: int):
-        self.num_symbols = num_symbols
+    def __init__(self, parent: np.ndarray, label: np.ndarray, ends: np.ndarray):
         self._parent, self._ends = parent, ends
         up = parent[1:]
         num_cells = 2 * len(parent) - 1
@@ -178,26 +178,21 @@ class ForwardLattice:
             cells += (2 * node - 1, 2 * node)
         return self._alpha[cells]
 
-    def step(self, row: np.ndarray) -> None:
-        row = np.asarray(row, dtype=np.float64)
-        if row.shape != (self.num_symbols,):
-            raise ValueError(
-                f"posterior row has {row.shape} entries, scorer expects {self.num_symbols}"
-            )
-        self._advance(_log_rows(row)[self._symbols])
-
-    def _advance(self, cell_logs: np.ndarray) -> None:
-        """Advance every cell by one row, given the row's log probability of
-        each cell's symbol."""
-        prev = self._alpha
-        alpha = np.empty_like(prev)
-        alpha[0] = prev[0]
-        alpha[-1] = NEG_INF
-        cells = alpha[1:-1]
-        np.logaddexp(prev[1:-1], prev[self._advance_from], out=cells)
-        np.logaddexp(cells[0::2], prev[self._skip_from], out=cells[0::2])
-        alpha[:-1] += cell_logs
-        self._alpha = alpha
+    def advance(self, rows: np.ndarray) -> ForwardLattice:
+        """Advance every cell over each posterior row of the ``(T, K)`` block
+        ``rows``, logged and gathered into cell order in one call each, and
+        return the lattice."""
+        for cell_logs in _log_rows(rows)[:, self._symbols]:
+            prev = self._alpha
+            alpha = np.empty_like(prev)
+            alpha[0] = prev[0]
+            alpha[-1] = NEG_INF
+            cells = alpha[1:-1]
+            np.logaddexp(prev[1:-1], prev[self._advance_from], out=cells)
+            np.logaddexp(cells[0::2], prev[self._skip_from], out=cells[0::2])
+            alpha[:-1] += cell_logs
+            self._alpha = alpha
+        return self
 
     def finalize(self) -> np.ndarray:
         """Log probability of each sequence given the rows seen so far."""
@@ -211,27 +206,27 @@ class CtcForwardScorer(ForwardLattice):
     """Incremental forward scorer for one label sequence: a one-sequence
     :class:`ForwardLattice`. Its trie is a chain, so the lattice's cells are
     the sequence's 2U+1 blank-interleaved positions in order; ``state`` and
-    ``finalize`` return that sequence's values."""
+    ``finalize`` return that sequence's values, and ``step`` checks one row
+    of ``num_symbols`` entries and advances the lattice by it."""
 
     def __init__(self, labels: Iterable[int], num_symbols: int):
         self.labels = tuple(labels)
-        super().__init__(*prefix_trie([self.labels], num_symbols), num_symbols)
+        self.num_symbols = num_symbols
+        super().__init__(*prefix_trie([self.labels], num_symbols))
+
+    def step(self, row: np.ndarray) -> None:
+        row = np.asarray(row, dtype=np.float64)
+        if row.shape != (self.num_symbols,):
+            raise ValueError(
+                f"posterior row has {row.shape} entries, scorer expects {self.num_symbols}"
+            )
+        self.advance(row[None])
 
     def state(self) -> np.ndarray:
         return super().state(0)
 
     def finalize(self) -> float:
         return float(super().finalize()[0])
-
-
-def _advanced(lattice: ForwardLattice, rows: np.ndarray) -> ForwardLattice:
-    """``lattice`` advanced over every posterior row of the ``(T, K)``
-    array ``rows``, logged and gathered into cell order in one call each:
-    batch scoring on a whole posteriorgram, the streaming detector on a
-    block of rows."""
-    for cell_logs in _log_rows(rows)[:, lattice._symbols]:
-        lattice._advance(cell_logs)
-    return lattice
 
 
 def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
@@ -241,8 +236,8 @@ def forward_logprob(post: Posteriorgram, labels: Iterable[int]) -> float:
     alignment exists, e.g. when the sequence (with the blanks required
     between repeated labels) is longer than the audio.
     """
-    lattice = ForwardLattice(*prefix_trie([labels], post.num_symbols), post.num_symbols)
-    return float(_advanced(lattice, post.rows).finalize()[0])
+    lattice = ForwardLattice(*prefix_trie([labels], post.num_symbols))
+    return float(lattice.advance(post.rows).finalize()[0])
 
 
 def nbest_sort_key(entry: ScoredSequence):
@@ -381,8 +376,8 @@ def beam_search(post: Posteriorgram, beam_width: int) -> list[ScoredSequence]:
         frontier = frontier[~in_trie[frontier]]
     renumber = np.cumsum(in_trie) - 1
     trie_labels = np.array(table_label, dtype=np.intp)[in_trie]
-    lattice = ForwardLattice(renumber[parents[in_trie]], trie_labels, renumber[nodes], num_symbols)
-    logprobs = _advanced(lattice, post.rows).finalize().tolist()
+    lattice = ForwardLattice(renumber[parents[in_trie]], trie_labels, renumber[nodes])
+    logprobs = lattice.advance(post.rows).finalize().tolist()
     results = [
         ScoredSequence(_prefix(table_parent, table_label, node), lp)
         for node, lp in zip(nodes.tolist(), logprobs)

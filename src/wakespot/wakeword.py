@@ -25,12 +25,11 @@ of one segment.
 and :func:`score_segments`: it VAD-classifies each 10 ms window as it
 arrives and runs a segment through the batch kernels. The front end runs
 once per stacked pair, on the pair's 560-sample slice of the detector's
-buffer; the GRU and the lattice run once per block of pairs. So each
-segment's score is the batch score of its audio span, bit for bit.
-:func:`featurize` cuts a recording into the same VAD segments, so a
-recording's score is the highest event the detector gives on it, and a
-training recording enrolls from its longest segment
-(:func:`longest_segments`).
+buffer; the GRU and the lattice's ``advance`` run once per block of
+pairs. So each segment's score is the batch score of its audio span, bit
+for bit. :func:`featurize` cuts a recording into the same VAD segments, so
+a recording's score is the highest event the detector gives on it, and a
+training recording enrolls from its longest segment (:func:`longest_segments`).
 
 Model file format (human-readable text, one hypothesis per line):
 
@@ -60,7 +59,7 @@ import numpy as np
 
 from .audio import HOP_SAMPLES, SAMPLE_RATE, STACKED_DIM, WINDOW_SAMPLES, AudioBuffer
 from .audio import FeatureSequence, extract_fbank, frame_fbank, pcm16, stack_frames
-from .ctc import ForwardLattice, _advanced, beam_search, prefix_trie
+from .ctc import ForwardLattice, beam_search, prefix_trie
 from .errors import FileFormatError
 from .label_model import GruWeights, LabelAlphabet, Posteriorgram
 from .label_model import _run_from, init_state, run
@@ -120,7 +119,7 @@ class WakewordModel:
 
     def _lattice(self) -> ForwardLattice:
         """A fresh forward lattice over the hypotheses, in model order."""
-        return ForwardLattice(*self._trie, self.alphabet.size)
+        return ForwardLattice(*self._trie)
 
 
 def check_beam_settings(beam_width: int, num_hypotheses: int) -> None:
@@ -225,7 +224,7 @@ def score_segments(model: WakewordModel, segments: Sequence[Posteriorgram]) -> S
     for post in segments:
         if post.alphabet != model.alphabet:
             raise ValueError("posteriorgram alphabet does not match the wakeword model")
-        lattice = _advanced(model._lattice(), post.rows)
+        lattice = model._lattice().advance(post.rows)
         logprobs = lattice.finalize()
         results.append(
             ScoreResult(
@@ -401,7 +400,8 @@ class StreamingDetector:
     segment's samples), which joins a pending block.
     A block runs once through the label model's GRU kernel, from the
     segment's carried state, and once through the forward lattice over all
-    hypotheses, by the advance that batch scoring uses. That happens when
+    hypotheses, by the :meth:`ForwardLattice.advance` that batch scoring
+    uses on a whole segment. That happens when
     the block holds ``_BLOCK_PAIRS`` pairs, and after every speech frame
     that leaves the VAD no hangover. Only the frame after such a frame can
     close a segment, so the block is empty when one closes and the call
@@ -510,7 +510,7 @@ class StreamingDetector:
         pairs = self._block_pairs
         if pairs:
             rows, self._gru_state = _run_from(self.weights, self._block[:pairs], self._gru_state)
-            _advanced(self._lattice, rows)
+            self._lattice.advance(rows)
             self.stats.label_model_frames += pairs
             self._block_pairs = 0
 

@@ -10,7 +10,6 @@ from wakespot.ctc import (
     NEG_INF,
     CtcForwardScorer,
     ForwardLattice,
-    _advanced,
     beam_search,
     forward_logprob,
     nbest_sort_key,
@@ -393,9 +392,9 @@ def ragged_lattice_cases(draw):
 @given(ragged_lattice_cases())
 def test_lattice_entries_equal_single_sequence_scoring_property(case):
     post, sequences = case
-    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
+    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols))
     for row in post.rows:
-        lattice.step(row)
+        lattice.advance(row[None])
     got = lattice.finalize().tolist()
     assert len(got) == len(sequences)
     probs = brute_force_sequence_probs(post)
@@ -429,13 +428,13 @@ def shared_prefix_cases(draw):
 @given(shared_prefix_cases())
 def test_shared_prefix_cells_equal_single_sequence_scoring_property(case):
     post, sequences = case
-    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
+    lattice = ForwardLattice(*prefix_trie(sequences, post.num_symbols))
     alone = [CtcForwardScorer(labels, post.num_symbols) for labels in sequences]
     prefixes = {labels[:u] for labels in sequences for u in range(1, len(labels) + 1)}
     assert lattice.num_lattice_cells == 2 * len(prefixes) + 1
     for row in [None, *post.rows]:
         if row is not None:
-            lattice.step(row)
+            lattice.advance(row[None])
             for scorer in alone:
                 scorer.step(row)
         for h, scorer in enumerate(alone):
@@ -469,17 +468,26 @@ def batch_lattice_cases(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(batch_lattice_cases())
-def test_batch_lattice_equals_stepping_every_row_property(case):
+@given(batch_lattice_cases(), st.lists(st.integers(0, 6), min_size=1).filter(any))
+def test_batch_lattice_equals_stepping_every_row_property(case, block_sizes):
     post, sequences = case
     trie = prefix_trie(sequences, post.num_symbols)
-    batch = _advanced(ForwardLattice(*trie, post.num_symbols), post.rows)
-    stepped = ForwardLattice(*trie, post.num_symbols)
+    batch = ForwardLattice(*trie).advance(post.rows)
+    stepped = ForwardLattice(*trie)
     for row in post.rows:
-        stepped.step(row)
-    assert batch.finalize().tobytes() == stepped.finalize().tobytes()  # bitwise
-    for h in range(len(sequences)):
-        assert batch.state(h).tobytes() == stepped.state(h).tobytes()
+        stepped.advance(row[None])
+    # blocks of at most _BLOCK_PAIRS rows, as the streaming detector feeds
+    # them, and empty ones
+    blocked, start = ForwardLattice(*trie), 0
+    for size in itertools.cycle(block_sizes):
+        if start >= post.num_frames:
+            break
+        blocked.advance(post.rows[start : start + size])
+        start += size
+    for lattice in (stepped, blocked):
+        assert lattice.finalize().tobytes() == batch.finalize().tobytes()  # bitwise
+        for h in range(len(sequences)):
+            assert lattice.state(h).tobytes() == batch.state(h).tobytes()
     # the physical cells: two per distinct non-empty prefix and the start blank
     prefixes = {labels[:u] for labels in sequences for u in range(1, len(labels) + 1)}
     assert batch.num_lattice_cells == stepped.num_lattice_cells == 2 * len(prefixes) + 1
@@ -499,13 +507,13 @@ def test_lattice_from_a_prefix_table_equals_lattice_from_sequences_property(case
     parent = np.array([node[labels[:-1]] if labels else 0 for labels in prefixes])
     label = np.array([labels[-1] if labels else 0 for labels in prefixes])
     ends = np.array([node[labels] for labels in sequences], dtype=np.intp)
-    from_table = ForwardLattice(parent, label, ends, post.num_symbols)
-    from_sequences = ForwardLattice(*prefix_trie(sequences, post.num_symbols), post.num_symbols)
+    from_table = ForwardLattice(parent, label, ends)
+    from_sequences = ForwardLattice(*prefix_trie(sequences, post.num_symbols))
     assert from_table.num_lattice_cells == from_sequences.num_lattice_cells
     for row in [None, *post.rows]:
         if row is not None:
-            from_table.step(row)
-            from_sequences.step(row)
+            from_table.advance(row[None])
+            from_sequences.advance(row[None])
         for h in range(len(sequences)):
             assert from_table.state(h).tobytes() == from_sequences.state(h).tobytes()
         assert from_table.finalize().tobytes() == from_sequences.finalize().tobytes()

@@ -1,7 +1,10 @@
 """numpy is the only runtime dependency: every import in the package is
-from the standard library, numpy or the package itself."""
+from the standard library, numpy or the package itself. The on-device
+detector loads only the modules it runs."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,16 @@ def test_foreign_imports_are_found_anywhere_in_a_module():
         "    from sklearn import metrics\n"
     )
     assert foreign_imports(source) == ["scipy.signal", "sklearn"]
+
+
+def test_streaming_detector_loads_only_the_modules_it_runs():
+    script = (
+        "import sys, wakespot.wakeword\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'wakespot'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    modules = ("audio", "ctc", "errors", "label_model", "vad", "wakeword")
+    assert out == ["wakespot", *(f"wakespot.{name}" for name in modules)]

@@ -2,9 +2,8 @@
 the package goes unread.
 
 No linter runs on this repository, so the first scan stands in for
-pyflakes' F401 over the package, the tests and the tools. A package
-``__init__.py`` imports names to export them, so it is exempt, as is any
-import line marked ``# noqa: F401``.
+pyflakes' F401 over the package, the tests and the tools. Only an import
+line marked ``# noqa: F401`` is exempt.
 
 The second scan looks for dead code that the first cannot see: a
 module-level or class-level ``_name`` (dunders excepted) of
@@ -13,8 +12,8 @@ attribute.
 
 The third scan looks for public code that only the tests, the tools or the
 benchmark reach: a module-level function or class of ``src/wakespot``, or
-a public method of one of its classes, that no module of the package but
-``__init__.py`` reads. Each one that stays lists its reason in
+a public method of one of its classes, that no module of the package
+reads. Each one that stays lists its reason in
 ``PUBLIC_BUT_UNREAD``.
 """
 
@@ -50,12 +49,7 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_module_imports_a_name_it_never_reads():
-    sources = [
-        path
-        for folder in SCANNED
-        for path in sorted((ROOT / folder).glob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    sources = [path for folder in SCANNED for path in sorted((ROOT / folder).glob("*.py"))]
     assert len(sources) >= 20
     found = {
         str(path.relative_to(ROOT)): unused_imports(path.read_text(encoding="utf-8"))
@@ -153,7 +147,7 @@ def test_unread_private_names_are_found_and_read_ones_are_kept():
 # Public names that no package module reads, each with the reason it stays.
 PUBLIC_BUT_UNREAD = {
     "cli._Parser.error": "argparse calls it on a usage error",
-    "ctc.CtcForwardScorer": "perfbench wraps it; tests check the lattice against it",
+    "ctc.CtcForwardScorer": "perfbench wraps its step; tests check the lattice against it",
     "ctc.forward_logprob": "perfbench wraps it; the one-sequence score criteria 1, 2, 4 and 6 compare",
     "dtw.dtw_cost": "tests use it as the reference DTW cost",
     "dtw.dtw_detect": "perfbench wraps it",
@@ -196,11 +190,7 @@ def unread_public_names(sources: dict[str, str]) -> list[str]:
 
 
 def test_no_public_name_of_the_package_goes_unread_unless_listed():
-    sources = {
-        path.name: path.read_text(encoding="utf-8")
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-    }
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert len(sources) >= 10
     assert sorted(unread_public_names(sources)) == sorted(PUBLIC_BUT_UNREAD)
 
