@@ -21,10 +21,20 @@ Episodes mirror the few-shot protocol: three supports from one synthetic
 speaker, positives from the same speaker, "confusing" negatives that share
 all but one or two pseudo-phonemes with the target, and "non-confusing"
 negatives built from disjoint pseudo-phonemes.
+
+Rendering computes what never changes once: the Mel centres and the
+sample counts of the fixed edges are module constants, and every envelope
+window is a read-only raised-cosine rise from the cached ``_rise``.
+Whatever the ``EpisodeConfig``, the renderer asks only for lengths from
+96 samples (the edge fall) to 559 (the longest attack), so the cache
+holds at most 464 windows, under 1.3 MB. A render draws the same random
+numbers and yields the same samples whether its windows were cached or
+not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +90,23 @@ _WEAK_ONSET_ATTENUATION = (0.1, 0.35)
 _DROPOUT_MS = (25.0, 60.0)
 _DROPOUT_ATTENUATION = 0.2
 _DROPOUT_EDGE_MS = 15.0
+
+# Computed once: the Mel centres and the sample counts of the fixed edges.
+_CENTERS = mel_center_frequencies()
+_RAMP = int(_EDGE_RAMP_MS * SAMPLE_RATE / 1000.0)  # phoneme edge fall
+_DROPOUT_EDGE = max(int(_DROPOUT_EDGE_MS * SAMPLE_RATE / 1000.0), 1)  # dip fade, onset release
+
+
+@functools.lru_cache(maxsize=None)
+def _rise(length: int) -> np.ndarray:
+    """The raised-cosine rise ``0.5 - 0.5 cos(pi k / length)``, k < length.
+
+    Every envelope window of ``render_utterance`` is this rise, a prefix of
+    it or its reverse. The array is read-only because it is shared.
+    """
+    rise = 0.5 - 0.5 * np.cos(np.pi * np.arange(length) / length)
+    rise.flags.writeable = False
+    return rise
 
 
 def synth_alphabet() -> LabelAlphabet:
@@ -195,20 +222,18 @@ def render_utterance(
 ) -> AudioBuffer:
     """Render a pseudo-phoneme sequence as 16 kHz audio."""
     cfg = cfg or EpisodeConfig()
-    centers = mel_center_frequencies()
     pitch = speaker.pitch * rng.uniform(*_UTTERANCE_PITCH)
     rate = speaker.rate * rng.uniform(*_UTTERANCE_RATE)
     gain = 10.0 ** ((speaker.gain_db + rng.uniform(*cfg.utterance_gain_db)) / 20.0)
     noise_sigma = 32768.0 * 10.0 ** (rng.uniform(*cfg.noise_db) / 20.0)
-    ramp = int(_EDGE_RAMP_MS * SAMPLE_RATE / 1000.0)
 
     pieces = [np.zeros(int(rng.uniform(*cfg.edge_ms) * SAMPLE_RATE / 1000.0))]
     for label in labels:
         duration_ms = rng.uniform(*_PHONEME_MS) * rate
-        n = max(int(duration_ms * SAMPLE_RATE / 1000.0), 4 * ramp)
-        freq = centers[PHONEME_CHANNELS[label - 1]] * pitch
+        n = max(int(duration_ms * SAMPLE_RATE / 1000.0), 4 * _RAMP)
+        freq = _CENTERS[PHONEME_CHANNELS[label - 1]] * pitch
         partner = CONFUSION_PARTNER[label]
-        partner_freq = centers[PHONEME_CHANNELS[partner - 1]] * pitch
+        partner_freq = _CENTERS[PHONEME_CHANNELS[partner - 1]] * pitch
         amp = _TONE_AMP * gain * rng.uniform(*cfg.phoneme_gain)
         partner_amp = amp * rng.uniform(*_PARTNER_LEVEL)
         phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -217,26 +242,25 @@ def render_utterance(
         tone = amp * np.sin(2.0 * math.pi * freq * t + phase)
         tone += partner_amp * np.sin(2.0 * math.pi * partner_freq * t + partner_phase)
         envelope = np.ones(n)
-        attack = max(int(rng.uniform(*_ATTACK_MS) * SAMPLE_RATE / 1000.0), ramp)
+        attack = max(int(rng.uniform(*_ATTACK_MS) * SAMPLE_RATE / 1000.0), _RAMP)
         attack = min(attack, n // 2)
-        envelope[:attack] = 0.5 - 0.5 * np.cos(np.pi * np.arange(attack) / attack)
-        envelope[-ramp:] *= (0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp))[::-1]
+        envelope[:attack] = _rise(attack)
+        envelope[-_RAMP:] *= _rise(_RAMP)[::-1]
         if rng.uniform() < _WEAK_ONSET_PROB:
             # the start of the phoneme is nearly inaudible; recover smoothly
             weak = min(int(rng.uniform(*_WEAK_ONSET_MS) * SAMPLE_RATE / 1000.0), n // 2)
             level = rng.uniform(*_WEAK_ONSET_ATTENUATION)
-            release = min(weak, max(int(_DROPOUT_EDGE_MS * SAMPLE_RATE / 1000.0), 1))
+            release = min(weak, _DROPOUT_EDGE)
             shape = np.full(weak, level)
-            rise = 0.5 - 0.5 * np.cos(np.pi * np.arange(release) / release)
-            shape[weak - release :] = level + (1.0 - level) * rise
+            shape[weak - release :] = level + (1.0 - level) * _rise(release)
             envelope[:weak] *= shape
-        edge = max(int(_DROPOUT_EDGE_MS * SAMPLE_RATE / 1000.0), 1)
         for _ in range(rng.poisson(cfg.dropouts_per_second * n / SAMPLE_RATE)):
-            width = int(rng.uniform(*_DROPOUT_MS) * SAMPLE_RATE / 1000.0)
+            # a dip never outgrows its phoneme (possible at slow speaker rates)
+            width = min(int(rng.uniform(*_DROPOUT_MS) * SAMPLE_RATE / 1000.0), n)
             lo = int(rng.integers(0, max(n - width, 1)))
             # smooth-edged dip: a click-free fade to the attenuated level
             dip = np.ones(width)
-            fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(min(edge, width // 2)) / edge)
+            fade = _rise(_DROPOUT_EDGE)[: min(_DROPOUT_EDGE, width // 2)]
             depth = 1.0 - _DROPOUT_ATTENUATION
             dip[: fade.size] = 1.0 - depth * fade
             dip[width - fade.size :] = (1.0 - depth * fade)[::-1]

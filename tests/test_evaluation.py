@@ -196,6 +196,25 @@ class TestSyntheticEpisodes:
         assert len(nonconf) == cfg.num_nonconfusing_same + cfg.num_nonconfusing_different
         assert all(t.speaker_match == "same" for t in positives)
 
+    def test_a_dropout_wider_than_its_phoneme_still_renders(self):
+        # at 0.3x speaker rate a phoneme can be shorter than a dip
+        cfg = synth.EpisodeConfig(speaker_rate=(0.3, 0.3), dropouts_per_second=40.0)
+        episodes = synth.generate_synthetic_episodes(0, 3, cfg)
+        assert [len(ep.tests) for ep in episodes] == [14, 14, 14]
+
+    def test_cached_windows_do_not_change_a_render(self):
+        cfg = synth.EpisodeConfig(dropouts_per_second=20.0)
+        synth._rise.cache_clear()
+        cold = synth.generate_synthetic_episodes(seed=4, count=1, config=cfg)[0]
+        computed = synth._rise.cache_info().misses
+        warm = synth.generate_synthetic_episodes(seed=4, count=1, config=cfg)[0]
+        assert synth._rise.cache_info().misses == computed > 0
+        recordings = lambda ep: [*ep.support, *(t.audio for t in ep.tests)]
+        for a, b in zip(recordings(cold), recordings(warm), strict=True):
+            assert np.array_equal(a.samples, b.samples)
+        with pytest.raises(ValueError, match="read-only"):
+            synth._rise(96)[0] = 1.0
+
 
 class TestHarness:
     @pytest.fixture(scope="class")

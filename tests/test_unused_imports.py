@@ -13,8 +13,11 @@ attribute.
 The third scan looks for public code that only the tests, the tools or the
 benchmark reach: a module-level function or class of ``src/wakespot``, or
 a public method of one of its classes, that no module of the package
-reads. Each one that stays lists its reason in
-``PUBLIC_BUT_UNREAD``.
+reads. A method is read only through an attribute access of its name; a
+function or class only when a module imports it, reads it as
+``module.name`` or, in its own module, loads its name. So a local
+variable never stands in for either. Each one that stays lists its reason
+in ``PUBLIC_BUT_UNREAD``.
 """
 
 import ast
@@ -148,6 +151,7 @@ def test_unread_private_names_are_found_and_read_ones_are_kept():
 PUBLIC_BUT_UNREAD = {
     "cli._Parser.error": "argparse calls it on a usage error",
     "ctc.CtcForwardScorer": "perfbench wraps its step; tests check the lattice against it",
+    "ctc.CtcForwardScorer.step": "perfbench wraps it",
     "ctc.forward_logprob": "perfbench wraps it; the one-sequence score criteria 1, 2, 4 and 6 compare",
     "dtw.dtw_cost": "tests use it as the reference DTW cost",
     "dtw.dtw_detect": "perfbench wraps it",
@@ -156,6 +160,7 @@ PUBLIC_BUT_UNREAD = {
     "label_model.random_weights": "tools, tests and perfbench build weights with it",
     "label_model.zero_weights": "tests build weights with it",
     "vad.trim_to_speech": "perfbench wraps it",
+    "wakeword.score": "perfbench calls it",
 }
 
 
@@ -176,17 +181,43 @@ def _public_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     return found
 
 
+def _public_reads(module: str, tree: ast.Module) -> set[str]:
+    """What ``module`` reads of the package's public names: ``.method`` for
+    each attribute it reads, and ``owner.name`` for each name it imports
+    from ``owner``, reads as ``owner.name``, or loads when it is ``owner``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            owner = node.module.rsplit(".", 1)[-1]
+            read |= {f"{owner}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(f".{node.attr}")
+            if isinstance(node.value, ast.Name):
+                read.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(f"{module}.{node.id}")
+    return read
+
+
 def unread_public_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each public definition that no module in
-    ``sources`` reads, by its last part, as a name or as an attribute."""
+    ``sources`` reads. A method is read through an attribute of its name; a
+    function or class is read when a module imports it from its module,
+    reads it as ``module.name``, or its own module loads its name."""
     trees = {name.removesuffix(".py"): ast.parse(source) for name, source in sources.items()}
-    read = set().union(*map(_names_read, trees.values()))
+    read = set().union(*(_public_reads(module, tree) for module, tree in trees.items()))
     return [
         f"{module}.{public}"
         for module, tree in trees.items()
         for _, public in sorted(_public_definitions(tree))
-        if public.rsplit(".", 1)[-1] not in read
+        if _read_key(module, public) not in read
     ]
+
+
+def _read_key(module: str, public: str) -> str:
+    """How ``_public_reads`` records a read of ``public`` of ``module``."""
+    _, dot, method = public.partition(".")
+    return f".{method}" if dot else f"{module}.{public}"
 
 
 def test_no_public_name_of_the_package_goes_unread_unless_listed():
@@ -201,6 +232,8 @@ def test_unread_public_names_are_found_and_read_ones_are_kept():
         "    return 1\n"
         "def orphan():\n"
         "    return used()\n"
+        "def by_module():\n"
+        "    pass\n"
         "class Box:\n"
         "    def method(self):\n"
         "        pass\n"
@@ -214,7 +247,14 @@ def test_unread_public_names_are_found_and_read_ones_are_kept():
         "def _helper():\n"
         "    pass\n"
     )
-    user = "from m import Box\nBox().method()\n"
+    user = (
+        "import m\n"
+        "from m import Box\n"
+        "Box().method()\n"
+        "m.by_module()\n"
+        "def _sum(orphan, lonely, spare):\n"
+        "    return orphan + lonely + spare\n"
+    )
     assert unread_public_names({"m.py": module, "user.py": user}) == [
         "m.orphan", "m.Box.lonely", "m._Hidden.spare"
     ]
